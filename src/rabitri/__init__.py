@@ -12,18 +12,18 @@ from .np_analytics import (MomentumMode, NpObservables, excitation_energies,
                            ground_energy_np, local_photon_np, mode,
                            observables_np, variance_p_np, variance_x_np)
 from .meanfield import (Displacement, MeanFieldSolution, fsp_closed_form,
-                        ground_energy_mf, residual_jacobian, residuals,
-                        solve_displacements)
+                        ground_energy_mf, mean_field_at, refine_root,
+                        residual_jacobian, residuals, solve_displacements)
 from .bogoliubov import (ParaunitarySolution, QuadraticForm, SrObservables,
                          build_m_matrix, diagonalize_paraunitary,
                          ground_energy_fluct, local_photon_sr, observables_sr,
-                         variance_p_sr, variance_x_sr)
+                         point_observables, variance_p_sr, variance_x_sr)
 from .dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                        chirality_metric, evolve, exact_ground_energy,
                        initial_state, number_operators, write_trajectory_csv)
 from .scaling import (ExponentReport, PowerLawFit, ReportEntry, SweepSpec,
                       ZPair, exponent_report, fit_power_law, format_report,
-                      sweep, write_report_csv)
+                      observables_near, sweep, write_report_csv)
 
 __version__ = "0.1.0"
 
@@ -38,16 +38,16 @@ __all__ = [
     "ground_energy_np", "local_photon_np", "mode", "observables_np",
     "variance_p_np", "variance_x_np",
     "Displacement", "MeanFieldSolution", "fsp_closed_form",
-    "ground_energy_mf", "residual_jacobian", "residuals",
-    "solve_displacements",
+    "ground_energy_mf", "mean_field_at", "refine_root", "residual_jacobian",
+    "residuals", "solve_displacements",
     "ParaunitarySolution", "QuadraticForm", "SrObservables", "build_m_matrix",
     "diagonalize_paraunitary", "ground_energy_fluct", "local_photon_sr",
-    "observables_sr", "variance_p_sr", "variance_x_sr",
+    "observables_sr", "point_observables", "variance_p_sr", "variance_x_sr",
     "FockBasis", "Trajectory", "build_full_hamiltonian", "chirality_metric",
     "evolve", "exact_ground_energy", "initial_state", "number_operators",
     "write_trajectory_csv",
     "ExponentReport", "PowerLawFit", "ReportEntry", "SweepSpec", "ZPair",
-    "exponent_report", "fit_power_law", "format_report", "sweep",
-    "write_report_csv",
+    "exponent_report", "fit_power_law", "format_report", "observables_near",
+    "sweep", "write_report_csv",
     "__version__",
 ]

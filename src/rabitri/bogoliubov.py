@@ -9,23 +9,34 @@ T^dag Lam T = Lam with Lam = diag(1, 1, 1, -1, -1, -1).
 The solver follows Colpa's recipe on the doubled matrix Hd = 2M:
 Cholesky Hd = C^dag C, then the Hermitian C Lam C^dag is diagonalized by a
 unitary; its spectrum is (-e3, -e2, -e1, e1, e2, e3) and back-substitution
-yields T column by column. A Cholesky failure means Hd is not positive
-definite, which is how both dynamical instability and the critical point
-announce themselves; the two are told apart by the eigenvalues of Lam*Hd.
+yields T. Hd must be positive definite, which fails at both dynamical
+instability and the critical point; the two are told apart by the
+eigenvalues of Lam*Hd. Definiteness is tested by a Cholesky of Hd - tau,
+with tau = 1e-12 * max|M| in float64 and rescaled to the working epsilon at
+higher precision, so an exact zero mode cannot pass on rounding noise.
+
+Every step runs at the precision of its input (see `numerics`). The
+residuals of a solution are computed when first read, at the precision the
+solution was built with. `point_observables` evaluates gaps, photon numbers
+and quadrature variances below the critical coupling or at a mean-field root
+above it.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+from mpmath import mp
 
+from . import numerics
 from .errors import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError)
-from .meanfield import MeanFieldSolution
+from .meanfield import MeanFieldSolution, mean_field_at
 from .model import ModelParams
+from .np_analytics import (excitation_energies, local_photon_np,
+                           variance_p_np, variance_x_np)
 
 _LAMBDA = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
@@ -39,8 +50,24 @@ class QuadraticForm:
 class ParaunitarySolution:
     t: np.ndarray             # 6x6 complex paraunitary
     eps: np.ndarray           # 3 excitation energies, ascending
-    para_residual: float      # max |T^dag Lam T - Lam|
-    diag_residual: float      # max off-diag of T^-1 (Lam Hd) T
+    hd: np.ndarray            # the doubled form 2M that T diagonalizes
+    prec: int = 53            # bits of working precision T was built with
+
+    @cached_property
+    def para_residual(self) -> float:
+        """max |T^dag Lam T - Lam|"""
+        t = self.t
+        with mp.workprec(self.prec):
+            return float(np.max(np.abs(t.conj().T @ _LAMBDA @ t - _LAMBDA)))
+
+    @cached_property
+    def diag_residual(self) -> float:
+        """max |T^-1 (Lam Hd) T - diag(eps, -eps)|"""
+        t = self.t
+        with mp.workprec(self.prec):
+            rec = numerics.of(t).solve(t, _LAMBDA @ self.hd @ t)
+            rec -= np.diag(np.concatenate([self.eps, -self.eps]))
+            return float(np.max(np.abs(rec)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +82,10 @@ def build_m_matrix(params: ModelParams, mf: MeanFieldSolution) -> QuadraticForm:
     """Bilinear form M: diagonal omega/2 - lambda_n^2/Delta_n, hopping
     J e^{-i theta}/2 along the ring, anomalous -lambda_n^2/Delta_n."""
     w, j, th = params.omega, params.j_hop, params.theta
+    nb = numerics.of(params, mf.lambda_n)
     kap = mf.lambda_n ** 2 / mf.delta_n   # lambda_n^2 / Delta_n per site
-    m = np.zeros((6, 6), dtype=complex)
-    eith = complex(math.cos(th), math.sin(th))
+    m = np.zeros((6, 6), dtype=nb.cdtype)
+    eith = nb.cos(th) + 1j * nb.sin(th)
     for n in range(3):
         p, q = (n + 1) % 3, (n - 1) % 3
         m[n, n] = 0.5 * w - kap[n]
@@ -71,17 +99,6 @@ def build_m_matrix(params: ModelParams, mf: MeanFieldSolution) -> QuadraticForm:
     return QuadraticForm(m=m)
 
 
-def _raise_nonpositive(hd: np.ndarray, scale: float) -> None:
-    evals = np.linalg.eigvals(_LAMBDA @ hd)
-    if float(np.max(np.abs(evals.imag))) > 1e-8 * scale:
-        raise InstabilityError(
-            "Lam*Hd has complex eigenvalues; the expansion point is "
-            "dynamically unstable (wrong phase branch)")
-    raise CriticalPointError(
-        "quadratic form is not positive definite; a mode energy has "
-        "reached zero (critical point)")
-
-
 def diagonalize_paraunitary(qf: QuadraticForm) -> ParaunitarySolution:
     """Paraunitary T and positive excitation energies of the form qf.
 
@@ -90,52 +107,50 @@ def diagonalize_paraunitary(qf: QuadraticForm) -> ParaunitarySolution:
     the spectrum of Lam*Hd leaves the real axis (expansion around an
     unstable configuration).
     """
-    m = np.asarray(qf.m, dtype=complex)
+    nb = numerics.of(qf.m)
+    m = np.asarray(qf.m, dtype=nb.cdtype)
     if m.shape != (6, 6):
         raise DomainError(f"expected a 6x6 matrix, got {m.shape}")
-    scale = float(np.max(np.abs(m)))
+    scale = np.max(np.abs(m))
     if scale == 0.0:
         raise CriticalPointError("zero quadratic form")
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-10 * scale:
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
         raise DomainError("quadratic form must be Hermitian")
     hd = 2.0 * m
     # an exact zero mode leaves Hd positive semidefinite; Cholesky can then
     # still succeed on rounding noise and return sqrt(eps_machine)-scale
-    # energies, so test definiteness explicitly first
-    if float(np.linalg.eigvalsh(hd)[0]) <= 1e-12 * scale:
-        _raise_nonpositive(hd, scale)
+    # energies, so require Hd - tau to be positive definite first; tau is
+    # 1e-12 relative in float64, rescaled to the working epsilon
+    tau = 1e-12 * 2.0 ** (53 - nb.prec()) * scale
     try:
-        c = sla.cholesky(hd, lower=False)   # hd = c^dag c
+        nb.cholesky(hd - np.eye(6) * tau)
+        c = nb.cholesky(hd)                 # hd = c^dag c
     except np.linalg.LinAlgError:
-        _raise_nonpositive(hd, scale)
-    w = c @ _LAMBDA @ c.conj().T
-    evals, u = np.linalg.eigh(w)    # ascending: -e3,-e2,-e1,e1,e2,e3
-    eps = evals[3:].copy()
-    if eps[0] <= 1e-12 * scale:
+        evals = np.linalg.eigvals(_LAMBDA @ np.asarray(hd, dtype=complex))
+        if float(np.max(np.abs(evals.imag))) > 1e-8 * scale:
+            raise InstabilityError(
+                "Lam*Hd has complex eigenvalues; the expansion point is "
+                "dynamically unstable (wrong phase branch)")
         raise CriticalPointError(
-            f"soft mode energy {eps[0]:.3e} is numerically zero")
+            "quadratic form is not positive definite; a mode energy has "
+            "reached zero (critical point)")
+    w = (c * np.diag(_LAMBDA)) @ c.conj().T
+    evals, u = nb.eigh(w)    # ascending: -e3,-e2,-e1,e1,e2,e3
+    eps = evals[3:].copy()
+    if eps[0] <= tau:
+        raise CriticalPointError(
+            f"soft mode energy {float(eps[0]):.3e} is numerically zero")
     gaps = [abs(eps[0] - eps[1]), abs(eps[1] - eps[2]), abs(eps[0] - eps[2])]
     if min(gaps) < 1e-10:
         warnings.warn("near-degenerate excitation energies; T columns are "
                       "basis-dependent within the degenerate subspace",
                       DegeneracyWarning, stacklevel=2)
-    t = np.zeros((6, 6), dtype=complex)
-    for k in range(3):
-        vec = sla.solve_triangular(c, u[:, 3 + k] * math.sqrt(eps[k]),
-                                   lower=False)
-        # deterministic phase: largest-modulus component real positive
-        imax = int(np.argmax(np.abs(vec)))
-        ph = vec[imax] / abs(vec[imax])
-        vec = vec / ph
-        t[:, k] = vec
-        t[:3, 3 + k] = np.conj(vec[3:])
-        t[3:, 3 + k] = np.conj(vec[:3])
-    para = float(np.max(np.abs(t.conj().T @ _LAMBDA @ t - _LAMBDA)))
-    rec = np.linalg.solve(t, _LAMBDA @ hd @ t)
-    rec -= np.diag(np.concatenate([eps, -eps]))
-    diag = float(np.max(np.abs(rec)))
-    return ParaunitarySolution(t=t, eps=eps, para_residual=para,
-                               diag_residual=diag)
+    v = nb.solve(c, u[:, 3:] * nb.sqrt(eps), upper=True)
+    # deterministic phase: each column's largest-modulus entry real positive
+    top = v[np.argmax(np.abs(v), axis=0), range(3)]
+    v = v / (top / np.abs(top))
+    t = np.block([[v[:3], v[3:].conj()], [v[3:], v[:3].conj()]])
+    return ParaunitarySolution(t=t, eps=eps, hd=hd, prec=nb.prec())
 
 
 def local_photon_sr(ps: ParaunitarySolution, mf: MeanFieldSolution) -> np.ndarray:
@@ -175,3 +190,27 @@ def observables_sr(params: ModelParams, ps: ParaunitarySolution,
         var_p=variance_p_sr(ps),
         ground_energy=ground_energy_fluct(params, ps, mf),
     )
+
+
+def point_observables(params: ModelParams,
+                      root: np.ndarray | None = None) -> dict:
+    """Gaps eps1..eps3 and per-site photon_n, var_x, var_p as floats.
+
+    Without a root they come from the normal-phase closed forms, which
+    raise DomainError at or above the critical coupling. With a mean-field
+    root (A_1..A_3, B_1..B_3) they are the Bogoliubov observables around
+    it, computed at the precision of params and root.
+    """
+    if root is None:
+        eps = excitation_energies(params)
+        n, vx, vp = (np.full(3, f(params)) for f in
+                     (local_photon_np, variance_x_np, variance_p_np))
+    else:
+        mf = mean_field_at(params, root)
+        ps = diagonalize_paraunitary(build_m_matrix(params, mf))
+        eps = ps.eps
+        n, vx, vp = (np.asarray(v, dtype=float) for v in
+                     (local_photon_sr(ps, mf), variance_x_sr(ps),
+                      variance_p_sr(ps)))
+    return {"eps1": float(eps[0]), "eps2": float(eps[1]),
+            "eps3": float(eps[2]), "photon_n": n, "var_x": vx, "var_p": vp}

@@ -18,8 +18,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bogoliubov import (build_m_matrix, diagonalize_paraunitary,
-                         local_photon_sr, variance_p_sr, variance_x_sr)
 from .dynamics import (FockBasis, chirality_metric, evolve,
                        write_trajectory_csv)
 from .errors import (ConvergenceError, CriticalPointError, DomainError,
@@ -27,9 +25,8 @@ from .errors import (ConvergenceError, CriticalPointError, DomainError,
 from .meanfield import solve_displacements
 from .model import (ModelParams, critical_coupling_min, critical_flux,
                     softest_mode)
-from .np_analytics import (excitation_energies, local_photon_np,
-                           variance_p_np, variance_x_np)
-from .scaling import exponent_report, format_report, write_report_csv
+from .scaling import (exponent_report, format_report, observables_near,
+                      write_report_csv)
 
 _TYPES = {
     "omega": float, "delta": float, "g1": float, "j": float, "theta": float,
@@ -159,44 +156,45 @@ def cmd_phase_boundary(cfg: dict) -> int:
     return 0
 
 
-def _scan_ratios(cfg: dict) -> np.ndarray:
-    lo, hi = cfg["window_min"], cfg["window_max"]
-    if not (0.0 < lo < hi):
-        raise DomainError(f"scan window must satisfy 0 < min < max, "
-                          f"got [{lo}, {hi}]")
-    return np.linspace(lo, hi, cfg["points"])
+# scan subcommands: CSV header, row values from point_observables, and
+# the gnuplot columns
+_SCANS = {
+    "fluctuations": (
+        "g1,n1,n2,n3,vx1,vx2,vx3,vp1,vp2,vp3,eps1,eps2",
+        lambda o: [*o["photon_n"], *o["var_x"], *o["var_p"], o["eps1"],
+                   o["eps2"]],
+        [(2, "n1"), (3, "n2"), (4, "n3")], True),
+    "spectrum": (
+        "g1,eps1,eps2,eps3", lambda o: [o["eps1"], o["eps2"], o["eps3"]],
+        [(2, "eps1"), (3, "eps2"), (4, "eps3")], False),
+}
 
 
-def cmd_fluctuations(cfg: dict) -> int:
+def cmd_scan(cfg: dict) -> int:
+    """`fluctuations` and `spectrum`: one row per g1/g1c on the window grid.
+    The superradiant rows all come from one root continuation, anchored by
+    the mean-field multi-start with the configured seed."""
+    header, values, columns, logy = _SCANS[cfg["command"]]
     base = _params(cfg)
     g1c = critical_coupling_min(base)
+    deltas = [float(r) - 1.0 for r in np.linspace(
+        cfg["window_min"], cfg["window_max"], cfg["points"])]
+    # skip |g1 - g1c| <= 1e-12, which observables_near rejects as critical
+    obs = observables_near(
+        base, [d for d in deltas if abs(d) * g1c > 1e-12], cfg["seed"])
     with open(cfg["out"], "w") as fh:
         fh.write(f"# {_resolved_line(cfg)}\n")
         fh.write(f"# g1c = {g1c:.17g}\n")
-        fh.write("g1,n1,n2,n3,vx1,vx2,vx3,vp1,vp2,vp3,eps1,eps2\n")
-        for r in _scan_ratios(cfg):
-            if abs(r - 1.0) <= 1e-12:
+        fh.write(header + "\n")
+        for d in deltas:
+            if d not in obs:
                 fh.write("# g1 = g1c skipped (critical point)\n")
                 continue
-            p = replace(base, g1=float(r) * g1c)
-            if r < 1.0:
-                eps = excitation_energies(p)
-                n = [local_photon_np(p)] * 3
-                vx = [variance_x_np(p)] * 3
-                vp = [variance_p_np(p)] * 3
-            else:
-                mf = solve_displacements(p, seed=cfg["seed"])
-                ps = diagonalize_paraunitary(build_m_matrix(p, mf))
-                eps = ps.eps
-                n = local_photon_sr(ps, mf)
-                vx = variance_x_sr(ps)
-                vp = variance_p_sr(ps)
-            row = [p.g1, *n, *vx, *vp, eps[0], eps[1]]
+            row = [g1c * (1.0 + d), *values(obs[d])]
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     print(f"wrote {cfg['out']}")
     if cfg["gnuplot"]:
-        _write_gnuplot(cfg["out"], [(2, "n1"), (3, "n2"), (4, "n3")],
-                       "g1", logy=True)
+        _write_gnuplot(cfg["out"], columns, "g1", logy=logy)
     return 0
 
 
@@ -234,39 +232,13 @@ def cmd_meanfield(cfg: dict) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: dict) -> int:
-    base = _params(cfg)
-    g1c = critical_coupling_min(base)
-    with open(cfg["out"], "w") as fh:
-        fh.write(f"# {_resolved_line(cfg)}\n")
-        fh.write(f"# g1c = {g1c:.17g}\n")
-        fh.write("g1,eps1,eps2,eps3\n")
-        for r in _scan_ratios(cfg):
-            if abs(r - 1.0) <= 1e-12:
-                fh.write("# g1 = g1c skipped (critical point)\n")
-                continue
-            p = replace(base, g1=float(r) * g1c)
-            if r < 1.0:
-                eps = excitation_energies(p)
-            else:
-                mf = solve_displacements(p, seed=cfg["seed"])
-                eps = diagonalize_paraunitary(build_m_matrix(p, mf)).eps
-            fh.write(f"{p.g1:.17g},{eps[0]:.17g},{eps[1]:.17g},"
-                     f"{eps[2]:.17g}\n")
-    print(f"wrote {cfg['out']}")
-    if cfg["gnuplot"]:
-        _write_gnuplot(cfg["out"], [(2, "eps1"), (3, "eps2"), (4, "eps3")],
-                       "g1")
-    return 0
-
-
 _COMMANDS = {
     "dynamics": cmd_dynamics,
     "phase-boundary": cmd_phase_boundary,
-    "fluctuations": cmd_fluctuations,
+    "fluctuations": cmd_scan,
     "exponents": cmd_exponents,
     "meanfield": cmd_meanfield,
-    "spectrum": cmd_spectrum,
+    "spectrum": cmd_scan,
 }
 
 

@@ -8,6 +8,10 @@ distinguished site (when the ring order breaks C3) sits at index 0.
 
 Gap renormalization per site: Delta_n = sqrt(Delta^2 + 16 g^2 A_n^2) with
 the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
+
+Residuals, Jacobian, energy and Newton run at the precision of their inputs
+(see `numerics`); `refine_root` and `mean_field_at` follow one root along a
+continuation at any precision. The multi-start solver works in float64.
 """
 from __future__ import annotations
 
@@ -16,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import ConvergenceError, DomainError
 from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
-                    critical_coupling, critical_coupling_min)
+                    critical_coupling_min)
 
 _NEWTON_TOL = 1e-10
 # near the critical coupling the Jacobian goes singular; accept a gradient
@@ -26,6 +31,8 @@ _NEWTON_TOL = 1e-10
 # would be 1e-10 on the gradient; we allow 5e-10 <-> gradient 1e-9)
 _NEAR_CRITICAL_TOL = 5e-10
 _MAX_ITER = 200
+# ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
+_NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +61,8 @@ class MeanFieldSolution:
 
 def _gaps(params: ModelParams, a: np.ndarray) -> np.ndarray:
     g = bare_coupling(params)
-    return np.sqrt(params.delta ** 2 + 16.0 * g * g * a * a)
+    nb = numerics.of(params, a)
+    return nb.sqrt(a * (16.0 * g * g) * a + params.delta ** 2)
 
 
 def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
@@ -65,13 +73,14 @@ def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
     """
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params)
-    a, b = np.asarray(disp.a, float), np.asarray(disp.b, float)
+    nb = numerics.of(params, disp.a, disp.b)
+    a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a)
-    an, ap = np.roll(a, -1), np.roll(a, 1)    # A_{n+1}, A_{n-1}
-    bn, bp = np.roll(b, -1), np.roll(b, 1)
-    ct, st = math.cos(th), math.sin(th)
-    r = w * a - 4.0 * g * g * a / dn + j * ((an + ap) * ct + (bn - bp) * st)
-    s = w * b + j * (ct * (bn + bp) + st * (ap - an))
+    an, ap = a[_NXT], a[_PRV]    # A_{n+1}, A_{n-1}
+    bn, bp = b[_NXT], b[_PRV]
+    ct, st = nb.cos(th), nb.sin(th)
+    r = a * w - a * (4.0 * g * g) / dn + ((an + ap) * ct + (bn - bp) * st) * j
+    s = b * w + ((bn + bp) * ct + (ap - an) * st) * j
     return np.concatenate([r, s])
 
 
@@ -79,21 +88,18 @@ def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
     """Analytic 6x6 Jacobian of `residuals` in the (A, B) ordering."""
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params)
-    a = np.asarray(disp.a, float)
+    nb = numerics.of(params, disp.a)
+    a = np.asarray(disp.a)
     dn = _gaps(params, a)
-    ct, st = math.cos(th), math.sin(th)
-    nxt = np.zeros((3, 3))
-    prv = np.zeros((3, 3))
-    for n in range(3):
-        nxt[n, (n + 1) % 3] = 1.0
-        prv[n, (n - 1) % 3] = 1.0
-    jac = np.zeros((6, 6))
+    ct, st = nb.cos(th), nb.sin(th)
+    nxt, prv = np.eye(3)[_NXT], np.eye(3)[_PRV]
+    jac = np.zeros((6, 6), dtype=nb.rdtype)
     # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
-    jac[:3, :3] = (np.diag(w - 4.0 * g * g * params.delta ** 2 / dn ** 3)
-                   + j * ct * (nxt + prv))
-    jac[:3, 3:] = j * st * (nxt - prv)
-    jac[3:, :3] = j * st * (prv - nxt)
-    jac[3:, 3:] = w * np.eye(3) + j * ct * (nxt + prv)
+    curv = np.divide(4.0 * g * g * params.delta ** 2, dn ** 3)
+    jac[:3, :3] = np.diag(-curv + w) + (nxt + prv) * (j * ct)
+    jac[:3, 3:] = (nxt - prv) * (j * st)
+    jac[3:, :3] = (prv - nxt) * (j * st)
+    jac[3:, 3:] = np.eye(3) * w + (nxt + prv) * (j * ct)
     return jac
 
 
@@ -104,11 +110,12 @@ def ground_energy_mf(params: ModelParams, disp: Displacement) -> float:
     is real: each bond contributes 2*Re[e^{i theta} alpha_{n+1}^* alpha_n].
     """
     w, j, th = params.omega, params.j_hop, params.theta
-    a, b = np.asarray(disp.a, float), np.asarray(disp.b, float)
+    nb = numerics.of(params, disp.a, disp.b)
+    a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a)
-    an, bn = np.roll(a, -1), np.roll(b, -1)
-    ct, st = math.cos(th), math.sin(th)
-    hop = 2.0 * j * np.sum(ct * (a * an + b * bn) + st * (a * bn - an * b))
+    an, bn = a[_NXT], b[_NXT]
+    ct, st = nb.cos(th), nb.sin(th)
+    hop = 2.0 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st)
     return float(w * np.sum(a * a + b * b) + hop - 0.5 * np.sum(dn))
 
 
@@ -135,17 +142,19 @@ def fsp_closed_form(params: ModelParams) -> Displacement:
 
 
 def _newton(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray | None:
-    """Damped (Levenberg-regularized) Newton on the residual vector."""
-    x = np.array(x0, float)
+    """Damped (Levenberg-regularized) Newton on the residual vector, at the
+    precision of params and x0."""
+    nb = numerics.of(params, x0)
+    x = np.array(x0)
+    r = residuals(params, Displacement(a=x[:3], b=x[3:]))
     mu = 0.0
     for _ in range(_MAX_ITER):
-        r = residuals(params, Displacement(a=x[:3], b=x[3:]))
         rn = np.max(np.abs(r))
         if rn <= tol:
             return x
         jac = residual_jacobian(params, Displacement(a=x[:3], b=x[3:]))
         try:
-            step = np.linalg.solve(jac + mu * np.eye(6), -r)
+            step = nb.solve(jac + np.eye(6) * mu if mu else jac, -r)
         except np.linalg.LinAlgError:
             mu = max(10.0 * mu, 1e-12 * params.omega)
             continue
@@ -156,7 +165,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray | Non
             xt = x + t * step
             rt = residuals(params, Displacement(a=xt[:3], b=xt[3:]))
             if np.max(np.abs(rt)) < rn:
-                x = xt
+                x, r = xt, rt
                 ok = True
                 break
             t *= 0.5
@@ -169,8 +178,30 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray | Non
                 mu *= 100.0
             if mu > 1e6 * params.omega:
                 return None
-    r = residuals(params, Displacement(a=x[:3], b=x[3:]))
     return x if np.max(np.abs(r)) <= tol else None
+
+
+def refine_root(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray:
+    """Mean-field root (A_1..A_3, B_1..B_3) reached by damped Newton from
+    x0, a root at a nearby coupling; raises ConvergenceError if lost."""
+    x = _newton(params, x0, tol)
+    if x is None:
+        raise ConvergenceError(
+            f"continuation lost the root at g1={float(params.g1)}")
+    return x
+
+
+def mean_field_at(params: ModelParams, x: np.ndarray) -> MeanFieldSolution:
+    """The MeanFieldSolution of a root x = (A_1..A_3, B_1..B_3), as given
+    (no canonical relabeling), at the precision of params and x."""
+    disp = Displacement(a=x[:3], b=x[3:])
+    dn = _gaps(params, disp.a)
+    g = bare_coupling(params)
+    lam = np.divide(g * params.delta, dn) if g > 0 else np.zeros(3)
+    return MeanFieldSolution(
+        disp=disp, delta_n=dn, lambda_n=lam,
+        energy=ground_energy_mf(params, disp), label=classify_phase(params),
+        residual_norm=float(np.max(np.abs(residuals(params, disp)))))
 
 
 def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
@@ -201,24 +232,12 @@ def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
     return seeds
 
 
-def _canonicalize(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the lexicographically largest member of the symmetry orbit.
-
-    The orbit of a root under cyclic relabeling and the global sign flip
-    (A, B) -> (-A, -B) has up to six members, all exact roots with equal
-    energy; choosing the max of (A_1, A_2, A_3) fixes the site labeling.
-    """
-    best = None
-    for shift in range(3):
-        for sgn in (1.0, -1.0):
-            ca, cb = sgn * np.roll(a, shift), sgn * np.roll(b, shift)
-            # grain the key at the root-identity scale (1e-8, same as the
-            # dedup tolerance) so Newton noise cannot decide a tie
-            key = (round(ca[0], 8), round(ca[1], 8), round(ca[2], 8),
-                   round(cb[0], 8), round(cb[1], 8), round(cb[2], 8))
-            if best is None or key > best[0]:
-                best = (key, ca, cb)
-    return best[1], best[2]
+def _orbit(x: np.ndarray) -> list[np.ndarray]:
+    """The symmetry orbit of a root under cyclic relabeling and the global
+    sign flip (A, B) -> (-A, -B): up to six exact roots of equal energy."""
+    a, b = x[:3], x[3:]
+    return [sgn * np.concatenate([np.roll(a, shift), np.roll(b, shift)])
+            for shift in range(3) for sgn in (1.0, -1.0)]
 
 
 def solve_displacements(params: ModelParams,
@@ -232,22 +251,8 @@ def solve_displacements(params: ModelParams,
     feeds only the random extra starts; the structured seeds are fixed.
     """
     g1c = critical_coupling_min(params)
-    label = classify_phase(params)
-    g = bare_coupling(params)
-
-    def _package(x: np.ndarray) -> MeanFieldSolution:
-        ca, cb = _canonicalize(x[:3], x[3:])
-        disp = Displacement(a=ca, b=cb)
-        dn = _gaps(params, ca)
-        lam = g * params.delta / dn if g > 0 else np.zeros(3)
-        r = residuals(params, disp)
-        return MeanFieldSolution(
-            disp=disp, delta_n=dn, lambda_n=lam,
-            energy=ground_energy_mf(params, disp), label=label,
-            residual_norm=float(np.max(np.abs(r))))
-
     if params.g1 < g1c:
-        return _package(np.zeros(6))
+        return mean_field_at(params, np.zeros(6))
 
     near_critical = g1c > 0 and abs(params.g1 / g1c - 1.0) < 1e-6
     tol = _NEAR_CRITICAL_TOL if near_critical else _NEWTON_TOL
@@ -271,11 +276,9 @@ def solve_displacements(params: ModelParams,
     scored.sort(key=lambda t: t[0])
     e_min = scored[0][0]
     tied = [x for e, x in scored if e - e_min <= 1e-10 * params.delta]
-    # canonicalize each tied root, then take the lexicographic max overall
-    best = None
-    for x in tied:
-        ca, cb = _canonicalize(x[:3], x[3:])
-        key = tuple(np.round(np.concatenate([ca, cb]), 8))
-        if best is None or key > best[0]:
-            best = (key, np.concatenate([ca, cb]))
-    return _package(best[1])
+    # canonical labeling: the lexicographically largest orbit member of any
+    # tied root, keyed at the root-identity scale (1e-8, the dedup
+    # tolerance) so Newton noise cannot decide a tie
+    best = max((c for x in tied for c in _orbit(x)),
+               key=lambda c: tuple(np.round(c, 8)))
+    return mean_field_at(params, best)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import numerics
 from .errors import DomainError
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -65,7 +66,7 @@ class ModelParams:
 
 def bare_coupling(params: ModelParams) -> float:
     """Dimensionful coupling g = g1 * sqrt(omega * delta)."""
-    return params.g1 * math.sqrt(params.omega * params.delta)
+    return params.g1 * numerics.of(params).sqrt(params.omega * params.delta)
 
 
 def critical_coupling(params: ModelParams, q: float) -> float:
@@ -75,15 +76,17 @@ def critical_coupling(params: ModelParams, q: float) -> float:
                           / (1 + 2jc*cq)],   jc = J/omega, cq = cos(theta)cos(q).
     """
     _check_momentum(q)
+    nb = numerics.of(params)
+    q = round(q / TWO_THIRDS_PI) * 2 * nb.pi / 3   # at working precision
     jr = params.j_hop / params.omega
-    cq = math.cos(params.theta) * math.cos(q)
+    cq = nb.cos(params.theta) * nb.cos(q)
     den = 1.0 + 2.0 * jr * cq
     if den <= 0.0:
         raise DomainError("hopping too strong: boundary formula denominator <= 0")
-    num = 1.0 + 4.0 * jr * cq + 4.0 * jr * jr * math.cos(params.theta + q) * math.cos(params.theta - q)
+    num = 1.0 + 4.0 * jr * cq + 4.0 * jr * jr * nb.cos(params.theta + q) * nb.cos(params.theta - q)
     if num < 0.0:
         raise DomainError("hopping too strong: boundary formula radicand < 0")
-    return 0.5 * math.sqrt(num / den)
+    return 0.5 * nb.sqrt(num / den)
 
 
 def softest_mode(params: ModelParams) -> tuple[float, float]:

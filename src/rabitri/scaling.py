@@ -5,14 +5,15 @@ energies, per-site photon numbers and quadrature variances on log grids on
 both sides of the transition, fits log-log slopes, and assembles a report
 per transition (ring-symmetric, chiral, uniform, and the triple point).
 
-Numerical strategy: below the transition everything comes from the
+Numerical strategy: every point is evaluated by
+`bogoliubov.point_observables`. Below the transition that means the
 normal-phase closed forms (float64 suffices down to delta ~ 1e-11 with the
-factored gap expression). Above, the displacement root is continued down a
-descending delta ladder, each step seeded by scaling the previous root with
-sqrt(delta'/delta); points with delta >= 1e-4 run the float64 matrix
-pipeline, deeper points switch to an mpmath copy of the same equations
-(50 digits) because the Cholesky step needs min-eig(Hd) ~ eps1^2/omega to
-stay clear of roundoff.
+factored gap expression). Above, `_collect_above` continues the
+displacement root down a descending delta ladder, each step seeded by
+scaling the previous root with sqrt(delta'/delta) and polished by Newton.
+Points with delta >= 1e-4 run in float64; deeper points run the same
+functions on 50-digit mpmath numbers (g1c and g1 included), because the
+Cholesky step needs min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff.
 
 Fit windows: the universal slope of each quantity is only clean inside a
 quantity-dependent delta range (crossovers, condensate dips and slow
@@ -26,19 +27,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import mpmath
 from mpmath import mp
 
-from .bogoliubov import (build_m_matrix, diagonalize_paraunitary,
-                         local_photon_sr, variance_p_sr, variance_x_sr)
-from .errors import (ConvergenceError, CriticalPointError, DomainError,
-                     FitRejected)
-from .meanfield import (Displacement, MeanFieldSolution, _gaps, _newton,
-                        ground_energy_mf, residuals, solve_displacements)
-from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
+from .bogoliubov import point_observables
+from .errors import CriticalPointError, DomainError, FitRejected
+from .meanfield import refine_root, solve_displacements
+from .model import (ModelParams, PhaseLabel, classify_phase,
                     critical_coupling_min)
-from .np_analytics import (excitation_energies, local_photon_np,
-                           variance_p_np, variance_x_np)
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
 _DEFAULT_WINDOW = (1e-5, 1e-2)
@@ -50,6 +45,7 @@ _LADDER_DECADES = 3     # continuation fill density: points per decade
 _FLAT_SLOPE = 0.05      # |slope| below this reads as a finite limit
 _R2_MIN = 0.999
 _EPS2_GATE = 0.5        # fit eps2 only if eps2(delta=1e-2) < gate * omega
+_SIGN = {"below": -1.0, "above": 1.0}   # side -> sign of g1/g1c - 1
 
 # vetted fit windows (dmin, dmax): the delta range where the quantity's
 # log-log slope is locally constant at the universal value for the
@@ -212,156 +208,6 @@ def _table_exponent(quantity: str, slope: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# below side: normal-phase closed forms
-
-def _below_obs(base: ModelParams, d: float) -> dict:
-    p = replace(base, g1=critical_coupling_min(base) * (1.0 - d))
-    eps = excitation_energies(p)
-    return {
-        "eps1": eps[0],
-        "eps2": eps[1],
-        "photon_n": np.full(3, local_photon_np(p)),
-        "var_x": np.full(3, variance_x_np(p)),
-        "var_p": np.full(3, variance_p_np(p)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# above side: float64 matrix pipeline
-
-def _sr_obs_f64(base: ModelParams, g1: float, x: np.ndarray) -> dict:
-    p = replace(base, g1=g1)
-    disp = Displacement(a=x[:3], b=x[3:])
-    g = bare_coupling(p)
-    dn = _gaps(p, disp.a)
-    mf = MeanFieldSolution(
-        disp=disp, delta_n=dn, lambda_n=g * p.delta / dn,
-        energy=ground_energy_mf(p, disp), label=classify_phase(p),
-        residual_norm=float(np.max(np.abs(residuals(p, disp)))))
-    ps = diagonalize_paraunitary(build_m_matrix(p, mf))
-    return {
-        "eps1": float(ps.eps[0]),
-        "eps2": float(ps.eps[1]),
-        "photon_n": local_photon_sr(ps, mf),
-        "var_x": variance_x_sr(ps),
-        "var_p": variance_p_sr(ps),
-    }
-
-
-# ---------------------------------------------------------------------------
-# above side: mpmath replica of the same equations (forward hopping)
-
-def _mp_g1c_min(th, om, j):
-    jw = j / om
-    vals = []
-    for q in (mp.mpf(0), 2 * mp.pi / 3, -2 * mp.pi / 3):
-        num = (1 + 4 * jw * mp.cos(th) * mp.cos(q)
-               + 4 * jw ** 2 * mp.cos(th + q) * mp.cos(th - q))
-        den = 1 + 2 * jw * mp.cos(th) * mp.cos(q)
-        vals.append(num / den / 4)
-    return mp.sqrt(min(vals))
-
-
-def _mp_resid_jac(v, g1, th, om, j, dl):
-    a, b = v[:3], v[3:]
-    g = g1 * mp.sqrt(om * dl)
-    ct, st = mp.cos(th), mp.sin(th)
-    dn = [mp.sqrt(dl ** 2 + 16 * g ** 2 * a[n] ** 2) for n in range(3)]
-    r = [om * a[n] - 4 * g ** 2 * a[n] / dn[n]
-         + j * ((a[(n + 1) % 3] + a[(n - 1) % 3]) * ct
-                + (b[(n + 1) % 3] - b[(n - 1) % 3]) * st)
-         for n in range(3)]
-    s = [om * b[n] + j * (ct * (b[(n + 1) % 3] + b[(n - 1) % 3])
-                          + st * (a[(n - 1) % 3] - a[(n + 1) % 3]))
-         for n in range(3)]
-    jm = mp.zeros(6)
-    for n in range(3):
-        p, m = (n + 1) % 3, (n - 1) % 3
-        jm[n, n] = om - 4 * g ** 2 / dn[n] + 64 * g ** 4 * a[n] ** 2 / dn[n] ** 3
-        jm[n, p] += j * ct
-        jm[n, m] += j * ct
-        jm[n, 3 + p] += j * st
-        jm[n, 3 + m] -= j * st
-        jm[3 + n, 3 + n] = om
-        jm[3 + n, 3 + p] += j * ct
-        jm[3 + n, 3 + m] += j * ct
-        jm[3 + n, m] += j * st
-        jm[3 + n, p] -= j * st
-    return r + s, jm
-
-
-def _mp_newton(v0, g1, th, om, j, dl, itmax=80):
-    tol = mp.mpf(10) ** (-mp.dps + 12)
-    v = list(v0)
-    for _ in range(itmax):
-        r, jm = _mp_resid_jac(v, g1, th, om, j, dl)
-        if max(abs(x) for x in r) < tol:
-            return v
-        dv = mp.lu_solve(jm, mp.matrix(r))
-        v = [v[i] - dv[i] for i in range(6)]
-    raise ConvergenceError(
-        f"displacement continuation failed to converge at g1={float(g1)}")
-
-
-def _mp_hd(v, g1, th, om, j, dl):
-    a = v[:3]
-    g = g1 * mp.sqrt(om * dl)
-    dn = [mp.sqrt(dl ** 2 + 16 * g ** 2 * a[n] ** 2) for n in range(3)]
-    lam2d = [(g * dl / dn[n]) ** 2 / dn[n] for n in range(3)]
-    h = mp.zeros(6)
-    eith = mp.exp(1j * th)
-    for n in range(3):
-        p, m = (n + 1) % 3, (n - 1) % 3
-        h[n, n] = om - 2 * lam2d[n]
-        h[3 + n, 3 + n] = om - 2 * lam2d[n]
-        h[n, p] += j / eith
-        h[n, m] += j * eith
-        h[3 + n, 3 + p] += j * eith
-        h[3 + n, 3 + m] += j / eith
-        h[n, 3 + n] = -2 * lam2d[n]
-        h[3 + n, n] = -2 * lam2d[n]
-    return h
-
-
-def _mp_colpa(h):
-    try:
-        k = mp.cholesky(h)
-    except ValueError as ex:
-        raise CriticalPointError(
-            f"fluctuation form not positive definite: {ex}") from ex
-    c = k.H                              # upper; h = c^H c
-    lam = mp.diag([1, 1, 1, -1, -1, -1])
-    w = c * lam * c.H
-    evals, u = mp.eighe(w)               # ascending
-    eps = [evals[3], evals[4], evals[5]]
-    t = mp.zeros(6)
-    for kk in range(3):
-        uvec = mp.matrix([u[r, 3 + kk] for r in range(6)]) * mp.sqrt(evals[3 + kk])
-        vec = mp.matrix(6, 1)
-        for i in range(5, -1, -1):
-            s = uvec[i] - sum(c[i, jj] * vec[jj] for jj in range(i + 1, 6))
-            vec[i] = s / c[i, i]
-        for r in range(6):
-            t[r, kk] = vec[r]
-        for r in range(3):
-            t[r, kk + 3] = mp.conj(vec[r + 3])
-            t[r + 3, kk + 3] = mp.conj(vec[r])
-    return eps, t
-
-
-def _mp_obs(t, v):
-    nph, vx, vp = [], [], []
-    for n in range(3):
-        nph.append(float(sum(abs(t[n, i]) ** 2 for i in (3, 4, 5))
-                         + v[n] ** 2 + v[n + 3] ** 2))
-        vx.append(float(sum(abs(t[n, i] + mp.conj(t[n, i + 3])) ** 2
-                            for i in range(3))))
-        vp.append(float(sum(abs(mp.conj(t[n, i + 3]) - t[n, i]) ** 2
-                            for i in range(3))))
-    return nph, vx, vp
-
-
-# ---------------------------------------------------------------------------
 # continuation engine
 
 def _ladder(anchor: float, need: list[float]) -> list[float]:
@@ -379,59 +225,56 @@ def _ladder(anchor: float, need: list[float]) -> list[float]:
     return out
 
 
-def _collect_above(base: ModelParams, deltas: list[float]) -> dict[float, dict]:
-    """Observables at each requested delta above the transition, via root
-    continuation from an anchor at delta = max(request, 1e-2)."""
+def _collect_above(base: ModelParams, deltas: list[float],
+                   seed: int = 0) -> dict[float, dict]:
+    """point_observables at each requested delta above the transition, by
+    root continuation from an anchor at delta = max(request, 1e-2) that
+    solve_displacements finds with the given multi-start seed."""
     need = sorted({float(d) for d in deltas}, reverse=True)
     g1c = critical_coupling_min(base)
-    for d in need:
-        if d * g1c <= 1e-12:
-            raise CriticalPointError(
-                f"grid point delta={d} is within 1e-12 of the critical "
-                "coupling")
     anchor = max(need[0], 1e-2)
-    mf0 = solve_displacements(replace(base, g1=g1c * (1.0 + anchor)))
+    mf0 = solve_displacements(replace(base, g1=g1c * (1.0 + anchor)), seed)
     x = np.concatenate([mf0.disp.a, mf0.disp.b])
-    needset = set(need)
     out: dict[float, dict] = {}
-    with mpmath.workdps(_MP_DPS):
-        om, j = mp.mpf(base.omega), mp.mpf(base.j_hop)
-        dl, th = mp.mpf(base.delta), mp.mpf(base.theta)
-        g1c_mp = _mp_g1c_min(th, om, j)
-        v_mp = None
+    with mp.workdps(_MP_DPS):
+        # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
+        base_mp = replace(base, omega=mp.mpf(base.omega),
+                          delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
+        g1c_mp = critical_coupling_min(base_mp)
         prev = anchor
         for d in _ladder(anchor, need):
-            scale = math.sqrt(d / prev)
             if d >= _MP_SPLIT:
-                seed = x * scale
-                root = _newton(replace(base, g1=g1c * (1.0 + d)), seed,
-                               tol=1e-12)
-                if root is None:
-                    raise ConvergenceError(
-                        f"continuation lost the root at delta={d}")
-                x = root
-                if d in needset:
-                    out[d] = _sr_obs_f64(base, g1c * (1.0 + d), x)
+                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12
+                x = refine_root(p, x * math.sqrt(d / prev), tol)
             else:
-                sc = mp.sqrt(mp.mpf(d) / mp.mpf(prev))
-                if v_mp is None:
-                    v_mp = [mp.mpf(float(xi)) * sc for xi in x]
-                else:
-                    v_mp = [vi * sc for vi in v_mp]
-                g1 = g1c_mp * (1 + mp.mpf(d))
-                v_mp = _mp_newton(v_mp, g1, th, om, j, dl)
-                x = np.array([float(vi) for vi in v_mp])
-                if d in needset:
-                    eps, t = _mp_colpa(_mp_hd(v_mp, g1, th, om, j, dl))
-                    nph, vx, vp = _mp_obs(t, v_mp)
-                    out[d] = {
-                        "eps1": float(eps[0]),
-                        "eps2": float(eps[1]),
-                        "photon_n": np.array(nph),
-                        "var_x": np.array(vx),
-                        "var_p": np.array(vp),
-                    }
+                p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
+                tol = mp.mpf(10) ** (12 - _MP_DPS)
+                x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev), tol)
+            if d in need:
+                out[d] = point_observables(p, x)
             prev = d
+    return out
+
+
+def observables_near(base: ModelParams, deltas: list[float],
+                     seed: int = 0) -> dict[float, dict]:
+    """point_observables at signed reduced couplings delta = g1/g1c - 1.
+
+    Points below the transition come from the closed forms, all points
+    above from one root continuation whose anchor solve_displacements finds
+    with the given multi-start seed. Keys are the deltas as given.
+    """
+    g1c = critical_coupling_min(base)
+    for d in deltas:
+        if abs(d) * g1c <= 1e-12:
+            raise CriticalPointError(
+                f"grid point delta={abs(d)} is within 1e-12 of the critical "
+                "coupling")
+    out = {d: point_observables(replace(base, g1=g1c * (1.0 + d)))
+           for d in deltas if d < 0.0}
+    above = [d for d in deltas if d > 0.0]
+    if above:
+        out.update(_collect_above(base, above, seed))
     return out
 
 
@@ -448,20 +291,11 @@ def _extract(obs: dict, quantity: str, site: int | None) -> float:
 def sweep(params_base: ModelParams, spec: SweepSpec) -> list[tuple[float, float]]:
     """(delta, value) pairs on the spec's log grid, ascending in delta."""
     base = replace(params_base, theta=spec.theta)
-    g1c = critical_coupling_min(base)
     grid = _log_grid(spec.window, spec.n_points)
-    for d in grid:
-        if d * g1c <= 1e-12:
-            raise CriticalPointError(
-                f"grid point delta={d} is within 1e-12 of the critical "
-                "coupling")
-    if spec.side == "below":
-        pairs = [(d, _extract(_below_obs(base, d), spec.quantity, spec.site))
-                 for d in grid]
-    else:
-        cache = _collect_above(base, grid)
-        pairs = [(d, _extract(cache[d], spec.quantity, spec.site))
-                 for d in grid]
+    sign = _SIGN[spec.side]
+    cache = observables_near(base, [sign * d for d in grid])
+    pairs = [(d, _extract(cache[sign * d], spec.quantity, spec.site))
+             for d in grid]
     for d, v in pairs:
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(
@@ -529,7 +363,6 @@ def exponent_report(theta: float,
                                   j_hop=0.05, theta=theta)
     base = replace(params_base, theta=theta)
     key, transition = _transition_key(theta, base)
-    g1c = critical_coupling_min(base)
     w0 = base.omega
 
     def rows_for(side: str) -> list[tuple[str, int | None]]:
@@ -548,7 +381,7 @@ def exponent_report(theta: float,
                 return win, _PINNED_POINTS
         return _DEFAULT_WINDOW, _DEFAULT_POINTS
 
-    # one continuation pass per side covering every grid point needed
+    # every grid point of both sides in one pass (one continuation above)
     grids: dict[tuple, list[float]] = {}
     for side in ("below", "above"):
         for quantity, site in rows_for(side):
@@ -556,28 +389,14 @@ def exponent_report(theta: float,
             grids[(side, quantity, site)] = _log_grid(win, npts)
             grids[(side, quantity, site, "shrunk")] = _log_grid(
                 _shrunk(win), npts)
-    above_deltas = sorted({d for k, g in grids.items() if k[0] == "above"
-                           for d in g} | {1e-2})
-    above_cache = _collect_above(base, above_deltas)
-    below_cache: dict[float, dict] = {}
+    cache = observables_near(base, sorted(
+        {_SIGN[k[0]] * d for k, g in grids.items() for d in g}
+        | {-1e-2, 1e-2}))
 
     def series(side, quantity, site, shrunk=False):
         gkey = (side, quantity, site, "shrunk") if shrunk else (side, quantity, site)
-        vals = []
-        for d in grids[gkey]:
-            if side == "above":
-                obs = above_cache[d]
-            else:
-                if d not in below_cache:
-                    below_cache[d] = _below_obs(base, d)
-                obs = below_cache[d]
-            vals.append((d, _extract(obs, quantity, site)))
-        return vals
-
-    def gate_value(side):
-        obs = (above_cache[1e-2] if side == "above"
-               else _below_obs(base, 1e-2))
-        return _extract(obs, "eps2", None)
+        return [(d, _extract(cache[_SIGN[side] * d], quantity, site))
+                for d in grids[gkey]]
 
     entries: list[ReportEntry] = []
     fitted: dict[tuple, ReportEntry] = {}
@@ -585,7 +404,8 @@ def exponent_report(theta: float,
         for quantity, site in rows_for(side):
             win, npts = window_for(side, quantity, site)
             symbol = _symbol_for(quantity)
-            if quantity == "eps2" and gate_value(side) >= _EPS2_GATE * w0:
+            gate = cache[_SIGN[side] * 1e-2]["eps2"]
+            if quantity == "eps2" and gate >= _EPS2_GATE * w0:
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side,
                     status="not-fitted", symbol=symbol, window=win,
@@ -638,7 +458,8 @@ def exponent_report(theta: float,
             z_pairs.append(ZPair(side=side, gap_quantity=gap_q, site=site,
                                  gamma_hat=gamma_hat, nu_hat=nu_hat,
                                  z=gamma_hat / nu_hat))
-    return ExponentReport(transition=transition, theta=theta, g1c=g1c,
+    return ExponentReport(transition=transition, theta=theta,
+                          g1c=critical_coupling_min(base),
                           params=base, entries=entries, z_pairs=z_pairs)
 
 

@@ -14,7 +14,8 @@ import pytest
 
 from rabitri import DegeneracyWarning, ModelParams
 from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
-                                local_photon_sr, variance_p_sr, variance_x_sr)
+                                local_photon_sr, point_observables,
+                                variance_p_sr, variance_x_sr)
 from rabitri.dynamics import FockBasis, chirality_metric, evolve, \
     exact_ground_energy
 from rabitri.meanfield import (Displacement, ground_energy_mf, residuals,
@@ -23,7 +24,7 @@ from rabitri.model import MOMENTA, critical_coupling_min, critical_flux
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, mode, variance_p_np,
                                   variance_x_np)
-from rabitri.scaling import _below_obs, exponent_report
+from rabitri.scaling import exponent_report
 
 BASE = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 THETA_C = critical_flux(BASE)
@@ -204,7 +205,9 @@ def test_criterion_4_chiral_finite_limits(reports):
     e2 = entry(rep, "below", "eps2")
     assert e2.status == "finite-limit"
     # frozen 50-digit limits as g1 -> g1c from below at theta = 0.1
-    obs = _below_obs(replace(BASE, theta=0.1), 1e-11)
+    base = replace(BASE, theta=0.1)
+    obs = point_observables(
+        replace(base, g1=critical_coupling_min(base) * (1.0 - 1e-11)))
     assert obs["photon_n"][0] == pytest.approx(18.0764285189958, rel=1e-7)
     assert obs["var_x"][0] == pytest.approx(74.1768045373662, rel=1e-7)
     assert obs["eps2"] == pytest.approx(0.0172916559832775, rel=1e-7)

@@ -1,17 +1,21 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
 from rabitri.bogoliubov import (QuadraticForm, build_m_matrix,
                                 diagonalize_paraunitary, ground_energy_fluct,
                                 local_photon_sr, observables_sr,
-                                variance_p_sr, variance_x_sr)
+                                point_observables, variance_p_sr,
+                                variance_x_sr)
 from rabitri.meanfield import Displacement, MeanFieldSolution, _newton, \
     ground_energy_mf, residuals, solve_displacements
+from rabitri.meanfield import mean_field_at, refine_root
 from rabitri.model import bare_coupling, critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
@@ -179,3 +183,39 @@ def test_paraunitary_definition_holds():
     res = ps.t.conj().T @ LAMBDA @ ps.t - LAMBDA
     assert np.max(np.abs(res)) == ps.para_residual
     assert ps.para_residual <= 1e-12
+
+
+def test_paraunitary_at_fifty_digits():
+    # the continuation's deep points run the same Colpa step on 50-digit
+    # numbers: follow the root down to delta = 1e-9 with the public calls
+    # the continuation makes, three steps per decade
+    base = params(theta=0.1)
+    g1c = critical_coupling_min(base)
+    mf = solve_displacements(replace(base, g1=g1c * 1.01))
+    x = np.concatenate([mf.disp.a, mf.disp.b])
+    with mp.workdps(50):
+        base_mp = replace(base, omega=mp.mpf(base.omega),
+                          delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
+        g1c_mp = critical_coupling_min(base_mp)
+        prev = 1e-2
+        for d in np.logspace(-2, -9, 22):
+            p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
+            x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev),
+                            mp.mpf(10) ** -38)
+            prev = d
+        ps = diag_quiet(build_m_matrix(p, mean_field_at(p, x)))
+    # read after leaving the 50-digit context: the residuals are evaluated
+    # at the precision the solution was built with
+    assert ps.para_residual <= 1e-30
+    assert ps.diag_residual <= 1e-30
+    assert float(ps.eps[0]) == pytest.approx(2.447e-11, rel=5e-4)
+
+
+def test_point_observables_without_root_is_normal_phase_only():
+    p0 = params(theta=0.1)
+    g1c = critical_coupling_min(p0)
+    obs = point_observables(params(theta=0.1, g1=0.9 * g1c))
+    assert obs["eps1"] == pytest.approx(
+        excitation_energies(params(theta=0.1, g1=0.9 * g1c))[0], rel=1e-15)
+    with pytest.raises(DomainError):
+        point_observables(params(theta=0.1, g1=1.05 * g1c))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rabitri import ModelParams
 from rabitri.cli import main
+from rabitri.scaling import _collect_above
 
 
 def run(monkeypatch, tmp_path, *argv):
@@ -67,6 +69,27 @@ def test_fluctuations_skips_critical_point(monkeypatch, tmp_path):
     top = np.array([float(x) for x in rows[-1].split(",")])
     assert abs(top[1] - top[2]) > 1e-3
     assert abs(top[2] - top[3]) < 1e-9
+
+
+def test_fluctuations_near_critical_rows_follow_the_continuation(
+        monkeypatch, tmp_path):
+    # rows within 1e-5 of g1c need the 50-digit continuation; a cold
+    # float64 solve per row misses eps1 there by more than an order of
+    # magnitude
+    rc = run(monkeypatch, tmp_path, "fluctuations", "--theta", "0.1",
+             "--window-min", "1.000001", "--window-max", "1.00001",
+             "--points", "5", "--out", "f.csv")
+    assert rc == 0
+    data = load_csv(tmp_path / "f.csv", 3)
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.1)
+    deltas = [float(r) - 1.0 for r in np.linspace(1.000001, 1.00001, 5)]
+    ref = _collect_above(base, deltas)
+    assert data.shape == (5, 12)
+    for row, d in zip(data, deltas):
+        o = ref[d]
+        want = [*o["photon_n"], *o["var_x"], *o["var_p"], o["eps1"],
+                o["eps2"]]
+        assert row[1:] == pytest.approx(want, rel=1e-8)
 
 
 def test_spectrum_has_three_branches(monkeypatch, tmp_path):

@@ -146,6 +146,25 @@ def test_float64_and_mp_paths_agree(monkeypatch):
         np.asarray(f64["var_x"]), rel=1e-8)
 
 
+@pytest.mark.parametrize("theta", [0.1, 0.7])
+def test_collect_above_mirror_symmetry(theta):
+    # theta -> -theta with sites 2 <-> 3 swapped maps the ring onto itself;
+    # the deltas straddle the float64 / multiprecision split
+    from dataclasses import replace
+    deltas = [1e-3, 1e-5, 1e-7, 1e-9]
+    plus = _collect_above(replace(BASE, theta=theta), deltas)
+    minus = _collect_above(replace(BASE, theta=-theta), deltas)
+    worst = 0.0
+    for d in deltas:
+        for q in ("eps1", "eps2", "eps3"):
+            worst = max(worst, abs(plus[d][q] / minus[d][q] - 1.0))
+        for q in ("photon_n", "var_x", "var_p"):
+            mirrored = np.asarray(minus[d][q])[[0, 2, 1]]
+            worst = max(worst, float(np.max(np.abs(plus[d][q] / mirrored
+                                                   - 1.0))))
+    assert worst <= 1e-10
+
+
 def test_exponent_report_ferromagnetic(tmp_path):
     rep = exponent_report(1.7, BASE)
     assert rep.transition == "NP-FSP"
