@@ -30,7 +30,7 @@ from .scaling import (exponent_report, format_report, observables_near,
 
 _TYPES = {
     "omega": float, "delta": float, "g1": float, "j": float, "theta": float,
-    "nmax": int, "dt": float, "tfinal": float, "window_min": float,
+    "nmax": int, "tfinal": float, "window_min": float,
     "window_max": float, "points": int, "seed": int, "out": str,
 }
 
@@ -38,8 +38,8 @@ _COMMON = {"omega": 1.0, "delta": 100.0, "g1": 0.1, "j": 0.05, "theta": 0.0,
            "seed": 0}
 
 _DEFAULTS: dict[str, dict] = {
-    "dynamics": {**_COMMON, "delta": 50.0, "nmax": 6, "dt": 0.01,
-                 "tfinal": 125.0, "out": "trajectory.csv"},
+    "dynamics": {**_COMMON, "delta": 50.0, "nmax": 6, "tfinal": 125.0,
+                 "out": "trajectory.csv"},
     "phase-boundary": {**_COMMON, "points": 181, "out": "phase_boundary.csv"},
     "fluctuations": {**_COMMON, "theta": 1.7, "window_min": 0.95,
                      "window_max": 1.05, "points": 41,
@@ -125,7 +125,7 @@ def _write_gnuplot(out: str, columns: list[tuple[int, str]], xlabel: str,
 def cmd_dynamics(cfg: dict) -> int:
     p = _params(cfg)
     basis = FockBasis(cfg["nmax"])
-    traj = evolve(p, basis, t_final=cfg["tfinal"], dt=cfg["dt"])
+    traj = evolve(p, basis, t_final=cfg["tfinal"])
     chi = chirality_metric(traj)
     write_trajectory_csv(traj, cfg["out"],
                          comments=(_resolved_line(cfg),
@@ -250,7 +250,6 @@ def _add_flags(sub: argparse.ArgumentParser, names: list[str]) -> None:
         "j": "photon hopping amplitude",
         "theta": "artificial gauge phase on the hopping",
         "nmax": "Fock cutoff per cavity",
-        "dt": "integrator step",
         "tfinal": "evolution end time",
         "window-min": "scan lower bound (g1/g1c for scans)",
         "window-max": "scan upper bound (g1/g1c for scans)",
@@ -276,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     _add_flags(subs.add_parser("dynamics",
                                help="single-photon transfer trajectory"),
-               ["omega", "delta", "g1", "j", "theta", "nmax", "dt",
-                "tfinal", "out"])
+               ["omega", "delta", "g1", "j", "theta", "nmax", "tfinal",
+                "out"])
     _add_flags(subs.add_parser("phase-boundary",
                                help="critical coupling vs flux"),
                ["omega", "delta", "g1", "j", "points", "out"])
@@ -308,10 +307,8 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError("nmax must be >= 1")
         if "points" in cfg and cfg["points"] < 2:
             raise DomainError("points must be >= 2")
-        if "dt" in cfg and cfg["dt"] <= 0:
-            raise DomainError("dt must be positive")
-        if "tfinal" in cfg and cfg["tfinal"] < 0:
-            raise DomainError("tfinal must be nonnegative")
+        if "tfinal" in cfg and not 0 <= cfg["tfinal"] < math.inf:
+            raise DomainError("tfinal must be finite and nonnegative")
         if "window_min" in cfg and not (0.0 < cfg["window_min"]
                                         < cfg["window_max"]):
             raise DomainError("scan window must satisfy 0 < min < max")

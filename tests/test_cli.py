@@ -173,7 +173,8 @@ def test_exponents_csv(monkeypatch, tmp_path, capsys):
     ["dynamics", "--nmax", "0"],
     ["spectrum", "--window-min", "0.9", "--window-max", "0.5"],
     ["phase-boundary", "--points", "1"],
-    ["dynamics", "--dt", "-0.01"],
+    ["dynamics", "--tfinal", "inf"],
+    ["dynamics", "--tfinal", "nan"],
 ])
 def test_bad_flags_exit_2(monkeypatch, tmp_path, argv, capsys):
     assert run(monkeypatch, tmp_path, *argv) == 2
@@ -196,9 +197,9 @@ def test_malformed_config_exits_2(monkeypatch, tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
-    # dt passes flag validation but is not commensurate with the sampling
-    rc = run(monkeypatch, tmp_path, "dynamics", "--dt", "0.3",
-             "--tfinal", "1", "--nmax", "1", "--out", "d.csv")
+    # nmax passes flag validation but the basis exceeds the dimension cap
+    rc = run(monkeypatch, tmp_path, "dynamics", "--nmax", "50",
+             "--out", "d.csv")
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 

@@ -61,19 +61,39 @@ def test_hamiltonian_conserves_excitation_number_at_extreme_detuning():
 
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
-def test_krylov_matches_dense_propagator():
+def test_evolve_matches_dense_propagator():
     p = dyn_params(theta=0.5)
     basis = FockBasis(n_max=1)
     h = build_full_hamiltonian(p, basis).toarray()
     psi0 = initial_state(basis)
     t = 3.0
-    psi_exact = sla.expm(-1j * h * t) @ psi0
     traj = evolve(p, basis, t_final=t)
     n_ops = number_operators(basis)
-    n_exact = [float(np.real(np.vdot(psi_exact, op @ psi_exact)))
-               for op in n_ops]
-    assert traj.n_photon[-1] == pytest.approx(n_exact, abs=1e-10)
+    assert len(traj.times) == 31
+    for ts, n_photon in zip(traj.times, traj.n_photon):
+        psi_exact = sla.expm(-1j * h * ts) @ psi0
+        n_exact = [float(np.real(np.vdot(psi_exact, op @ psi_exact)))
+                   for op in n_ops]
+        assert n_photon == pytest.approx(n_exact, abs=1e-10)
+    assert traj.norm == pytest.approx(np.ones(31), abs=1e-10)
     assert traj.times[-1] == pytest.approx(t, abs=0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -2.1, np.pi])
+def test_hamiltonian_conserves_excitation_parity(theta):
+    # exp(i pi (N_photon + N_up)) commutes with H: every coupling changes
+    # the total excitation number by an even amount
+    basis = FockBasis(n_max=2)
+    d = basis.n_max + 1
+    idx = np.arange(basis.dim)
+    f, spins = idx // 8, idx % 8
+    n_photon = f // (d * d) + (f // d) % d + f % d
+    n_up = 3 - sum((spins >> b) & 1 for b in range(3))   # 0 bit = up
+    parity = (n_photon + n_up) % 2
+    h = build_full_hamiltonian(dyn_params(theta=theta), basis).tocoo()
+    nonzero = h.data != 0
+    assert np.count_nonzero(nonzero) > 0
+    assert np.array_equal(parity[h.row[nonzero]], parity[h.col[nonzero]])
 
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
@@ -88,10 +108,11 @@ def test_evolve_validates_arguments():
     basis = FockBasis(n_max=1)
     with pytest.raises(DomainError):
         evolve(p, basis, t_final=-1.0)
+    for t_final in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            evolve(p, basis, t_final=t_final)
     with pytest.raises(DomainError):
-        evolve(p, basis, t_final=1.0, dt=0.0)
-    with pytest.raises(DomainError):
-        evolve(p, basis, t_final=1.0, dt=0.3)   # sample_dt = 0.1 default
+        evolve(p, basis, t_final=1.0, sample_dt=0.0)
 
 
 def test_truncation_warning_fires_when_cutoff_populates():
