@@ -7,12 +7,14 @@ excitation spectrum. Configuration precedence is defaults < config file
 (key=value lines) < command-line flags; every CSV starts with a comment
 recording the resolved configuration so runs are reproducible.
 
-Exit codes: 0 success, 2 bad flags or config, 3 numerical failure.
+Exit codes: 0 success, 2 bad flags or config or an unwritable output,
+3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -312,11 +314,17 @@ def main(argv: list[str] | None = None) -> int:
         if "window_min" in cfg and not (0.0 < cfg["window_min"]
                                         < cfg["window_max"]):
             raise DomainError("scan window must satisfy 0 < min < max")
+        if cfg["out"] and not os.path.isdir(os.path.dirname(cfg["out"])
+                                            or "."):
+            raise DomainError(f"no directory for --out {cfg['out']!r}")
     except (DomainError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](cfg)
+    except OSError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
     except _FAILURES as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3

@@ -175,6 +175,10 @@ def test_exponents_csv(monkeypatch, tmp_path, capsys):
     ["phase-boundary", "--points", "1"],
     ["dynamics", "--tfinal", "inf"],
     ["dynamics", "--tfinal", "nan"],
+    ["dynamics", "--out", "missing/x.csv"],
+    ["meanfield", "--out", "missing/x.csv"],
+    ["phase-boundary", "--out", "missing/x.csv"],
+    ["phase-boundary", "--points", "2", "--out", "."],   # a directory
 ])
 def test_bad_flags_exit_2(monkeypatch, tmp_path, argv, capsys):
     assert run(monkeypatch, tmp_path, *argv) == 2

@@ -61,9 +61,12 @@ def test_hamiltonian_conserves_excitation_number_at_extreme_detuning():
 
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
-def test_evolve_matches_dense_propagator():
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_evolve_matches_dense_propagator(n_max):
+    # at n_max = 1 every occupation is 0 or 1, so only n_max >= 2 catches a
+    # per-cavity error in the occupation decoding
     p = dyn_params(theta=0.5)
-    basis = FockBasis(n_max=1)
+    basis = FockBasis(n_max=n_max)
     h = build_full_hamiltonian(p, basis).toarray()
     psi0 = initial_state(basis)
     t = 3.0
@@ -101,6 +104,17 @@ def test_zero_flux_mirror_symmetry_short():
     traj = evolve(dyn_params(theta=0.0), FockBasis(n_max=2), t_final=2.0)
     assert np.max(np.abs(traj.n_photon[:, 1] - traj.n_photon[:, 2])) <= 1e-12
     assert np.max(np.abs(traj.norm - 1.0)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
+@pytest.mark.parametrize("theta", [0.7, 1.9])
+def test_flux_mirror_swaps_cavities_2_and_3(theta):
+    # theta -> -theta is the 2<->3 mirror of the ring
+    basis = FockBasis(n_max=2)
+    plus = evolve(dyn_params(theta=theta), basis, t_final=2.0)
+    minus = evolve(dyn_params(theta=-theta), basis, t_final=2.0)
+    mirrored = minus.n_photon[:, [0, 2, 1]]
+    assert np.max(np.abs(plus.n_photon - mirrored)) <= 1e-10
 
 
 def test_evolve_validates_arguments():
