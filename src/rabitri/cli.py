@@ -203,12 +203,7 @@ def cmd_scan(cfg: dict) -> int:
 def cmd_exponents(cfg: dict) -> int:
     base = _params(cfg)
     rep = exponent_report(cfg["theta"], base)
-    write_report_csv(rep, cfg["out"])
-    with open(cfg["out"]) as fh:
-        body = fh.read()
-    with open(cfg["out"], "w") as fh:
-        fh.write(f"# {_resolved_line(cfg)}\n")
-        fh.write(body)
+    write_report_csv(rep, cfg["out"], comments=(_resolved_line(cfg),))
     print(format_report(rep))
     print(f"wrote {cfg['out']}")
     return 0
@@ -317,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         if cfg["out"] and not os.path.isdir(os.path.dirname(cfg["out"])
                                             or "."):
             raise DomainError(f"no directory for --out {cfg['out']!r}")
+        if cfg["out"] and os.path.isdir(cfg["out"]):
+            raise DomainError(f"--out {cfg['out']!r} is a directory")
     except (DomainError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

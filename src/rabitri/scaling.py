@@ -15,11 +15,14 @@ Points with delta >= 1e-4 run in float64; deeper points run the same
 functions on 50-digit mpmath numbers (g1c and g1 included), because the
 Cholesky step needs min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff.
 
-Fit windows: the universal slope of each quantity is only clean inside a
-quantity-dependent delta range (crossovers, condensate dips and slow
-corrections sit elsewhere). The _FIT_WINDOWS table pins the vetted window
-per (transition, side, quantity, site); everything else uses the default
-window [1e-5, 1e-2].
+Fit windows: every report row is fitted on one asymptotic window,
+delta in [1e-9, 1e-6]. There the local slope d log y / d log delta has
+settled on its universal value (or on zero, for rows with a finite limit)
+at all four transitions, whereas at larger delta crossovers, condensate
+dips and slow corrections bend it. The two exceptions are the chiral
+transition's distinguished-site photon number and variance above the
+transition: their slope passes through the unusual exponent in a narrow
+crossover band, and _CROSSOVER_WINDOWS fits them there.
 """
 from __future__ import annotations
 
@@ -36,9 +39,10 @@ from .model import (ModelParams, PhaseLabel, classify_phase,
                     critical_coupling_min)
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
-_DEFAULT_WINDOW = (1e-5, 1e-2)
+_DEFAULT_WINDOW = (1e-5, 1e-2)     # SweepSpec defaults
 _DEFAULT_POINTS = 25
-_PINNED_POINTS = 12
+_REPORT_WINDOW = (1e-9, 1e-6)      # asymptotic window of every report row
+_REPORT_POINTS = 12
 _MP_SPLIT = 1e-4        # above-side: use mpmath below this delta
 _MP_DPS = 50
 _LADDER_DECADES = 3     # continuation fill density: points per decade
@@ -47,49 +51,14 @@ _R2_MIN = 0.999
 _EPS2_GATE = 0.5        # fit eps2 only if eps2(delta=1e-2) < gate * omega
 _SIGN = {"below": -1.0, "above": 1.0}   # side -> sign of g1/g1c - 1
 
-# vetted fit windows (dmin, dmax): the delta range where the quantity's
-# log-log slope is locally constant at the universal value for the
-# reference parameter set delta/omega = 100, J/omega = 0.05. Keys:
-# (transition, side, quantity, site); site None for gap energies.
-_FIT_WINDOWS: dict[tuple, tuple[float, float]] = {
-    ("afsp", "below", "eps1", None): (1e-05, 1e-02),
-    ("afsp", "below", "eps2", None): (1e-05, 1e-02),
-    ("afsp", "below", "var_x", 1): (1e-05, 1e-02),
-    ("afsp", "below", "photon_n", 1): (2.476e-05, 2.476e-03),
-    ("csp", "below", "eps1", None): (2.044e-07, 2.044e-05),
-    # plateau windows: these rows tend to finite limits; the window sits
-    # below the crossover so the near-zero slope is detected cleanly
-    ("csp", "below", "eps2", None): (1e-09, 1e-06),
-    ("csp", "below", "photon_n", 1): (1e-09, 1e-06),
-    ("csp", "below", "var_x", 1): (1e-09, 1e-06),
-    ("csp", "above", "eps2", None): (1e-09, 1e-06),
-    ("fsp", "below", "eps2", None): (1e-09, 1e-06),
-    ("fsp", "above", "eps2", None): (1e-09, 1e-06),
-    ("tp", "below", "eps1", None): (1.687e-05, 2.044e-03),
-    ("tp", "below", "eps2", None): (1e-05, 1e-02),
-    ("tp", "below", "var_x", 1): (1.149e-07, 1.149e-05),
-    ("tp", "below", "photon_n", 1): (2.044e-07, 2.044e-05),
-    ("fsp", "below", "eps1", None): (3e-05, 3.635e-03),
-    ("fsp", "below", "var_x", 1): (3e-07, 3e-05),
-    ("fsp", "below", "photon_n", 1): (7.83e-07, 9.487e-05),
-    ("afsp", "above", "eps1", None): (1e-05, 1e-02),
-    ("afsp", "above", "eps2", None): (1e-05, 1e-02),
-    ("afsp", "above", "var_x", 2): (3e-05, 3e-03),
-    ("afsp", "above", "var_x", 1): (1e-05, 1e-02),
-    ("afsp", "above", "photon_n", 2): (6.463e-05, 6.463e-03),
-    ("afsp", "above", "photon_n", 1): (2.044e-05, 2.044e-03),
-    ("csp", "above", "eps1", None): (1.687e-07, 1.778e-05),
-    ("csp", "above", "var_x", 2): (2.044e-07, 2.154e-05),
-    ("csp", "above", "photon_n", 2): (2.044e-07, 2.154e-05),
+# the chiral transition's distinguished site above the transition carries
+# the unusual exponents (beta 1/3, nu 1/6): its local log-log slope passes
+# through that value in a narrow crossover band instead of settling on it,
+# so these two rows are fitted inside the band. Keys:
+# (transition, side, quantity, site).
+_CROSSOVER_WINDOWS: dict[tuple, tuple[float, float]] = {
     ("csp", "above", "var_x", 1): (1.687e-04, 3e-04),
     ("csp", "above", "photon_n", 1): (5.335e-11, 1.149e-10),
-    ("tp", "above", "eps1", None): (9.487e-06, 9.487e-04),
-    ("tp", "above", "eps2", None): (1e-05, 1e-02),
-    ("tp", "above", "var_x", 1): (5.335e-08, 6.463e-06),
-    ("tp", "above", "photon_n", 1): (9.487e-08, 1.149e-05),
-    ("fsp", "above", "eps1", None): (1.687e-05, 1.687e-03),
-    ("fsp", "above", "var_x", 1): (1.392e-07, 1.687e-05),
-    ("fsp", "above", "photon_n", 1): (4.403e-07, 4.403e-05),
 }
 
 # z = gamma/nu consistency pairs: which vanishing gap drives which site's
@@ -121,7 +90,6 @@ class SweepSpec:
     site: int | None = None        # 1..3 for per-site quantities
     window: tuple[float, float] = _DEFAULT_WINDOW
     n_points: int = _DEFAULT_POINTS
-    spacing: str = "log"
 
     def __post_init__(self):
         if self.side not in ("below", "above"):
@@ -137,8 +105,6 @@ class SweepSpec:
                               f"got {self.window}")
         if self.n_points < 10:
             raise DomainError("n_points must be >= 10")
-        if self.spacing != "log":
-            raise DomainError("only log spacing is supported")
 
 
 @dataclass(frozen=True)
@@ -353,10 +319,11 @@ def exponent_report(theta: float,
                     params_base: ModelParams | None = None) -> ExponentReport:
     """Full exponent table for the transition at the given flux.
 
-    Fits every (side, quantity, site) row on its vetted window, marks
-    finite limits (near-zero slopes) and failed fits, checks window
-    stability by refitting on a 2x-shrunk window, and assembles the
-    z = gamma/nu consistency pairs.
+    Fits every (side, quantity, site) row on 12 log-spaced points of the
+    asymptotic window [1e-9, 1e-6] (the two chiral crossover rows on their
+    band, see _CROSSOVER_WINDOWS), marks finite limits (near-zero slopes)
+    and failed fits, checks window stability by refitting on a 2x-shrunk
+    window, and assembles the z = gamma/nu consistency pairs.
     """
     if params_base is None:
         params_base = ModelParams(omega=1.0, delta=100.0, g1=0.1,
@@ -372,44 +339,36 @@ def exponent_report(theta: float,
         rows += [("var_x", s) for s in sites]
         return rows
 
-    def window_for(side: str, quantity: str, site: int | None):
-        for s in (site, 2 if site == 3 else None, 1 if site else None):
-            if site is not None and s is None:
-                continue
-            win = _FIT_WINDOWS.get((key, side, quantity, s))
-            if win is not None:
-                return win, _PINNED_POINTS
-        return _DEFAULT_WINDOW, _DEFAULT_POINTS
+    windows = {(side, quantity, site): _CROSSOVER_WINDOWS.get(
+                   (key, side, quantity, site), _REPORT_WINDOW)
+               for side in ("below", "above")
+               for quantity, site in rows_for(side)}
+
+    def grid(row: tuple, shrunk: bool = False) -> list[float]:
+        win = windows[row]
+        return _log_grid(_shrunk(win) if shrunk else win, _REPORT_POINTS)
 
     # every grid point of both sides in one pass (one continuation above)
-    grids: dict[tuple, list[float]] = {}
-    for side in ("below", "above"):
-        for quantity, site in rows_for(side):
-            win, npts = window_for(side, quantity, site)
-            grids[(side, quantity, site)] = _log_grid(win, npts)
-            grids[(side, quantity, site, "shrunk")] = _log_grid(
-                _shrunk(win), npts)
     cache = observables_near(base, sorted(
-        {_SIGN[k[0]] * d for k, g in grids.items() for d in g}
-        | {-1e-2, 1e-2}))
+        {_SIGN[row[0]] * d for row in windows for shrunk in (False, True)
+         for d in grid(row, shrunk)} | {-1e-2, 1e-2}))
 
     def series(side, quantity, site, shrunk=False):
-        gkey = (side, quantity, site, "shrunk") if shrunk else (side, quantity, site)
         return [(d, _extract(cache[_SIGN[side] * d], quantity, site))
-                for d in grids[gkey]]
+                for d in grid((side, quantity, site), shrunk)]
 
     entries: list[ReportEntry] = []
     fitted: dict[tuple, ReportEntry] = {}
     for side in ("below", "above"):
         for quantity, site in rows_for(side):
-            win, npts = window_for(side, quantity, site)
+            win = windows[(side, quantity, site)]
             symbol = _symbol_for(quantity)
             gate = cache[_SIGN[side] * 1e-2]["eps2"]
             if quantity == "eps2" and gate >= _EPS2_GATE * w0:
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side,
                     status="not-fitted", symbol=symbol, window=win,
-                    n_points=npts,
+                    n_points=_REPORT_POINTS,
                     note="second mode is gapped (eps2 >= 0.5 omega at "
                          "delta=1e-2)")
                 entries.append(entry)
@@ -420,15 +379,16 @@ def exponent_report(theta: float,
             except FitRejected as ex:
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side, status="failed",
-                    symbol=symbol, window=win, n_points=npts, note=str(ex))
+                    symbol=symbol, window=win, n_points=_REPORT_POINTS,
+                    note=str(ex))
                 entries.append(entry)
                 continue
             if fit.direction == "finite":
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side,
                     status="finite-limit", symbol=symbol, slope=fit.slope,
-                    r_squared=fit.r_squared, window=win, n_points=npts,
-                    limit=pts[0][1],
+                    r_squared=fit.r_squared, window=win,
+                    n_points=_REPORT_POINTS, limit=pts[0][1],
                     note="no power law; value tends to a finite limit")
                 entries.append(entry)
                 continue
@@ -442,7 +402,7 @@ def exponent_report(theta: float,
                 symbol=symbol, slope=fit.slope,
                 exponent=_table_exponent(quantity, fit.slope),
                 direction=fit.direction, r_squared=fit.r_squared,
-                window=win, n_points=npts, window_stable=stable)
+                window=win, n_points=_REPORT_POINTS, window_stable=stable)
             entries.append(entry)
             fitted[(side, quantity, site)] = entry
 
@@ -466,10 +426,16 @@ def exponent_report(theta: float,
 # ---------------------------------------------------------------------------
 # output
 
-def write_report_csv(report: ExponentReport, path: str) -> None:
+def write_report_csv(report: ExponentReport, path: str,
+                     comments: tuple[str, ...] = ()) -> None:
     """CSV rows per entry; exponents in the table convention (gamma, beta
-    as the slope magnitude, nu as half the variance slope)."""
+    as the slope magnitude, nu as half the variance slope).
+
+    Any comment strings are written first, one per '# ' line.
+    """
     with open(path, "w") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
         fh.write(f"# transition={report.transition} theta={report.theta!r} "
                  f"g1c={report.g1c!r}\n")
         p = report.params

@@ -185,6 +185,27 @@ def test_bad_flags_exit_2(monkeypatch, tmp_path, argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_directory_rejected_before_computing(monkeypatch, tmp_path,
+                                                 capsys):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran before --out was validated")
+
+    monkeypatch.setattr("rabitri.cli.evolve", no_evolve)
+    assert run(monkeypatch, tmp_path, "dynamics", "--out", ".") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_write_error_exits_2(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise PermissionError("permission denied: 'd.csv'")
+
+    monkeypatch.setattr("rabitri.cli.write_trajectory_csv", refuse)
+    rc = run(monkeypatch, tmp_path, "dynamics", "--nmax", "2", "--tfinal",
+             "0.2", "--out", "d.csv")
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nmax = 4\n")    # not a phase-boundary key

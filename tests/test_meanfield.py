@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rabitri import ModelParams, PhaseLabel
+from rabitri.bogoliubov import build_m_matrix, diagonalize_paraunitary
 from rabitri.model import critical_coupling_min
 from rabitri.meanfield import (Displacement, _newton, fsp_closed_form,
                                ground_energy_mf, residual_jacobian, residuals,
@@ -172,3 +174,28 @@ def test_energy_decreases_through_transition():
     e_sr = solve_displacements(p_sr).energy
     assert e_np == pytest.approx(-1.5 * 100.0, rel=1e-15)
     assert e_sr < e_np
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(theta=st.floats(-math.pi, math.pi, exclude_min=True),
+       j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       ratio=st.floats(1.001, 2.0))
+def test_mirror_and_paraunitarity_across_parameters(theta, j_hop, delta,
+                                                    ratio):
+    # theta -> -theta with sites 2 <-> 3 swapped maps the ring onto itself
+    swap = [0, 2, 1, 3, 5, 4]
+    g1 = ratio * critical_coupling_min(params(theta=theta, delta=delta,
+                                              j_hop=j_hop))
+    p = params(theta=theta, g1=g1, delta=delta, j_hop=j_hop)
+    q = params(theta=-theta, g1=g1, delta=delta, j_hop=j_hop)
+    mf = solve_displacements(p)
+    x = np.concatenate([mf.disp.a, mf.disp.b])
+    mirrored = Displacement(a=x[swap][:3], b=x[swap][3:])
+    r_p = residuals(p, mf.disp)
+    r_q = residuals(q, mirrored)
+    assert np.max(np.abs(r_q - r_p[swap])) <= 1e-12 * delta
+    assert np.max(np.abs(r_q)) <= 5e-10
+    assert abs(ground_energy_mf(q, mirrored)
+               - ground_energy_mf(p, mf.disp)) <= 1e-12 * delta
+    ps = diagonalize_paraunitary(build_m_matrix(p, mf))
+    assert ps.para_residual <= 1e-10

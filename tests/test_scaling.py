@@ -5,6 +5,7 @@ import pytest
 
 from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
 import rabitri.scaling as scaling
+from rabitri.model import critical_flux
 from rabitri.scaling import (SweepSpec, _collect_above, _ladder,
                              exponent_report, fit_power_law, format_report,
                              sweep, write_report_csv)
@@ -23,7 +24,7 @@ def entry(report, side, quantity, site=None):
     dict(side="at"), dict(quantity="eps3"),
     dict(quantity="photon_n", site=None), dict(quantity="var_x", site=4),
     dict(window=(0.0, 1e-2)), dict(window=(1e-2, 1e-5)),
-    dict(window=(1e-4, 0.2)), dict(n_points=5), dict(spacing="linear"),
+    dict(window=(1e-4, 0.2)), dict(n_points=5),
 ])
 def test_sweep_spec_validation(kwargs):
     base = dict(theta=0.1, side="below", quantity="eps1")
@@ -214,3 +215,19 @@ def test_exponent_report_default_base():
     rep = exponent_report(1.7)
     assert rep.params.delta == 100.0 and rep.params.j_hop == 0.05
     assert rep.transition == "NP-FSP"
+
+
+@pytest.mark.parametrize("delta, j_hop, theta", [
+    (400.0, 0.02, 0.0), (1000.0, 0.01, "theta_c"), (100.0, 0.1, 1.7),
+], ids=["d400-j0.02-afsp", "d1000-j0.01-tp", "d100-j0.1-fsp"])
+def test_exponent_report_off_reference_has_no_failed_rows(delta, j_hop,
+                                                           theta):
+    base = ModelParams(omega=1.0, delta=delta, g1=0.1, j_hop=j_hop,
+                       theta=0.0)
+    if theta == "theta_c":
+        theta = critical_flux(base)
+    rep = exponent_report(theta, base)
+    assert len(rep.entries) == 12
+    failed = [(e.side, e.quantity, e.site, e.note) for e in rep.entries
+              if e.status == "failed"]
+    assert failed == []
