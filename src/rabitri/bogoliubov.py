@@ -1,4 +1,4 @@
-"""Quadratic photon fluctuations around a mean-field configuration.
+"""Quadratic photon fluctuations around a mean-field displacement.
 
 Eliminating the rotated spins to second order leaves a bilinear photon
 Hamiltonian, encoded as a 6x6 Hermitian matrix M in the ordered basis
@@ -33,8 +33,8 @@ from mpmath import mp
 from . import numerics
 from .errors import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError)
-from .meanfield import MeanFieldSolution, mean_field_at
-from .model import ModelParams
+from .meanfield import Displacement, _gaps, ground_energy_mf
+from .model import ModelParams, bare_coupling
 from .np_analytics import (excitation_energies, local_photon_np,
                            variance_p_np, variance_x_np)
 
@@ -70,20 +70,16 @@ class ParaunitarySolution:
             return float(np.max(np.abs(rec)))
 
 
-@dataclass(frozen=True, eq=False)
-class SrObservables:
-    photon_number: np.ndarray   # per site, condensate included
-    var_x: np.ndarray
-    var_p: np.ndarray
-    ground_energy: float
-
-
-def build_m_matrix(params: ModelParams, mf: MeanFieldSolution) -> QuadraticForm:
-    """Bilinear form M: diagonal omega/2 - lambda_n^2/Delta_n, hopping
-    J e^{-i theta}/2 along the ring, anomalous -lambda_n^2/Delta_n."""
+def build_m_matrix(params: ModelParams, disp: Displacement) -> QuadraticForm:
+    """Bilinear form M around the displacement disp: diagonal
+    omega/2 - lambda_n^2/Delta_n, hopping J e^{-i theta}/2 along the ring,
+    anomalous -lambda_n^2/Delta_n, with the renormalized gaps Delta_n of
+    disp and the effective couplings lambda_n = g Delta/Delta_n."""
     w, j, th = params.omega, params.j_hop, params.theta
-    nb = numerics.of(params, mf.lambda_n)
-    kap = mf.lambda_n ** 2 / mf.delta_n   # lambda_n^2 / Delta_n per site
+    nb = numerics.of(params, disp.a)
+    dn = _gaps(params, disp.a)
+    lam = np.divide(bare_coupling(params) * params.delta, dn)
+    kap = lam ** 2 / dn   # lambda_n^2 / Delta_n per site
     m = np.zeros((6, 6), dtype=nb.cdtype)
     eith = nb.cos(th) + 1j * nb.sin(th)
     for n in range(3):
@@ -153,11 +149,11 @@ def diagonalize_paraunitary(qf: QuadraticForm) -> ParaunitarySolution:
     return ParaunitarySolution(t=t, eps=eps, hd=hd, prec=nb.prec())
 
 
-def local_photon_sr(ps: ParaunitarySolution, mf: MeanFieldSolution) -> np.ndarray:
+def local_photon_sr(ps: ParaunitarySolution, disp: Displacement) -> np.ndarray:
     """Per-site photon number: fluctuation part plus |alpha_n|^2."""
     t = ps.t
     fluct = np.sum(np.abs(t[:3, 3:]) ** 2, axis=1)
-    return fluct + mf.disp.a ** 2 + mf.disp.b ** 2
+    return fluct + disp.a ** 2 + disp.b ** 2
 
 
 def variance_x_sr(ps: ParaunitarySolution) -> np.ndarray:
@@ -177,19 +173,10 @@ def variance_p_sr(ps: ParaunitarySolution) -> np.ndarray:
 
 
 def ground_energy_fluct(params: ModelParams, ps: ParaunitarySolution,
-                        mf: MeanFieldSolution) -> float:
+                        disp: Displacement) -> float:
     """Mean-field energy plus the zero-point shift sum_k (eps_k - omega)/2."""
-    return mf.energy + float(np.sum(ps.eps - params.omega)) / 2.0
-
-
-def observables_sr(params: ModelParams, ps: ParaunitarySolution,
-                   mf: MeanFieldSolution) -> SrObservables:
-    return SrObservables(
-        photon_number=local_photon_sr(ps, mf),
-        var_x=variance_x_sr(ps),
-        var_p=variance_p_sr(ps),
-        ground_energy=ground_energy_fluct(params, ps, mf),
-    )
+    return (ground_energy_mf(params, disp)
+            + float(np.sum(ps.eps - params.omega)) / 2.0)
 
 
 def point_observables(params: ModelParams,
@@ -206,11 +193,11 @@ def point_observables(params: ModelParams,
         n, vx, vp = (np.full(3, f(params)) for f in
                      (local_photon_np, variance_x_np, variance_p_np))
     else:
-        mf = mean_field_at(params, root)
-        ps = diagonalize_paraunitary(build_m_matrix(params, mf))
+        disp = Displacement(a=root[:3], b=root[3:])
+        ps = diagonalize_paraunitary(build_m_matrix(params, disp))
         eps = ps.eps
         n, vx, vp = (np.asarray(v, dtype=float) for v in
-                     (local_photon_sr(ps, mf), variance_x_sr(ps),
+                     (local_photon_sr(ps, disp), variance_x_sr(ps),
                       variance_p_sr(ps)))
     return {"eps1": float(eps[0]), "eps2": float(eps[1]),
             "eps3": float(eps[2]), "photon_n": n, "var_x": vx, "var_p": vp}

@@ -10,8 +10,8 @@ Gap renormalization per site: Delta_n = sqrt(Delta^2 + 16 g^2 A_n^2) with
 the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
 
 Residuals, Jacobian, energy and Newton run at the precision of their inputs
-(see `numerics`); `refine_root` and `mean_field_at` follow one root along a
-continuation at any precision. The multi-start solver works in float64.
+(see `numerics`); `refine_root` follows one root along a continuation at any
+precision. The multi-start solver works in float64.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class Displacement:
     a: np.ndarray   # real parts A_n, shape (3,)
     b: np.ndarray   # imaginary parts B_n, shape (3,)
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.a + 1j * self.b
-
     @staticmethod
     def zero() -> "Displacement":
         return Displacement(a=np.zeros(3), b=np.zeros(3))
@@ -52,8 +48,6 @@ class Displacement:
 @dataclass(frozen=True, eq=False)
 class MeanFieldSolution:
     disp: Displacement
-    delta_n: np.ndarray       # renormalized gaps, shape (3,)
-    lambda_n: np.ndarray      # effective couplings g*Delta/Delta_n
     energy: float
     label: PhaseLabel
     residual_norm: float
@@ -191,19 +185,6 @@ def refine_root(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray:
     return x
 
 
-def mean_field_at(params: ModelParams, x: np.ndarray) -> MeanFieldSolution:
-    """The MeanFieldSolution of a root x = (A_1..A_3, B_1..B_3), as given
-    (no canonical relabeling), at the precision of params and x."""
-    disp = Displacement(a=x[:3], b=x[3:])
-    dn = _gaps(params, disp.a)
-    g = bare_coupling(params)
-    lam = np.divide(g * params.delta, dn) if g > 0 else np.zeros(3)
-    return MeanFieldSolution(
-        disp=disp, delta_n=dn, lambda_n=lam,
-        energy=ground_energy_mf(params, disp), label=classify_phase(params),
-        residual_norm=float(np.max(np.abs(residuals(params, disp)))))
-
-
 def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
     g = bare_coupling(params)
     seeds = [np.zeros(6)]
@@ -240,6 +221,15 @@ def _orbit(x: np.ndarray) -> list[np.ndarray]:
             for shift in range(3) for sgn in (1.0, -1.0)]
 
 
+def _solution(params: ModelParams, x: np.ndarray) -> MeanFieldSolution:
+    """The MeanFieldSolution of a root x = (A_1..A_3, B_1..B_3), as given."""
+    disp = Displacement(a=x[:3], b=x[3:])
+    return MeanFieldSolution(
+        disp=disp, energy=ground_energy_mf(params, disp),
+        label=classify_phase(params),
+        residual_norm=float(np.max(np.abs(residuals(params, disp)))))
+
+
 def solve_displacements(params: ModelParams,
                         seed: int = 0) -> MeanFieldSolution:
     """Minimal-energy stationary point of the displaced-spin energy.
@@ -252,7 +242,7 @@ def solve_displacements(params: ModelParams,
     """
     g1c = critical_coupling_min(params)
     if params.g1 < g1c:
-        return mean_field_at(params, np.zeros(6))
+        return _solution(params, np.zeros(6))
 
     near_critical = g1c > 0 and abs(params.g1 / g1c - 1.0) < 1e-6
     tol = _NEAR_CRITICAL_TOL if near_critical else _NEWTON_TOL
@@ -281,4 +271,4 @@ def solve_displacements(params: ModelParams,
     # tolerance) so Newton noise cannot decide a tie
     best = max((c for x in tied for c in _orbit(x)),
                key=lambda c: tuple(np.round(c, 8)))
-    return mean_field_at(params, best)
+    return _solution(params, best)

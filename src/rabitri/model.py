@@ -11,7 +11,7 @@ The dimensionless coupling is g1 = g / sqrt(omega * delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import numerics
@@ -45,7 +45,6 @@ class ModelParams:
     g1: float
     j_hop: float
     theta: float
-    n_sites: int = field(default=3)
 
     def __post_init__(self):
         for name in ("omega", "delta", "g1", "j_hop", "theta"):
@@ -56,8 +55,6 @@ class ModelParams:
             raise DomainError("omega and delta must be positive")
         if self.g1 < 0 or self.j_hop < 0:
             raise DomainError("g1 and j_hop must be non-negative")
-        if self.n_sites != 3:
-            raise DomainError("only the three-site ring is supported")
         wrapped = math.remainder(self.theta, 2.0 * math.pi)
         if wrapped <= -math.pi:
             wrapped = math.pi

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import MOMENTA, ModelParams, critical_coupling_min
+from .model import MOMENTA, ModelParams, _check_momentum, critical_coupling_min
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def mode(params: ModelParams, q: float) -> MomentumMode:
     (Omega_plus^2 < 16 omega^2 g1^4), where the excitation energy would
     turn complex and the superradiant branch must be used instead.
     """
-    if not any(abs(q - qq) <= 1e-12 for qq in MOMENTA):
-        raise DomainError(f"momentum must be one of 0, +-2pi/3; got {q!r}")
+    _check_momentum(q)
     w, g1 = params.omega, params.g1
     wq = _dispersion(params, q)
     wmq = _dispersion(params, -q)
@@ -111,40 +110,23 @@ def local_photon_np(params: ModelParams) -> float:
     return total / 6.0
 
 
-def variance_x_np(params: ModelParams, form: str = "lambda") -> float:
-    """Local (delta x)^2 with x = a + a^dagger.
-
-    form="lambda" uses (1/N) sum_q exp(4 lambda_q); form="ratio" uses the
-    equivalent (1/N) sum_q (Omega_plus + 4 omega g1^2)/(2 eps - Omega_minus).
-    The two must agree to 1e-12 (tested); both are exposed for that check.
-    """
+def variance_x_np(params: ModelParams) -> float:
+    """Local (delta x)^2 with x = a + a^dagger: (1/N) sum_q exp(4 lambda_q)."""
     _require_np(params)
     total = 0.0
     for q in MOMENTA:
         m = mode(params, q)
-        if form == "lambda":
-            total += math.exp(4.0 * m.lambda_q)
-        elif form == "ratio":
-            k4 = 4.0 * params.omega * params.g1 ** 2
-            total += (m.Omega_plus + k4) / (2.0 * m.epsilon - m.Omega_minus)
-        else:
-            raise ValueError(f"unknown form {form!r}")
+        total += math.exp(4.0 * m.lambda_q)
     return total / 3.0
 
 
-def variance_p_np(params: ModelParams, form: str = "lambda") -> float:
+def variance_p_np(params: ModelParams) -> float:
     """Local (delta p)^2 with p = i(a^dagger - a)."""
     _require_np(params)
     total = 0.0
     for q in MOMENTA:
         m = mode(params, q)
-        if form == "lambda":
-            total += math.exp(-4.0 * m.lambda_q)
-        elif form == "ratio":
-            k4 = 4.0 * params.omega * params.g1 ** 2
-            total += (m.Omega_plus - k4) / (2.0 * m.epsilon - m.Omega_minus)
-        else:
-            raise ValueError(f"unknown form {form!r}")
+        total += math.exp(-4.0 * m.lambda_q)
     return total / 3.0
 
 

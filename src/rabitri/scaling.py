@@ -209,12 +209,13 @@ def _collect_above(base: ModelParams, deltas: list[float],
         g1c_mp = critical_coupling_min(base_mp)
         prev = anchor
         for d in _ladder(anchor, need):
+            # the residuals carry the unit of omega, and so do the tolerances
             if d >= _MP_SPLIT:
-                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12
+                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12 * base.omega
                 x = refine_root(p, x * math.sqrt(d / prev), tol)
             else:
                 p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
-                tol = mp.mpf(10) ** (12 - _MP_DPS)
+                tol = mp.mpf(10) ** (12 - _MP_DPS) * base_mp.omega
                 x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev), tol)
             if d in need:
                 out[d] = point_observables(p, x)

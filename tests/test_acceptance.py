@@ -99,13 +99,13 @@ def test_criterion_1_normal_phase_equivalence():
     for p in np_grid():
         count += 1
         mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf))
+        ps = diag_quiet(build_m_matrix(p, mf.disp))
         closed = excitation_energies(p)
         for a, b in zip(sorted(ps.eps), closed):
             worst = max(worst, abs(a - b) / abs(b))
         n_closed = local_photon_np(p)
         vx_closed = variance_x_np(p)
-        n_mat = local_photon_sr(ps, mf)
+        n_mat = local_photon_sr(ps, mf.disp)
         vx_mat = variance_x_sr(ps)
         for s in range(3):
             worst = max(worst, abs(n_mat[s] - n_closed) / abs(n_closed))
@@ -120,11 +120,11 @@ def test_criterion_2_paraunitarity_everywhere():
     worst = 0.0
     for p in np_grid():
         mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf))
+        ps = diag_quiet(build_m_matrix(p, mf.disp))
         worst = max(worst, ps.para_residual)
     for p in sr_grid():
         mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf))
+        ps = diag_quiet(build_m_matrix(p, mf.disp))
         worst = max(worst, ps.para_residual)
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 2 paraunitarity: PASS "
@@ -328,7 +328,7 @@ def test_criterion_8_uncertainty_bound():
             worst_mode = max(worst_mode, abs(vxq * vpq - 1.0))
     for p in sr_grid():
         mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf))
+        ps = diag_quiet(build_m_matrix(p, mf.disp))
         prod = variance_x_sr(ps) * variance_p_sr(ps)
         worst_site = min(worst_site, float(np.min(prod)))
     assert worst_site >= 1.0 - 1e-12

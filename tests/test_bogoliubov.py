@@ -4,19 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
 from rabitri.bogoliubov import (QuadraticForm, build_m_matrix,
                                 diagonalize_paraunitary, ground_energy_fluct,
-                                local_photon_sr, observables_sr,
-                                point_observables, variance_p_sr,
-                                variance_x_sr)
-from rabitri.meanfield import Displacement, MeanFieldSolution, _newton, \
-    ground_energy_mf, residuals, solve_displacements
-from rabitri.meanfield import mean_field_at, refine_root
-from rabitri.model import bare_coupling, critical_coupling_min
+                                local_photon_sr, point_observables,
+                                variance_p_sr, variance_x_sr)
+from rabitri.meanfield import (Displacement, _newton, refine_root,
+                               solve_displacements)
+from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
                                   variance_x_np)
@@ -42,7 +41,7 @@ def diag_quiet(qf):
 
 def test_m_matrix_is_hermitian():
     p = params(theta=0.7, g1=0.3)
-    m = build_m_matrix(p, np_solution(p)).m
+    m = build_m_matrix(p, np_solution(p).disp).m
     assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
 
@@ -59,12 +58,12 @@ def test_rejects_wrong_shape_and_non_hermitian():
 def test_matrix_matches_closed_forms_in_normal_phase(theta):
     p = params(theta=theta, g1=0.3)
     mf = np_solution(p)
-    ps = diag_quiet(build_m_matrix(p, mf))
+    ps = diag_quiet(build_m_matrix(p, mf.disp))
     closed = excitation_energies(p)
     assert sorted(ps.eps) == pytest.approx(closed, rel=1e-12)
     assert ps.para_residual <= 1e-12
     assert ps.diag_residual <= 1e-10
-    n = local_photon_sr(ps, mf)
+    n = local_photon_sr(ps, mf.disp)
     vx = variance_x_sr(ps)
     vp = variance_p_sr(ps)
     # all sites equivalent below the transition
@@ -74,33 +73,53 @@ def test_matrix_matches_closed_forms_in_normal_phase(theta):
     assert vp[0] == pytest.approx(variance_p_np(p), rel=1e-12)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(theta=st.floats(-math.pi, math.pi, exclude_min=True),
+       j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       ratio=st.floats(0.01, 0.999))
+def test_closed_forms_match_matrix_route_below_transition(theta, j_hop,
+                                                          delta, ratio):
+    g1c = critical_coupling_min(params(theta=theta, delta=delta, j_hop=j_hop))
+    p = params(theta=theta, g1=ratio * g1c, delta=delta, j_hop=j_hop)
+    ps = diag_quiet(build_m_matrix(p, Displacement.zero()))
+    assert np.asarray(ps.eps) == pytest.approx(excitation_energies(p),
+                                               rel=1e-10)
+    # n ~ 5e-10 at g1/g1c = 0.01, hence the absolute floor
+    n = local_photon_np(p)
+    assert local_photon_sr(ps, Displacement.zero()) == pytest.approx(
+        np.full(3, n), rel=1e-10, abs=1e-12)
+    assert variance_x_sr(ps) == pytest.approx(np.full(3, variance_x_np(p)),
+                                              rel=1e-10)
+    assert variance_p_sr(ps) == pytest.approx(np.full(3, variance_p_np(p)),
+                                              rel=1e-10)
+
+
 def test_decoupled_ring_energies():
     # J = 0, omega = 1, g1 = 0.3: every mode has
     # eps = sqrt((2 - 8 g1^2)(2)) / 2 = sqrt(1.28 * 2) / 2 = 0.8 exactly
     p = params(j_hop=0.0, g1=0.3, theta=0.4)
     with pytest.warns(DegeneracyWarning):
-        ps = diagonalize_paraunitary(build_m_matrix(p, np_solution(p)))
+        ps = diagonalize_paraunitary(build_m_matrix(p, np_solution(p).disp))
     assert ps.eps == pytest.approx([0.8, 0.8, 0.8], rel=1e-12)
 
 
 def test_degenerate_pair_warns_at_zero_flux():
     p = params(theta=0.0, g1=0.3)
     with pytest.warns(DegeneracyWarning):
-        diagonalize_paraunitary(build_m_matrix(p, np_solution(p)))
+        diagonalize_paraunitary(build_m_matrix(p, np_solution(p).disp))
 
 
 def test_afsp_frozen_observables():
     g1c = 0.48733971724044817
     p = params(theta=0.0, g1=1.1 * g1c)
     sol = solve_displacements(p)
-    ps = diag_quiet(build_m_matrix(p, sol))
+    ps = diag_quiet(build_m_matrix(p, sol.disp))
     assert ps.eps == pytest.approx([0.458994137, 0.523745883, 0.695437611],
                                    rel=1e-6)
-    obs = observables_sr(p, ps, sol)
-    assert obs.photon_number == pytest.approx(
+    assert local_photon_sr(ps, sol.disp) == pytest.approx(
         [12.2346364, 7.8517018, 7.8517018], rel=1e-6)
-    assert obs.var_x == pytest.approx([1.5774124, 1.9480116, 1.9480116],
-                                      rel=1e-6)
+    assert variance_x_sr(ps) == pytest.approx(
+        [1.5774124, 1.9480116, 1.9480116], rel=1e-6)
     assert ps.para_residual <= 1e-12
 
 
@@ -108,7 +127,7 @@ def test_csp_frozen_gaps():
     p0 = params(theta=0.1)
     p = params(theta=0.1, g1=1.01 * critical_coupling_min(p0))
     sol = solve_displacements(p)
-    ps = diag_quiet(build_m_matrix(p, sol))
+    ps = diag_quiet(build_m_matrix(p, sol.disp))
     assert ps.eps[0] == pytest.approx(0.070082449, rel=1e-7)
     assert ps.eps[1] == pytest.approx(0.181570137, rel=1e-7)
 
@@ -118,7 +137,7 @@ def test_uncertainty_products_superradiant():
         p0 = params(theta=th)
         p = params(theta=th, g1=ratio * critical_coupling_min(p0))
         sol = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, sol))
+        ps = diag_quiet(build_m_matrix(p, sol.disp))
         vx, vp = variance_x_sr(ps), variance_p_sr(ps)
         assert np.all(vx * vp >= 1.0 - 1e-12)
 
@@ -129,57 +148,39 @@ def test_normal_phase_energy_identity():
     # 3 (omega + J) omega^2 g1^2 / delta
     p = params(theta=0.1, g1=0.3)
     mf = np_solution(p)
-    ps = diag_quiet(build_m_matrix(p, mf))
+    ps = diag_quiet(build_m_matrix(p, mf.disp))
     shift = 3 * (p.omega + p.j_hop) * p.omega ** 2 * p.g1 ** 2 / p.delta
     assert ground_energy_np(p) == pytest.approx(
-        ground_energy_fluct(p, ps, mf) + shift, abs=1e-9)
+        ground_energy_fluct(p, ps, mf.disp) + shift, abs=1e-9)
 
 
 def test_sine_saddle_is_flagged_unstable():
     g1c = 0.48733971724044817
     p = params(theta=0.0, g1=1.01 * g1c)
     x = _newton(p, np.array([0.0, 2.0, -2.0, 0.0, 0.0, 0.0]), tol=1e-12)
-    d = Displacement(a=x[:3], b=x[3:])
-    g = bare_coupling(p)
-    dn = np.sqrt(p.delta ** 2 + 16 * g * g * x[:3] ** 2)
-    mf = MeanFieldSolution(disp=d, delta_n=dn, lambda_n=g * p.delta / dn,
-                           energy=ground_energy_mf(p, d), label=PhaseLabel.AFSP,
-                           residual_norm=float(np.max(np.abs(residuals(p, d)))))
     with pytest.raises(InstabilityError):
-        diag_quiet(build_m_matrix(p, mf))
+        diag_quiet(build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
 
 
 def test_normal_expansion_above_transition_is_unstable():
     p = params(theta=0.1, g1=0.52)
-    g = bare_coupling(p)
-    mf = MeanFieldSolution(disp=Displacement.zero(),
-                           delta_n=np.full(3, p.delta),
-                           lambda_n=np.full(3, g),
-                           energy=-1.5 * p.delta, label=PhaseLabel.NP,
-                           residual_norm=0.0)
     with pytest.raises(InstabilityError):
-        diag_quiet(build_m_matrix(p, mf))
+        diag_quiet(build_m_matrix(p, Displacement.zero()))
 
 
 def test_exact_zero_mode_raises_critical_point():
     # J = 0 and g1 = 1/2 puts the decoupled ring exactly on its boundary;
     # the quadratic form is positive semidefinite with an exact zero mode
     p = params(j_hop=0.0, g1=0.5, theta=0.0)
-    g = bare_coupling(p)
-    mf = MeanFieldSolution(disp=Displacement.zero(),
-                           delta_n=np.full(3, p.delta),
-                           lambda_n=np.full(3, g),
-                           energy=-1.5 * p.delta, label=PhaseLabel.NP,
-                           residual_norm=0.0)
     with pytest.raises(CriticalPointError):
-        diag_quiet(build_m_matrix(p, mf))
+        diag_quiet(build_m_matrix(p, Displacement.zero()))
 
 
 def test_paraunitary_definition_holds():
     p0 = params(theta=0.1)
     p = params(theta=0.1, g1=1.05 * critical_coupling_min(p0))
     sol = solve_displacements(p)
-    ps = diag_quiet(build_m_matrix(p, sol))
+    ps = diag_quiet(build_m_matrix(p, sol.disp))
     res = ps.t.conj().T @ LAMBDA @ ps.t - LAMBDA
     assert np.max(np.abs(res)) == ps.para_residual
     assert ps.para_residual <= 1e-12
@@ -203,7 +204,7 @@ def test_paraunitary_at_fifty_digits():
             x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev),
                             mp.mpf(10) ** -38)
             prev = d
-        ps = diag_quiet(build_m_matrix(p, mean_field_at(p, x)))
+        ps = diag_quiet(build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
     # read after leaving the 50-digit context: the residuals are evaluated
     # at the precision the solution was built with
     assert ps.para_residual <= 1e-30

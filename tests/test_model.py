@@ -34,12 +34,6 @@ def test_invalid_params_raise(kwargs):
         ModelParams(**base)
 
 
-def test_only_three_sites_supported():
-    with pytest.raises(DomainError):
-        ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0,
-                    n_sites=4)
-
-
 def test_bare_coupling():
     p = params(g1=0.3, delta=50.0)
     assert bare_coupling(p) == pytest.approx(0.3 * math.sqrt(50.0), rel=1e-15)

@@ -64,17 +64,18 @@ def test_closed_forms_refuse_superradiant_regime():
 
 
 def test_variance_forms_agree():
+    # the squeezing form exp(+-4 lambda_q) against the equivalent ratio
+    # (Omega_plus +- 4 omega g1^2)/(2 eps - Omega_minus), averaged over q
     for th, g1 in [(0.0, 0.2), (0.1, 0.45), (1.7, 0.48), (2.5, 0.3)]:
         p = params(theta=th, g1=g1)
-        assert variance_x_np(p, form="lambda") == pytest.approx(
-            variance_x_np(p, form="ratio"), rel=1e-12)
-        assert variance_p_np(p, form="lambda") == pytest.approx(
-            variance_p_np(p, form="ratio"), rel=1e-12)
-
-
-def test_variance_unknown_form():
-    with pytest.raises(ValueError):
-        variance_x_np(params(g1=0.2), form="direct")
+        k4 = 4.0 * p.omega * p.g1 ** 2
+        ratio_x = ratio_p = 0.0
+        for q in MOMENTA:
+            m = mode(p, q)
+            ratio_x += (m.Omega_plus + k4) / (2.0 * m.epsilon - m.Omega_minus)
+            ratio_p += (m.Omega_plus - k4) / (2.0 * m.epsilon - m.Omega_minus)
+        assert variance_x_np(p) == pytest.approx(ratio_x / 3.0, rel=1e-12)
+        assert variance_p_np(p) == pytest.approx(ratio_p / 3.0, rel=1e-12)
 
 
 def test_per_mode_uncertainty_product():

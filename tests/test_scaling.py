@@ -8,7 +8,7 @@ import rabitri.scaling as scaling
 from rabitri.model import critical_flux
 from rabitri.scaling import (SweepSpec, _collect_above, _ladder,
                              exponent_report, fit_power_law, format_report,
-                             sweep, write_report_csv)
+                             observables_near, sweep, write_report_csv)
 
 BASE = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 
@@ -164,6 +164,28 @@ def test_collect_above_mirror_symmetry(theta):
             worst = max(worst, float(np.max(np.abs(plus[d][q] / mirrored
                                                    - 1.0))))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.7])
+def test_observables_near_independent_of_energy_unit(theta):
+    # scaling (omega, Delta, J) by s leaves g1 and g1c unchanged, scales the
+    # gaps by s and leaves photon numbers and variances as they are; the
+    # deltas cover the closed forms, float64 and 50-digit continuation steps
+    from dataclasses import replace
+    deltas = [-1e-3, 1e-2, 3e-3, 3e-4, 1e-4, 1e-8]
+    ref = observables_near(replace(BASE, theta=theta), deltas)
+    worst = 0.0
+    for s in (1e-3, 1e3):
+        scaled = replace(BASE, theta=theta, omega=s * BASE.omega,
+                         delta=s * BASE.delta, j_hop=s * BASE.j_hop)
+        got = observables_near(scaled, deltas)
+        for d in deltas:
+            for q in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p"):
+                unit = s if q.startswith("eps") else 1.0
+                a = np.asarray(got[d][q], dtype=float) / unit
+                b = np.asarray(ref[d][q], dtype=float)
+                worst = max(worst, float(np.max(np.abs(a / b - 1.0))))
+    assert worst <= 1e-8
 
 
 def test_exponent_report_ferromagnetic(tmp_path):
