@@ -24,32 +24,49 @@ from .dynamics import (FockBasis, chirality_metric, evolve,
                        write_trajectory_csv)
 from .errors import (ConvergenceError, CriticalPointError, DomainError,
                      FitRejected, InstabilityError, ResourceError)
-from .meanfield import solve_displacements
+from .meanfield import at_critical_point, solve_displacements
 from .model import (ModelParams, critical_coupling_min, critical_flux,
                     softest_mode)
 from .scaling import (exponent_report, format_report, observables_near,
                       write_report_csv)
 
-_TYPES = {
-    "omega": float, "delta": float, "g1": float, "j": float, "theta": float,
-    "nmax": int, "tfinal": float, "window_min": float,
-    "window_max": float, "points": int, "seed": int, "out": str,
+# every setting a subcommand reads, with its default: the keys are its
+# flags and config keys, the type of each default is the value type
+_MODEL = {"omega": 1.0, "delta": 100.0, "j": 0.05, "theta": 0.0}
+_SCAN = {**_MODEL, "window_min": 0.95, "window_max": 1.05, "points": 41,
+         "seed": 0}
+_DEFAULTS: dict[str, dict] = {
+    "dynamics": {**_MODEL, "delta": 50.0, "g1": 0.1, "nmax": 6,
+                 "tfinal": 125.0, "out": "trajectory.csv"},
+    # g1c depends only on J/omega and theta
+    "phase-boundary": {"omega": 1.0, "j": 0.05, "points": 181,
+                       "out": "phase_boundary.csv"},
+    "fluctuations": {**_SCAN, "theta": 1.7, "out": "fluctuations.csv"},
+    "exponents": {**_MODEL, "out": "exponents.csv"},
+    "meanfield": {**_MODEL, "g1": 0.6, "seed": 0, "out": ""},
+    "spectrum": {**_SCAN, "out": "spectrum.csv"},
 }
 
-_COMMON = {"omega": 1.0, "delta": 100.0, "g1": 0.1, "j": 0.05, "theta": 0.0,
-           "seed": 0}
-
-_DEFAULTS: dict[str, dict] = {
-    "dynamics": {**_COMMON, "delta": 50.0, "nmax": 6, "tfinal": 125.0,
-                 "out": "trajectory.csv"},
-    "phase-boundary": {**_COMMON, "points": 181, "out": "phase_boundary.csv"},
-    "fluctuations": {**_COMMON, "theta": 1.7, "window_min": 0.95,
-                     "window_max": 1.05, "points": 41,
-                     "out": "fluctuations.csv"},
-    "exponents": {**_COMMON, "out": "exponents.csv"},
-    "meanfield": {**_COMMON, "g1": 0.6, "out": ""},
-    "spectrum": {**_COMMON, "window_min": 0.95, "window_max": 1.05,
-                 "points": 41, "out": "spectrum.csv"},
+# help text of each subcommand and setting
+_HELP = {
+    "dynamics": "single-photon transfer trajectory",
+    "phase-boundary": "critical coupling vs flux",
+    "fluctuations": "photon number and quadratures through the transition",
+    "exponents": "critical-exponent report at one flux",
+    "meanfield": "dump the ground displacement pattern",
+    "spectrum": "excitation energies vs coupling",
+    "omega": "cavity frequency",
+    "delta": "spin level splitting",
+    "g1": "reduced coupling",
+    "j": "photon hopping amplitude",
+    "theta": "artificial gauge phase on the hopping",
+    "nmax": "Fock cutoff per cavity",
+    "tfinal": "evolution end time",
+    "window_min": "scan lower bound (g1/g1c)",
+    "window_max": "scan upper bound (g1/g1c)",
+    "points": "number of grid points",
+    "seed": "random seed for the mean-field multistart",
+    "out": "output file path",
 }
 
 _FAILURES = (DomainError, ConvergenceError, InstabilityError,
@@ -75,30 +92,31 @@ def _parse_config(path: str) -> list[tuple[str, str]]:
 def _resolve(args: argparse.Namespace) -> dict:
     cmd = args.command
     cfg = dict(_DEFAULTS[cmd])
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in _parse_config(args.config):
             k = key.replace("-", "_")
             if k not in cfg:
                 raise DomainError(
                     f"unknown config key {key!r} for subcommand {cmd}")
             try:
-                cfg[k] = _TYPES[k](raw)
+                cfg[k] = type(cfg[k])(raw)
             except ValueError as ex:
                 raise DomainError(f"bad value for {key!r}: {raw!r}") from ex
     for k in cfg:
-        v = getattr(args, k, None)
+        v = getattr(args, k)
         if v is not None:
             cfg[k] = v
-    cfg["gnuplot"] = bool(getattr(args, "gnuplot", False))
+    cfg["gnuplot"] = args.gnuplot
     cfg["command"] = cmd
     return cfg
 
 
-def _params(cfg: dict, **over) -> ModelParams:
-    kw = dict(omega=cfg["omega"], delta=cfg["delta"], g1=cfg["g1"],
-              j_hop=cfg["j"], theta=cfg["theta"])
-    kw.update(over)
-    return ModelParams(**kw)
+def _params(cfg: dict) -> ModelParams:
+    # a setting the subcommand does not read takes a value its outputs do
+    # not depend on
+    return ModelParams(omega=cfg["omega"], delta=cfg.get("delta", 100.0),
+                       g1=cfg.get("g1", 0.1), j_hop=cfg["j"],
+                       theta=cfg.get("theta", 0.0))
 
 
 def _resolved_line(cfg: dict) -> str:
@@ -181,9 +199,9 @@ def cmd_scan(cfg: dict) -> int:
     g1c = critical_coupling_min(base)
     deltas = [float(r) - 1.0 for r in np.linspace(
         cfg["window_min"], cfg["window_max"], cfg["points"])]
-    # skip |g1 - g1c| <= 1e-12, which observables_near rejects as critical
     obs = observables_near(
-        base, [d for d in deltas if abs(d) * g1c > 1e-12], cfg["seed"])
+        base, [d for d in deltas if not at_critical_point(d, g1c)],
+        cfg["seed"])
     with open(cfg["out"], "w") as fh:
         fh.write(f"# {_resolved_line(cfg)}\n")
         fh.write(f"# g1c = {g1c:.17g}\n")
@@ -239,59 +257,22 @@ _COMMANDS = {
 }
 
 
-def _add_flags(sub: argparse.ArgumentParser, names: list[str]) -> None:
-    helps = {
-        "omega": "cavity frequency",
-        "delta": "spin level splitting",
-        "g1": "reduced coupling",
-        "j": "photon hopping amplitude",
-        "theta": "artificial gauge phase on the hopping",
-        "nmax": "Fock cutoff per cavity",
-        "tfinal": "evolution end time",
-        "window-min": "scan lower bound (g1/g1c for scans)",
-        "window-max": "scan upper bound (g1/g1c for scans)",
-        "points": "number of grid points",
-        "seed": "random seed for the mean-field multistart",
-        "out": "output file path",
-    }
-    for name in names:
-        dest = name.replace("-", "_")
-        sub.add_argument(f"--{name}", dest=dest, type=_TYPES[dest],
-                         default=None, help=helps[name])
-    sub.add_argument("--config", default=None,
-                     help="key=value config file (defaults < file < flags)")
-    sub.add_argument("--gnuplot", action="store_true",
-                     help="also emit a gnuplot script next to the CSV")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rabitri",
         description="Three coupled Rabi cavities on a flux-threaded ring: "
                     "dynamics, phase boundary, fluctuations, exponents.")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_flags(subs.add_parser("dynamics",
-                               help="single-photon transfer trajectory"),
-               ["omega", "delta", "g1", "j", "theta", "nmax", "tfinal",
-                "out"])
-    _add_flags(subs.add_parser("phase-boundary",
-                               help="critical coupling vs flux"),
-               ["omega", "delta", "g1", "j", "points", "out"])
-    _add_flags(subs.add_parser("fluctuations",
-                               help="photon number and quadratures through "
-                                    "the transition"),
-               ["omega", "delta", "j", "theta", "window-min", "window-max",
-                "points", "seed", "out"])
-    _add_flags(subs.add_parser("exponents",
-                               help="critical-exponent report at one flux"),
-               ["omega", "delta", "j", "theta", "out"])
-    _add_flags(subs.add_parser("meanfield",
-                               help="dump the ground displacement pattern"),
-               ["omega", "delta", "g1", "j", "theta", "seed", "out"])
-    _add_flags(subs.add_parser("spectrum",
-                               help="excitation energies vs coupling"),
-               ["omega", "delta", "j", "theta", "window-min", "window-max",
-                "points", "seed", "out"])
+    for cmd, defaults in _DEFAULTS.items():
+        sub = subs.add_parser(cmd, help=_HELP[cmd])
+        for key, default in defaults.items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=type(default), help=_HELP[key])
+        sub.add_argument("--config",
+                         help="key=value config file (defaults < file < "
+                              "flags)")
+        sub.add_argument("--gnuplot", action="store_true",
+                         help="also emit a gnuplot script next to the CSV")
     return parser
 
 

@@ -2,35 +2,41 @@
 
 Displacing each cavity by alpha_n = A_n + i B_n and projecting the spins
 onto the rotated ground state turns the stationarity condition into six
-coupled real equations. The solver runs a multi-start damped Newton on
-those residuals and returns the minimal-energy root, canonicalized so the
-distinguished site (when the ring order breaks C3) sits at index 0.
+coupled real equations. Residuals, Jacobian, energy and Newton run at the
+precision of their inputs (see `numerics`).
 
 Gap renormalization per site: Delta_n = sqrt(Delta^2 + 16 g^2 A_n^2) with
 the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
 
-Residuals, Jacobian, energy and Newton run at the precision of their inputs
-(see `numerics`); `refine_root` follows one root along a continuation at any
-precision. The multi-start solver works in float64.
+Roots: at a reduced coupling delta = g1/g1c - 1 >= 1e-2 a float64
+multi-start damped Newton returns the minimal-energy root, canonicalized
+so the distinguished site (when the ring order breaks C3) sits at index 0.
+Closer to g1c the Jacobian goes singular, so `continued_roots` follows
+that root from delta = 1e-2 down a descending delta ladder, each step
+seeded by scaling the previous root with sqrt(delta'/delta) and polished
+by Newton to 1e-12 omega. Points with delta >= 1e-4 run in float64;
+deeper points run the same functions on 50-digit mpmath numbers (g1c and
+g1 included), because the Cholesky step of the fluctuations needs
+min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from mpmath import mp
 
 from . import numerics
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, CriticalPointError, DomainError
 from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
                     critical_coupling_min)
 
-_NEWTON_TOL = 1e-10
-# near the critical coupling the Jacobian goes singular; accept a gradient
-# criterion instead (gradient = 2*residuals, so 5e-11 in residual units
-# would be 1e-10 on the gradient; we allow 5e-10 <-> gradient 1e-9)
-_NEAR_CRITICAL_TOL = 5e-10
+_NEWTON_TOL = 1e-10     # multi-start residual tolerance, in units of omega
 _MAX_ITER = 200
+_ANCHOR = 1e-2          # the multi-start runs at delta >= this
+_MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
+_LADDER_DECADES = 3     # continuation fill density: points per decade
 # ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
 _NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
@@ -230,23 +236,16 @@ def _solution(params: ModelParams, x: np.ndarray) -> MeanFieldSolution:
         residual_norm=float(np.max(np.abs(residuals(params, disp)))))
 
 
-def solve_displacements(params: ModelParams,
-                        seed: int = 0) -> MeanFieldSolution:
-    """Minimal-energy stationary point of the displaced-spin energy.
+def at_critical_point(delta: float, g1c: float) -> bool:
+    """Whether g1 = g1c (1 + delta) lies within 1e-12 of g1c, where the
+    soft mode makes the fluctuations singular."""
+    return abs(delta) * g1c <= 1e-12
 
-    Below the critical coupling the zero displacement is returned with
-    label NP. Above it, a multi-start damped Newton collects distinct
-    roots; ties within 1e-10*Delta in energy are broken by the canonical
-    site labeling (lexicographically largest (A_1, A_2, A_3)). The seed
-    feeds only the random extra starts; the structured seeds are fixed.
-    """
-    g1c = critical_coupling_min(params)
-    if params.g1 < g1c:
-        return _solution(params, np.zeros(6))
 
-    near_critical = g1c > 0 and abs(params.g1 / g1c - 1.0) < 1e-6
-    tol = _NEAR_CRITICAL_TOL if near_critical else _NEWTON_TOL
-
+def _multistart(params: ModelParams, seed: int) -> np.ndarray:
+    """Minimal-energy root (A_1..A_3, B_1..B_3) by multi-start damped Newton
+    in float64, canonically labeled (see `solve_displacements`)."""
+    tol = _NEWTON_TOL * params.omega
     roots: list[np.ndarray] = []
     for x0 in _seed_list(params, seed):
         x = _newton(params, x0, tol)
@@ -269,6 +268,77 @@ def solve_displacements(params: ModelParams,
     # canonical labeling: the lexicographically largest orbit member of any
     # tied root, keyed at the root-identity scale (1e-8, the dedup
     # tolerance) so Newton noise cannot decide a tie
-    best = max((c for x in tied for c in _orbit(x)),
+    return max((c for x in tied for c in _orbit(x)),
                key=lambda c: tuple(np.round(c, 8)))
-    return _solution(params, best)
+
+
+def _ladder(anchor: float, need: list[float]) -> list[float]:
+    """Descending delta ladder through all needed points, with geometric
+    fillers so no continuation step exceeds 10^(1/3) in ratio."""
+    pts = sorted(set(need) | {anchor}, reverse=True)
+    out = []
+    for i, p in enumerate(pts):
+        out.append(p)
+        if i + 1 < len(pts):
+            ratio = math.log10(p / pts[i + 1])
+            k = int(math.ceil(ratio * _LADDER_DECADES - 1e-9))
+            for m in range(1, k):
+                out.append(10.0 ** (math.log10(p) - ratio * m / k))
+    return out
+
+
+def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
+                    ) -> dict[float, tuple[ModelParams, np.ndarray]]:
+    """(params, root) at each reduced coupling delta = g1/g1c - 1 > 0, by
+    continuation from the multi-start root at max(delta, 1e-2) found with
+    the given seed. Below delta = 1e-4 both are 50-digit mpmath numbers, to
+    be used inside mp.workdps(numerics.MP_DPS)."""
+    need = sorted({float(d) for d in deltas}, reverse=True)
+    g1c = critical_coupling_min(base)
+    anchor = max(need[0], _ANCHOR)
+    x = _multistart(replace(base, g1=g1c * (1.0 + anchor)), seed)
+    out = {}
+    with mp.workdps(numerics.MP_DPS):
+        # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
+        base_mp = replace(base, omega=mp.mpf(base.omega),
+                          delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
+        g1c_mp = critical_coupling_min(base_mp)
+        prev = anchor
+        for d in _ladder(anchor, need):
+            # the residuals carry the unit of omega, and so do the tolerances
+            if d >= _MP_SPLIT:
+                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12 * base.omega
+                x = refine_root(p, x * math.sqrt(d / prev), tol)
+            else:
+                p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
+                tol = mp.mpf(10) ** (12 - numerics.MP_DPS) * base_mp.omega
+                x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev), tol)
+            if d in need:
+                out[d] = (p, x)
+            prev = d
+    return out
+
+
+def solve_displacements(params: ModelParams,
+                        seed: int = 0) -> MeanFieldSolution:
+    """Minimal-energy stationary point of the displaced-spin energy.
+
+    Below the critical coupling the zero displacement is returned with
+    label NP, and within 1e-12 above it CriticalPointError is raised. At
+    delta >= 1e-2 a multi-start damped Newton collects distinct roots;
+    ties within 1e-10*Delta in energy are broken by the canonical site
+    labeling (lexicographically largest (A_1, A_2, A_3)). Closer to g1c the
+    root is continued down from the multi-start at delta = 1e-2. The seed
+    feeds only the random extra starts; the structured seeds are fixed.
+    """
+    g1c = critical_coupling_min(params)
+    if params.g1 < g1c:
+        return _solution(params, np.zeros(6))
+    d = params.g1 / g1c - 1.0
+    if at_critical_point(d, g1c):
+        raise CriticalPointError(
+            f"g1={params.g1} is within 1e-12 of the critical coupling")
+    if d >= _ANCHOR:
+        return _solution(params, _multistart(params, seed))
+    _, x = continued_roots(params, [d], seed)[d]
+    return _solution(params, np.array(x, dtype=float))

@@ -21,6 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 from mpmath import mp, mpc, mpf
 
+MP_DPS = 50     # decimal digits of the near-critical mpmath points
+
 
 def _solve_f64(a, b, upper=False):
     if upper:

@@ -5,15 +5,10 @@ energies, per-site photon numbers and quadrature variances on log grids on
 both sides of the transition, fits log-log slopes, and assembles a report
 per transition (ring-symmetric, chiral, uniform, and the triple point).
 
-Numerical strategy: every point is evaluated by
-`bogoliubov.point_observables`. Below the transition that means the
-normal-phase closed forms (float64 suffices down to delta ~ 1e-11 with the
-factored gap expression). Above, `_collect_above` continues the
-displacement root down a descending delta ladder, each step seeded by
-scaling the previous root with sqrt(delta'/delta) and polished by Newton.
-Points with delta >= 1e-4 run in float64; deeper points run the same
-functions on 50-digit mpmath numbers (g1c and g1 included), because the
-Cholesky step needs min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff.
+Every point is evaluated by `bogoliubov.point_observables`: below the
+transition from the normal-phase closed forms (float64 suffices down to
+delta ~ 1e-11 with the factored gap expression), above around the roots of
+`meanfield.continued_roots`.
 
 Fit windows: every report row is fitted on one asymptotic window,
 delta in [1e-9, 1e-6]. There the local slope d log y / d log delta has
@@ -34,18 +29,16 @@ from mpmath import mp
 
 from .bogoliubov import point_observables
 from .errors import CriticalPointError, DomainError, FitRejected
-from .meanfield import refine_root, solve_displacements
+from .meanfield import at_critical_point, continued_roots
 from .model import (ModelParams, PhaseLabel, classify_phase,
                     critical_coupling_min)
+from .numerics import MP_DPS
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
 _DEFAULT_WINDOW = (1e-5, 1e-2)     # SweepSpec defaults
 _DEFAULT_POINTS = 25
 _REPORT_WINDOW = (1e-9, 1e-6)      # asymptotic window of every report row
 _REPORT_POINTS = 12
-_MP_SPLIT = 1e-4        # above-side: use mpmath below this delta
-_MP_DPS = 50
-_LADDER_DECADES = 3     # continuation fill density: points per decade
 _FLAT_SLOPE = 0.05      # |slope| below this reads as a finite limit
 _R2_MIN = 0.999
 _EPS2_GATE = 0.5        # fit eps2 only if eps2(delta=1e-2) < gate * omega
@@ -112,7 +105,6 @@ class PowerLawFit:
     exponent: float       # |slope| of log(value) vs log(delta)
     amplitude: float      # prefactor, value ~ amplitude * delta^slope
     r_squared: float
-    points_used: int
     slope: float          # signed slope
     direction: str        # "divergent" | "vanishing" | "finite"
 
@@ -126,10 +118,8 @@ class ReportEntry:
     symbol: str                          # gamma | beta | nu
     slope: float | None = None
     exponent: float | None = None        # table convention (nu = |slope|/2)
-    direction: str | None = None
     r_squared: float | None = None
     window: tuple[float, float] | None = None
-    n_points: int | None = None
     window_stable: bool | None = None
     limit: float | None = None           # finite-limit value at smallest delta
     note: str = ""
@@ -173,67 +163,18 @@ def _table_exponent(quantity: str, slope: float) -> float:
     return abs(slope) / 2.0 if quantity in ("var_x", "var_p") else abs(slope)
 
 
-# ---------------------------------------------------------------------------
-# continuation engine
-
-def _ladder(anchor: float, need: list[float]) -> list[float]:
-    """Descending delta ladder through all needed points, with geometric
-    fillers so no continuation step exceeds 10^(1/3) in ratio."""
-    pts = sorted(set(need) | {anchor}, reverse=True)
-    out = []
-    for i, p in enumerate(pts):
-        out.append(p)
-        if i + 1 < len(pts):
-            ratio = math.log10(p / pts[i + 1])
-            k = int(math.ceil(ratio * _LADDER_DECADES - 1e-9))
-            for m in range(1, k):
-                out.append(10.0 ** (math.log10(p) - ratio * m / k))
-    return out
-
-
-def _collect_above(base: ModelParams, deltas: list[float],
-                   seed: int = 0) -> dict[float, dict]:
-    """point_observables at each requested delta above the transition, by
-    root continuation from an anchor at delta = max(request, 1e-2) that
-    solve_displacements finds with the given multi-start seed."""
-    need = sorted({float(d) for d in deltas}, reverse=True)
-    g1c = critical_coupling_min(base)
-    anchor = max(need[0], 1e-2)
-    mf0 = solve_displacements(replace(base, g1=g1c * (1.0 + anchor)), seed)
-    x = np.concatenate([mf0.disp.a, mf0.disp.b])
-    out: dict[float, dict] = {}
-    with mp.workdps(_MP_DPS):
-        # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
-        base_mp = replace(base, omega=mp.mpf(base.omega),
-                          delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
-        g1c_mp = critical_coupling_min(base_mp)
-        prev = anchor
-        for d in _ladder(anchor, need):
-            # the residuals carry the unit of omega, and so do the tolerances
-            if d >= _MP_SPLIT:
-                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12 * base.omega
-                x = refine_root(p, x * math.sqrt(d / prev), tol)
-            else:
-                p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
-                tol = mp.mpf(10) ** (12 - _MP_DPS) * base_mp.omega
-                x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev), tol)
-            if d in need:
-                out[d] = point_observables(p, x)
-            prev = d
-    return out
-
-
 def observables_near(base: ModelParams, deltas: list[float],
                      seed: int = 0) -> dict[float, dict]:
     """point_observables at signed reduced couplings delta = g1/g1c - 1.
 
     Points below the transition come from the closed forms, all points
-    above from one root continuation whose anchor solve_displacements finds
-    with the given multi-start seed. Keys are the deltas as given.
+    above from one root continuation (`meanfield.continued_roots`) whose
+    anchor the mean-field multi-start finds with the given seed. Keys are
+    the deltas as given.
     """
     g1c = critical_coupling_min(base)
     for d in deltas:
-        if abs(d) * g1c <= 1e-12:
+        if at_critical_point(d, g1c):
             raise CriticalPointError(
                 f"grid point delta={abs(d)} is within 1e-12 of the critical "
                 "coupling")
@@ -241,7 +182,9 @@ def observables_near(base: ModelParams, deltas: list[float],
            for d in deltas if d < 0.0}
     above = [d for d in deltas if d > 0.0]
     if above:
-        out.update(_collect_above(base, above, seed))
+        with mp.workdps(MP_DPS):
+            out.update({d: point_observables(p, x) for d, (p, x)
+                        in continued_roots(base, above, seed).items()})
     return out
 
 
@@ -297,8 +240,8 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
                 f"[{points[0][0]:.3e}, {points[-1][0]:.3e}]")
         direction = "divergent" if slope < 0.0 else "vanishing"
     return PowerLawFit(exponent=abs(float(slope)), amplitude=10.0 ** float(icept),
-                       r_squared=float(r2), points_used=len(points),
-                       slope=float(slope), direction=direction)
+                       r_squared=float(r2), slope=float(slope),
+                       direction=direction)
 
 
 def _shrunk(window: tuple[float, float]) -> tuple[float, float]:
@@ -369,7 +312,6 @@ def exponent_report(theta: float,
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side,
                     status="not-fitted", symbol=symbol, window=win,
-                    n_points=_REPORT_POINTS,
                     note="second mode is gapped (eps2 >= 0.5 omega at "
                          "delta=1e-2)")
                 entries.append(entry)
@@ -380,16 +322,14 @@ def exponent_report(theta: float,
             except FitRejected as ex:
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side, status="failed",
-                    symbol=symbol, window=win, n_points=_REPORT_POINTS,
-                    note=str(ex))
+                    symbol=symbol, window=win, note=str(ex))
                 entries.append(entry)
                 continue
             if fit.direction == "finite":
                 entry = ReportEntry(
                     quantity=quantity, site=site, side=side,
                     status="finite-limit", symbol=symbol, slope=fit.slope,
-                    r_squared=fit.r_squared, window=win,
-                    n_points=_REPORT_POINTS, limit=pts[0][1],
+                    r_squared=fit.r_squared, window=win, limit=pts[0][1],
                     note="no power law; value tends to a finite limit")
                 entries.append(entry)
                 continue
@@ -402,8 +342,7 @@ def exponent_report(theta: float,
                 quantity=quantity, site=site, side=side, status="power-law",
                 symbol=symbol, slope=fit.slope,
                 exponent=_table_exponent(quantity, fit.slope),
-                direction=fit.direction, r_squared=fit.r_squared,
-                window=win, n_points=_REPORT_POINTS, window_stable=stable)
+                r_squared=fit.r_squared, window=win, window_stable=stable)
             entries.append(entry)
             fitted[(side, quantity, site)] = entry
 

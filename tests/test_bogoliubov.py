@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +12,13 @@ from rabitri.bogoliubov import (QuadraticForm, build_m_matrix,
                                 diagonalize_paraunitary, ground_energy_fluct,
                                 local_photon_sr, point_observables,
                                 variance_p_sr, variance_x_sr)
-from rabitri.meanfield import (Displacement, _newton, refine_root,
+from rabitri.meanfield import (Displacement, _newton, continued_roots,
                                solve_displacements)
 from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
                                   variance_x_np)
+from rabitri.numerics import MP_DPS
 
 from conftest import params
 
@@ -188,22 +188,9 @@ def test_paraunitary_definition_holds():
 
 def test_paraunitary_at_fifty_digits():
     # the continuation's deep points run the same Colpa step on 50-digit
-    # numbers: follow the root down to delta = 1e-9 with the public calls
-    # the continuation makes, three steps per decade
-    base = params(theta=0.1)
-    g1c = critical_coupling_min(base)
-    mf = solve_displacements(replace(base, g1=g1c * 1.01))
-    x = np.concatenate([mf.disp.a, mf.disp.b])
-    with mp.workdps(50):
-        base_mp = replace(base, omega=mp.mpf(base.omega),
-                          delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
-        g1c_mp = critical_coupling_min(base_mp)
-        prev = 1e-2
-        for d in np.logspace(-2, -9, 22):
-            p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
-            x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev),
-                            mp.mpf(10) ** -38)
-            prev = d
+    # numbers: follow the root down to delta = 1e-9
+    p, x = continued_roots(params(theta=0.1), [1e-9])[1e-9]
+    with mp.workdps(MP_DPS):
         ps = diag_quiet(build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
     # read after leaving the 50-digit context: the residuals are evaluated
     # at the precision the solution was built with

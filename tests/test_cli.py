@@ -3,7 +3,8 @@ import pytest
 
 from rabitri import ModelParams
 from rabitri.cli import main
-from rabitri.scaling import _collect_above
+from rabitri.model import critical_coupling_min
+from rabitri.scaling import observables_near
 
 
 def run(monkeypatch, tmp_path, *argv):
@@ -83,7 +84,7 @@ def test_fluctuations_near_critical_rows_follow_the_continuation(
     data = load_csv(tmp_path / "f.csv", 3)
     base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.1)
     deltas = [float(r) - 1.0 for r in np.linspace(1.000001, 1.00001, 5)]
-    ref = _collect_above(base, deltas)
+    ref = observables_near(base, deltas)
     assert data.shape == (5, 12)
     for row, d in zip(data, deltas):
         o = ref[d]
@@ -208,10 +209,14 @@ def test_write_error_exits_2(monkeypatch, tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nmax = 4\n")    # not a phase-boundary key
-    rc = run(monkeypatch, tmp_path, "phase-boundary", "--config", str(cfg))
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    # nmax is no phase-boundary setting; fluctuations scans g1/g1c and
+    # reads no g1
+    for cmd, line in (("phase-boundary", "nmax = 4"),
+                      ("fluctuations", "g1 = 0.3")):
+        cfg.write_text(line + "\n")
+        rc = run(monkeypatch, tmp_path, cmd, "--config", str(cfg))
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_malformed_config_exits_2(monkeypatch, tmp_path, capsys):
@@ -227,9 +232,18 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
              "--out", "d.csv")
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    # the mean field has no root to continue to at g1 = g1c
+    g1c = critical_coupling_min(ModelParams(omega=1.0, delta=100.0, g1=0.1,
+                                            j_hop=0.05, theta=0.1))
+    rc = run(monkeypatch, tmp_path, "meanfield", "--theta", "0.1",
+             "--g1", repr(g1c))
+    assert rc == 3
+    assert "critical coupling" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(monkeypatch, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(monkeypatch, tmp_path, "frobnicate")
-    assert exc.value.code == 2
+    # g1c does not depend on Delta, so phase-boundary takes no --delta
+    for argv in (["frobnicate"], ["phase-boundary", "--delta", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(monkeypatch, tmp_path, *argv)
+        assert exc.value.code == 2

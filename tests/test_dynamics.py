@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
 
 from rabitri import DomainError, ModelParams, ResourceError, TruncationWarning
 from rabitri.dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
@@ -82,10 +83,15 @@ def test_evolve_matches_dense_propagator(n_max):
     assert traj.times[-1] == pytest.approx(t, abs=0)
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       g1=st.floats(0.0, 2.0))
+@example(j_hop=0.05, delta=50.0, g1=0.1)
 @pytest.mark.parametrize("theta", [0.0, 0.3, -2.1, np.pi])
-def test_hamiltonian_conserves_excitation_parity(theta):
+def test_hamiltonian_conserves_excitation_parity(theta, j_hop, delta, g1):
     # exp(i pi (N_photon + N_up)) commutes with H: every coupling changes
     # the total excitation number by an even amount
+    p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
     basis = FockBasis(n_max=2)
     d = basis.n_max + 1
     idx = np.arange(basis.dim)
@@ -93,7 +99,7 @@ def test_hamiltonian_conserves_excitation_parity(theta):
     n_photon = f // (d * d) + (f // d) % d + f % d
     n_up = 3 - sum((spins >> b) & 1 for b in range(3))   # 0 bit = up
     parity = (n_photon + n_up) % 2
-    h = build_full_hamiltonian(dyn_params(theta=theta), basis).tocoo()
+    h = build_full_hamiltonian(p, basis).tocoo()
     nonzero = h.data != 0
     assert np.count_nonzero(nonzero) > 0
     assert np.array_equal(parity[h.row[nonzero]], parity[h.col[nonzero]])

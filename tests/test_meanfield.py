@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rabitri import ModelParams, PhaseLabel
 from rabitri.bogoliubov import build_m_matrix, diagonalize_paraunitary
@@ -54,8 +54,13 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(jac - fd)) <= 1e-6
 
 
-def test_residuals_are_half_energy_gradient():
-    p = params(theta=0.3, g1=0.6)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(theta=st.floats(-math.pi, math.pi, exclude_min=True),
+       j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       g1=st.floats(0.0, 2.0))
+@example(theta=0.3, j_hop=0.05, delta=100.0, g1=0.6)
+def test_residuals_are_half_energy_gradient(theta, j_hop, delta, g1):
+    p = params(theta=theta, g1=g1, delta=delta, j_hop=j_hop)
     rng = np.random.default_rng(11)
     x = rng.uniform(-2.0, 2.0, size=6)
     r = residuals(p, Displacement(a=x[:3], b=x[3:]))
@@ -198,3 +203,35 @@ def test_mirror_and_paraunitarity_across_parameters(theta, j_hop, delta,
                - ground_energy_mf(p, mf.disp)) <= 1e-12 * delta
     ps = diagonalize_paraunitary(build_m_matrix(p, mf.disp))
     assert ps.para_residual <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.7])
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+def test_near_critical_root_is_converged_and_symmetric(theta, delta):
+    # close to g1c the root keeps the symmetry of its phase: sites 2 and 3
+    # mirror each other (A_2 = A_3, B_2 = -B_3), and all three sites agree
+    # in the uniform phase
+    g1c = critical_coupling_min(params(theta=theta))
+    p = params(theta=theta, g1=g1c * (1.0 + delta))
+    sol = solve_displacements(p)
+    a, b = sol.disp.a, sol.disp.b
+    scale = np.max(np.abs(a))
+    assert abs(a[1] - a[2]) <= 1e-9 * scale
+    assert abs(b[1] + b[2]) <= 1e-9 * scale
+    if theta == 1.7:
+        assert abs(a[0] - a[1]) <= 1e-9 * scale
+    assert sol.residual_norm <= 1e-12 * p.omega
+
+
+@pytest.mark.parametrize("delta", [1e-4, 5e-7])
+def test_root_independent_of_energy_unit(delta):
+    # scaling (omega, Delta, J) by s leaves the reduced coupling, g1c and
+    # the dimensionless displacement unchanged
+    g1 = critical_coupling_min(params(theta=0.1)) * (1.0 + delta)
+    ref = solve_displacements(params(theta=0.1, g1=g1)).disp
+    for s in (1e-3, 1e3):
+        got = solve_displacements(params(theta=0.1, g1=g1, omega=s,
+                                         delta=100.0 * s,
+                                         j_hop=0.05 * s)).disp
+        assert got.a == pytest.approx(ref.a, rel=1e-9)
+        assert got.b == pytest.approx(ref.b, rel=1e-9, abs=1e-9 * ref.a[0])

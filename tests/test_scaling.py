@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
-import rabitri.scaling as scaling
+import rabitri.meanfield as meanfield
+from rabitri.meanfield import _ladder
 from rabitri.model import critical_flux
-from rabitri.scaling import (SweepSpec, _collect_above, _ladder,
-                             exponent_report, fit_power_law, format_report,
-                             observables_near, sweep, write_report_csv)
+from rabitri.scaling import (SweepSpec, exponent_report, fit_power_law,
+                             format_report, observables_near, sweep,
+                             write_report_csv)
 
 BASE = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 
@@ -117,7 +118,7 @@ def test_collect_above_frozen_chiral_ladder():
     # continuation pipeline
     from dataclasses import replace
     base = replace(BASE, theta=0.1)
-    out = _collect_above(base, [1e-5, 1e-7, 1e-9])
+    out = observables_near(base, [1e-5, 1e-7, 1e-9])
     assert out[1e-5]["eps1"] == pytest.approx(2.3113e-05, rel=2e-4)
     assert out[1e-7]["eps1"] == pytest.approx(2.4455e-08, rel=2e-4)
     assert out[1e-9]["eps1"] == pytest.approx(2.447e-11, rel=5e-4)
@@ -134,9 +135,9 @@ def test_float64_and_mp_paths_agree(monkeypatch):
     from dataclasses import replace
     base = replace(BASE, theta=0.1)
     d = 3e-4
-    f64 = _collect_above(base, [d])[d]
-    monkeypatch.setattr(scaling, "_MP_SPLIT", 1e-2)
-    mp_ = _collect_above(base, [d])[d]
+    f64 = observables_near(base, [d])[d]
+    monkeypatch.setattr(meanfield, "_MP_SPLIT", 1e-2)
+    mp_ = observables_near(base, [d])[d]
     # the soft gap is a near-cancellation at this delta, so float64 keeps
     # about 9 digits of it; the bulk quantities agree much closer
     assert mp_["eps1"] == pytest.approx(f64["eps1"], rel=1e-8)
@@ -153,8 +154,8 @@ def test_collect_above_mirror_symmetry(theta):
     # the deltas straddle the float64 / multiprecision split
     from dataclasses import replace
     deltas = [1e-3, 1e-5, 1e-7, 1e-9]
-    plus = _collect_above(replace(BASE, theta=theta), deltas)
-    minus = _collect_above(replace(BASE, theta=-theta), deltas)
+    plus = observables_near(replace(BASE, theta=theta), deltas)
+    minus = observables_near(replace(BASE, theta=-theta), deltas)
     worst = 0.0
     for d in deltas:
         for q in ("eps1", "eps2", "eps3"):
