@@ -46,6 +46,8 @@ _DEFAULTS: dict[str, dict] = {
     "meanfield": {**_MODEL, "g1": 0.6, "seed": 0, "out": ""},
     "spectrum": {**_SCAN, "out": "spectrum.csv"},
 }
+# the subcommands that can write a gnuplot script next to their CSV
+_GNUPLOT = ("dynamics", "phase-boundary", "fluctuations", "spectrum")
 
 # help text of each subcommand and setting
 _HELP = {
@@ -106,7 +108,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         v = getattr(args, k)
         if v is not None:
             cfg[k] = v
-    cfg["gnuplot"] = args.gnuplot
+    if cmd in _GNUPLOT:
+        cfg["gnuplot"] = args.gnuplot
     cfg["command"] = cmd
     return cfg
 
@@ -271,8 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config",
                          help="key=value config file (defaults < file < "
                               "flags)")
-        sub.add_argument("--gnuplot", action="store_true",
-                         help="also emit a gnuplot script next to the CSV")
+        if cmd in _GNUPLOT:
+            sub.add_argument("--gnuplot", action="store_true",
+                             help="also emit a gnuplot script next to the "
+                                  "CSV")
     return parser
 
 

@@ -180,9 +180,15 @@ def test_exponents_csv(monkeypatch, tmp_path, capsys):
     ["meanfield", "--out", "missing/x.csv"],
     ["phase-boundary", "--out", "missing/x.csv"],
     ["phase-boundary", "--points", "2", "--out", "."],   # a directory
+    ["meanfield", "--gnuplot"],          # writes no CSV to plot
+    ["exponents", "--gnuplot"],
 ])
 def test_bad_flags_exit_2(monkeypatch, tmp_path, argv, capsys):
-    assert run(monkeypatch, tmp_path, *argv) == 2
+    try:
+        rc = run(monkeypatch, tmp_path, *argv)
+    except SystemExit as exc:            # rejected by the argument parser
+        rc = exc.code
+    assert rc == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
 from rabitri import DomainError, ModelParams, ResourceError, TruncationWarning
+from rabitri import dynamics
 from rabitri.dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                               chirality_metric, evolve, exact_ground_energy,
                               initial_state, number_operators,
@@ -81,6 +84,68 @@ def test_evolve_matches_dense_propagator(n_max):
         assert n_photon == pytest.approx(n_exact, abs=1e-10)
     assert traj.norm == pytest.approx(np.ones(31), abs=1e-10)
     assert traj.times[-1] == pytest.approx(t, abs=0)
+
+
+def samples_per_block(h, basis, sample_dt):
+    """B of `evolve`: floor(_SPAN / (r tau)) clipped below at 1, with r the
+    Gershgorin half-width of the initial state's parity sector and tau the
+    sample interval or, when r sample_dt > _SPAN, its substep."""
+    d = basis.n_max + 1
+    idx = np.arange(basis.dim)
+    f, spins = idx // 8, idx % 8
+    n_photon = f // (d * d) + (f // d) % d + f % d
+    n_up = 3 - sum((spins >> b) & 1 for b in range(3))
+    parity = (n_photon + n_up) % 2
+    sector = np.flatnonzero(parity == parity[np.argmax(initial_state(basis))])
+    lo, hi = dynamics._spectral_bounds(h[sector][:, sector])
+    r = 0.5 * (hi - lo)
+    tau = sample_dt / math.ceil(r * sample_dt / dynamics._SPAN)
+    return max(int(dynamics._SPAN / (r * tau)), 1)
+
+
+@pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(theta=st.floats(-np.pi, np.pi, exclude_min=True),
+       j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       g1=st.floats(0.0, 2.0), sample_dt=st.sampled_from([0.1, 0.37, 2.0]),
+       blocks=st.integers(1, 2), tail=st.floats(0.0, 1.0, exclude_max=True))
+# one sample per block, each split into substeps
+@example(theta=0.5, j_hop=0.05, delta=1000.0, g1=0.1, sample_dt=2.0,
+         blocks=2, tail=0.0)
+# many samples per block and a partial last block
+@example(theta=-1.0, j_hop=0.3, delta=10.0, g1=1.0, sample_dt=0.1,
+         blocks=1, tail=0.5)
+def test_evolve_matches_dense_expm_across_parameters(
+        theta, j_hop, delta, g1, sample_dt, blocks, tail):
+    # n_samples = blocks * B + extra with 0 < extra < B whenever B > 1, so
+    # the last block is a partial one; t_final sits between two samples
+    p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
+    basis = FockBasis(n_max=1)
+    h = build_full_hamiltonian(p, basis)
+    per_block = samples_per_block(h, basis, sample_dt)
+    extra = 1 + int(tail * (per_block - 1)) if per_block > 1 else 0
+    n_samples = blocks * per_block + extra
+    traj = evolve(p, basis, t_final=(n_samples + 0.5) * sample_dt,
+                  sample_dt=sample_dt)
+    assert len(traj.times) == n_samples + 1
+    # the dense propagator over one sample interval, applied per sample
+    step = sla.expm(-1j * sample_dt * h.toarray())
+    psi_exact = initial_state(basis)
+    n_ops = number_operators(basis)
+    for n_photon in traj.n_photon:
+        n_exact = [float(np.real(np.vdot(psi_exact, op @ psi_exact)))
+                   for op in n_ops]
+        assert n_photon == pytest.approx(n_exact, abs=1e-10)
+        psi_exact = step @ psi_exact
+    assert traj.norm == pytest.approx(np.ones(n_samples + 1), abs=1e-10)
+
+
+@pytest.mark.parametrize("t_final", [0.0, 0.05])
+def test_evolve_shorter_than_one_sample_returns_initial_state(t_final):
+    traj = evolve(dyn_params(theta=0.5), FockBasis(n_max=1), t_final=t_final)
+    assert traj.times.tolist() == [0.0]
+    assert traj.norm.tolist() == [1.0]
+    assert traj.n_photon.tolist() == [[1.0, 0.0, 0.0]]
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
