@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -260,8 +261,26 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises DomainError on a command line it
+    rejects, where argparse would exit, so `main` reports it as it reports
+    its own checks."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option, so that `--theta -1e-3`
+        # misses its value, unless negative numbers in exponent notation
+        # count as numbers
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rabitri",
         description="Three coupled Rabi cavities on a flux-threaded ring: "
                     "dynamics, phase boundary, fluctuations, exponents.")
@@ -282,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _resolve(args)
         _params(cfg)                 # validate physical flags up front
         if "nmax" in cfg and cfg["nmax"] < 1:

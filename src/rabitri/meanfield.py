@@ -11,6 +11,10 @@ the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
 Roots: at a reduced coupling delta = g1/g1c - 1 >= 1e-2 a float64
 multi-start damped Newton returns the minimal-energy root, canonicalized
 so the distinguished site (when the ring order breaks C3) sits at index 0.
+All starts (up to 25) run as one batch: every iteration makes one stacked
+Jacobian and solve, one residual call for the full steps and one for all
+backtracking steps of the rows that need them, and each start follows the
+iterates it would follow alone.
 Closer to g1c the Jacobian goes singular, so `continued_roots` follows
 that root from delta = 1e-2 down a descending delta ladder, each step
 seeded by scaling the previous root with sqrt(delta'/delta) and polished
@@ -39,6 +43,7 @@ _MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
 _LADDER_DECADES = 3     # continuation fill density: points per decade
 # ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
 _NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_HALVINGS = 0.5 ** np.arange(1, 30)     # Newton backtracking step lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +81,17 @@ def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
     nb = numerics.of(params, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a)
-    an, ap = a[_NXT], a[_PRV]    # A_{n+1}, A_{n-1}
-    bn, bp = b[_NXT], b[_PRV]
+    an, ap = a[..., _NXT], a[..., _PRV]    # A_{n+1}, A_{n-1}
+    bn, bp = b[..., _NXT], b[..., _PRV]
     ct, st = nb.cos(th), nb.sin(th)
     r = a * w - a * (4.0 * g * g) / dn + ((an + ap) * ct + (bn - bp) * st) * j
     s = b * w + ((bn + bp) * ct + (ap - an) * st) * j
-    return np.concatenate([r, s])
+    return np.concatenate([r, s], axis=-1)
 
 
 def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
-    """Analytic 6x6 Jacobian of `residuals` in the (A, B) ordering."""
+    """Analytic 6x6 Jacobian of `residuals` in the (A, B) ordering; one
+    per displacement when disp holds a stack of them."""
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params)
     nb = numerics.of(params, disp.a)
@@ -93,13 +99,15 @@ def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
     dn = _gaps(params, a)
     ct, st = nb.cos(th), nb.sin(th)
     nxt, prv = np.eye(3)[_NXT], np.eye(3)[_PRV]
-    jac = np.zeros((6, 6), dtype=nb.rdtype)
+    jac = np.zeros(a.shape[:-1] + (6, 6), dtype=nb.rdtype)
     # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
     curv = np.divide(4.0 * g * g * params.delta ** 2, dn ** 3)
-    jac[:3, :3] = np.diag(-curv + w) + (nxt + prv) * (j * ct)
-    jac[:3, 3:] = (nxt - prv) * (j * st)
-    jac[3:, :3] = (prv - nxt) * (j * st)
-    jac[3:, 3:] = np.eye(3) * w + (nxt + prv) * (j * ct)
+    diag = np.zeros(a.shape + (3,), dtype=nb.rdtype)
+    diag[..., range(3), range(3)] = -curv + w
+    jac[..., :3, :3] = diag + (nxt + prv) * (j * ct)
+    jac[..., :3, 3:] = (nxt - prv) * (j * st)
+    jac[..., 3:, :3] = (prv - nxt) * (j * st)
+    jac[..., 3:, 3:] = np.eye(3) * w + (nxt + prv) * (j * ct)
     return jac
 
 
@@ -141,44 +149,81 @@ def fsp_closed_form(params: ModelParams) -> Displacement:
     return Displacement(a=np.full(3, amp), b=np.zeros(3))
 
 
-def _newton(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray | None:
+def _disp(x: np.ndarray) -> Displacement:
+    """The displacement, or stack of them, of x = (A_1..A_3, B_1..B_3)."""
+    return Displacement(a=x[..., :3], b=x[..., 3:])
+
+
+def _solve_rows(nb, a: np.ndarray, b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the systems a[i] x = b[i], and whether each a[i] is
+    regular. One singular a[i] makes the stacked solve raise for all, so
+    then each system is solved alone and a singular one leaves a zero row."""
+    try:
+        return nb.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, regular = np.zeros_like(b), np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                x[i] = nb.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                regular[i] = False
+        return x, regular
+
+
+def _newton(params: ModelParams, x0: np.ndarray, tol: float
+            ) -> np.ndarray | None | list[np.ndarray | None]:
     """Damped (Levenberg-regularized) Newton on the residual vector, at the
-    precision of params and x0."""
+    precision of params and x0.
+
+    x0 is one start, shape (6,), or a stack of starts, shape (k, 6), that
+    run together: each row keeps its own regularization and stops on its
+    own, and follows the iterates it would follow alone. Returns the root
+    reached, or None where Newton gives up; for a stack, a list with one
+    entry per row.
+    """
     nb = numerics.of(params, x0)
-    x = np.array(x0)
-    r = residuals(params, Displacement(a=x[:3], b=x[3:]))
-    mu = 0.0
+    x = np.array(x0, dtype=nb.rdtype, ndmin=2)
+    r = residuals(params, _disp(x))
+    mu = np.zeros(len(x), dtype=nb.rdtype)
+    live = np.ones(len(x), dtype=bool)   # neither converged nor given up
     for _ in range(_MAX_ITER):
-        rn = np.max(np.abs(r))
-        if rn <= tol:
-            return x
-        jac = residual_jacobian(params, Displacement(a=x[:3], b=x[3:]))
-        try:
-            step = nb.solve(jac + np.eye(6) * mu if mu else jac, -r)
-        except np.linalg.LinAlgError:
-            mu = max(10.0 * mu, 1e-12 * params.omega)
-            continue
-        # backtracking on the residual norm
-        t = 1.0
-        ok = False
-        for _ in range(30):
-            xt = x + t * step
-            rt = residuals(params, Displacement(a=xt[:3], b=xt[3:]))
-            if np.max(np.abs(rt)) < rn:
-                x, r = xt, rt
-                ok = True
-                break
-            t *= 0.5
-        if ok:
-            mu *= 0.25
-        else:
-            if mu == 0.0:
-                mu = 1e-10 * params.omega
-            else:
-                mu *= 100.0
-            if mu > 1e6 * params.omega:
-                return None
-    return x if np.max(np.abs(r)) <= tol else None
+        rn = np.max(np.abs(r), axis=-1)
+        live &= ~(rn <= tol)
+        if not live.any():
+            break
+        rows = np.flatnonzero(live)
+        jac = residual_jacobian(params, _disp(x[rows]))
+        reg = mu[rows] != 0
+        jac[reg] += np.eye(6) * mu[rows[reg], None, None]
+        step, regular = _solve_rows(nb, jac, -r[rows])
+        sing = rows[~regular]
+        mu[sing] = np.maximum(10.0 * mu[sing], 1e-12 * params.omega)
+        rows, step = rows[regular], step[regular]
+        # backtracking on the residual norm: the full step, then for the
+        # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
+        # of which each row takes the first that lowers max|r|
+        xt = x[rows] + step
+        rt = residuals(params, _disp(xt))
+        ok = np.max(np.abs(rt), axis=-1) < rn[rows]
+        back = np.flatnonzero(~ok)
+        if len(back):
+            xh = x[rows[back], None] + _HALVINGS[:, None] * step[back, None]
+            rh = residuals(params, _disp(xh))
+            lower = np.max(np.abs(rh), axis=-1) < rn[rows[back], None]
+            first = np.argmax(lower, axis=1)
+            xt[back] = xh[range(len(back)), first]
+            rt[back] = rh[range(len(back)), first]
+            ok[back] = lower.any(axis=1)
+        good, bad = rows[ok], rows[~ok]
+        x[good], r[good] = xt[ok], rt[ok]
+        mu[good] *= 0.25
+        mu[bad] = np.where(mu[bad] == 0, 1e-10 * params.omega,
+                           mu[bad] * 100.0)
+        live[bad[mu[bad] > 1e6 * params.omega]] = False
+    conv = np.max(np.abs(r), axis=-1) <= tol
+    out = [xi if ci else None for xi, ci in zip(x, conv)]
+    return out if np.ndim(x0) == 2 else out[0]
 
 
 def refine_root(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray:
@@ -229,7 +274,7 @@ def _orbit(x: np.ndarray) -> list[np.ndarray]:
 
 def _solution(params: ModelParams, x: np.ndarray) -> MeanFieldSolution:
     """The MeanFieldSolution of a root x = (A_1..A_3, B_1..B_3), as given."""
-    disp = Displacement(a=x[:3], b=x[3:])
+    disp = _disp(x)
     return MeanFieldSolution(
         disp=disp, energy=ground_energy_mf(params, disp),
         label=classify_phase(params),
@@ -247,8 +292,7 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     in float64, canonically labeled (see `solve_displacements`)."""
     tol = _NEWTON_TOL * params.omega
     roots: list[np.ndarray] = []
-    for x0 in _seed_list(params, seed):
-        x = _newton(params, x0, tol)
+    for x in _newton(params, np.array(_seed_list(params, seed)), tol):
         if x is None:
             continue
         if not any(np.allclose(x, rx, atol=1e-8) for rx in roots):
@@ -260,7 +304,7 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
 
     scored = []
     for x in roots:
-        e = ground_energy_mf(params, Displacement(a=x[:3], b=x[3:]))
+        e = ground_energy_mf(params, _disp(x))
         scored.append((e, x))
     scored.sort(key=lambda t: t[0])
     e_min = scored[0][0]
@@ -325,11 +369,12 @@ def solve_displacements(params: ModelParams,
 
     Below the critical coupling the zero displacement is returned with
     label NP, and within 1e-12 above it CriticalPointError is raised. At
-    delta >= 1e-2 a multi-start damped Newton collects distinct roots;
-    ties within 1e-10*Delta in energy are broken by the canonical site
-    labeling (lexicographically largest (A_1, A_2, A_3)). Closer to g1c the
-    root is continued down from the multi-start at delta = 1e-2. The seed
-    feeds only the random extra starts; the structured seeds are fixed.
+    delta >= 1e-2 a damped Newton runs all starts as one batch and
+    collects the distinct roots; ties within 1e-10*Delta in energy are
+    broken by the canonical site labeling (lexicographically largest
+    (A_1, A_2, A_3)). Closer to g1c the root is continued down from the
+    multi-start at delta = 1e-2. The seed feeds only the random extra
+    starts; the structured seeds are fixed.
     """
     g1c = critical_coupling_min(params)
     if params.g1 < g1c:

@@ -60,6 +60,8 @@ def _eigh_mp(w):
 
 
 def _solve_mp(a, b, upper=False):
+    if np.ndim(a) > 2:                      # a stack of systems
+        return np.array([_solve_mp(ai, bi, upper) for ai, bi in zip(a, b)])
     a, b = _matrix(a), np.asarray(b, dtype=object)
     cols = [mp.matrix(list(col)) for col in b.reshape(len(b), -1).T]
     try:

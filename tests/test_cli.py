@@ -1,5 +1,10 @@
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rabitri import ModelParams
 from rabitri.cli import main
@@ -184,11 +189,7 @@ def test_exponents_csv(monkeypatch, tmp_path, capsys):
     ["exponents", "--gnuplot"],
 ])
 def test_bad_flags_exit_2(monkeypatch, tmp_path, argv, capsys):
-    try:
-        rc = run(monkeypatch, tmp_path, *argv)
-    except SystemExit as exc:            # rejected by the argument parser
-        rc = exc.code
-    assert rc == 2
+    assert run(monkeypatch, tmp_path, *argv) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -247,9 +248,60 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
     assert "critical coupling" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_exits_2(monkeypatch, tmp_path):
+def test_unknown_subcommand_exits_2(monkeypatch, tmp_path, capsys):
     # g1c does not depend on Delta, so phase-boundary takes no --delta
     for argv in (["frobnicate"], ["phase-boundary", "--delta", "5"]):
-        with pytest.raises(SystemExit) as exc:
-            run(monkeypatch, tmp_path, *argv)
-        assert exc.value.code == 2
+        assert run(monkeypatch, tmp_path, *argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_negative_flag_value_in_exponent_notation(monkeypatch, tmp_path,
+                                                  capsys):
+    assert run(monkeypatch, tmp_path, "meanfield", "--theta", "-1e-3",
+               "--g1", "0.3") == 0
+    assert "theta=-0.001" in capsys.readouterr().out
+
+
+def test_help_exits_0(monkeypatch, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(monkeypatch, tmp_path, "spectrum", "--help")
+    assert exc.value.code == 0
+    assert "--window-min" in capsys.readouterr().out
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(cmd=st.sampled_from(["meanfield", "fluctuations", "spectrum"]),
+       theta=st.floats(-math.pi, math.pi), j=st.floats(0.0, 0.3),
+       delta=st.floats(10.0, 1000.0), seed=st.integers(0, 2 ** 16),
+       g1=st.floats(0.0, 2.0), lo=st.floats(0.5, 1.5),
+       width=st.floats(1e-6, 0.5), points=st.integers(2, 5))
+def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
+        cmd, theta, j, delta, seed, g1, lo, width, points):
+    argv = [cmd, "--theta", repr(theta), "--j", repr(j), "--delta",
+            repr(delta), "--seed", str(seed)]
+    if cmd == "meanfield":
+        argv += ["--g1", repr(g1)]
+    else:
+        argv += ["--window-min", repr(lo), "--window-max", repr(lo + width),
+                 "--points", str(points)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        rc = main([*argv, "--out", out])
+        assert rc in (0, 2, 3)
+        if rc != 0:
+            return
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+    rows = np.array([[float(x) for x in ln.split(",")]
+                     for ln in lines if ln[:1].isdigit()])
+    skipped = lines.count("# g1 = g1c skipped (critical point)")
+    assert len(rows) + skipped == (3 if cmd == "meanfield" else points)
+    assert np.all(np.isfinite(rows))
+    if cmd == "meanfield":
+        return
+    if cmd == "fluctuations":
+        # columns g1, n1..n3, vx1..vx3, vp1..vp3, eps1, eps2
+        assert np.all(rows[:, 4:7] * rows[:, 7:10] >= 1.0 - 1e-12)
+    gaps = rows[:, -2:] if cmd == "fluctuations" else rows[:, 1:]
+    assert np.all(gaps[:, 0] > 0.0)
+    assert np.all(np.diff(gaps, axis=1) >= 0.0)

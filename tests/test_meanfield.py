@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from rabitri import ModelParams, PhaseLabel
 from rabitri.bogoliubov import build_m_matrix, diagonalize_paraunitary
 from rabitri.model import critical_coupling_min
-from rabitri.meanfield import (Displacement, _newton, fsp_closed_form,
-                               ground_energy_mf, residual_jacobian, residuals,
+from rabitri import meanfield
+from rabitri.meanfield import (Displacement, _newton, _seed_list,
+                               fsp_closed_form, ground_energy_mf,
+                               residual_jacobian, residuals,
                                solve_displacements)
 
 from conftest import params
@@ -235,3 +237,90 @@ def test_root_independent_of_energy_unit(delta):
                                          j_hop=0.05 * s)).disp
         assert got.a == pytest.approx(ref.a, rel=1e-9)
         assert got.b == pytest.approx(ref.b, rel=1e-9, abs=1e-9 * ref.a[0])
+
+
+def sequential_newton(p, x0, tol):
+    # reference: the damped Newton of one start, its backtracking one
+    # halving at a time
+    def res(x):
+        return residuals(p, Displacement(a=x[:3], b=x[3:]))
+
+    x, mu = np.array(x0), 0.0
+    r = res(x)
+    for _ in range(meanfield._MAX_ITER):
+        rn = np.max(np.abs(r))
+        if rn <= tol:
+            return x
+        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        try:
+            step = np.linalg.solve(jac + np.eye(6) * mu if mu else jac, -r)
+        except np.linalg.LinAlgError:
+            mu = max(10.0 * mu, 1e-12 * p.omega)
+            continue
+        for t in 0.5 ** np.arange(30):
+            rt = res(x + t * step)
+            if np.max(np.abs(rt)) < rn:
+                x, r = x + t * step, rt
+                mu *= 0.25
+                break
+        else:
+            mu = 100.0 * mu if mu else 1e-10 * p.omega
+            if mu > 1e6 * p.omega:
+                return None
+    return x if np.max(np.abs(r)) <= tol else None
+
+
+def assert_rows_match_alone(p, starts, tol):
+    # a stack of starts reaches, row by row, what each start reaches alone
+    # and what the one-start reference reaches
+    batch = _newton(p, starts, tol)
+    assert len(batch) == len(starts)
+    for x0, got in zip(starts, batch):
+        alone, ref = _newton(p, x0, tol), sequential_newton(p, x0, tol)
+        if ref is None:
+            assert got is None and alone is None
+        else:
+            assert np.array_equal(got, ref) and np.array_equal(alone, ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(theta=st.floats(-math.pi, math.pi, exclude_min=True),
+       j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       ratio=st.floats(1.01, 2.0), seed=st.integers(0, 2 ** 16))
+def test_batched_newton_matches_each_start_alone(theta, j_hop, delta, ratio,
+                                                 seed):
+    g1 = ratio * critical_coupling_min(params(theta=theta, delta=delta,
+                                              j_hop=j_hop))
+    p = params(theta=theta, g1=g1, delta=delta, j_hop=j_hop)
+    assert_rows_match_alone(p, np.array(_seed_list(p, seed)),
+                            meanfield._NEWTON_TOL * p.omega)
+
+
+def test_singular_start_does_not_disturb_its_batch():
+    # at J=0 and g1=g1c=1/2 the curvature of site 1 cancels omega at A_1=0,
+    # so this start has an exactly singular Jacobian and a nonzero residual
+    p = params(theta=0.0, g1=0.5, j_hop=0.0)
+    x0 = np.array([0.0, 0.3, 0.3, 0.0, 0.0, 0.0])
+    disp = Displacement(a=x0[:3], b=x0[3:])
+    assert np.max(np.abs(residuals(p, disp))) > 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(residual_jacobian(p, disp), np.ones(6))
+    seeds = _seed_list(p, seed=1)
+    starts = np.array([*seeds[:4], x0, *seeds[10:12]])
+    assert_rows_match_alone(p, starts, meanfield._NEWTON_TOL * p.omega)
+
+
+def test_multistart_work_is_bounded(monkeypatch):
+    # each Newton iteration evaluates the residuals of all its starts in at
+    # most two calls: the full steps, then every backtracking step at once
+    calls = []
+    real = meanfield.residuals
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(meanfield, "residuals", counted)
+    g1c = critical_coupling_min(params(theta=0.5))
+    meanfield._multistart(params(theta=0.5, g1=1.05 * g1c), seed=4)
+    assert len(calls) <= 2 * meanfield._MAX_ITER + 1
