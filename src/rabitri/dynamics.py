@@ -1,15 +1,15 @@
 """Exact dynamics of the three-cavity ring in a truncated Fock basis.
 
 State ordering is site-major: cavity1 (x) cavity2 (x) cavity3 (x) spin1 (x)
-spin2 (x) spin3, with spin index 0 = up and 1 = down. H conserves the
-excitation parity exp(i pi (N_photon + N_up)), so `evolve` propagates the
-initial state's parity sector only, by a Chebyshev expansion of
-exp(-i H tau) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) over
-blocks of samples, and reads photon numbers as |psi|^2 weighted by the
-occupations. The spectrum is enclosed by Gershgorin discs, so no
-eigensolver runs. The series is truncated, not unitary, so the norm column
-(the sector norm, equal to the full norm) is the accuracy witness, never
-renormalized.
+spin2 (x) spin3, with spin index 0 = up and 1 = down. H is written entry
+by entry from one table of the photon numbers and spin bits of every
+index, and `evolve` reads the occupations and the conserved excitation
+parity exp(i pi (N_photon + N_up)) from it. It propagates the initial
+state's parity sector only, by a Chebyshev series for exp(-i H tau)
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) over blocks of
+samples, with the spectrum enclosed by Gershgorin discs. The series is
+truncated, not unitary, so the norm column (the sector norm, equal to the
+full norm) is the accuracy witness.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .errors import ConvergenceError, DomainError, ResourceError, TruncationWarn
 from .model import ModelParams, bare_coupling
 
 _DIM_CAP = 1_000_000
+_WORK_CAP = 1e7   # largest r t_final, about 2 sparse products per unit
 _SPAN = 40.0      # largest r tau of one Chebyshev block
 _TAIL = 1e-15     # bound on the dropped Chebyshev coefficients
 
@@ -53,55 +54,58 @@ class Trajectory:
     n_max: int
 
 
-def _cavity_op(op: sp.spmatrix, site: int, d: int) -> sp.csr_matrix:
-    ops = [sp.identity(d, format="csr")] * 3
-    ops[site] = op
-    out = sp.kron(sp.kron(ops[0], ops[1]), ops[2])
-    return sp.kron(out, sp.identity(8, format="csr"), format="csr")
-
-
-def _spin_op(op: sp.spmatrix, site: int, d: int) -> sp.csr_matrix:
-    ops = [sp.identity(2, format="csr")] * 3
-    ops[site] = op
-    out = sp.kron(sp.kron(ops[0], ops[1]), ops[2])
-    return sp.kron(sp.identity(d ** 3, format="csr"), out, format="csr")
+def _fock_table(basis: FockBasis) -> np.ndarray:
+    """Rows n_1, n_2, n_3, s_1, s_2, s_3 (photon numbers, then spin bits
+    with 0 = up) of every basis index ((n1 d + n2) d + n3) 8 + s."""
+    d = basis.n_max + 1
+    return np.array(np.unravel_index(np.arange(basis.dim), (d,) * 3 + (2,) * 3))
 
 
 def build_full_hamiltonian(params: ModelParams, basis: FockBasis) -> sp.csr_matrix:
     """Sparse Hamiltonian: cavity energies, Rabi couplings, (delta/2) sigma_z
-    per site, and the phase-dressed ring hopping."""
-    w, d_gap, j, th = params.omega, params.delta, params.j_hop, params.theta
+    per site, and the phase-dressed ring hopping, as CSR.
+
+    The COO triplets come from the occupation table: the diagonal
+    omega N + (delta/2) sum sigma_z; a Rabi link g sqrt(n) from each index
+    to the one with a photon fewer at that site and its spin flipped; and
+    each forward bond J e^{i theta} a_{n+1}^dag a_n, whose conjugate is the
+    reverse link. Zero entries are not stored.
+    """
+    w, half, j, th = params.omega, 0.5 * params.delta, params.j_hop, params.theta
     g = bare_coupling(params)
-    d = basis.n_max + 1
-    a = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
-    ad = a.T.conj().tocsr()
-    nf = sp.diags(np.arange(d, dtype=float), 0, format="csr")
-    sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sz = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    table = _fock_table(basis)
+    stride = (8 * (basis.n_max + 1) ** 2, 8 * (basis.n_max + 1), 8, 4, 2, 1)
     eith = complex(math.cos(th), math.sin(th))
+    src, diag = np.arange(basis.dim), np.zeros(basis.dim)
+    rows, cols, vals = [src], [src], []
     for n in range(3):
-        h = h + w * _cavity_op(nf, n, d)
-        h = h + g * (_cavity_op(a + ad, n, d) @ _spin_op(sx, n, d))
-        h = h + 0.5 * d_gap * _spin_op(sz, n, d)
-        # forward bond: e^{i theta} a_{n+1}^dag a_n + h.c.
-        fwd = _cavity_op(ad, (n + 1) % 3, d) @ _cavity_op(a, n, d)
-        h = h + j * (eith * fwd + np.conj(eith) * fwd.T.conj())
-    return h.tocsr()
+        # omega n then sigma_z, site by site: this order fixes the rounding
+        diag = diag + w * table[n] + np.where(table[3 + n] == 0, half, -half)
+        i = src[table[n] > 0]
+        flip = i - stride[n] + stride[3 + n] * (1 - 2 * table[3 + n][i])
+        rabi = g * np.sqrt(table[n][i])
+        m = (n + 1) % 3
+        k = i[table[m][i] < basis.n_max]
+        hop = j * (eith * (np.sqrt(table[m][k] + 1) * np.sqrt(table[n][k])))
+        out = k - stride[n] + stride[m]
+        rows += [i, flip, out, k]
+        cols += [flip, i, k, out]
+        vals += [rabi, rabi, hop, hop.conj()]
+    h = sp.csr_matrix((np.concatenate([diag, *vals]),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(basis.dim, basis.dim))
+    h.eliminate_zeros()
+    return h
 
 
 def number_operators(basis: FockBasis) -> list[sp.csr_matrix]:
-    d = basis.n_max + 1
-    nf = sp.diags(np.arange(d, dtype=float), 0, format="csr")
-    return [_cavity_op(nf, n, d) for n in range(3)]
+    return [sp.diags(n, format="csr", dtype=float) for n in _fock_table(basis)[:3]]
 
 
 def initial_state(basis: FockBasis) -> np.ndarray:
     """|1,0,0> photons, all spins down; unit norm."""
-    d = basis.n_max + 1
     psi = np.zeros(basis.dim, dtype=complex)
-    # spins all down: each spin bit 1 -> index 7 in the 8-dim spin block
-    psi[((1 * d + 0) * d + 0) * 8 + 7] = 1.0
+    psi[(basis.n_max + 1) ** 2 * 8 + 7] = 1.0     # spin bits 111 = down
     return psi
 
 
@@ -113,8 +117,7 @@ def _spectral_bounds(h: sp.csr_matrix) -> tuple[float, float]:
     return float((diag - radius).min()), float((diag + radius).max())
 
 
-def _chebyshev_coefficients(tau: np.ndarray, c: float,
-                            r: float) -> np.ndarray:
+def _chebyshev_coefficients(tau: np.ndarray, c: float, r: float) -> np.ndarray:
     """Rows a[b, k] = (2 - delta_k0) (-i)^k J_k(r tau_b) e^{-i c tau_b}, so
     that exp(-i H tau_b) = sum_k a[b, k] T_k((H - c)/r).
 
@@ -159,42 +162,45 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     cutoff above 1e-6 raises a TruncationWarning (results kept).
 
     Propagator: exp(-i H tau) = sum_k a_k(tau) T_k(H~), with H~ = (H - c)/r
-    and [c - r, c + r] the Gershgorin enclosure of the sector spectrum, so
-    ||T_k(H~)|| <= 1 and the dropped coefficients bound the error (below
-    _TAIL per block). Samples come in blocks of
-    B = floor(_SPAN / (r sample_dt)), clipped to [1, n_samples]: one
+    and [c - r, c + r] the Gershgorin enclosure of the sector spectrum (or
+    wider, so that 2/r is finite), so ||T_k(H~)|| <= 1 and the dropped
+    coefficients bound the error (below _TAIL per block). Samples come in
+    blocks of B = floor(_SPAN / (r sample_dt)), clipped to [1, n_samples]: one
     recurrence T_k(H~) psi, k < K, from the state at the start of a block
-    gives all B samples as one product with the coefficient rows, which
-    are computed once per call; a shorter last block takes the first rows.
-    A sample interval with r sample_dt > _SPAN is split into equal
-    substeps, so every block spans r tau <= _SPAN = 40 and K <= 82.
+    gives all B samples as one product with the coefficient rows, computed
+    once per call. A sample interval with r sample_dt > _SPAN is split into
+    equal substeps, so every block spans r tau <= 40 and K <= 82. An
+    enclosure that overflows, or work r t_final above _WORK_CAP, is refused.
 
-    Memory: the K x n workspace (n the sector dimension) is the one array
-    that grows with the expansion, K n 16 bytes: 1.6 MB at n_max=6 (K=75)
-    and at most 82 * 5e5 * 16 B = 0.66 GB at n_max=49, the largest cutoff
-    that _DIM_CAP admits.
+    Memory: the K x n workspace (n the sector dimension), K n 16 bytes, is
+    1.6 MB at n_max=6 and at most 0.66 GB at n_max=49 (_DIM_CAP).
     """
     if not (math.isfinite(t_final) and t_final >= 0.0
             and math.isfinite(sample_dt) and sample_dt > 0.0):
         raise DomainError("need finite t_final >= 0 and sample_dt > 0")
     n_samples = int(math.floor(t_final / sample_dt + 1e-9))
-    occ = np.stack([op.diagonal() for op in number_operators(basis)], axis=1)
-    # N_up per spin block: 3 minus the number of set (down) spin bits
-    n_up = np.tile([3, 2, 2, 1, 2, 1, 1, 0], basis.dim // 8)
-    parity = (occ.sum(axis=1) + n_up) % 2
+    table = _fock_table(basis)
+    # photons plus down spins: the excitation parity flipped, N_up = 3 - N_down
+    parity = table.sum(axis=0) % 2
     psi = initial_state(basis)
     sector = np.flatnonzero(parity == parity[np.flatnonzero(psi)[0]])
     h = build_full_hamiltonian(params, basis)[sector][:, sector]
     lo, hi = _spectral_bounds(h)
-    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    c, r = 0.5 * (hi + lo), max(0.5 * (hi - lo), np.finfo(float).tiny)
+    if not (math.isfinite(c) and math.isfinite(r)):
+        raise DomainError(f"H overflows float64: enclosure [{lo:.3g}, {hi:.3g}]")
+    if r * t_final > _WORK_CAP:
+        raise ResourceError(f"Chebyshev work r t_final = {r * t_final:.3g} "
+                            f"exceeds the cap {_WORK_CAP:g}")
     h = (2.0 / r) * (h - c * sp.identity(len(sector), format="csr"))
-    occ, psi = occ[sector], psi[sector]
+    occ, psi = table[:3].T[sector].astype(float), psi[sector]
     top = occ.max(axis=1) == basis.n_max
     prob = np.abs(psi) ** 2
     n_photon, norms = [prob @ occ], [np.sqrt(prob.sum(keepdims=True))]
-    substeps = math.ceil(r * sample_dt / _SPAN)
+    substeps = max(math.ceil(r * sample_dt / _SPAN), 1)
     tau = sample_dt / substeps
-    block = min(max(int(_SPAN / (r * tau)), 1), max(n_samples, 1))
+    block = max(n_samples if r * tau * n_samples <= _SPAN
+                else int(_SPAN / (r * tau)), 1)
     a = _chebyshev_coefficients(tau * np.arange(1, block + 1), c, r)
     v = np.empty((a.shape[1], len(sector)), dtype=complex)
     warned = False
@@ -222,13 +228,11 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
         n_photon.append(prob @ occ)
         norms.append(nrm)
     return Trajectory(times=np.arange(n_samples + 1) * sample_dt,
-                      n_photon=np.vstack(n_photon),
-                      norm=np.concatenate(norms), params=params,
-                      n_max=basis.n_max)
+                      n_photon=np.vstack(n_photon), norm=np.concatenate(norms),
+                      params=params, n_max=basis.n_max)
 
 
-def _first_transfer_peak(times: np.ndarray, y: np.ndarray,
-                         floor: float) -> float:
+def _first_transfer_peak(times: np.ndarray, y: np.ndarray, floor: float) -> float:
     """Time of the first local maximum reaching the floor; inf if none."""
     for i in range(1, len(y) - 1):
         if y[i] >= y[i - 1] and y[i] >= y[i + 1] and y[i] >= floor:
@@ -270,15 +274,11 @@ def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
 
 def write_trajectory_csv(traj: Trajectory, path: str,
                          comments: tuple[str, ...] = ()) -> None:
-    """CSV with header t,N1,N2,N3,norm, full double precision.
-
-    Any comment strings are written first, one per '# ' line.
-    """
+    """CSV with header t,N1,N2,N3,norm at full double precision, after the
+    comment strings, one per '# ' line."""
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("t,N1,N2,N3,norm\n")
-        for i in range(len(traj.times)):
-            row = [traj.times[i], traj.n_photon[i, 0], traj.n_photon[i, 1],
-                   traj.n_photon[i, 2], traj.norm[i]]
+        for row in np.column_stack([traj.times, traj.n_photon, traj.norm]):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -291,13 +291,13 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     """Minimal-energy root (A_1..A_3, B_1..B_3) by multi-start damped Newton
     in float64, canonically labeled (see `solve_displacements`)."""
     tol = _NEWTON_TOL * params.omega
-    roots: list[np.ndarray] = []
+    roots = np.empty((0, 6))
     for x in _newton(params, np.array(_seed_list(params, seed)), tol):
-        if x is None:
-            continue
-        if not any(np.allclose(x, rx, atol=1e-8) for rx in roots):
-            roots.append(x)
-    if not roots:
+        # np.allclose(x, root, atol=1e-8) against every kept root at once
+        if x is not None and not np.any(np.all(
+                np.abs(x - roots) <= 1e-8 + 1e-5 * np.abs(roots), axis=1)):
+            roots = np.vstack([roots, x])
+    if not len(roots):
         raise ConvergenceError(
             f"no mean-field root converged to {tol} at g1={params.g1}, "
             f"theta={params.theta}")

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rabitri import ModelParams
 from rabitri.cli import main
@@ -248,6 +248,43 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
     assert "critical coupling" in capsys.readouterr().err
 
 
+# numpy warns of the overflow before the error is raised
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags, message", [
+    (["--g1", "1e308"], "overflows"),      # H holds an infinity
+    (["--j", "1e308"], "overflows"),
+    (["--omega", "1e308"], "overflows"),   # inf - inf in the enclosure
+    (["--delta", "1e308"], "overflows"),   # finite H, infinite width
+    (["--j", "1e300"], "exceeds the cap"),   # about 1e297 substeps
+    (["--g1", "1e300"], "exceeds the cap"),
+])
+def test_dynamics_at_overflowing_couplings_exits_3(monkeypatch, tmp_path,
+                                                   capsys, flags, message):
+    rc = run(monkeypatch, tmp_path, "dynamics", "--nmax", "1", "--tfinal",
+             "1", *flags, "--out", "d.csv")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
+@pytest.mark.parametrize("flags", [
+    ["--omega", "1e-310", "--delta", "1e-310", "--j", "1e-320", "--g1",
+     "1e-320"],
+    ["--omega", "5e-324", "--delta", "5e-324", "--j", "0", "--g1", "0"],
+])
+def test_dynamics_at_subnormal_energies_keeps_the_photon(monkeypatch,
+                                                         tmp_path, flags):
+    # the spectral width is subnormal or zero: nothing moves by t = 1
+    rc = run(monkeypatch, tmp_path, "dynamics", "--nmax", "1", "--tfinal",
+             "1", *flags, "--out", "d.csv")
+    assert rc == 0
+    data = load_csv(tmp_path / "d.csv", 3)
+    assert data.shape == (11, 5)
+    assert np.all(data[:, 1:] == [1.0, 0.0, 0.0, 1.0])
+
+
 def test_unknown_subcommand_exits_2(monkeypatch, tmp_path, capsys):
     # g1c does not depend on Delta, so phase-boundary takes no --delta
     for argv in (["frobnicate"], ["phase-boundary", "--delta", "5"]):
@@ -269,21 +306,40 @@ def test_help_exits_0(monkeypatch, tmp_path, capsys):
     assert "--window-min" in capsys.readouterr().out
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(cmd=st.sampled_from(["meanfield", "fluctuations", "spectrum"]),
+# positive floats spread evenly over decades, subnormals to 1e308
+log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(cmd=st.sampled_from(["meanfield", "fluctuations", "spectrum",
+                            "dynamics"]),
        theta=st.floats(-math.pi, math.pi), j=st.floats(0.0, 0.3),
        delta=st.floats(10.0, 1000.0), seed=st.integers(0, 2 ** 16),
        g1=st.floats(0.0, 2.0), lo=st.floats(0.5, 1.5),
-       width=st.floats(1e-6, 0.5), points=st.integers(2, 5))
+       width=st.floats(1e-6, 0.5), points=st.integers(2, 5),
+       sizes=st.tuples(*[log_uniform] * 4), nmax=st.integers(1, 2),
+       tfinal=st.floats(0.0, 3.0))
+# a coupling whose Rabi entries overflow to infinity
+@example(cmd="dynamics", theta=0.0, j=0.0, delta=10.0, seed=0, g1=0.0,
+         lo=0.5, width=0.1, points=2, sizes=(1.0, 50.0, 0.05, 1e308),
+         nmax=1, tfinal=1.0)
 def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
-        cmd, theta, j, delta, seed, g1, lo, width, points):
-    argv = [cmd, "--theta", repr(theta), "--j", repr(j), "--delta",
-            repr(delta), "--seed", str(seed)]
-    if cmd == "meanfield":
-        argv += ["--g1", repr(g1)]
+        cmd, theta, j, delta, seed, g1, lo, width, points, sizes, nmax,
+        tfinal):
+    argv = [cmd, "--theta", repr(theta)]
+    if cmd == "dynamics":
+        argv += ["--nmax", str(nmax), "--tfinal", repr(tfinal)]
+        # omega, Delta, J and g1 over the whole positive float range
+        for key, value in zip(("omega", "delta", "j", "g1"), sizes):
+            argv += ["--" + key, repr(value)]
     else:
-        argv += ["--window-min", repr(lo), "--window-max", repr(lo + width),
-                 "--points", str(points)]
+        argv += ["--j", repr(j), "--delta", repr(delta), "--seed", str(seed)]
+        if cmd == "meanfield":
+            argv += ["--g1", repr(g1)]
+        else:
+            argv += ["--window-min", repr(lo), "--window-max",
+                     repr(lo + width), "--points", str(points)]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
         rc = main([*argv, "--out", out])
@@ -294,9 +350,17 @@ def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
             lines = fh.read().splitlines()
     rows = np.array([[float(x) for x in ln.split(",")]
                      for ln in lines if ln[:1].isdigit()])
+    assert np.all(np.isfinite(rows))
+    if cmd == "dynamics":
+        # columns t, N1..N3, norm; samples every 0.1 up to tfinal
+        assert len(rows) == math.floor(tfinal / 0.1 + 1e-9) + 1
+        assert rows[0, 0] == 0.0
+        assert np.allclose(np.diff(rows[:, 0]), 0.1, rtol=0, atol=1e-12)
+        assert np.all(np.abs(rows[:, 4] - 1.0) <= 1e-8)
+        assert np.all((rows[:, 1:4] >= 0.0) & (rows[:, 1:4] <= nmax + 1e-8))
+        return
     skipped = lines.count("# g1 = g1c skipped (critical point)")
     assert len(rows) + skipped == (3 if cmd == "meanfield" else points)
-    assert np.all(np.isfinite(rows))
     if cmd == "meanfield":
         return
     if cmd == "fluctuations":

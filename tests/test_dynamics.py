@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from rabitri import DomainError, ModelParams, ResourceError, TruncationWarning
@@ -11,12 +12,59 @@ from rabitri.dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                               chirality_metric, evolve, exact_ground_energy,
                               initial_state, number_operators,
                               write_trajectory_csv)
+from rabitri.model import bare_coupling
 
 from conftest import params
 
 
 def dyn_params(theta=0.0, g1=0.1):
     return ModelParams(omega=1.0, delta=50.0, g1=g1, j_hop=0.05, theta=theta)
+
+
+def reference_hamiltonian(params, basis):
+    """H as a sum of Kronecker products of single-site operators, a
+    construction independent of the occupation table."""
+    d = basis.n_max + 1
+
+    def cavity_op(op, site):
+        ops = [sp.identity(d, format="csr")] * 3
+        ops[site] = op
+        out = sp.kron(sp.kron(ops[0], ops[1]), ops[2])
+        return sp.kron(out, sp.identity(8, format="csr"), format="csr")
+
+    def spin_op(op, site):
+        ops = [sp.identity(2, format="csr")] * 3
+        ops[site] = op
+        out = sp.kron(sp.kron(ops[0], ops[1]), ops[2])
+        return sp.kron(sp.identity(d ** 3, format="csr"), out, format="csr")
+
+    w, j, th = params.omega, params.j_hop, params.theta
+    g = bare_coupling(params)
+    a = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
+    ad = a.T.conj().tocsr()
+    nf = sp.diags(np.arange(d, dtype=float), 0, format="csr")
+    sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sz = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    h = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    eith = complex(math.cos(th), math.sin(th))
+    for n in range(3):
+        h = h + w * cavity_op(nf, n)
+        h = h + g * (cavity_op(a + ad, n) @ spin_op(sx, n))
+        h = h + 0.5 * params.delta * spin_op(sz, n)
+        # forward bond: e^{i theta} a_{n+1}^dag a_n + h.c.
+        fwd = cavity_op(ad, (n + 1) % 3) @ cavity_op(a, n)
+        h = h + j * (eith * fwd + np.conj(eith) * fwd.T.conj())
+    return h.tocsr()
+
+
+def fock_labels(basis):
+    """Photon numbers (dim, 3) and spin bits (dim, 3), 0 = up, of every
+    index ((n1 d + n2) d + n3) 8 + (s1 2 + s2) 2 + s3."""
+    d = basis.n_max + 1
+    idx = np.arange(basis.dim)
+    f, spins = idx // 8, idx % 8
+    photons = np.stack([f // (d * d), (f // d) % d, f % d], axis=1)
+    return photons, np.stack([spins >> 2, (spins >> 1) & 1, spins & 1], axis=1)
 
 
 def test_basis_dimensions():
@@ -90,12 +138,8 @@ def samples_per_block(h, basis, sample_dt):
     """B of `evolve`: floor(_SPAN / (r tau)) clipped below at 1, with r the
     Gershgorin half-width of the initial state's parity sector and tau the
     sample interval or, when r sample_dt > _SPAN, its substep."""
-    d = basis.n_max + 1
-    idx = np.arange(basis.dim)
-    f, spins = idx // 8, idx % 8
-    n_photon = f // (d * d) + (f // d) % d + f % d
-    n_up = 3 - sum((spins >> b) & 1 for b in range(3))
-    parity = (n_photon + n_up) % 2
+    photons, spins = fock_labels(basis)
+    parity = (photons.sum(axis=1) + 3 - spins.sum(axis=1)) % 2
     sector = np.flatnonzero(parity == parity[np.argmax(initial_state(basis))])
     lo, hi = dynamics._spectral_bounds(h[sector][:, sector])
     r = 0.5 * (hi - lo)
@@ -148,6 +192,49 @@ def test_evolve_shorter_than_one_sample_returns_initial_state(t_final):
     assert traj.n_photon.tolist() == [[1.0, 0.0, 0.0]]
 
 
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(theta=st.floats(-np.pi, np.pi), j_hop=st.floats(0.0, 0.3),
+       delta=st.floats(10.0, 1000.0), g1=st.floats(0.0, 2.0))
+@example(theta=0.7, j_hop=0.05, delta=50.0, g1=0.0)
+@example(theta=np.pi, j_hop=0.0, delta=50.0, g1=0.4)
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_hamiltonian_equals_kronecker_reference(n_max, theta, j_hop, delta,
+                                                g1):
+    # the same entries in the same rounding, and no stored zeros where a
+    # coupling vanishes
+    p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
+    basis = FockBasis(n_max=n_max)
+    h = build_full_hamiltonian(p, basis)
+    ref = reference_hamiltonian(p, basis)
+    assert isinstance(h, sp.csr_matrix)
+    for m in (h, ref):
+        m.sort_indices()
+    assert np.array_equal(h.indptr, ref.indptr)
+    assert np.array_equal(h.indices, ref.indices)
+    assert np.array_equal(h.data, ref.data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(theta=st.floats(-np.pi, np.pi), j_hop=st.floats(0.0, 0.3),
+       delta=st.floats(10.0, 1000.0), g1=st.floats(0.0, 2.0))
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_hamiltonian_commutes_with_ring_rotation(n_max, theta, j_hop, delta,
+                                                 g1):
+    # relabeling cavity and spin n as n + 1 maps H onto itself: the hopping
+    # is the same on every bond of the ring
+    p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
+    basis = FockBasis(n_max=n_max)
+    d = n_max + 1
+    photons, spins = fock_labels(basis)
+    n, s = photons[:, [2, 0, 1]], spins[:, [2, 0, 1]]
+    perm = (((n[:, 0] * d + n[:, 1]) * d + n[:, 2]) * 8
+            + (s[:, 0] * 2 + s[:, 1]) * 2 + s[:, 2])
+    assert np.array_equal(np.sort(perm), np.arange(basis.dim))
+    h = build_full_hamiltonian(p, basis)
+    rotated = h[perm][:, perm]
+    assert abs(rotated - h).max() <= 1e-14 * abs(h).max()
+
+
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
        g1=st.floats(0.0, 2.0))
@@ -158,12 +245,8 @@ def test_hamiltonian_conserves_excitation_parity(theta, j_hop, delta, g1):
     # the total excitation number by an even amount
     p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
     basis = FockBasis(n_max=2)
-    d = basis.n_max + 1
-    idx = np.arange(basis.dim)
-    f, spins = idx // 8, idx % 8
-    n_photon = f // (d * d) + (f // d) % d + f % d
-    n_up = 3 - sum((spins >> b) & 1 for b in range(3))   # 0 bit = up
-    parity = (n_photon + n_up) % 2
+    photons, spins = fock_labels(basis)
+    parity = (photons.sum(axis=1) + 3 - spins.sum(axis=1)) % 2   # 0 = up
     h = build_full_hamiltonian(p, basis).tocoo()
     nonzero = h.data != 0
     assert np.count_nonzero(nonzero) > 0
@@ -233,7 +316,7 @@ def test_chirality_metric_synthetic():
 def test_exact_ground_energy_matches_dense():
     p = dyn_params(theta=0.2)
     basis = FockBasis(n_max=1)
-    h = build_full_hamiltonian(p, basis).toarray()
+    h = reference_hamiltonian(p, basis).toarray()
     dense = float(np.min(np.linalg.eigvalsh(h)))
     assert exact_ground_energy(p, basis) == pytest.approx(dense, rel=1e-9)
 
