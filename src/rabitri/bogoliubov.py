@@ -76,7 +76,7 @@ def build_m_matrix(params: ModelParams, disp: Displacement) -> QuadraticForm:
     anomalous -lambda_n^2/Delta_n, with the renormalized gaps Delta_n of
     disp and the effective couplings lambda_n = g Delta/Delta_n."""
     w, j, th = params.omega, params.j_hop, params.theta
-    nb = numerics.of(params, disp.a)
+    nb = numerics.of(params.omega, disp.a)
     dn = _gaps(params, disp.a)
     lam = np.divide(bare_coupling(params) * params.delta, dn)
     kap = lam ** 2 / dn   # lambda_n^2 / Delta_n per site

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad flags or config or an unwritable output,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -279,7 +280,9 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing does not change it."""
     parser = _Parser(
         prog="rabitri",
         description="Three coupled Rabi cavities on a flux-threaded ring: "

@@ -26,6 +26,10 @@ from .model import ModelParams, bare_coupling
 
 _DIM_CAP = 1_000_000
 _WORK_CAP = 1e7   # largest r t_final, about 2 sparse products per unit
+# largest t_final / sample_dt: the trajectory takes 40 B a sample (4 MB),
+# and a block of every sample, B x K complex coefficients with K <= 82,
+# at most 131 MB (twice that again in its FFT workspace)
+_SAMPLE_CAP = 10 ** 5
 _SPAN = 40.0      # largest r tau of one Chebyshev block
 _TAIL = 1e-15     # bound on the dropped Chebyshev coefficients
 
@@ -169,8 +173,9 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     recurrence T_k(H~) psi, k < K, from the state at the start of a block
     gives all B samples as one product with the coefficient rows, computed
     once per call. A sample interval with r sample_dt > _SPAN is split into
-    equal substeps, so every block spans r tau <= 40 and K <= 82. An
-    enclosure that overflows, or work r t_final above _WORK_CAP, is refused.
+    equal substeps, so every block spans r tau <= 40 and K <= 82. More
+    than _SAMPLE_CAP samples, an enclosure that overflows, or work r t_final
+    above _WORK_CAP is refused.
 
     Memory: the K x n workspace (n the sector dimension), K n 16 bytes, is
     1.6 MB at n_max=6 and at most 0.66 GB at n_max=49 (_DIM_CAP).
@@ -178,6 +183,9 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     if not (math.isfinite(t_final) and t_final >= 0.0
             and math.isfinite(sample_dt) and sample_dt > 0.0):
         raise DomainError("need finite t_final >= 0 and sample_dt > 0")
+    if not t_final / sample_dt <= _SAMPLE_CAP:
+        raise ResourceError(f"{t_final / sample_dt:.3g} samples exceed the "
+                            f"cap {_SAMPLE_CAP}")
     n_samples = int(math.floor(t_final / sample_dt + 1e-9))
     table = _fock_table(basis)
     # photons plus down spins: the excitation parity flipped, N_up = 3 - N_down

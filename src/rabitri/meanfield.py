@@ -21,7 +21,10 @@ seeded by scaling the previous root with sqrt(delta'/delta) and polished
 by Newton to 1e-12 omega. Points with delta >= 1e-4 run in float64;
 deeper points run the same functions on 50-digit mpmath numbers (g1c and
 g1 included), because the Cholesky step of the fluctuations needs
-min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff.
+min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff. There the Newton
+solves, like the Cholesky and eigensolve of the fluctuations, run on the
+standard library's `decimal` and keep mpmath's rule for a singular
+Jacobian (see `numerics`).
 """
 from __future__ import annotations
 
@@ -66,7 +69,7 @@ class MeanFieldSolution:
 
 def _gaps(params: ModelParams, a: np.ndarray) -> np.ndarray:
     g = bare_coupling(params)
-    nb = numerics.of(params, a)
+    nb = numerics.of(params.omega, a)
     return nb.sqrt(a * (16.0 * g * g) * a + params.delta ** 2)
 
 
@@ -78,7 +81,7 @@ def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
     """
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params)
-    nb = numerics.of(params, disp.a, disp.b)
+    nb = numerics.of(params.omega, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a)
     an, ap = a[..., _NXT], a[..., _PRV]    # A_{n+1}, A_{n-1}
@@ -94,7 +97,7 @@ def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
     per displacement when disp holds a stack of them."""
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params)
-    nb = numerics.of(params, disp.a)
+    nb = numerics.of(params.omega, disp.a)
     a = np.asarray(disp.a)
     dn = _gaps(params, a)
     ct, st = nb.cos(th), nb.sin(th)
@@ -118,7 +121,7 @@ def ground_energy_mf(params: ModelParams, disp: Displacement) -> float:
     is real: each bond contributes 2*Re[e^{i theta} alpha_{n+1}^* alpha_n].
     """
     w, j, th = params.omega, params.j_hop, params.theta
-    nb = numerics.of(params, disp.a, disp.b)
+    nb = numerics.of(params.omega, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a)
     an, bn = a[_NXT], b[_NXT]
@@ -182,7 +185,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
     reached, or None where Newton gives up; for a stack, a list with one
     entry per row.
     """
-    nb = numerics.of(params, x0)
+    nb = numerics.of(params.omega, x0)
     x = np.array(x0, dtype=nb.rdtype, ndmin=2)
     r = residuals(params, _disp(x))
     mu = np.zeros(len(x), dtype=nb.rdtype)

@@ -11,6 +11,7 @@ The dimensionless coupling is g1 = g / sqrt(omega * delta).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,8 +63,18 @@ class ModelParams:
 
 
 def bare_coupling(params: ModelParams) -> float:
-    """Dimensionful coupling g = g1 * sqrt(omega * delta)."""
-    return params.g1 * numerics.of(params).sqrt(params.omega * params.delta)
+    """Dimensionful coupling g = g1 * sqrt(omega * delta).
+
+    Raises DomainError where omega * delta falls below the normal float64
+    range, which costs g digits or all of it, unless g is zero anyway
+    (g1 sqrt(omega) sqrt(delta) underflows to zero as well).
+    """
+    wd = params.omega * params.delta
+    if wd < sys.float_info.min and (
+            params.g1 * math.sqrt(params.omega) * math.sqrt(params.delta)):
+        raise DomainError(f"omega*delta = {float(wd):.3g} underflows float64, "
+                          "so g = g1 sqrt(omega delta) would lose its digits")
+    return params.g1 * numerics.of(params.omega).sqrt(wd)
 
 
 def critical_coupling(params: ModelParams, q: float) -> float:
@@ -73,7 +84,7 @@ def critical_coupling(params: ModelParams, q: float) -> float:
                           / (1 + 2jc*cq)],   jc = J/omega, cq = cos(theta)cos(q).
     """
     _check_momentum(q)
-    nb = numerics.of(params)
+    nb = numerics.of(params.omega)
     q = round(q / TWO_THIRDS_PI) * 2 * nb.pi / 3   # at working precision
     jr = params.j_hop / params.omega
     cq = nb.cos(params.theta) * nb.cos(q)

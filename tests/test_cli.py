@@ -257,6 +257,12 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
     (["--delta", "1e308"], "overflows"),   # finite H, infinite width
     (["--j", "1e300"], "exceeds the cap"),   # about 1e297 substeps
     (["--g1", "1e300"], "exceeds the cap"),
+    # omega*delta underflows to zero, which would leave g = 0
+    (["--omega", "7.7e-197", "--delta", "1.4e-246", "--g1", "5.3e284"],
+     "underflows"),
+    # 1e10 samples; the cap refuses them before anything is allocated
+    (["--omega", "1e-150", "--delta", "1e-150", "--j", "0", "--g1", "0",
+      "--tfinal", "1e9"], "samples exceed the cap"),
 ])
 def test_dynamics_at_overflowing_couplings_exits_3(monkeypatch, tmp_path,
                                                    capsys, flags, message):
@@ -324,6 +330,10 @@ log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
 @example(cmd="dynamics", theta=0.0, j=0.0, delta=10.0, seed=0, g1=0.0,
          lo=0.5, width=0.1, points=2, sizes=(1.0, 50.0, 0.05, 1e308),
          nmax=1, tfinal=1.0)
+# omega*delta underflows to zero while g is about 5.5e63
+@example(cmd="dynamics", theta=0.0, j=0.0, delta=10.0, seed=0, g1=0.0,
+         lo=0.5, width=0.1, points=2,
+         sizes=(7.7e-197, 1.4e-246, 0.05, 5.3e284), nmax=1, tfinal=1.0)
 def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
         cmd, theta, j, delta, seed, g1, lo, width, points, sizes, nmax,
         tfinal):
