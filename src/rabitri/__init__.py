@@ -12,9 +12,9 @@ from .np_analytics import (MomentumMode, NpObservables, excitation_energies,
                            ground_energy_np, local_photon_np, mode,
                            observables_np, variance_p_np, variance_x_np)
 from .meanfield import (Displacement, MeanFieldSolution, fsp_closed_form,
-                        ground_energy_mf, refine_root, residual_jacobian,
-                        residuals, solve_displacements)
-from .bogoliubov import (ParaunitarySolution, QuadraticForm, build_m_matrix,
+                        ground_energy_mf, residual_jacobian, residuals,
+                        solve_displacements)
+from .bogoliubov import (ParaunitarySolution, build_m_matrix,
                          diagonalize_paraunitary, ground_energy_fluct,
                          local_photon_sr, point_observables, variance_p_sr,
                          variance_x_sr)
@@ -38,9 +38,9 @@ __all__ = [
     "ground_energy_np", "local_photon_np", "mode", "observables_np",
     "variance_p_np", "variance_x_np",
     "Displacement", "MeanFieldSolution", "fsp_closed_form",
-    "ground_energy_mf", "refine_root", "residual_jacobian", "residuals",
+    "ground_energy_mf", "residual_jacobian", "residuals",
     "solve_displacements",
-    "ParaunitarySolution", "QuadraticForm", "build_m_matrix",
+    "ParaunitarySolution", "build_m_matrix",
     "diagonalize_paraunitary", "ground_energy_fluct", "local_photon_sr",
     "point_observables", "variance_p_sr", "variance_x_sr",
     "FockBasis", "Trajectory", "build_full_hamiltonian", "chirality_metric",

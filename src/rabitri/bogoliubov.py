@@ -7,9 +7,12 @@ bosonic commutators, i.e. the transformation T is paraunitary:
 T^dag Lam T = Lam with Lam = diag(1, 1, 1, -1, -1, -1).
 
 The solver follows Colpa's recipe on the doubled matrix Hd = 2M:
-Cholesky Hd = C^dag C, then the Hermitian C Lam C^dag is diagonalized by a
-unitary; its spectrum is (-e3, -e2, -e1, e1, e2, e3) and back-substitution
-yields T. Hd must be positive definite, which fails at both dynamical
+Cholesky Hd = C^dag C, then the Hermitian W = C Lam C^dag is diagonalized
+by a unitary U; its spectrum is (-e3, -e2, -e1, e1, e2, e3). The columns of
+T belonging to e = (e1, e2, e3) are C^-1 U+ sqrt(e), U+ the eigenvectors of
+the positive half. Since W U+ = U+ e, C^-1 U+ = Lam C^dag U+ e^-1, so they
+are Lam C^dag U+ / sqrt(e): one product and a sign per row, with no
+triangular solve. Hd must be positive definite, which fails at both dynamical
 instability and the critical point; the two are told apart by the
 eigenvalues of Lam*Hd. Definiteness is tested by a Cholesky of Hd - tau,
 with tau = 1e-12 * max|M| in float64 and rescaled to the working epsilon at
@@ -38,12 +41,8 @@ from .model import ModelParams, bare_coupling
 from .np_analytics import (excitation_energies, local_photon_np,
                            variance_p_np, variance_x_np)
 
-_LAMBDA = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
-    m: np.ndarray   # 6x6 complex Hermitian
+_SIGN = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+_LAMBDA = np.diag(_SIGN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +69,7 @@ class ParaunitarySolution:
             return float(np.max(np.abs(rec)))
 
 
-def build_m_matrix(params: ModelParams, disp: Displacement) -> QuadraticForm:
+def build_m_matrix(params: ModelParams, disp: Displacement) -> np.ndarray:
     """Bilinear form M around the displacement disp: diagonal
     omega/2 - lambda_n^2/Delta_n, hopping J e^{-i theta}/2 along the ring,
     anomalous -lambda_n^2/Delta_n, with the renormalized gaps Delta_n of
@@ -92,19 +91,20 @@ def build_m_matrix(params: ModelParams, disp: Displacement) -> QuadraticForm:
         m[3 + n, 3 + q] += 0.5 * j / eith
         m[n, 3 + n] = -kap[n]
         m[3 + n, n] = -kap[n]
-    return QuadraticForm(m=m)
+    return m
 
 
-def diagonalize_paraunitary(qf: QuadraticForm) -> ParaunitarySolution:
-    """Paraunitary T and positive excitation energies of the form qf.
+def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
+    """Paraunitary T and positive excitation energies of the 6x6 Hermitian
+    form m.
 
     Raises CriticalPointError when a mode energy collapses to zero (the
     Bogoliubov normalization is singular there) and InstabilityError when
     the spectrum of Lam*Hd leaves the real axis (expansion around an
     unstable configuration).
     """
-    nb = numerics.of(qf.m)
-    m = np.asarray(qf.m, dtype=nb.cdtype)
+    nb = numerics.of(m)
+    m = np.asarray(m, dtype=nb.cdtype)
     if m.shape != (6, 6):
         raise DomainError(f"expected a 6x6 matrix, got {m.shape}")
     scale = np.max(np.abs(m))
@@ -130,7 +130,8 @@ def diagonalize_paraunitary(qf: QuadraticForm) -> ParaunitarySolution:
         raise CriticalPointError(
             "quadratic form is not positive definite; a mode energy has "
             "reached zero (critical point)")
-    w = (c * np.diag(_LAMBDA)) @ c.conj().T
+    c_dag = c.conj().T
+    w = (c * _SIGN) @ c_dag
     evals, u = nb.eigh(w)    # ascending: -e3,-e2,-e1,e1,e2,e3
     eps = evals[3:].copy()
     if eps[0] <= tau:
@@ -141,7 +142,7 @@ def diagonalize_paraunitary(qf: QuadraticForm) -> ParaunitarySolution:
         warnings.warn("near-degenerate excitation energies; T columns are "
                       "basis-dependent within the degenerate subspace",
                       DegeneracyWarning, stacklevel=2)
-    v = nb.solve(c, u[:, 3:] * nb.sqrt(eps), upper=True)
+    v = (c_dag @ u[:, 3:]) / nb.sqrt(eps) * _SIGN[:, None]
     # deterministic phase: each column's largest-modulus entry real positive
     top = v[np.argmax(np.abs(v), axis=0), range(3)]
     v = v / (top / np.abs(top))
@@ -159,17 +160,13 @@ def local_photon_sr(ps: ParaunitarySolution, disp: Displacement) -> np.ndarray:
 def variance_x_sr(ps: ParaunitarySolution) -> np.ndarray:
     """(Delta x_n)^2 for x = a + a^dag; displacement-independent."""
     t = ps.t
-    return np.array([
-        sum(abs(t[n, i] + np.conj(t[n, i + 3])) ** 2 for i in range(3))
-        for n in range(3)])
+    return np.sum(np.abs(t[:3, :3] + t[:3, 3:].conj()) ** 2, axis=1)
 
 
 def variance_p_sr(ps: ParaunitarySolution) -> np.ndarray:
     """(Delta p_n)^2 for p = i(a^dag - a); displacement-independent."""
     t = ps.t
-    return np.array([
-        sum(abs(np.conj(t[n, i + 3]) - t[n, i]) ** 2 for i in range(3))
-        for n in range(3)])
+    return np.sum(np.abs(t[:3, 3:].conj() - t[:3, :3]) ** 2, axis=1)
 
 
 def ground_energy_fluct(params: ModelParams, ps: ParaunitarySolution,

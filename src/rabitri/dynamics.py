@@ -26,11 +26,12 @@ from .model import ModelParams, bare_coupling
 
 _DIM_CAP = 1_000_000
 _WORK_CAP = 1e7   # largest r t_final, about 2 sparse products per unit
-# largest t_final / sample_dt: the trajectory takes 40 B a sample (4 MB),
-# and a block of every sample, B x K complex coefficients with K <= 82,
-# at most 131 MB (twice that again in its FFT workspace)
+# largest t_final / sample_dt: the trajectory takes 40 B a sample (4 MB)
 _SAMPLE_CAP = 10 ** 5
 _SPAN = 40.0      # largest r tau of one Chebyshev block
+# most samples in one block, so that its B x n states stay within the bound
+# of the K x n workspace (K <= 82) even when r tau is tiny
+_BLOCK_CAP = 64
 _TAIL = 1e-15     # bound on the dropped Chebyshev coefficients
 
 
@@ -169,16 +170,17 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     and [c - r, c + r] the Gershgorin enclosure of the sector spectrum (or
     wider, so that 2/r is finite), so ||T_k(H~)|| <= 1 and the dropped
     coefficients bound the error (below _TAIL per block). Samples come in
-    blocks of B = floor(_SPAN / (r sample_dt)), clipped to [1, n_samples]: one
-    recurrence T_k(H~) psi, k < K, from the state at the start of a block
-    gives all B samples as one product with the coefficient rows, computed
-    once per call. A sample interval with r sample_dt > _SPAN is split into
-    equal substeps, so every block spans r tau <= 40 and K <= 82. More
-    than _SAMPLE_CAP samples, an enclosure that overflows, or work r t_final
-    above _WORK_CAP is refused.
+    blocks of B = floor(_SPAN / (r sample_dt)), clipped to [1, n_samples]
+    and to at most _BLOCK_CAP: one recurrence T_k(H~) psi, k < K, from the
+    state at the start of a block gives all B samples as one product with
+    the coefficient rows, computed once per call. A sample interval with
+    r sample_dt > _SPAN is split into equal substeps, so every block spans
+    r tau <= 40 and K <= 82. More than _SAMPLE_CAP samples, an enclosure
+    that overflows, or work r t_final above _WORK_CAP is refused.
 
     Memory: the K x n workspace (n the sector dimension), K n 16 bytes, is
-    1.6 MB at n_max=6 and at most 0.66 GB at n_max=49 (_DIM_CAP).
+    1.6 MB at n_max=6 and at most 0.66 GB at n_max=49 (_DIM_CAP); the B
+    states of a block take at most _BLOCK_CAP n 16 bytes more.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0
             and math.isfinite(sample_dt) and sample_dt > 0.0):
@@ -207,8 +209,8 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     n_photon, norms = [prob @ occ], [np.sqrt(prob.sum(keepdims=True))]
     substeps = max(math.ceil(r * sample_dt / _SPAN), 1)
     tau = sample_dt / substeps
-    block = max(n_samples if r * tau * n_samples <= _SPAN
-                else int(_SPAN / (r * tau)), 1)
+    block = max(min(n_samples if r * tau * n_samples <= _SPAN
+                    else int(_SPAN / (r * tau)), _BLOCK_CAP), 1)
     a = _chebyshev_coefficients(tau * np.arange(1, block + 1), c, r)
     v = np.empty((a.shape[1], len(sector)), dtype=complex)
     warned = False

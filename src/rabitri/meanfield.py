@@ -229,16 +229,6 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
     return out if np.ndim(x0) == 2 else out[0]
 
 
-def refine_root(params: ModelParams, x0: np.ndarray, tol: float) -> np.ndarray:
-    """Mean-field root (A_1..A_3, B_1..B_3) reached by damped Newton from
-    x0, a root at a nearby coupling; raises ConvergenceError if lost."""
-    x = _newton(params, x0, tol)
-    if x is None:
-        raise ConvergenceError(
-            f"continuation lost the root at g1={float(params.g1)}")
-    return x
-
-
 def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
     g = bare_coupling(params)
     seeds = [np.zeros(6)]
@@ -355,11 +345,15 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
             # the residuals carry the unit of omega, and so do the tolerances
             if d >= _MP_SPLIT:
                 p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12 * base.omega
-                x = refine_root(p, x * math.sqrt(d / prev), tol)
+                step = math.sqrt(d / prev)
             else:
                 p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
                 tol = mp.mpf(10) ** (12 - numerics.MP_DPS) * base_mp.omega
-                x = refine_root(p, x * mp.sqrt(mp.mpf(d) / prev), tol)
+                step = mp.sqrt(mp.mpf(d) / prev)
+            x = _newton(p, x * step, tol)
+            if x is None:
+                raise ConvergenceError(
+                    f"continuation lost the root at g1={float(p.g1)}")
             if d in need:
                 out[d] = (p, x)
             prev = d

@@ -90,10 +90,16 @@ def _require_np(params: ModelParams) -> None:
             "forms do not apply")
 
 
+def _modes(params: ModelParams) -> list[MomentumMode]:
+    """The modes at the three momenta, once params are checked to lie
+    below the critical coupling."""
+    _require_np(params)
+    return [mode(params, q) for q in MOMENTA]
+
+
 def excitation_energies(params: ModelParams) -> list[float]:
     """The three excitation energies, sorted ascending."""
-    _require_np(params)
-    return sorted(mode(params, q).epsilon for q in MOMENTA)
+    return sorted(m.epsilon for m in _modes(params))
 
 
 def local_photon_np(params: ModelParams) -> float:
@@ -101,33 +107,18 @@ def local_photon_np(params: ModelParams) -> float:
 
     (1/2N) sum_q [Omega_plus,q / (2 eps_q - Omega_minus,q) - 1].
     """
-    _require_np(params)
-    total = 0.0
-    for q in MOMENTA:
-        m = mode(params, q)
-        root = 2.0 * m.epsilon - m.Omega_minus
-        total += m.Omega_plus / root - 1.0
-    return total / 6.0
+    return sum(m.Omega_plus / (2.0 * m.epsilon - m.Omega_minus) - 1.0
+               for m in _modes(params)) / 6.0
 
 
 def variance_x_np(params: ModelParams) -> float:
     """Local (delta x)^2 with x = a + a^dagger: (1/N) sum_q exp(4 lambda_q)."""
-    _require_np(params)
-    total = 0.0
-    for q in MOMENTA:
-        m = mode(params, q)
-        total += math.exp(4.0 * m.lambda_q)
-    return total / 3.0
+    return sum(math.exp(4.0 * m.lambda_q) for m in _modes(params)) / 3.0
 
 
 def variance_p_np(params: ModelParams) -> float:
     """Local (delta p)^2 with p = i(a^dagger - a)."""
-    _require_np(params)
-    total = 0.0
-    for q in MOMENTA:
-        m = mode(params, q)
-        total += math.exp(-4.0 * m.lambda_q)
-    return total / 3.0
+    return sum(math.exp(-4.0 * m.lambda_q) for m in _modes(params)) / 3.0
 
 
 def ground_energy_np(params: ModelParams) -> float:
@@ -136,14 +127,10 @@ def ground_energy_np(params: ModelParams) -> float:
     E0 = 3[-delta/2 - omega g1^2 + (omega + J) omega^2 g1^2 / delta]
     carries the leading 1/delta correction of the effective photon model.
     """
-    _require_np(params)
+    modes = _modes(params)
     w, d, g1, j = params.omega, params.delta, params.g1, params.j_hop
     e0 = 3.0 * (-0.5 * d - w * g1 * g1 + (w + j) * w * w * g1 * g1 / d)
-    corr = 0.0
-    for q in MOMENTA:
-        m = mode(params, q)
-        corr += 0.5 * (m.epsilon - m.omega_q)
-    return e0 + corr
+    return e0 + sum(0.5 * (m.epsilon - m.omega_q) for m in modes)
 
 
 def observables_np(params: ModelParams) -> NpObservables:

@@ -16,6 +16,9 @@ Decimal operation runs inside `decimal.localcontext`, because even unary
 minus and abs round to the current context, whose default is 28 digits.
 The kernels keep mpmath's acceptance rules (which pivots count as zero),
 since those decide when Newton regularizes and when the Colpa step raises.
+The linear solve serves only the mean-field Newton steps and
+`ParaunitarySolution.diag_residual`: the Colpa step needs no solve (see
+`bogoliubov`).
 
 Shared code keeps a numpy array on the left of a scalar (`a * w`, and
 `np.divide(w, a)` for scalar over array): with an mpmath scalar on the
@@ -36,19 +39,13 @@ from mpmath.libmp import fzero, normalize, round_nearest
 MP_DPS = 50     # decimal digits of the near-critical mpmath points
 
 
-def _solve_f64(a, b, upper=False):
-    if upper:
-        return sla.solve_triangular(a, b, lower=False)
-    return np.linalg.solve(a, b)
-
-
 F64 = SimpleNamespace(
     rdtype=float, cdtype=complex, pi=math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 53,                                    # bits
     cholesky=lambda h: sla.cholesky(h, lower=False),   # h = c^dag c
     eigh=np.linalg.eigh,                                # ascending
-    solve=_solve_f64)
+    solve=np.linalg.solve)
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +151,12 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
     return b
 
 
-def _upper_solve(ur, ui, br, bi):
-    """x with u x = b for an upper triangular u = ur + i ui and b = br + i bi
-    (Decimal arrays), by back substitution as mpmath's U_solve."""
-    xr, xi = br.copy(), bi.copy()
-    for i in reversed(range(len(ur))):
-        u, v = ur[i, i + 1:], ui[i, i + 1:]
-        sr = xr[i] - (u @ xr[i + 1:] - v @ xi[i + 1:])
-        si = xi[i] - (u @ xi[i + 1:] + v @ xr[i + 1:])
-        dr, di = ur[i, i], ui[i, i]
-        mod = dr * dr + di * di
-        xr[i], xi[i] = (sr * dr + si * di) / mod, (si * dr - sr * di) / mod
-    return xr, xi
-
-
-def _solve_mp(a, b, upper=False):
-    """x with a x = b, one system or a stack, at mp.prec + 10 bits as
-    mpmath's lu_solve: by back substitution if a is upper triangular, else by
-    `_lu_solve`. A complex system runs there as the real one
-    [[Re a, -Im a], [Im a, Re a]] [Re x; Im x] = [Re b; Im b]."""
+def _solve_mp(a, b):
+    """x with a x = b, one system or a stack, at mp.prec + 10 bits by
+    `_lu_solve`, as mpmath's lu_solve. A complex system runs there as the
+    real one [[Re a, -Im a], [Im a, Re a]] [Re x; Im x] = [Re b; Im b]."""
     if np.ndim(a) > 2:                      # a stack of systems
-        return np.array([_solve_mp(ai, bi, upper) for ai, bi in zip(a, b)])
+        return np.array([_solve_mp(ai, bi) for ai, bi in zip(a, b)])
     a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
     n = len(a)
     bits = mp.prec + 10
@@ -182,12 +164,7 @@ def _solve_mp(a, b, upper=False):
         ar, ai = _parts(a)
         br, bi = _parts(b.reshape(n, -1))
         complex_ = _is_complex(a) or _is_complex(b)
-        if upper:
-            try:
-                xr, xi = _upper_solve(ar, ai, br, bi)
-            except ZeroDivisionError as ex:     # a zero on the diagonal
-                raise np.linalg.LinAlgError(str(ex)) from ex
-        elif complex_:
+        if complex_:
             x = _lu_solve(np.block([[ar, -ai], [ai, ar]]),
                           np.vstack([br, bi]), Decimal(2) ** (1 - bits))
             xr, xi = x[:n], x[n:]

@@ -19,3 +19,10 @@ def assert_close(actual, expected, rtol, label=""):
     expected = np.asarray(expected, dtype=float)
     err = np.max(np.abs(actual - expected) / np.maximum(np.abs(expected), 1e-300))
     assert err <= rtol, f"{label}: rel err {err:.3e} > {rtol:.1e}"
+
+
+def unit_phase(v):
+    """Columns of v with their largest-modulus entry made real positive,
+    the phase convention of `diagonalize_paraunitary`."""
+    top = v[np.argmax(np.abs(v), axis=0), range(v.shape[1])]
+    return v / (top / np.abs(top))

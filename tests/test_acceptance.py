@@ -35,10 +35,10 @@ def params(theta, g1):
     return replace(BASE, theta=theta, g1=g1)
 
 
-def diag_quiet(qf):
+def diag_quiet(m):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
-        return diagonalize_paraunitary(qf)
+        return diagonalize_paraunitary(m)
 
 
 def np_grid():

@@ -3,24 +3,25 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
-from rabitri.bogoliubov import (QuadraticForm, build_m_matrix,
-                                diagonalize_paraunitary, ground_energy_fluct,
-                                local_photon_sr, point_observables,
-                                variance_p_sr, variance_x_sr)
+from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
+                                ground_energy_fluct, local_photon_sr,
+                                point_observables, variance_p_sr,
+                                variance_x_sr)
 from rabitri.meanfield import (Displacement, _newton, continued_roots,
                                solve_displacements)
 from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
                                   variance_x_np)
-from rabitri.numerics import MP_DPS
+from rabitri.numerics import F64, MP_DPS
 
-from conftest import params
+from conftest import params, unit_phase
 
 THETA_C = 1.6205693443218139
 LAMBDA = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
@@ -33,25 +34,25 @@ def np_solution(p):
     return sol
 
 
-def diag_quiet(qf):
+def diag_quiet(m):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
-        return diagonalize_paraunitary(qf)
+        return diagonalize_paraunitary(m)
 
 
 def test_m_matrix_is_hermitian():
     p = params(theta=0.7, g1=0.3)
-    m = build_m_matrix(p, np_solution(p).disp).m
+    m = build_m_matrix(p, np_solution(p).disp)
     assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
 
 def test_rejects_wrong_shape_and_non_hermitian():
     with pytest.raises(DomainError):
-        diagonalize_paraunitary(QuadraticForm(m=np.eye(4, dtype=complex)))
+        diagonalize_paraunitary(np.eye(4, dtype=complex))
     m = np.eye(6, dtype=complex)
     m[0, 1] = 0.5
     with pytest.raises(DomainError):
-        diagonalize_paraunitary(QuadraticForm(m=m))
+        diagonalize_paraunitary(m)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.1, THETA_C, 1.7])
@@ -92,6 +93,25 @@ def test_closed_forms_match_matrix_route_below_transition(theta, j_hop,
                                               rel=1e-10)
     assert variance_p_sr(ps) == pytest.approx(np.full(3, variance_p_np(p)),
                                               rel=1e-10)
+
+
+@pytest.mark.parametrize("theta", [0.1, THETA_C, 1.7])
+def test_colpa_columns_match_the_triangular_solve(monkeypatch, theta):
+    # T's columns Lam C^dag U+ / sqrt(e) against the back substitution
+    # C^-1 U+ sqrt(e), from the same C, U and e, just above the transition
+    g1c = critical_coupling_min(params(theta=theta))
+    p = params(theta=theta, g1=g1c * 1.001)
+    disp = solve_displacements(p).disp
+    seen = []
+    eigh = F64.eigh
+    monkeypatch.setattr(F64, "eigh", lambda w: seen.append(eigh(w)) or seen[0])
+    ps = diag_quiet(build_m_matrix(p, disp))
+    evals, u = seen[0]
+    ref = unit_phase(sla.solve_triangular(
+        sla.cholesky(ps.hd), u[:, 3:] * np.sqrt(evals[3:])))
+    for k in range(3):
+        assert (np.max(np.abs(ps.t[:, k] - ref[:, k]))
+                <= 1e-12 * np.max(np.abs(ref[:, k])))
 
 
 def test_decoupled_ring_energies():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,16 +136,17 @@ def test_evolve_matches_dense_propagator(n_max):
 
 
 def samples_per_block(h, basis, sample_dt):
-    """B of `evolve`: floor(_SPAN / (r tau)) clipped below at 1, with r the
-    Gershgorin half-width of the initial state's parity sector and tau the
-    sample interval or, when r sample_dt > _SPAN, its substep."""
+    """B of `evolve`: floor(_SPAN / (r tau)) clipped to [1, _BLOCK_CAP],
+    with r the Gershgorin half-width of the initial state's parity sector
+    and tau the sample interval or, when r sample_dt > _SPAN, its
+    substep."""
     photons, spins = fock_labels(basis)
     parity = (photons.sum(axis=1) + 3 - spins.sum(axis=1)) % 2
     sector = np.flatnonzero(parity == parity[np.argmax(initial_state(basis))])
     lo, hi = dynamics._spectral_bounds(h[sector][:, sector])
     r = 0.5 * (hi - lo)
     tau = sample_dt / math.ceil(r * sample_dt / dynamics._SPAN)
-    return max(int(dynamics._SPAN / (r * tau)), 1)
+    return min(max(int(dynamics._SPAN / (r * tau)), 1), dynamics._BLOCK_CAP)
 
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
@@ -182,6 +184,23 @@ def test_evolve_matches_dense_expm_across_parameters(
         assert n_photon == pytest.approx(n_exact, abs=1e-10)
         psi_exact = step @ psi_exact
     assert traj.norm == pytest.approx(np.ones(n_samples + 1), abs=1e-10)
+
+
+def test_evolve_memory_stays_flat_when_every_sample_fits_one_span():
+    # at tiny energies r tau is tiny, so 1e4 samples fit one Chebyshev span;
+    # a block holds at most _BLOCK_CAP of their states
+    p = ModelParams(omega=1e-150, delta=1e-150, g1=0.0, j_hop=0.0, theta=0.0)
+    tracemalloc.start()
+    try:
+        traj = evolve(p, FockBasis(n_max=4), t_final=1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert len(traj.times) == 10001
+    assert traj.n_photon == pytest.approx(
+        np.tile([1.0, 0.0, 0.0], (10001, 1)), abs=1e-12)
+    assert traj.norm == pytest.approx(np.ones(10001), abs=1e-12)
 
 
 @pytest.mark.parametrize("t_final", [0.0, 0.05])

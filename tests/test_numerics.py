@@ -14,7 +14,7 @@ from rabitri.model import critical_flux
 from rabitri.numerics import MP, MP_DPS, of
 from rabitri.scaling import exponent_report
 
-from conftest import params
+from conftest import params, unit_phase
 
 
 def mp_matrix(a):
@@ -119,13 +119,12 @@ def test_cholesky_refuses_the_exact_zero_mode():
     # J = 0 and g1 = 1/2: the decoupled ring on its boundary (see
     # test_exact_zero_mode_raises_critical_point), here at 50 digits
     with mp.workdps(MP_DPS):
-        qf = build_m_matrix(mp_params(j_hop=0.0, g1=0.5),
-                            Displacement.zero())
-        assert of(qf.m) is MP
+        m = build_m_matrix(mp_params(j_hop=0.0, g1=0.5), Displacement.zero())
+        assert of(m) is MP
         with pytest.raises(np.linalg.LinAlgError):
-            MP.cholesky(2 * qf.m)
+            MP.cholesky(2 * m)
         with pytest.raises(CriticalPointError):
-            diagonalize_paraunitary(qf)
+            diagonalize_paraunitary(m)
 
 
 def test_solve_refuses_the_singular_jacobian():
@@ -157,11 +156,6 @@ def test_solve_matches_mpmath_on_each_call_shape():
         ref = np.array([list(mp.lu_solve(mp_matrix(a), mp_matrix(col)))
                         for col in b.T]).T
         assert close(MP.solve(a, b), ref)
-        # the upper triangular back substitution of the Colpa step
-        c = MP.cholesky(ps.hd)
-        ref = np.array([list(mp.U_solve(mp_matrix(c), mp_matrix(col)))
-                        for col in b[:, :3].T]).T
-        assert close(MP.solve(c, b[:, :3], upper=True), ref)
         # a stack of real Newton systems
         jac = residual_jacobian(p, Displacement(a=np.array([x[:3], x[:3]]),
                                                 b=np.array([x[3:], x[3:]])))
@@ -170,6 +164,27 @@ def test_solve_matches_mpmath_on_each_call_shape():
                         for j, r in zip(jac, rhs)])
         assert MP.solve(jac, rhs).shape == (2, 6, 1)
         assert close(MP.solve(jac, rhs), ref)
+
+
+def test_colpa_columns_match_the_triangular_solve(monkeypatch):
+    # T's columns Lam C^dag U+ / sqrt(e) against the back substitution
+    # C^-1 U+ sqrt(e) of mpmath, from the same C, U and e, at a deep point
+    p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
+    seen = []
+    eigh = MP.eigh
+    monkeypatch.setattr(MP, "eigh", lambda w: seen.append(eigh(w)) or seen[0])
+    with mp.workdps(MP_DPS), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        ps = diagonalize_paraunitary(
+            build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
+        evals, u = seen[0]
+        c = mp_matrix(MP.cholesky(ps.hd))
+        rhs = u[:, 3:] * MP.sqrt(evals[3:])
+        ref = unit_phase(np.array([list(mp.U_solve(c, mp_matrix(col)))
+                                   for col in rhs.T]).T)
+        for k in range(3):
+            assert (biggest(ps.t[:, k] - ref[:, k])
+                    <= mp.mpf("1e-45") * biggest(ref[:, k]))
 
 
 def test_degenerate_report_has_no_failed_rows():
