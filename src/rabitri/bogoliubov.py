@@ -20,9 +20,10 @@ higher precision, so an exact zero mode cannot pass on rounding noise.
 
 Every step runs at the precision of its input (see `numerics`). The
 residuals of a solution are computed when first read, at the precision the
-solution was built with. `point_observables` evaluates gaps, photon numbers
-and quadrature variances below the critical coupling or at a mean-field root
-above it.
+solution was built with: para_residual = max|T^dag Lam T - Lam| and
+diag_residual = max|T^dag Hd T - diag(e, e)|, the congruence Colpa proves.
+`point_observables` evaluates gaps, photon numbers and quadrature variances
+below the critical coupling or at a mean-field root above it.
 """
 from __future__ import annotations
 
@@ -61,11 +62,12 @@ class ParaunitarySolution:
 
     @cached_property
     def diag_residual(self) -> float:
-        """max |T^-1 (Lam Hd) T - diag(eps, -eps)|"""
+        """max |T^dag Hd T - diag(eps, eps)|, Colpa's congruence; for a
+        paraunitary T it equals Lam T^-1 (Lam Hd) T up to para_residual."""
         t = self.t
         with mp.workprec(self.prec):
-            rec = numerics.of(t).solve(t, _LAMBDA @ self.hd @ t)
-            rec -= np.diag(np.concatenate([self.eps, -self.eps]))
+            rec = t.conj().T @ self.hd @ t
+            rec -= np.diag(np.concatenate([self.eps, self.eps]))
             return float(np.max(np.abs(rec)))
 
 
@@ -138,7 +140,7 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
         raise CriticalPointError(
             f"soft mode energy {float(eps[0]):.3e} is numerically zero")
     gaps = [abs(eps[0] - eps[1]), abs(eps[1] - eps[2]), abs(eps[0] - eps[2])]
-    if min(gaps) < 1e-10:
+    if min(gaps) < 1e-10 * scale:
         warnings.warn("near-degenerate excitation energies; T columns are "
                       "basis-dependent within the degenerate subspace",
                       DegeneracyWarning, stacklevel=2)

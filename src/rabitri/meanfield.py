@@ -11,7 +11,7 @@ the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
 Roots: at a reduced coupling delta = g1/g1c - 1 >= 1e-2 a float64
 multi-start damped Newton returns the minimal-energy root, canonicalized
 so the distinguished site (when the ring order breaks C3) sits at index 0.
-All starts (up to 25) run as one batch: every iteration makes one stacked
+All starts (up to 26) run as one batch: every iteration makes one stacked
 Jacobian and solve, one residual call for the full steps and one for all
 backtracking steps of the rows that need them, and each start follows the
 iterates it would follow alone.
@@ -37,7 +37,7 @@ from mpmath import mp
 from . import numerics
 from .errors import ConvergenceError, CriticalPointError, DomainError
 from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
-                    critical_coupling_min)
+                    critical_coupling_min, softest_mode)
 
 _NEWTON_TOL = 1e-10     # multi-start residual tolerance, in units of omega
 _MAX_ITER = 200
@@ -254,6 +254,16 @@ def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
     box = 2.0 * g / params.omega
     for _ in range(20):
         seeds.append(rng.uniform(-box, box, size=6))
+    # the soft mode's pattern cos(q n) at its single-mode amplitude, where
+    # 16 g^4 / omega_eff^2 = Delta^2 (g1/g1c)^4: when hopping nearly
+    # cancels omega, the root lies far outside the random box
+    g1c, q = softest_mode(params)
+    r = params.g1 / g1c
+    if r > 1.0 and g > 0.0:
+        amp = params.delta * math.sqrt(r * r * r * r - 1.0) / (4.0 * g)
+        if math.isfinite(amp):
+            seeds.append(np.concatenate([amp * np.cos(q * np.arange(3)),
+                                         np.zeros(3)]))
     return seeds
 
 

@@ -118,10 +118,10 @@ def critical_coupling_min(params: ModelParams) -> float:
 def critical_flux(params: ModelParams) -> float:
     """Flux theta_c where the q=0 and q=-2pi/3 boundaries cross.
 
-    theta_c = arccos[-2J / (sqrt(8J^2 + omega^2) + omega)].
+    theta_c = arccos[-2jr / (sqrt(8jr^2 + 1) + 1)],   jr = J/omega.
     """
-    j, w = params.j_hop, params.omega
-    return math.acos(-2.0 * j / (math.sqrt(8.0 * j * j + w * w) + w))
+    jr = params.j_hop / params.omega
+    return math.acos(-2.0 * jr / (math.sqrt(8.0 * jr * jr + 1.0) + 1.0))
 
 
 def classify_phase(params: ModelParams) -> PhaseLabel:

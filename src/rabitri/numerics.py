@@ -16,9 +16,9 @@ Decimal operation runs inside `decimal.localcontext`, because even unary
 minus and abs round to the current context, whose default is 28 digits.
 The kernels keep mpmath's acceptance rules (which pivots count as zero),
 since those decide when Newton regularizes and when the Colpa step raises.
-The linear solve serves only the mean-field Newton steps and
-`ParaunitarySolution.diag_residual`: the Colpa step needs no solve (see
-`bogoliubov`).
+The linear solve takes only the real systems of the mean-field Newton
+steps: the Colpa step needs no solve (see `bogoliubov`), and its residuals
+are products.
 
 Shared code keeps a numpy array on the left of a scalar (`a * w`, and
 `np.divide(w, a)` for scalar over array): with an mpmath scalar on the
@@ -102,13 +102,9 @@ def _to_mp(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
         (_mpf_value(r, prec), _mpf_value(i, prec))), 2, 1)(re, im)
 
 
-def _is_complex(a: np.ndarray) -> bool:
-    return any(isinstance(x, mpc) for x in a.flat)
-
-
 def _cholesky_mp(h):
-    """Upper c with h = c^dag c. A pivot below mp.eps raises LinAlgError,
-    as mpmath's cholesky does."""
+    """Upper c (mpc) with h = c^dag c. A pivot below mp.eps raises
+    LinAlgError, as mpmath's cholesky does."""
     h = np.asarray(h, dtype=object)
     with localcontext(_context(mp.prec)):
         hr, hi = _parts(h)
@@ -124,7 +120,7 @@ def _cholesky_mp(h):
             d = sr[0].sqrt()
             cr[j, j:], ci[j, j:] = sr / d, si / d
             ci[j, j] = Decimal(0)
-        return _to_mp(cr, ci if _is_complex(h) else None)
+        return _to_mp(cr, ci)
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
@@ -152,25 +148,17 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
 
 
 def _solve_mp(a, b):
-    """x with a x = b, one system or a stack, at mp.prec + 10 bits by
-    `_lu_solve`, as mpmath's lu_solve. A complex system runs there as the
-    real one [[Re a, -Im a], [Im a, Re a]] [Re x; Im x] = [Re b; Im b]."""
+    """x (mpf) with a x = b for the real Newton systems, one or a stack, at
+    mp.prec + 10 bits by `_lu_solve`, as mpmath's lu_solve."""
     if np.ndim(a) > 2:                      # a stack of systems
         return np.array([_solve_mp(ai, bi) for ai, bi in zip(a, b)])
     a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
-    n = len(a)
     bits = mp.prec + 10
     with localcontext(_context(bits)):
-        ar, ai = _parts(a)
-        br, bi = _parts(b.reshape(n, -1))
-        complex_ = _is_complex(a) or _is_complex(b)
-        if complex_:
-            x = _lu_solve(np.block([[ar, -ai], [ai, ar]]),
-                          np.vstack([br, bi]), Decimal(2) ** (1 - bits))
-            xr, xi = x[:n], x[n:]
-        else:
-            xr = _lu_solve(ar, br, Decimal(2) ** (1 - bits))
-        return _to_mp(xr, xi if complex_ else None).reshape(b.shape)
+        ar, _ = _parts(a)
+        br, _ = _parts(b.reshape(len(a), -1))
+        xr = _lu_solve(ar, br, Decimal(2) ** (1 - bits))
+        return _to_mp(xr).reshape(b.shape)
 
 
 _CLUSTER = 1e-4     # relative float64 gap below which eigenvalues cluster

@@ -41,7 +41,6 @@ _REPORT_WINDOW = (1e-9, 1e-6)      # asymptotic window of every report row
 _REPORT_POINTS = 12
 _FLAT_SLOPE = 0.05      # |slope| below this reads as a finite limit
 _R2_MIN = 0.999
-_EPS2_GATE = 0.5        # fit eps2 only if eps2(delta=1e-2) < gate * omega
 _SIGN = {"below": -1.0, "above": 1.0}   # side -> sign of g1/g1c - 1
 
 # the chiral transition's distinguished site above the transition carries
@@ -114,7 +113,7 @@ class ReportEntry:
     quantity: str
     site: int | None
     side: str
-    status: str                          # power-law|finite-limit|failed|not-fitted
+    status: str                          # power-law|finite-limit|failed
     symbol: str                          # gamma | beta | nu
     slope: float | None = None
     exponent: float | None = None        # table convention (nu = |slope|/2)
@@ -265,16 +264,17 @@ def exponent_report(theta: float,
 
     Fits every (side, quantity, site) row on 12 log-spaced points of the
     asymptotic window [1e-9, 1e-6] (the two chiral crossover rows on their
-    band, see _CROSSOVER_WINDOWS), marks finite limits (near-zero slopes)
-    and failed fits, checks window stability by refitting on a 2x-shrunk
-    window, and assembles the z = gamma/nu consistency pairs.
+    band, see _CROSSOVER_WINDOWS), checks window stability by refitting
+    on a 2x-shrunk window, and assembles the z = gamma/nu consistency
+    pairs. Each row's status comes from its own fit: "power-law",
+    "finite-limit" (|slope| < 0.05, as for a mode that stays gapped) or
+    "failed" (a sloped fit with r^2 < 0.999).
     """
     if params_base is None:
         params_base = ModelParams(omega=1.0, delta=100.0, g1=0.1,
                                   j_hop=0.05, theta=theta)
     base = replace(params_base, theta=theta)
     key, transition = _transition_key(theta, base)
-    w0 = base.omega
 
     def rows_for(side: str) -> list[tuple[str, int | None]]:
         sites = [1] if side == "below" else [1, 2, 3]
@@ -295,7 +295,7 @@ def exponent_report(theta: float,
     # every grid point of both sides in one pass (one continuation above)
     cache = observables_near(base, sorted(
         {_SIGN[row[0]] * d for row in windows for shrunk in (False, True)
-         for d in grid(row, shrunk)} | {-1e-2, 1e-2}))
+         for d in grid(row, shrunk)}))
 
     def series(side, quantity, site, shrunk=False):
         return [(d, _extract(cache[_SIGN[side] * d], quantity, site))
@@ -307,15 +307,6 @@ def exponent_report(theta: float,
         for quantity, site in rows_for(side):
             win = windows[(side, quantity, site)]
             symbol = _symbol_for(quantity)
-            gate = cache[_SIGN[side] * 1e-2]["eps2"]
-            if quantity == "eps2" and gate >= _EPS2_GATE * w0:
-                entry = ReportEntry(
-                    quantity=quantity, site=site, side=side,
-                    status="not-fitted", symbol=symbol, window=win,
-                    note="second mode is gapped (eps2 >= 0.5 omega at "
-                         "delta=1e-2)")
-                entries.append(entry)
-                continue
             pts = series(side, quantity, site)
             try:
                 fit = fit_power_law(pts)

@@ -124,9 +124,26 @@ def test_decoupled_ring_energies():
 
 
 def test_degenerate_pair_warns_at_zero_flux():
-    p = params(theta=0.0, g1=0.3)
-    with pytest.warns(DegeneracyWarning):
-        diagonalize_paraunitary(build_m_matrix(p, np_solution(p).disp))
+    for omega in (1.0, 1e-12):
+        p = params(theta=0.0, g1=0.3, omega=omega, delta=100.0 * omega,
+                   j_hop=0.05 * omega)
+        with pytest.warns(DegeneracyWarning):
+            diagonalize_paraunitary(build_m_matrix(p, np_solution(p).disp))
+
+
+def test_split_spectrum_does_not_warn_in_small_units():
+    # gaps of 0.066 omega at theta = 1.7 are far from degenerate, whatever
+    # the unit of energy
+    omega = 1e-12
+    base = params(theta=1.7, omega=omega, delta=100.0 * omega,
+                  j_hop=0.05 * omega)
+    p = params(theta=1.7, g1=1.2 * critical_coupling_min(base), omega=omega,
+               delta=100.0 * omega, j_hop=0.05 * omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)
+        ps = diagonalize_paraunitary(
+            build_m_matrix(p, solve_displacements(p).disp))
+    assert min(np.diff(ps.eps)) > 0.05 * omega
 
 
 def test_afsp_frozen_observables():

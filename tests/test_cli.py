@@ -317,34 +317,49 @@ log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
 
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(cmd=st.sampled_from(["meanfield", "fluctuations", "spectrum",
-                            "dynamics"]),
+                            "dynamics", "phase-boundary", "exponents"]),
        theta=st.floats(-math.pi, math.pi), j=st.floats(0.0, 0.3),
+       jr=st.floats(0.0, 0.6),
        delta=st.floats(10.0, 1000.0), seed=st.integers(0, 2 ** 16),
        g1=st.floats(0.0, 2.0), lo=st.floats(0.5, 1.5),
        width=st.floats(1e-6, 0.5), points=st.integers(2, 5),
        sizes=st.tuples(*[log_uniform] * 4), nmax=st.integers(1, 2),
        tfinal=st.floats(0.0, 3.0))
 # a coupling whose Rabi entries overflow to infinity
-@example(cmd="dynamics", theta=0.0, j=0.0, delta=10.0, seed=0, g1=0.0,
-         lo=0.5, width=0.1, points=2, sizes=(1.0, 50.0, 0.05, 1e308),
+@example(cmd="dynamics", theta=0.0, j=0.0, jr=0.0, delta=10.0, seed=0,
+         g1=0.0, lo=0.5, width=0.1, points=2, sizes=(1.0, 50.0, 0.05, 1e308),
          nmax=1, tfinal=1.0)
 # omega*delta underflows to zero while g is about 5.5e63
-@example(cmd="dynamics", theta=0.0, j=0.0, delta=10.0, seed=0, g1=0.0,
-         lo=0.5, width=0.1, points=2,
+@example(cmd="dynamics", theta=0.0, j=0.0, jr=0.0, delta=10.0, seed=0,
+         g1=0.0, lo=0.5, width=0.1, points=2,
          sizes=(7.7e-197, 1.4e-246, 0.05, 5.3e284), nmax=1, tfinal=1.0)
+# J/omega past 1/2 where J^2 and omega^2 underflow
+@example(cmd="phase-boundary", theta=0.0, j=0.0, jr=0.507, delta=10.0,
+         seed=0, g1=0.0, lo=0.5, width=0.1, points=3,
+         sizes=(1e-260, 1.0, 1.0, 1.0), nmax=1, tfinal=1.0)
 def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
-        cmd, theta, j, delta, seed, g1, lo, width, points, sizes, nmax,
+        cmd, theta, j, jr, delta, seed, g1, lo, width, points, sizes, nmax,
         tfinal):
-    argv = [cmd, "--theta", repr(theta)]
-    if cmd == "dynamics":
-        argv += ["--nmax", str(nmax), "--tfinal", repr(tfinal)]
+    argv = [cmd]
+    if cmd == "phase-boundary":
+        # omega over the whole positive float range, J/omega up to and past
+        # the boundary formula's limit of 1/2
+        argv += ["--omega", repr(sizes[0]), "--j", repr(jr * sizes[0]),
+                 "--points", str(points)]
+    elif cmd == "exponents":
+        argv += ["--theta", repr(theta), "--j", repr(jr),
+                 "--delta", repr(delta)]
+    elif cmd == "dynamics":
+        argv += ["--theta", repr(theta), "--nmax", str(nmax),
+                 "--tfinal", repr(tfinal)]
         # omega, Delta, J and g1 over the whole positive float range
         for key, value in zip(("omega", "delta", "j", "g1"), sizes):
             argv += ["--" + key, repr(value)]
     else:
-        argv += ["--j", repr(j), "--delta", repr(delta), "--seed", str(seed)]
+        argv += ["--theta", repr(theta), "--j", repr(j), "--delta",
+                 repr(delta), "--seed", str(seed)]
         if cmd == "meanfield":
             argv += ["--g1", repr(g1)]
         else:
@@ -358,9 +373,24 @@ def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
             return
         with open(out) as fh:
             lines = fh.read().splitlines()
+    if cmd == "exponents":
+        # every row a power law with r^2 >= 0.999, a finite limit, or failed
+        rows = [ln.split(",") for ln in lines[4:]]
+        assert len(rows) == 12
+        for row in rows:
+            expo, r2 = row[4], row[5]
+            assert expo in ("finite", "failed") or (
+                math.isfinite(float(expo)) and float(r2) >= 0.999)
+        return
     rows = np.array([[float(x) for x in ln.split(",")]
                      for ln in lines if ln[:1].isdigit()])
     assert np.all(np.isfinite(rows))
+    if cmd == "phase-boundary":
+        # columns theta, g1c, q_soft
+        assert len(rows) == points
+        assert np.all(rows[:, 1] > 0.0)
+        assert set(rows[:, 2]) <= {0.0, 2 * math.pi / 3, -2 * math.pi / 3}
+        return
     if cmd == "dynamics":
         # columns t, N1..N3, norm; samples every 0.1 up to tfinal
         assert len(rows) == math.floor(tfinal / 0.1 + 1e-9) + 1

@@ -94,6 +94,22 @@ def test_critical_flux_frozen():
     assert critical_flux(p) == pytest.approx(expect, rel=1e-15)
 
 
+@pytest.mark.parametrize("omega", [1e-200, 1e-3, 1e3, 1e200])
+def test_critical_flux_and_phase_independent_of_energy_unit(omega):
+    # theta_c and the phase depend on J/omega alone; J^2 and omega^2
+    # underflow at omega = 1e-200 and overflow at 1e200
+    def scaled(theta, g1):
+        return params(theta=theta, g1=g1, omega=omega, delta=100.0 * omega,
+                      j_hop=0.05 * omega)
+
+    assert critical_flux(scaled(0.0, 0.1)) == pytest.approx(THETA_C,
+                                                            rel=1e-15)
+    for theta in (0.0, 0.1, 1.6, 1.65, THETA_C, 1.7, math.pi):
+        for g1 in (0.3, 0.55):
+            assert (classify_phase(scaled(theta, g1))
+                    is classify_phase(params(theta=theta, g1=g1)))
+
+
 @pytest.mark.parametrize("theta, g1, label", [
     (0.0, 0.3, PhaseLabel.NP),
     (1.7, 0.49, PhaseLabel.NP),

@@ -254,3 +254,18 @@ def test_exponent_report_off_reference_has_no_failed_rows(delta, j_hop,
     failed = [(e.side, e.quantity, e.site, e.note) for e in rep.entries
               if e.status == "failed"]
     assert failed == []
+
+
+def test_gapped_second_mode_reads_as_finite_limit():
+    # at theta = 3 and J = 0.1 the second mode stays open through the
+    # ferromagnetic transition (eps2 -> 0.547 omega): the slope rule that
+    # labels every row reads its rows as finite limits
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.1, theta=3.0)
+    rep = exponent_report(3.0, base)
+    for side in ("below", "above"):
+        e = entry(rep, side, "eps2")
+        assert e.status == "finite-limit"
+        assert abs(e.slope) < 0.05
+        assert e.limit == pytest.approx(0.547, rel=1e-3)
+    assert all(e.status == "power-law" for e in rep.entries
+               if e.quantity != "eps2")
