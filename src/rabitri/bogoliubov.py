@@ -132,9 +132,8 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
         raise CriticalPointError(
             "quadratic form is not positive definite; a mode energy has "
             "reached zero (critical point)")
-    c_dag = c.conj().T
-    w = (c * _SIGN) @ c_dag
-    evals, u = nb.eigh(w)    # ascending: -e3,-e2,-e1,e1,e2,e3
+    # ascending -e3, -e2, -e1, e1, e2, e3 of W = C Lam C^dag, and C^dag U+
+    evals, cu = nb.colpa(c, _SIGN)
     eps = evals[3:].copy()
     if eps[0] <= tau:
         raise CriticalPointError(
@@ -144,7 +143,7 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
         warnings.warn("near-degenerate excitation energies; T columns are "
                       "basis-dependent within the degenerate subspace",
                       DegeneracyWarning, stacklevel=2)
-    v = (c_dag @ u[:, 3:]) / nb.sqrt(eps) * _SIGN[:, None]
+    v = cu / nb.sqrt(eps) * _SIGN[:, None]
     # deterministic phase: each column's largest-modulus entry real positive
     top = v[np.argmax(np.abs(v), axis=0), range(3)]
     v = v / (top / np.abs(top))

@@ -14,7 +14,11 @@ so the distinguished site (when the ring order breaks C3) sits at index 0.
 All starts (up to 26) run as one batch: every iteration makes one stacked
 Jacobian and solve, one residual call for the full steps and one for all
 backtracking steps of the rows that need them, and each start follows the
-iterates it would follow alone.
+iterates it would follow alone. A row stops when it converges, when the
+Levenberg regularization it needs exceeds 1e6 omega, when its max|r| has
+not halved over the last 20 iterations (a stall at a non-root minimum of
+max|r|; the give-up rule of MINPACK's hybrj, Moré, Garbow & Hillstrom,
+ANL-80-74 (1980)), or at the 200-iteration cap.
 Closer to g1c the Jacobian goes singular, so `continued_roots` follows
 that root from delta = 1e-2 down a descending delta ladder, each step
 seeded by scaling the previous root with sqrt(delta'/delta) and polished
@@ -41,6 +45,8 @@ from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
 
 _NEWTON_TOL = 1e-10     # multi-start residual tolerance, in units of omega
 _MAX_ITER = 200
+_STALL = 20             # Newton gives up a row whose max|r| has not halved
+                        # over this many iterations
 _ANCHOR = 1e-2          # the multi-start runs at delta >= this
 _MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
 _LADDER_DECADES = 3     # continuation fill density: points per decade
@@ -181,18 +187,28 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
 
     x0 is one start, shape (6,), or a stack of starts, shape (k, 6), that
     run together: each row keeps its own regularization and stops on its
-    own, and follows the iterates it would follow alone. Returns the root
-    reached, or None where Newton gives up; for a stack, a list with one
-    entry per row.
+    own, and follows the iterates it would follow alone. A row stops
+      - converged, at max|r| <= tol;
+      - given up by the Levenberg rule, when the regularization mu of a
+        step that lowers no max|r| would exceed 1e6 omega;
+      - stalled, when max|r| has not halved over the last _STALL
+        iterations;
+      - at the cap of _MAX_ITER iterations.
+    Returns the root reached, or None where a row ends above tol; for a
+    stack, a list with one entry per row.
     """
     nb = numerics.of(params.omega, x0)
     x = np.array(x0, dtype=nb.rdtype, ndmin=2)
     r = residuals(params, _disp(x))
     mu = np.zeros(len(x), dtype=nb.rdtype)
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
-    for _ in range(_MAX_ITER):
+    past = []                            # max|r| of each row, per iteration
+    for it in range(_MAX_ITER):
         rn = np.max(np.abs(r), axis=-1)
         live &= ~(rn <= tol)
+        if it >= _STALL:
+            live &= rn <= past[it - _STALL] * 0.5
+        past.append(rn)
         if not live.any():
             break
         rows = np.flatnonzero(live)

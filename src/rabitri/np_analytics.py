@@ -20,6 +20,7 @@ would lose half the digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -61,7 +62,9 @@ def mode(params: ModelParams, q: float) -> MomentumMode:
 
     Raises DomainError past the physical NP regime for this mode
     (Omega_plus^2 < 16 omega^2 g1^4), where the excitation energy would
-    turn complex and the superradiant branch must be used instead.
+    turn complex and the superradiant branch must be used instead, and
+    where the radicand (Omega_plus - 4 omega g1^2)(Omega_plus + 4 omega g1^2)
+    falls below the normal float64 range, which costs eps_q its digits.
     """
     _check_momentum(q)
     w, g1 = params.omega, params.g1
@@ -75,7 +78,11 @@ def mode(params: ModelParams, q: float) -> MomentumMode:
     if lo < 0.0 or hi < 0.0:
         raise DomainError(
             f"mode q={q:.6f} outside the normal-phase domain (g1={g1})")
-    root = math.sqrt(lo * hi)
+    rad = lo * hi
+    if rad < sys.float_info.min:
+        raise DomainError(f"mode q={q:.6f}: the radicand {rad:.3g} "
+                          "underflows float64")
+    root = math.sqrt(rad)
     eps = 0.5 * (root + om)
     lam = 0.125 * math.log(hi / lo) if g1 > 0.0 else 0.0
     return MomentumMode(q=q, omega_q=wq, Omega_plus=op, Omega_minus=om,

@@ -8,10 +8,11 @@ same code at mpmath's working precision. Only the primitives in the tables
 F64 and MP differ, and `of` picks the table that matches its inputs.
 
 At mpmath precision the scalars stay mpmath numbers, but the matrix kernels
-of MP (Cholesky, linear solve, Hermitian eigensolve) run on
-`decimal.Decimal`, the standard library's C decimal type: each converts its
-inputs to Decimal with one rounding, works at a precision derived from
-mp.prec at call time, and returns mpmath numbers, again rounded once. Every
+of MP (Cholesky, linear solve, and `colpa`, the Hermitian eigensolve of the
+Colpa step with the products around it) run on `decimal.Decimal`, the
+standard library's C decimal type: each converts its inputs to Decimal with
+one rounding, works at a precision derived from mp.prec at call time, and
+returns mpmath numbers, again rounded once. Every
 Decimal operation runs inside `decimal.localcontext`, because even unary
 minus and abs round to the current context, whose default is 28 digits.
 The kernels keep mpmath's acceptance rules (which pivots count as zero),
@@ -28,7 +29,7 @@ which costs more than the arithmetic.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,13 +40,20 @@ from mpmath.libmp import fzero, normalize, round_nearest
 MP_DPS = 50     # decimal digits of the near-critical mpmath points
 
 
+def _colpa_f64(c, sign):
+    """Ascending eigenvalues of the Hermitian W = C Lam C^dag, Lam =
+    diag(sign) with as many +1 as -1, and C^dag U+, U+ the orthonormal
+    eigenvectors of the upper half of the spectrum."""
+    lam, u = np.linalg.eigh((c * sign) @ c.conj().T)
+    return lam, c.conj().T @ u[:, len(lam) // 2:]
+
+
 F64 = SimpleNamespace(
     rdtype=float, cdtype=complex, pi=math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 53,                                    # bits
     cholesky=lambda h: sla.cholesky(h, lower=False),   # h = c^dag c
-    eigh=np.linalg.eigh,                                # ascending
-    solve=np.linalg.solve)
+    colpa=_colpa_f64, solve=np.linalg.solve)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +179,11 @@ def _cmul(ar, ai, br, bi):
     return t - u, (ar + ai) @ (br + bi) - t - u
 
 
-def _eigh_mp(w):
-    """Ascending eigenvalues (mpf) and orthonormal eigenvectors (mpc
-    columns) of the Hermitian w.
+def _eigh_dec(wr, wi):
+    """Ascending eigenvalues and orthonormal eigenvector columns of the
+    Hermitian W = wr + i wi, all real Decimal arrays in the current context.
 
-    Starts from float64 `eigh` and refines at mp.prec by Ogita & Aishima
+    Starts from float64 `eigh` and refines by Ogita & Aishima
     (Japan J. Indust. Appl. Math. 35, 1007 (2018)): with S = X^dag W X and
     R = 1 - X^dag X, each step sets lam_i = S_ii / (1 - R_ii) and
     X <- X (1 + E), E_ij = (S_ij + lam_j R_ij) / (lam_j - lam_i). Eigenvalues
@@ -186,46 +194,57 @@ def _eigh_mp(w):
     The error after a step is then about max|E|^2 times the conditioning,
     so the refinement stops once max|E|^2 reaches the working epsilon.
     """
-    w = np.asarray(w, dtype=object)
-    lam, x = np.linalg.eigh(np.array(w, dtype=complex))
+    lam, x = np.linalg.eigh(wr.astype(float) + 1j * wi.astype(float))
     scale = float(np.max(np.abs(lam)))
     near = np.abs(lam[:, None] - lam) <= _CLUSTER * scale
     pairs = list(zip(*np.nonzero(np.triu(near, 1))))
-    with localcontext(_context(mp.prec)) as ctx:
-        eps = Decimal(10) ** (1 - ctx.prec)
-        tiny = Decimal(scale) * eps
-        wr, wi = _parts(w)
-        xr, xi = _parts(x)
-        n = len(w)
-        for _ in range(8):
-            sr, si = _cmul(*(xr.T, -xi.T), *_cmul(wr, wi, xr, xi))
-            rr, ri = _cmul(*(xr.T, -xi.T), xr, xi)
-            rr, ri = np.eye(n, dtype=int) - rr, -ri
-            lam = np.diagonal(sr) / (1 - np.diagonal(rr))
-            den = np.where(near, 1, lam - lam[:, None])
-            er = np.where(near, rr / 2, (sr + rr * lam) / den)
-            ei = np.where(near, ri / 2, (si + ri * lam) / den)
-            dr, di = _cmul(xr, xi, er, ei)
-            xr, xi = xr + dr, xi + di
-            mean = (lam + lam[:, None]) / 2
-            tr, ti = sr + rr * mean, si + ri * mean
-            np.fill_diagonal(tr, lam)
-            for _ in range(8):              # cyclic Jacobi sweeps
-                big = [(p, q) for p, q in pairs
-                       if abs(tr[p, q]) + abs(ti[p, q]) > tiny]
-                if not big:
-                    break
-                for p, q in big:
-                    _rotate(tr, ti, xr, xi, p, q)
-            else:
-                raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
-            if max(np.abs(er).max(), np.abs(ei).max()) ** 2 <= eps:
+    eps = Decimal(10) ** (1 - getcontext().prec)
+    tiny = Decimal(scale) * eps
+    xr, xi = _parts(x)
+    n = len(wr)
+    for _ in range(8):
+        sr, si = _cmul(*(xr.T, -xi.T), *_cmul(wr, wi, xr, xi))
+        rr, ri = _cmul(*(xr.T, -xi.T), xr, xi)
+        rr, ri = np.eye(n, dtype=int) - rr, -ri
+        lam = np.diagonal(sr) / (1 - np.diagonal(rr))
+        den = np.where(near, 1, lam - lam[:, None])
+        er = np.where(near, rr / 2, (sr + rr * lam) / den)
+        ei = np.where(near, ri / 2, (si + ri * lam) / den)
+        dr, di = _cmul(xr, xi, er, ei)
+        xr, xi = xr + dr, xi + di
+        mean = (lam + lam[:, None]) / 2
+        tr, ti = sr + rr * mean, si + ri * mean
+        np.fill_diagonal(tr, lam)
+        for _ in range(8):              # cyclic Jacobi sweeps
+            big = [(p, q) for p, q in pairs
+                   if abs(tr[p, q]) + abs(ti[p, q]) > tiny]
+            if not big:
                 break
+            for p, q in big:
+                _rotate(tr, ti, xr, xi, p, q)
         else:
-            raise np.linalg.LinAlgError("eigenvector refinement diverged")
-        lam = np.diagonal(tr)
-        order = np.argsort(lam, kind="stable")
-        return _to_mp(lam[order]), _to_mp(xr[:, order], xi[:, order])
+            raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
+        if max(np.abs(er).max(), np.abs(ei).max()) ** 2 <= eps:
+            break
+    else:
+        raise np.linalg.LinAlgError("eigenvector refinement diverged")
+    lam = np.diagonal(tr)
+    order = np.argsort(lam, kind="stable")
+    return lam[order], xr[:, order], xi[:, order]
+
+
+def _colpa_mp(c, sign):
+    """`colpa` at mp.prec: W, its eigensystem and C^dag U+ in one Decimal
+    pass, with mpf eigenvalues and mpc columns."""
+    with localcontext(_context(mp.prec)):
+        cr, ci = _parts(np.asarray(c, dtype=object))
+        # W = (C Lam) C^dag; Lam flips the sign of columns of C
+        lr, li = np.where(sign > 0, cr, -cr), np.where(sign > 0, ci, -ci)
+        wr, wi = _cmul(lr, li, cr.T, -ci.T)
+        lam, ur, ui = _eigh_dec(wr, wi)
+        half = len(lam) // 2
+        vr, vi = _cmul(cr.T, -ci.T, ur[:, half:], ui[:, half:])
+        return _to_mp(lam), _to_mp(vr, vi)
 
 
 def _rotate(tr, ti, xr, xi, p, q):
@@ -251,7 +270,7 @@ def _rotate(tr, ti, xr, xi, p, q):
 MP = SimpleNamespace(
     rdtype=object, cdtype=object, pi=mp.pi, cos=mp.cos, sin=mp.sin,
     sqrt=np.frompyfunc(mp.sqrt, 1, 1), prec=lambda: mp.prec,
-    cholesky=_cholesky_mp, eigh=_eigh_mp, solve=_solve_mp)
+    cholesky=_cholesky_mp, colpa=_colpa_mp, solve=_solve_mp)
 
 
 def of(*inputs):

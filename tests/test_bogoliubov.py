@@ -9,10 +9,10 @@ from mpmath import mp
 
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
-from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
-                                ground_energy_fluct, local_photon_sr,
-                                point_observables, variance_p_sr,
-                                variance_x_sr)
+from rabitri.bogoliubov import (_SIGN, build_m_matrix,
+                                diagonalize_paraunitary, ground_energy_fluct,
+                                local_photon_sr, point_observables,
+                                variance_p_sr, variance_x_sr)
 from rabitri.meanfield import (Displacement, _newton, continued_roots,
                                solve_displacements)
 from rabitri.model import critical_coupling_min
@@ -103,12 +103,14 @@ def test_colpa_columns_match_the_triangular_solve(monkeypatch, theta):
     p = params(theta=theta, g1=g1c * 1.001)
     disp = solve_displacements(p).disp
     seen = []
-    eigh = F64.eigh
-    monkeypatch.setattr(F64, "eigh", lambda w: seen.append(eigh(w)) or seen[0])
+    colpa = F64.colpa
+    monkeypatch.setattr(F64, "colpa",
+                        lambda c, sign: seen.append(c) or colpa(c, sign))
     ps = diag_quiet(build_m_matrix(p, disp))
-    evals, u = seen[0]
+    c = seen[0]
+    evals, u = np.linalg.eigh((c * _SIGN) @ c.conj().T)
     ref = unit_phase(sla.solve_triangular(
-        sla.cholesky(ps.hd), u[:, 3:] * np.sqrt(evals[3:])))
+        c, u[:, 3:] * np.sqrt(evals[3:])))
     for k in range(3):
         assert (np.max(np.abs(ps.t[:, k] - ref[:, k]))
                 <= 1e-12 * np.max(np.abs(ref[:, k])))

@@ -246,6 +246,15 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
              "--g1", repr(g1c))
     assert rc == 3
     assert "critical coupling" in capsys.readouterr().err
+    # omega = 1e-200 and 1e-300 with Delta and J scaled with it: the
+    # normal-phase radicand of each mode underflows float64
+    for e in (200, 300):
+        for cmd in ("fluctuations", "spectrum", "exponents"):
+            rc = run(monkeypatch, tmp_path, cmd, "--omega", f"1e-{e}",
+                     "--delta", f"1e-{e - 2}", "--j", f"5e-{e + 2}",
+                     "--out", f"{cmd}.csv")
+            assert rc == 3
+            assert "underflows" in capsys.readouterr().err
 
 
 # numpy warns of the overflow before the error is raised

@@ -270,16 +270,21 @@ def test_root_independent_of_energy_unit(delta):
 
 def sequential_newton(p, x0, tol):
     # reference: the damped Newton of one start, its backtracking one
-    # halving at a time
+    # halving at a time; it gives up when max|r| has not halved over the
+    # last _STALL iterations
     def res(x):
         return residuals(p, Displacement(a=x[:3], b=x[3:]))
 
-    x, mu = np.array(x0), 0.0
+    x, mu, past = np.array(x0), 0.0, []
     r = res(x)
-    for _ in range(meanfield._MAX_ITER):
+    for it in range(meanfield._MAX_ITER):
         rn = np.max(np.abs(r))
         if rn <= tol:
             return x
+        if (it >= meanfield._STALL
+                and not rn <= 0.5 * past[it - meanfield._STALL]):
+            return None
+        past.append(rn)
         jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
         try:
             step = np.linalg.solve(jac + np.eye(6) * mu if mu else jac, -r)
@@ -341,7 +346,10 @@ def test_singular_start_does_not_disturb_its_batch():
 
 def test_multistart_work_is_bounded(monkeypatch):
     # each Newton iteration evaluates the residuals of all its starts in at
-    # most two calls: the full steps, then every backtracking step at once
+    # most two calls: the full steps, then every backtracking step at once.
+    # Starts 2 and 12 sit at a non-root minimum of max|r| (about 0.08),
+    # give up once it has not halved in _STALL iterations, and so end the
+    # batch after 23 iterations rather than _MAX_ITER
     calls = []
     real = meanfield.residuals
 
@@ -351,5 +359,28 @@ def test_multistart_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(meanfield, "residuals", counted)
     g1c = critical_coupling_min(params(theta=0.5))
-    meanfield._multistart(params(theta=0.5, g1=1.05 * g1c), seed=4)
-    assert len(calls) <= 2 * meanfield._MAX_ITER + 1
+    p = params(theta=0.5, g1=1.05 * g1c)
+    meanfield._multistart(p, seed=4)
+    assert len(calls) <= 2 * 23 + 1
+    batch = _newton(p, np.array(_seed_list(p, seed=4)),
+                    meanfield._NEWTON_TOL * p.omega)
+    assert [i for i, x in enumerate(batch) if x is None] == [2, 12]
+
+
+def test_slow_start_that_keeps_halving_converges(monkeypatch):
+    # this random start rests near max|r| = 0.035 for 17 iterations and
+    # reaches a root after 27, halving max|r| within every _STALL of them,
+    # so the stall rule leaves its iterates as they were without it
+    g1c = critical_coupling_min(params(theta=-1.8, delta=1000.0, j_hop=0.04))
+    p = params(theta=-1.8, g1=1.013 * g1c, delta=1000.0, j_hop=0.04)
+    x0 = _seed_list(p, seed=5)[14]
+    tol = meanfield._NEWTON_TOL * p.omega
+    iterations = []
+    jacobian = meanfield.residual_jacobian
+    monkeypatch.setattr(meanfield, "residual_jacobian",
+                        lambda *a: iterations.append(1) or jacobian(*a))
+    x = _newton(p, x0, tol)
+    assert x is not None and len(iterations) > meanfield._STALL
+    assert np.max(np.abs(residuals(p, Displacement(a=x[:3], b=x[3:])))) <= tol
+    monkeypatch.setattr(meanfield, "_STALL", meanfield._MAX_ITER)
+    assert np.array_equal(_newton(p, x0, tol), x)

@@ -8,7 +8,8 @@ import pytest
 from mpmath import mp
 
 from rabitri import CriticalPointError, DegeneracyWarning, ModelParams
-from rabitri.bogoliubov import build_m_matrix, diagonalize_paraunitary
+from rabitri.bogoliubov import (_SIGN, build_m_matrix,
+                                diagonalize_paraunitary)
 from rabitri.meanfield import Displacement, continued_roots, residual_jacobian
 from rabitri.model import critical_flux
 from rabitri.numerics import MP, MP_DPS, of
@@ -36,20 +37,20 @@ def biggest(a):
     return max(abs(v) for v in np.asarray(a).flat)
 
 
-def report_w_matrices(monkeypatch, theta):
-    """The 50-digit Hermitian W = C Lam C^dag that the Colpa step hands to
-    eigh at three deep points of a report's continuation."""
+def report_cholesky_factors(monkeypatch, theta):
+    """The 50-digit Cholesky factors C that the Colpa step hands to colpa
+    at three deep points of a report's continuation."""
     seen = []
-    eigh = MP.eigh
+    colpa = MP.colpa
 
-    def record(w):
-        seen.append(w)
-        return eigh(w)
+    def record(c, sign):
+        seen.append(c)
+        return colpa(c, sign)
 
     roots = continued_roots(params(theta=theta), [1e-5, 1e-7, 1e-9])
     with monkeypatch.context() as patch, mp.workdps(MP_DPS), \
             warnings.catch_warnings():
-        patch.setattr(MP, "eigh", record)
+        patch.setattr(MP, "colpa", record)
         warnings.simplefilter("ignore", DegeneracyWarning)
         for p, x in roots.values():
             diagonalize_paraunitary(
@@ -57,50 +58,75 @@ def report_w_matrices(monkeypatch, theta):
     return seen
 
 
+def reference_eigh(c):
+    """W = C Lam C^dag formed here, and mpmath's eigensystem of it, both at
+    twice the working digits: the eigenvectors of the deep +-eps1 pair move
+    by the rounding of W over their gap, 1e-50 / 1e-7 at 50 digits."""
+    with mp.workdps(2 * MP_DPS):
+        w = (c * _SIGN) @ c.conj().T
+        lam, u = mp.eighe(mp_matrix(w))
+        return w, np.array(list(lam)), mp_array(u)
+
+
+def assert_colpa_pairs(c, lam, cu, tol):
+    """The columns v = C^dag u of colpa against what the eigenpairs (lam, u)
+    of W = C Lam C^dag imply: v^dag Lam v = U+^dag W U+ = diag(lam+), and
+    Hd Lam v = C^dag W u = lam v with Hd = C^dag C."""
+    assert all(lam[i] <= lam[i + 1] for i in range(5))
+    lam_up, cu_lam = lam[3:], cu * _SIGN[:, None]
+    assert biggest(cu.conj().T @ cu_lam - np.diag(lam_up)) <= tol
+    assert (biggest((c.conj().T @ c) @ cu_lam - cu * lam_up)
+            <= tol * biggest(c))
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.1, critical_flux(params()), 1.7,
                                    math.pi])
 def test_eigh_matches_mpmath_on_report_matrices(monkeypatch, theta):
     # at theta = pi the q = +-2pi/3 pair is split only by sin(math.pi)
-    ws = report_w_matrices(monkeypatch, theta)
-    assert len(ws) == 3
-    for w in ws:
+    cs = report_cholesky_factors(monkeypatch, theta)
+    assert len(cs) == 3
+    for c in cs:
         with mp.workdps(MP_DPS):
-            lam, u = MP.eigh(w)
-            ref_lam, ref_u = mp.eighe(mp_matrix(w))
-            ref_lam, ref_u = np.array(list(ref_lam)), mp_array(ref_u)
+            lam, cu = MP.colpa(c, _SIGN)
+            w, ref_lam, ref_u = reference_eigh(c)
             tol = mp.mpf("1e-45") * biggest(w)
             assert biggest(lam - ref_lam) <= tol
-            assert all(lam[i] <= lam[i + 1] for i in range(5))
-            assert biggest(w @ u - u * lam) <= tol
-            assert biggest(u.conj().T @ u - np.eye(6)) <= mp.mpf("1e-45")
+            assert_colpa_pairs(c, lam, cu, tol)
             # spectral projectors: a perturbation of W moves the projector
             # of an eigenvalue by at most its size over the eigenvalue's
-            # gap, which is below 1e-7 max|W| for the deep +-eps1 pairs
-            for i in range(6):
-                gap = min(abs(lam[i] - lam[k]) for k in range(6) if k != i)
-                proj = np.outer(u[:, i], u[:, i].conj())
-                ref = np.outer(ref_u[:, i], ref_u[:, i].conj())
-                assert biggest(proj - ref) * gap <= tol
+            # gap, which is below 1e-7 max|W| for the deep +-eps1 pairs;
+            # C^dag maps them to the projectors of the columns v = C^dag u
+            ref_cu = c.conj().T @ ref_u[:, 3:]
+            scale = biggest(c) ** 2
+            for i in range(3):
+                gap = min(abs(lam[3 + i] - lam[k]) for k in range(6)
+                          if k != 3 + i)
+                proj = np.outer(cu[:, i], cu[:, i].conj())
+                ref = np.outer(ref_cu[:, i], ref_cu[:, i].conj())
+                assert biggest(proj - ref) * gap <= tol * scale
                 if gap >= mp.mpf("1e-4") * biggest(w):
-                    assert biggest(proj - ref) <= tol
+                    assert biggest(proj - ref) <= mp.mpf("1e-45") * scale
 
 
 def test_eigh_resolves_exact_and_near_degeneracy():
-    # eigenvalues (1, 1, 1, 2, 2 + 1e-30, 3) in a random 50-digit unitary
-    # basis: a triple cluster and a pair split far below float64
+    # W = C Lam C^dag with C = Q |L|^(1/2) in a random 50-digit unitary
+    # basis Q has the eigenvalues L = Lam |L|: a triple cluster at -1, and
+    # a pair at 2 and 2 + 1e-30, split far below float64, in the half whose
+    # vectors colpa returns
     with mp.workdps(MP_DPS):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         q, _ = mp.qr(mp_matrix(z.astype(object) * mp.mpf(1)))
         q = mp_array(q)
-        lam0 = np.array([mp.mpf(v) for v in (1, 1, 1, 2, 2, 3)])
-        lam0[4] += mp.mpf("1e-30")
-        w = (q * lam0) @ q.conj().T
-        w = (w + w.conj().T) / 2
-        lam, u = MP.eigh(w)
+        mag = np.array([mp.mpf(v) for v in (2, 2, 3, 1, 1, 1)])
+        mag[1] += mp.mpf("1e-30")
+        c = q * MP.sqrt(mag)
+        lam, cu = MP.colpa(c, _SIGN)
+        w, ref_lam, ref_u = reference_eigh(c)
+        lam0 = np.sort(mag * _SIGN.astype(int))
         assert biggest(lam - lam0) <= mp.mpf("1e-48")
-        assert biggest(w @ u - u * lam) <= mp.mpf("1e-48")
-        assert biggest(u.conj().T @ u - np.eye(6)) <= mp.mpf("1e-48")
+        assert biggest(lam - ref_lam) <= mp.mpf("1e-48")
+        assert_colpa_pairs(c, lam, cu, mp.mpf("1e-48"))
 
 
 def test_cholesky_matches_mpmath_and_refuses_indefinite():
@@ -164,27 +190,30 @@ def test_solve_matches_mpmath_on_each_call_shape():
 
 def test_colpa_columns_match_the_triangular_solve(monkeypatch):
     # T's columns Lam C^dag U+ / sqrt(e) against the back substitution
-    # C^-1 U+ sqrt(e) of mpmath, from the same C, U and e, at a deep point
+    # C^-1 U+ sqrt(e) of mpmath, from the same C, at a deep point; U and e
+    # come from the reference eigensystem of W
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     seen = []
-    eigh = MP.eigh
-    monkeypatch.setattr(MP, "eigh", lambda w: seen.append(eigh(w)) or seen[0])
+    colpa = MP.colpa
+    monkeypatch.setattr(MP, "colpa",
+                        lambda c, sign: seen.append(c) or colpa(c, sign))
     with mp.workdps(MP_DPS), warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
         ps = diagonalize_paraunitary(
             build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
-        evals, u = seen[0]
-        c = mp_matrix(MP.cholesky(ps.hd))
-        rhs = u[:, 3:] * MP.sqrt(evals[3:])
-        ref = unit_phase(np.array([list(mp.U_solve(c, mp_matrix(col)))
-                                   for col in rhs.T]).T)
+        _, evals, u = reference_eigh(seen[0])
+        with mp.workdps(2 * MP_DPS):
+            rhs = u[:, 3:] * MP.sqrt(evals[3:])
+            ref = unit_phase(np.array([list(mp.U_solve(mp_matrix(seen[0]),
+                                                       mp_matrix(col)))
+                                       for col in rhs.T]).T)
         for k in range(3):
             assert (biggest(ps.t[:, k] - ref[:, k])
                     <= mp.mpf("1e-45") * biggest(ref[:, k]))
 
 
 def test_degenerate_report_has_no_failed_rows():
-    # the 50-digit points at theta = pi carry the split pair of eigh
+    # the 50-digit points at theta = pi carry the split pair of colpa
     rep = exponent_report(math.pi)
     assert len(rep.entries) == 12
     assert all(e.status != "failed" for e in rep.entries)
