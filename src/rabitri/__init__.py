@@ -20,10 +20,10 @@ from .bogoliubov import (ParaunitarySolution, build_m_matrix,
                          variance_x_sr)
 from .dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                        chirality_metric, evolve, exact_ground_energy,
-                       initial_state, number_operators, write_trajectory_csv)
+                       initial_state, number_operators)
 from .scaling import (ExponentReport, PowerLawFit, ReportEntry, SweepSpec,
                       ZPair, exponent_report, fit_power_law, format_report,
-                      observables_near, sweep, write_report_csv)
+                      observables_near, sweep)
 
 __version__ = "0.1.0"
 
@@ -45,9 +45,8 @@ __all__ = [
     "point_observables", "variance_p_sr", "variance_x_sr",
     "FockBasis", "Trajectory", "build_full_hamiltonian", "chirality_metric",
     "evolve", "exact_ground_energy", "initial_state", "number_operators",
-    "write_trajectory_csv",
     "ExponentReport", "PowerLawFit", "ReportEntry", "SweepSpec", "ZPair",
     "exponent_report", "fit_power_law", "format_report", "observables_near",
-    "sweep", "write_report_csv",
+    "sweep",
     "__version__",
 ]

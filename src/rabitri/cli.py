@@ -4,8 +4,14 @@ Subcommands cover the standard runs: photon-transfer dynamics, the phase
 boundary in the flux, fluctuation observables through the transition,
 critical-exponent reports, and dumps of the mean-field displacements and
 excitation spectrum. Configuration precedence is defaults < config file
-(key=value lines) < command-line flags; every CSV starts with a comment
-recording the resolved configuration so runs are reproducible.
+(key=value lines) < command-line flags.
+
+Every subcommand computes its table first and then hands it to one
+writer, `_write_csv`: a comment recording the resolved configuration (so
+runs are reproducible), the subcommand's own '# ' comments, a header and
+the rows, numbers at full double precision. The table goes to the `--out`
+file, or to stdout where `out` is empty (the `meanfield` default); the
+other subcommands need a file, and a failing run leaves none behind.
 
 Exit codes: 0 success, 2 bad flags or config or an unwritable output,
 3 numerical failure.
@@ -22,15 +28,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import (FockBasis, chirality_metric, evolve,
-                       write_trajectory_csv)
+from .dynamics import FockBasis, chirality_metric, evolve
 from .errors import (ConvergenceError, CriticalPointError, DomainError,
                      FitRejected, InstabilityError, ResourceError)
 from .meanfield import at_critical_point, solve_displacements
 from .model import (ModelParams, critical_coupling_min, critical_flux,
                     softest_mode)
-from .scaling import (exponent_report, format_report, observables_near,
-                      write_report_csv)
+from .scaling import exponent_report, format_report, observables_near
 
 # every setting a subcommand reads, with its default: the keys are its
 # flags and config keys, the type of each default is the value type
@@ -130,6 +134,28 @@ def _resolved_line(cfg: dict) -> str:
             " ".join(f"{k}={cfg[k]!r}" for k in keys))
 
 
+def _write_csv(cfg: dict, comments: list[str], header: str,
+               rows) -> None:
+    """The table to cfg["out"], or to stdout where that is empty: the
+    resolved-config line and the comments as '# ' lines, the header, then
+    one line per row. Numbers are written at %.17g and str cells as they
+    are; a str row becomes a '# ' comment line."""
+    lines = [f"# {c}" for c in (_resolved_line(cfg), *comments)]
+    lines.append(header)
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(f"# {row}")
+        else:
+            lines.append(",".join(c if isinstance(c, str) else f"{c:.17g}"
+                                  for c in row))
+    text = "\n".join(lines) + "\n"
+    if cfg["out"]:
+        with open(cfg["out"], "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_gnuplot(out: str, columns: list[tuple[int, str]], xlabel: str,
                    logy: bool = False) -> None:
     path = out + ".gp"
@@ -152,9 +178,8 @@ def cmd_dynamics(cfg: dict) -> int:
     basis = FockBasis(cfg["nmax"])
     traj = evolve(p, basis, t_final=cfg["tfinal"])
     chi = chirality_metric(traj)
-    write_trajectory_csv(traj, cfg["out"],
-                         comments=(_resolved_line(cfg),
-                                   f"chirality = {chi:+g}"))
+    _write_csv(cfg, [f"chirality = {chi:+g}"], "t,N1,N2,N3,norm",
+               np.column_stack([traj.times, traj.n_photon, traj.norm]))
     print(f"chirality = {chi:+g}")
     print(f"wrote {cfg['out']}")
     if cfg["gnuplot"]:
@@ -165,15 +190,9 @@ def cmd_dynamics(cfg: dict) -> int:
 def cmd_phase_boundary(cfg: dict) -> int:
     base = _params(cfg)
     thc = critical_flux(base)
-    thetas = np.linspace(0.0, math.pi, cfg["points"])
-    with open(cfg["out"], "w") as fh:
-        fh.write(f"# {_resolved_line(cfg)}\n")
-        fh.write(f"# theta_c = {thc:.17g}\n")
-        fh.write("theta,g1c,q_soft\n")
-        for th in thetas:
-            p = replace(base, theta=float(th))
-            g1c, q_soft = softest_mode(p)
-            fh.write(f"{th:.17g},{g1c:.17g},{q_soft:.17g}\n")
+    rows = [(th, *softest_mode(replace(base, theta=float(th))))
+            for th in np.linspace(0.0, math.pi, cfg["points"])]
+    _write_csv(cfg, [f"theta_c = {thc:.17g}"], "theta,g1c,q_soft", rows)
     print(f"theta_c = {thc:.17g}")
     print(f"wrote {cfg['out']}")
     if cfg["gnuplot"]:
@@ -207,16 +226,9 @@ def cmd_scan(cfg: dict) -> int:
     obs = observables_near(
         base, [d for d in deltas if not at_critical_point(d, g1c)],
         cfg["seed"])
-    with open(cfg["out"], "w") as fh:
-        fh.write(f"# {_resolved_line(cfg)}\n")
-        fh.write(f"# g1c = {g1c:.17g}\n")
-        fh.write(header + "\n")
-        for d in deltas:
-            if d not in obs:
-                fh.write("# g1 = g1c skipped (critical point)\n")
-                continue
-            row = [g1c * (1.0 + d), *values(obs[d])]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    rows = [[g1c * (1.0 + d), *values(obs[d])] if d in obs
+            else "g1 = g1c skipped (critical point)" for d in deltas]
+    _write_csv(cfg, [f"g1c = {g1c:.17g}"], header, rows)
     print(f"wrote {cfg['out']}")
     if cfg["gnuplot"]:
         _write_gnuplot(cfg["out"], columns, "g1", logy=logy)
@@ -226,7 +238,22 @@ def cmd_scan(cfg: dict) -> int:
 def cmd_exponents(cfg: dict) -> int:
     base = _params(cfg)
     rep = exponent_report(cfg["theta"], base)
-    write_report_csv(rep, cfg["out"], comments=(_resolved_line(cfg),))
+    p = rep.params
+    rows = []
+    for e in rep.entries:
+        # the exponent in the table convention (nu is half the variance
+        # slope), "finite" for a finite limit, or the status of a failed fit
+        fit = {"power-law": (e.exponent, e.r_squared),
+               "finite-limit": ("finite", e.r_squared)}.get(
+                   e.status, (e.status, ""))
+        rows.append((rep.transition, e.quantity,
+                     "" if e.site is None else e.site, e.side, *fit,
+                     *e.window))
+    _write_csv(cfg, [f"transition={rep.transition} theta={rep.theta!r} "
+                     f"g1c={rep.g1c!r}",
+                     f"omega={p.omega!r} delta={p.delta!r} j={p.j_hop!r}"],
+               "transition,quantity,site,side,exponent,r2,delta_min,"
+               "delta_max", rows)
     print(format_report(rep))
     print(f"wrote {cfg['out']}")
     return 0
@@ -235,20 +262,13 @@ def cmd_exponents(cfg: dict) -> int:
 def cmd_meanfield(cfg: dict) -> int:
     p = _params(cfg)
     mf = solve_displacements(p, seed=cfg["seed"])
-    lines = [f"# {_resolved_line(cfg)}",
-             f"# phase = {mf.label.value}",
-             f"# energy = {mf.energy:.17g}",
-             f"# residual_norm = {mf.residual_norm:.17g}",
-             "site,A,B"]
-    for i in range(3):
-        lines.append(f"{i + 1},{mf.disp.a[i]:.17g},{mf.disp.b[i]:.17g}")
-    text = "\n".join(lines) + "\n"
+    _write_csv(cfg, [f"phase = {mf.label.value}",
+                     f"energy = {mf.energy:.17g}",
+                     f"residual_norm = {mf.residual_norm:.17g}"],
+               "site,A,B", [(i + 1, mf.disp.a[i], mf.disp.b[i])
+                            for i in range(3)])
     if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
         print(f"wrote {cfg['out']}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -317,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         if "window_min" in cfg and not (0.0 < cfg["window_min"]
                                         < cfg["window_max"]):
             raise DomainError("scan window must satisfy 0 < min < max")
+        if not cfg["out"] and _DEFAULTS[args.command]["out"]:
+            # only a subcommand whose default is stdout takes an empty out
+            raise DomainError("--out must name a file")
         if cfg["out"] and not os.path.isdir(os.path.dirname(cfg["out"])
                                             or "."):
             raise DomainError(f"no directory for --out {cfg['out']!r}")

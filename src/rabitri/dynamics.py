@@ -280,15 +280,3 @@ def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
     except ArpackNoConvergence as ex:
         raise ConvergenceError(f"ground-state eigensolver failed: {ex}") from ex
     return float(vals[0])
-
-
-def write_trajectory_csv(traj: Trajectory, path: str,
-                         comments: tuple[str, ...] = ()) -> None:
-    """CSV with header t,N1,N2,N3,norm at full double precision, after the
-    comment strings, one per '# ' line."""
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("t,N1,N2,N3,norm\n")
-        for row in np.column_stack([traj.times, traj.n_photon, traj.norm]):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

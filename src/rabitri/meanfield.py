@@ -308,7 +308,16 @@ def at_critical_point(delta: float, g1c: float) -> bool:
 
 def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     """Minimal-energy root (A_1..A_3, B_1..B_3) by multi-start damped Newton
-    in float64, canonically labeled (see `solve_displacements`)."""
+    in float64, canonically labeled (see `solve_displacements`).
+
+    Raises DomainError where 16 g^4 or 4 g^2 Delta^2, the products the
+    starts and the Jacobian form, overflow float64."""
+    g = bare_coupling(params)
+    if not (math.isfinite(16.0 * g * g * g * g)
+            and math.isfinite(4.0 * g * g * params.delta * params.delta)):
+        raise DomainError(
+            f"g={g} and Delta={params.delta} overflow the mean-field "
+            "equations in float64")
     tol = _NEWTON_TOL * params.omega
     roots = np.empty((0, 6))
     for x in _newton(params, np.array(_seed_list(params, seed)), tol):

@@ -258,6 +258,47 @@ def _transition_key(theta: float, base: ModelParams) -> tuple[str, str]:
     return _TRANSITION_NAMES[label]
 
 
+def _rows(side: str) -> list[tuple[str, str, int | None]]:
+    """The (side, quantity, site) rows of one side of a report: the two
+    gaps, then photon number and variance per site (site 1 alone below the
+    transition, where the ring is uniform)."""
+    sites = [1] if side == "below" else [1, 2, 3]
+    return [(side, "eps1", None), (side, "eps2", None),
+            *((side, "photon_n", s) for s in sites),
+            *((side, "var_x", s) for s in sites)]
+
+
+def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
+           series: dict[float, dict]) -> ReportEntry:
+    """The report entry of one row, fitted on 12 log-spaced points of its
+    window taken from `series` (observables keyed by signed delta):
+    "failed" for a sloped fit with r^2 < 0.999, "finite-limit" for
+    |slope| < 0.05, else "power-law", with window stability judged by a
+    refit on the 2x-shrunk window."""
+    side, quantity, site = row
+    pts, shrunk = ([(d, _extract(series[_SIGN[side] * d], quantity, site))
+                    for d in _log_grid(win, _REPORT_POINTS)]
+                   for win in (window, _shrunk(window)))
+    head = dict(quantity=quantity, site=site, side=side, window=window,
+                symbol=_symbol_for(quantity))
+    try:
+        fit = fit_power_law(pts)
+    except FitRejected as ex:
+        return ReportEntry(**head, status="failed", note=str(ex))
+    if fit.direction == "finite":
+        return ReportEntry(
+            **head, status="finite-limit", slope=fit.slope,
+            r_squared=fit.r_squared, limit=pts[0][1],
+            note="no power law; value tends to a finite limit")
+    try:
+        stable = abs(fit_power_law(shrunk).exponent - fit.exponent) <= 0.02
+    except (FitRejected, DomainError):
+        stable = False
+    return ReportEntry(**head, status="power-law", slope=fit.slope,
+                       exponent=_table_exponent(quantity, fit.slope),
+                       r_squared=fit.r_squared, window_stable=stable)
+
+
 def exponent_report(theta: float,
                     params_base: ModelParams | None = None) -> ExponentReport:
     """Full exponent table for the transition at the given flux.
@@ -275,68 +316,16 @@ def exponent_report(theta: float,
                                   j_hop=0.05, theta=theta)
     base = replace(params_base, theta=theta)
     key, transition = _transition_key(theta, base)
-
-    def rows_for(side: str) -> list[tuple[str, int | None]]:
-        sites = [1] if side == "below" else [1, 2, 3]
-        rows: list[tuple[str, int | None]] = [("eps1", None), ("eps2", None)]
-        rows += [("photon_n", s) for s in sites]
-        rows += [("var_x", s) for s in sites]
-        return rows
-
-    windows = {(side, quantity, site): _CROSSOVER_WINDOWS.get(
-                   (key, side, quantity, site), _REPORT_WINDOW)
-               for side in ("below", "above")
-               for quantity, site in rows_for(side)}
-
-    def grid(row: tuple, shrunk: bool = False) -> list[float]:
-        win = windows[row]
-        return _log_grid(_shrunk(win) if shrunk else win, _REPORT_POINTS)
-
+    windows = {row: _CROSSOVER_WINDOWS.get((key, *row), _REPORT_WINDOW)
+               for row in _rows("below") + _rows("above")}
     # every grid point of both sides in one pass (one continuation above)
-    cache = observables_near(base, sorted(
-        {_SIGN[row[0]] * d for row in windows for shrunk in (False, True)
-         for d in grid(row, shrunk)}))
+    series = observables_near(base, sorted(
+        {_SIGN[row[0]] * d for row, win in windows.items()
+         for w in (win, _shrunk(win)) for d in _log_grid(w, _REPORT_POINTS)}))
+    entries = [_entry(row, win, series) for row, win in windows.items()]
 
-    def series(side, quantity, site, shrunk=False):
-        return [(d, _extract(cache[_SIGN[side] * d], quantity, site))
-                for d in grid((side, quantity, site), shrunk)]
-
-    entries: list[ReportEntry] = []
-    fitted: dict[tuple, ReportEntry] = {}
-    for side in ("below", "above"):
-        for quantity, site in rows_for(side):
-            win = windows[(side, quantity, site)]
-            symbol = _symbol_for(quantity)
-            pts = series(side, quantity, site)
-            try:
-                fit = fit_power_law(pts)
-            except FitRejected as ex:
-                entry = ReportEntry(
-                    quantity=quantity, site=site, side=side, status="failed",
-                    symbol=symbol, window=win, note=str(ex))
-                entries.append(entry)
-                continue
-            if fit.direction == "finite":
-                entry = ReportEntry(
-                    quantity=quantity, site=site, side=side,
-                    status="finite-limit", symbol=symbol, slope=fit.slope,
-                    r_squared=fit.r_squared, window=win, limit=pts[0][1],
-                    note="no power law; value tends to a finite limit")
-                entries.append(entry)
-                continue
-            try:
-                refit = fit_power_law(series(side, quantity, site, shrunk=True))
-                stable = abs(refit.exponent - fit.exponent) <= 0.02
-            except (FitRejected, DomainError):
-                stable = False
-            entry = ReportEntry(
-                quantity=quantity, site=site, side=side, status="power-law",
-                symbol=symbol, slope=fit.slope,
-                exponent=_table_exponent(quantity, fit.slope),
-                r_squared=fit.r_squared, window=win, window_stable=stable)
-            entries.append(entry)
-            fitted[(side, quantity, site)] = entry
-
+    fitted = {(e.side, e.quantity, e.site): e for e in entries
+              if e.status == "power-law"}
     z_pairs: list[ZPair] = []
     for side in ("below", "above"):
         for gap_q, site in _Z_PAIRS[(key, side)]:
@@ -355,35 +344,7 @@ def exponent_report(theta: float,
 
 
 # ---------------------------------------------------------------------------
-# output
-
-def write_report_csv(report: ExponentReport, path: str,
-                     comments: tuple[str, ...] = ()) -> None:
-    """CSV rows per entry; exponents in the table convention (gamma, beta
-    as the slope magnitude, nu as half the variance slope).
-
-    Any comment strings are written first, one per '# ' line.
-    """
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(f"# transition={report.transition} theta={report.theta!r} "
-                 f"g1c={report.g1c!r}\n")
-        p = report.params
-        fh.write(f"# omega={p.omega!r} delta={p.delta!r} j={p.j_hop!r}\n")
-        fh.write("transition,quantity,site,side,exponent,r2,delta_min,"
-                 "delta_max\n")
-        for e in report.entries:
-            site = "" if e.site is None else str(e.site)
-            if e.status == "power-law":
-                expo, r2 = f"{e.exponent:.17g}", f"{e.r_squared:.17g}"
-            elif e.status == "finite-limit":
-                expo, r2 = "finite", f"{e.r_squared:.17g}"
-            else:
-                expo, r2 = e.status, ""
-            fh.write(f"{report.transition},{e.quantity},{site},{e.side},"
-                     f"{expo},{r2},{e.window[0]:.17g},{e.window[1]:.17g}\n")
-
+# output: the printed table (`rabitri exponents` writes the CSV)
 
 def format_report(report: ExponentReport) -> str:
     """Human-readable exponent table, one line per entry plus z pairs."""

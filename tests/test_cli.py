@@ -187,8 +187,20 @@ def test_exponents_csv(monkeypatch, tmp_path, capsys):
     ["phase-boundary", "--points", "2", "--out", "."],   # a directory
     ["meanfield", "--gnuplot"],          # writes no CSV to plot
     ["exponents", "--gnuplot"],
+    # only meanfield, whose default is stdout, takes an empty --out
+    ["dynamics", "--out", ""],
+    ["phase-boundary", "--out", ""],
+    ["fluctuations", "--out", ""],
+    ["spectrum", "--out", ""],
+    ["exponents", "--out", ""],
 ])
 def test_bad_flags_exit_2(monkeypatch, tmp_path, argv, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the flags were validated")
+
+    for name in ("evolve", "critical_flux", "observables_near",
+                 "exponent_report"):
+        monkeypatch.setattr(f"rabitri.cli.{name}", no_compute)
     assert run(monkeypatch, tmp_path, *argv) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -207,7 +219,7 @@ def test_write_error_exits_2(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise PermissionError("permission denied: 'd.csv'")
 
-    monkeypatch.setattr("rabitri.cli.write_trajectory_csv", refuse)
+    monkeypatch.setattr("rabitri.cli._write_csv", refuse)
     rc = run(monkeypatch, tmp_path, "dynamics", "--nmax", "2", "--tfinal",
              "0.2", "--out", "d.csv")
     assert rc == 2
@@ -255,6 +267,27 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
                      "--out", f"{cmd}.csv")
             assert rc == 3
             assert "underflows" in capsys.readouterr().err
+    # omega = 1e77 and 1e100: 16 g^4 and 4 g^2 Delta^2 of the mean-field
+    # equations overflow float64; omega = 1e75 still solves
+    for e in (77, 100):
+        for cmd in ("meanfield", "fluctuations", "spectrum", "exponents"):
+            rc = run(monkeypatch, tmp_path, cmd, "--omega", f"1e{e}",
+                     "--delta", f"1e{e + 2}", "--j", f"5e{e - 2}",
+                     *(["--out", f"{cmd}.csv"] if cmd != "meanfield" else []))
+            assert rc == 3
+            assert "overflow" in capsys.readouterr().err
+    assert run(monkeypatch, tmp_path, "meanfield", "--omega", "1e75",
+               "--delta", "1e77", "--j", "5e73") == 0
+
+
+def test_failing_run_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # J/omega = 0.6 is too strong a hopping for the boundary formula at
+    # every flux of the grid past theta = 0
+    rc = run(monkeypatch, tmp_path, "phase-boundary", "--j", "0.6",
+             "--points", "5", "--out", "pb.csv")
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "pb.csv").exists()
 
 
 # numpy warns of the overflow before the error is raised

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from rabitri import DomainError, ModelParams, ResourceError, TruncationWarning
 from rabitri import dynamics
+from rabitri.cli import main
 from rabitri.dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                               chirality_metric, evolve, exact_ground_energy,
-                              initial_state, number_operators,
-                              write_trajectory_csv)
+                              initial_state, number_operators)
 from rabitri.model import bare_coupling
 
 from conftest import params
@@ -342,11 +342,14 @@ def test_exact_ground_energy_matches_dense():
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
 def test_trajectory_csv_roundtrip(tmp_path):
+    # `rabitri dynamics` defaults to the parameters of dyn_params()
     traj = evolve(dyn_params(), FockBasis(n_max=1), t_final=0.5)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, str(out), comments=("alpha", "beta"))
+    assert main(["dynamics", "--nmax", "1", "--tfinal", "0.5",
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "# alpha" and lines[1] == "# beta"
+    assert lines[0].startswith("# dynamics ")
+    assert lines[1] == f"# chirality = {chirality_metric(traj):+g}"
     assert lines[2] == "t,N1,N2,N3,norm"
     data = np.loadtxt(str(out), delimiter=",", skiprows=3)
     assert data.shape == (6, 5)

@@ -7,9 +7,9 @@ from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
 import rabitri.meanfield as meanfield
 from rabitri.meanfield import _ladder
 from rabitri.model import critical_flux
+from rabitri.cli import main
 from rabitri.scaling import (SweepSpec, exponent_report, fit_power_law,
-                             format_report, observables_near, sweep,
-                             write_report_csv)
+                             format_report, observables_near, sweep)
 
 BASE = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 
@@ -189,7 +189,7 @@ def test_observables_near_independent_of_energy_unit(theta):
     assert worst <= 1e-8
 
 
-def test_exponent_report_ferromagnetic(tmp_path):
+def test_exponent_report_ferromagnetic(tmp_path, monkeypatch):
     rep = exponent_report(1.7, BASE)
     assert rep.transition == "NP-FSP"
     assert rep.g1c == pytest.approx(0.4967684446929091, rel=1e-13)
@@ -220,11 +220,16 @@ def test_exponent_report_ferromagnetic(tmp_path):
     for zp in rep.z_pairs:
         assert zp.z == pytest.approx(2.0, abs=0.1)
 
+    # the CSV of `rabitri exponents`, written from this report; BASE holds
+    # the subcommand's defaults
+    monkeypatch.setattr("rabitri.cli.exponent_report",
+                        lambda theta, base: rep)
     out = tmp_path / "rep.csv"
-    write_report_csv(rep, str(out))
+    assert main(["exponents", "--theta", "1.7", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("# transition=NP-FSP")
-    assert lines[2] == ("transition,quantity,site,side,exponent,r2,"
+    assert lines[0].startswith("# exponents ")
+    assert lines[1].startswith("# transition=NP-FSP")
+    assert lines[3] == ("transition,quantity,site,side,exponent,r2,"
                         "delta_min,delta_max")
     assert any(",finite," in ln for ln in lines)
     text = format_report(rep)
