@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceError, DomainError, ResourceError, TruncationWarning
-from .model import ModelParams, bare_coupling
+from .model import ModelParams, bare_coupling, in_omega_units
 
 _DIM_CAP = 1_000_000
 _WORK_CAP = 1e7   # largest r t_final, about 2 sparse products per unit
@@ -52,7 +52,7 @@ class FockBasis:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    times: np.ndarray      # sample times, 1/omega units
+    times: np.ndarray      # sample times, in the inverse unit of the energies
     n_photon: np.ndarray   # shape (len(times), 3)
     norm: np.ndarray       # state norm at each sample
     params: ModelParams
@@ -271,12 +271,12 @@ def chirality_metric(traj: Trajectory) -> float:
 
 
 def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
-    """Lowest eigenvalue of the truncated Hamiltonian (iterative)."""
-    h = build_full_hamiltonian(params, basis)
+    """Lowest eigenvalue of the truncated Hamiltonian, solved at omega = 1."""
+    h = build_full_hamiltonian(in_omega_units(params), basis)
     v0 = np.ones(basis.dim) / math.sqrt(basis.dim)
     try:
         vals = eigsh(h, k=1, which="SA", v0=v0, tol=0,
                      return_eigenvectors=False)
     except ArpackNoConvergence as ex:
         raise ConvergenceError(f"ground-state eigensolver failed: {ex}") from ex
-    return float(vals[0])
+    return float(vals[0]) * params.omega

@@ -3,7 +3,7 @@
 Displacing each cavity by alpha_n = A_n + i B_n and projecting the spins
 onto the rotated ground state turns the stationarity condition into six
 coupled real equations. Residuals, Jacobian, energy and Newton run at the
-precision of their inputs (see `numerics`).
+precision of their inputs (see `numerics`), the solvers in units of omega.
 
 Gap renormalization per site: Delta_n = sqrt(Delta^2 + 16 g^2 A_n^2) with
 the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
@@ -15,17 +15,17 @@ All starts (up to 26) run as one batch: every iteration makes one stacked
 Jacobian and solve, one residual call for the full steps and one for all
 backtracking steps of the rows that need them, and each start follows the
 iterates it would follow alone. A row stops when it converges, when the
-Levenberg regularization it needs exceeds 1e6 omega, when its max|r| has
+Levenberg regularization it needs exceeds 1e6, when its max|r| has
 not halved over the last 20 iterations (a stall at a non-root minimum of
 max|r|; the give-up rule of MINPACK's hybrj, Moré, Garbow & Hillstrom,
 ANL-80-74 (1980)), or at the 200-iteration cap.
 Closer to g1c the Jacobian goes singular, so `continued_roots` follows
 that root from delta = 1e-2 down a descending delta ladder, each step
 seeded by scaling the previous root with sqrt(delta'/delta) and polished
-by Newton to 1e-12 omega. Points with delta >= 1e-4 run in float64;
+by Newton to 1e-12. Points with delta >= 1e-4 run in float64;
 deeper points run the same functions on 50-digit mpmath numbers (g1c and
 g1 included), because the Cholesky step of the fluctuations needs
-min-eig(Hd) ~ eps1^2/omega to stay clear of roundoff. There the Newton
+min-eig(Hd) ~ eps1^2 to stay clear of roundoff. There the Newton
 solves, like the Cholesky and eigensolve of the fluctuations, run on the
 standard library's `decimal` and keep mpmath's rule for a singular
 Jacobian (see `numerics`).
@@ -41,9 +41,9 @@ from mpmath import mp
 from . import numerics
 from .errors import ConvergenceError, CriticalPointError, DomainError
 from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
-                    critical_coupling_min, softest_mode)
+                    critical_coupling_min, in_omega_units, softest_mode)
 
-_NEWTON_TOL = 1e-10     # multi-start residual tolerance, in units of omega
+_NEWTON_TOL = 1e-10     # multi-start residual tolerance
 _MAX_ITER = 200
 _STALL = 20             # Newton gives up a row whose max|r| has not halved
                         # over this many iterations
@@ -183,14 +183,14 @@ def _solve_rows(nb, a: np.ndarray, b: np.ndarray
 def _newton(params: ModelParams, x0: np.ndarray, tol: float
             ) -> np.ndarray | None | list[np.ndarray | None]:
     """Damped (Levenberg-regularized) Newton on the residual vector, at the
-    precision of params and x0.
+    precision of params and x0, in units of omega.
 
     x0 is one start, shape (6,), or a stack of starts, shape (k, 6), that
     run together: each row keeps its own regularization and stops on its
     own, and follows the iterates it would follow alone. A row stops
       - converged, at max|r| <= tol;
       - given up by the Levenberg rule, when the regularization mu of a
-        step that lowers no max|r| would exceed 1e6 omega;
+        step that lowers no max|r| would exceed 1e6;
       - stalled, when max|r| has not halved over the last _STALL
         iterations;
       - at the cap of _MAX_ITER iterations.
@@ -217,7 +217,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
         jac[reg] += np.eye(6) * mu[rows[reg], None, None]
         step, regular = _solve_rows(nb, jac, -r[rows])
         sing = rows[~regular]
-        mu[sing] = np.maximum(10.0 * mu[sing], 1e-12 * params.omega)
+        mu[sing] = np.maximum(10.0 * mu[sing], 1e-12)
         rows, step = rows[regular], step[regular]
         # backtracking on the residual norm: the full step, then for the
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
@@ -237,9 +237,8 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
         good, bad = rows[ok], rows[~ok]
         x[good], r[good] = xt[ok], rt[ok]
         mu[good] *= 0.25
-        mu[bad] = np.where(mu[bad] == 0, 1e-10 * params.omega,
-                           mu[bad] * 100.0)
-        live[bad[mu[bad] > 1e6 * params.omega]] = False
+        mu[bad] = np.where(mu[bad] == 0, 1e-10, mu[bad] * 100.0)
+        live[bad[mu[bad] > 1e6]] = False
     conv = np.max(np.abs(r), axis=-1) <= tol
     out = [xi if ci else None for xi, ci in zip(x, conv)]
     return out if np.ndim(x0) == 2 else out[0]
@@ -291,15 +290,6 @@ def _orbit(x: np.ndarray) -> list[np.ndarray]:
             for shift in range(3) for sgn in (1.0, -1.0)]
 
 
-def _solution(params: ModelParams, x: np.ndarray) -> MeanFieldSolution:
-    """The MeanFieldSolution of a root x = (A_1..A_3, B_1..B_3), as given."""
-    disp = _disp(x)
-    return MeanFieldSolution(
-        disp=disp, energy=ground_energy_mf(params, disp),
-        label=classify_phase(params),
-        residual_norm=float(np.max(np.abs(residuals(params, disp)))))
-
-
 def at_critical_point(delta: float, g1c: float) -> bool:
     """Whether g1 = g1c (1 + delta) lies within 1e-12 of g1c, where the
     soft mode makes the fluctuations singular."""
@@ -316,18 +306,17 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     if not (math.isfinite(16.0 * g * g * g * g)
             and math.isfinite(4.0 * g * g * params.delta * params.delta)):
         raise DomainError(
-            f"g={g} and Delta={params.delta} overflow the mean-field "
-            "equations in float64")
-    tol = _NEWTON_TOL * params.omega
+            f"g/omega={g} and Delta/omega={params.delta} overflow the "
+            "mean-field equations in float64")
     roots = np.empty((0, 6))
-    for x in _newton(params, np.array(_seed_list(params, seed)), tol):
+    for x in _newton(params, np.array(_seed_list(params, seed)), _NEWTON_TOL):
         # np.allclose(x, root, atol=1e-8) against every kept root at once
         if x is not None and not np.any(np.all(
                 np.abs(x - roots) <= 1e-8 + 1e-5 * np.abs(roots), axis=1)):
             roots = np.vstack([roots, x])
     if not len(roots):
         raise ConvergenceError(
-            f"no mean-field root converged to {tol} at g1={params.g1}, "
+            f"no mean-field root converged to {_NEWTON_TOL} at g1={params.g1}, "
             f"theta={params.theta}")
 
     scored = []
@@ -363,8 +352,10 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
                     ) -> dict[float, tuple[ModelParams, np.ndarray]]:
     """(params, root) at each reduced coupling delta = g1/g1c - 1 > 0, by
     continuation from the multi-start root at max(delta, 1e-2) found with
-    the given seed. Below delta = 1e-4 both are 50-digit mpmath numbers, to
-    be used inside mp.workdps(numerics.MP_DPS)."""
+    the given seed. The params are in units of omega (`in_omega_units`).
+    Below delta = 1e-4 both are 50-digit mpmath numbers, to be used inside
+    mp.workdps(numerics.MP_DPS)."""
+    base = in_omega_units(base)
     need = sorted({float(d) for d in deltas}, reverse=True)
     g1c = critical_coupling_min(base)
     anchor = max(need[0], _ANCHOR)
@@ -372,18 +363,17 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
     out = {}
     with mp.workdps(numerics.MP_DPS):
         # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
-        base_mp = replace(base, omega=mp.mpf(base.omega),
+        base_mp = replace(base, omega=mp.mpf(1),
                           delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
         g1c_mp = critical_coupling_min(base_mp)
         prev = anchor
         for d in _ladder(anchor, need):
-            # the residuals carry the unit of omega, and so do the tolerances
             if d >= _MP_SPLIT:
-                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12 * base.omega
+                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12
                 step = math.sqrt(d / prev)
             else:
                 p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
-                tol = mp.mpf(10) ** (12 - numerics.MP_DPS) * base_mp.omega
+                tol = mp.mpf(10) ** (12 - numerics.MP_DPS)
                 step = mp.sqrt(mp.mpf(d) / prev)
             x = _newton(p, x * step, tol)
             if x is None:
@@ -406,16 +396,23 @@ def solve_displacements(params: ModelParams,
     broken by the canonical site labeling (lexicographically largest
     (A_1, A_2, A_3)). Closer to g1c the root is continued down from the
     multi-start at delta = 1e-2. The seed feeds only the random extra
-    starts; the structured seeds are fixed.
+    starts; the structured seeds are fixed. The solve runs in units of
+    omega; energy and residual norm are in the unit of params.
     """
-    g1c = critical_coupling_min(params)
-    if params.g1 < g1c:
-        return _solution(params, np.zeros(6))
-    d = params.g1 / g1c - 1.0
-    if at_critical_point(d, g1c):
+    p = in_omega_units(params)
+    g1c = critical_coupling_min(p)
+    d = p.g1 / g1c - 1.0
+    if p.g1 < g1c:
+        x = np.zeros(6)
+    elif at_critical_point(d, g1c):
         raise CriticalPointError(
-            f"g1={params.g1} is within 1e-12 of the critical coupling")
-    if d >= _ANCHOR:
-        return _solution(params, _multistart(params, seed))
-    _, x = continued_roots(params, [d], seed)[d]
-    return _solution(params, np.array(x, dtype=float))
+            f"g1={p.g1} is within 1e-12 of the critical coupling")
+    elif d >= _ANCHOR:
+        x = _multistart(p, seed)
+    else:
+        x = np.array(continued_roots(p, [d], seed)[d][1], dtype=float)
+    disp, w = _disp(x), params.omega
+    return MeanFieldSolution(
+        disp=disp, energy=ground_energy_mf(p, disp) * w,
+        label=classify_phase(p),
+        residual_norm=float(np.max(np.abs(residuals(p, disp)))) * w)

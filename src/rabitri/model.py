@@ -5,14 +5,13 @@ Three single-mode cavities on a ring, each coupled to a two-level atom
 triangle. The gauge phase theta threads a total flux of 3*theta; theta not
 a multiple of pi breaks time-reversal symmetry.
 
-All energies are in units of the cavity frequency omega (conventionally 1).
+All energies share one unit; the solvers divide it out (`in_omega_units`).
 The dimensionless coupling is g1 = g / sqrt(omega * delta).
 """
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import numerics
@@ -62,19 +61,16 @@ class ModelParams:
         object.__setattr__(self, "theta", wrapped)
 
 
-def bare_coupling(params: ModelParams) -> float:
-    """Dimensionful coupling g = g1 * sqrt(omega * delta).
+def in_omega_units(params: ModelParams) -> ModelParams:
+    """The same ring in units of omega: 1, delta/omega, J/omega, g1, theta."""
+    return replace(params, omega=1.0, delta=params.delta / params.omega,
+                   j_hop=params.j_hop / params.omega)
 
-    Raises DomainError where omega * delta falls below the normal float64
-    range, which costs g digits or all of it, unless g is zero anyway
-    (g1 sqrt(omega) sqrt(delta) underflows to zero as well).
-    """
-    wd = params.omega * params.delta
-    if wd < sys.float_info.min and (
-            params.g1 * math.sqrt(params.omega) * math.sqrt(params.delta)):
-        raise DomainError(f"omega*delta = {float(wd):.3g} underflows float64, "
-                          "so g = g1 sqrt(omega delta) would lose its digits")
-    return params.g1 * numerics.of(params.omega).sqrt(wd)
+
+def bare_coupling(params: ModelParams) -> float:
+    """Dimensionful coupling g = g1 * sqrt(omega) * sqrt(delta)."""
+    nb = numerics.of(params.omega)
+    return params.g1 * nb.sqrt(params.omega) * nb.sqrt(params.delta)
 
 
 def critical_coupling(params: ModelParams, q: float) -> float:

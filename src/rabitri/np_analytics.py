@@ -131,12 +131,12 @@ def variance_p_np(params: ModelParams) -> float:
 def ground_energy_np(params: ModelParams) -> float:
     """Normal-phase ground energy E0 + (1/2) sum_q (eps_q - omega_q).
 
-    E0 = 3[-delta/2 - omega g1^2 + (omega + J) omega^2 g1^2 / delta]
-    carries the leading 1/delta correction of the effective photon model.
+    E0 = 3[-delta/2 - omega g1^2 + (omega + J) omega g1^2 / delta] carries
+    the leading correction (omega + J) g^2/delta^2 of the photon model.
     """
     modes = _modes(params)
     w, d, g1, j = params.omega, params.delta, params.g1, params.j_hop
-    e0 = 3.0 * (-0.5 * d - w * g1 * g1 + (w + j) * w * w * g1 * g1 / d)
+    e0 = 3.0 * (-0.5 * d - w * g1 * g1 + (w + j) * w * g1 * g1 / d)
     return e0 + sum(0.5 * (m.epsilon - m.omega_q) for m in modes)
 
 

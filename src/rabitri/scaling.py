@@ -31,7 +31,7 @@ from .bogoliubov import point_observables
 from .errors import CriticalPointError, DomainError, FitRejected
 from .meanfield import at_critical_point, continued_roots
 from .model import (ModelParams, PhaseLabel, classify_phase,
-                    critical_coupling_min)
+                    critical_coupling_min, in_omega_units)
 from .numerics import MP_DPS
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
@@ -169,21 +169,25 @@ def observables_near(base: ModelParams, deltas: list[float],
     Points below the transition come from the closed forms, all points
     above from one root continuation (`meanfield.continued_roots`) whose
     anchor the mean-field multi-start finds with the given seed. Keys are
-    the deltas as given.
+    the deltas as given. The points are computed in units of omega, and
+    the gaps returned in the unit of base.
     """
-    g1c = critical_coupling_min(base)
+    p = in_omega_units(base)
+    g1c = critical_coupling_min(p)
     for d in deltas:
         if at_critical_point(d, g1c):
             raise CriticalPointError(
                 f"grid point delta={abs(d)} is within 1e-12 of the critical "
                 "coupling")
-    out = {d: point_observables(replace(base, g1=g1c * (1.0 + d)))
+    out = {d: point_observables(replace(p, g1=g1c * (1.0 + d)))
            for d in deltas if d < 0.0}
     above = [d for d in deltas if d > 0.0]
     if above:
         with mp.workdps(MP_DPS):
-            out.update({d: point_observables(p, x) for d, (p, x)
-                        in continued_roots(base, above, seed).items()})
+            out.update({d: point_observables(q, x) for d, (q, x)
+                        in continued_roots(p, above, seed).items()})
+    for obs in out.values():
+        obs.update({k: obs[k] * base.omega for k in ("eps1", "eps2", "eps3")})
     return out
 
 
@@ -269,13 +273,14 @@ def _rows(side: str) -> list[tuple[str, str, int | None]]:
 
 
 def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
-           series: dict[float, dict]) -> ReportEntry:
+           series: dict[float, dict], omega: float) -> ReportEntry:
     """The report entry of one row, fitted on 12 log-spaced points of its
-    window taken from `series` (observables keyed by signed delta):
-    "failed" for a sloped fit with r^2 < 0.999, "finite-limit" for
-    |slope| < 0.05, else "power-law", with window stability judged by a
-    refit on the 2x-shrunk window."""
+    window taken from `series` (observables in units of omega by signed
+    delta): "failed" for a sloped fit with r^2 < 0.999, "finite-limit"
+    (a gap's limit times omega) for |slope| < 0.05, else "power-law", with
+    window stability judged by a refit on the 2x-shrunk window."""
     side, quantity, site = row
+    unit = omega if quantity.startswith("eps") else 1.0
     pts, shrunk = ([(d, _extract(series[_SIGN[side] * d], quantity, site))
                     for d in _log_grid(win, _REPORT_POINTS)]
                    for win in (window, _shrunk(window)))
@@ -288,7 +293,7 @@ def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
     if fit.direction == "finite":
         return ReportEntry(
             **head, status="finite-limit", slope=fit.slope,
-            r_squared=fit.r_squared, limit=pts[0][1],
+            r_squared=fit.r_squared, limit=pts[0][1] * unit,
             note="no power law; value tends to a finite limit")
     try:
         stable = abs(fit_power_law(shrunk).exponent - fit.exponent) <= 0.02
@@ -318,11 +323,13 @@ def exponent_report(theta: float,
     key, transition = _transition_key(theta, base)
     windows = {row: _CROSSOVER_WINDOWS.get((key, *row), _REPORT_WINDOW)
                for row in _rows("below") + _rows("above")}
-    # every grid point of both sides in one pass (one continuation above)
-    series = observables_near(base, sorted(
+    # every grid point of both sides in one pass (one continuation above),
+    # in units of omega, so that no fit depends on the unit
+    series = observables_near(in_omega_units(base), sorted(
         {_SIGN[row[0]] * d for row, win in windows.items()
          for w in (win, _shrunk(win)) for d in _log_grid(w, _REPORT_POINTS)}))
-    entries = [_entry(row, win, series) for row, win in windows.items()]
+    entries = [_entry(row, win, series, base.omega)
+               for row, win in windows.items()]
 
     fitted = {(e.side, e.quantity, e.site): e for e in entries
               if e.status == "power-law"}

@@ -184,11 +184,11 @@ def test_uncertainty_products_superradiant():
 def test_normal_phase_energy_identity():
     # ground_energy_np carries the 1/delta dispersive shift that the pure
     # photon fluctuation energy lacks; the difference is exactly
-    # 3 (omega + J) omega^2 g1^2 / delta
+    # 3 (omega + J) g^2 / delta^2 = 3 (omega + J) omega g1^2 / delta
     p = params(theta=0.1, g1=0.3)
     mf = np_solution(p)
     ps = diag_quiet(build_m_matrix(p, mf.disp))
-    shift = 3 * (p.omega + p.j_hop) * p.omega ** 2 * p.g1 ** 2 / p.delta
+    shift = 3 * (p.omega + p.j_hop) * p.omega * p.g1 ** 2 / p.delta
     assert ground_energy_np(p) == pytest.approx(
         ground_energy_fluct(p, ps, mf.disp) + shift, abs=1e-9)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import tempfile
@@ -19,6 +21,61 @@ def run(monkeypatch, tmp_path, *argv):
 
 def load_csv(path, skip):
     return np.loadtxt(str(path), delimiter=",", skiprows=skip)
+
+
+def run_quiet(argv):
+    """(exit code, stderr, lines of the table) of `rabitri *argv`, with the
+    table written to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        out = os.path.join(tmp, "out.csv")
+        rc = main([*argv, "--out", out])
+        if rc != 0:
+            return rc, err.getvalue(), []
+        with open(out) as fh:
+            return rc, err.getvalue(), fh.read().splitlines()
+
+
+# the cells in the unit of energy: CSV columns of the data rows of the two
+# scans, and the comment lines of `meanfield`
+_ENERGY_COLUMNS = {"fluctuations": (10, 11), "spectrum": (1, 2, 3)}
+_ENERGY_COMMENTS = ("# energy = ", "# residual_norm = ")
+
+
+def assert_unit_free(cmd, omega, delta, j, *flags):
+    """`rabitri cmd` at (omega, delta, j) writes the table of omega = 1 at
+    the flags delta/omega and j/omega, with its energies times omega, or
+    both runs exit 3 with an `error:` line. The energies are exact
+    products, and every other cell is the same."""
+    unit = ["--omega", repr(omega), "--j", repr(j)]
+    ref = ["--omega", "1.0", "--j", repr(j / omega)]
+    if cmd != "phase-boundary":
+        unit += ["--delta", repr(delta)]
+        ref += ["--delta", repr(delta / omega)]
+    rc, err, got = run_quiet([cmd, *unit, *flags])
+    rc1, _, want = run_quiet([cmd, *ref, *flags])
+    assert rc == rc1
+    if rc != 0:
+        assert rc == 3 and err.startswith("error:")
+        return
+    assert len(got) == len(want)
+    # the first line records the flags, and `exponents` repeats them
+    for a, b in zip(got[1:], want[1:]):
+        if a.startswith("# omega="):
+            continue
+        if a.startswith(_ENERGY_COMMENTS):
+            name, value = a.split(" = ")
+            assert b.startswith(name)
+            assert float(value) == float(b.split(" = ")[1]) * omega
+        elif cmd in _ENERGY_COLUMNS and a[:1].isdigit():
+            for k, (x, y) in enumerate(zip(a.split(","), b.split(","))):
+                if k in _ENERGY_COLUMNS[cmd]:
+                    assert float(x) == float(y) * omega
+                else:
+                    assert x == y
+        else:
+            assert a == b
 
 
 def test_phase_boundary_decoupled_ring(monkeypatch, tmp_path, capsys):
@@ -258,26 +315,77 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
              "--g1", repr(g1c))
     assert rc == 3
     assert "critical coupling" in capsys.readouterr().err
-    # omega = 1e-200 and 1e-300 with Delta and J scaled with it: the
-    # normal-phase radicand of each mode underflows float64
-    for e in (200, 300):
-        for cmd in ("fluctuations", "spectrum", "exponents"):
-            rc = run(monkeypatch, tmp_path, cmd, "--omega", f"1e-{e}",
-                     "--delta", f"1e-{e - 2}", "--j", f"5e-{e + 2}",
-                     "--out", f"{cmd}.csv")
-            assert rc == 3
-            assert "underflows" in capsys.readouterr().err
-    # omega = 1e77 and 1e100: 16 g^4 and 4 g^2 Delta^2 of the mean-field
-    # equations overflow float64; omega = 1e75 still solves
-    for e in (77, 100):
-        for cmd in ("meanfield", "fluctuations", "spectrum", "exponents"):
-            rc = run(monkeypatch, tmp_path, cmd, "--omega", f"1e{e}",
-                     "--delta", f"1e{e + 2}", "--j", f"5e{e - 2}",
-                     *(["--out", f"{cmd}.csv"] if cmd != "meanfield" else []))
-            assert rc == 3
-            assert "overflow" in capsys.readouterr().err
+    # Delta/omega = 1e103: 16 g^4 and 4 g^2 Delta^2 of the mean-field
+    # equations overflow float64 in units of omega
+    rc = run(monkeypatch, tmp_path, "meanfield", "--delta", "1e103",
+             "--g1", "0.6")
+    assert rc == 3
+    assert "overflow" in capsys.readouterr().err
     assert run(monkeypatch, tmp_path, "meanfield", "--omega", "1e75",
                "--delta", "1e77", "--j", "5e73") == 0
+    # at omega = 1e-300 ... 1e100 with Delta and J scaled with it, where
+    # raw-unit equations underflowed or overflowed, the solvers run in
+    # units of omega and write the tables of omega = 1
+    for e, cmds in ((-300, ("fluctuations", "spectrum", "exponents")),
+                    (-200, ("fluctuations", "spectrum", "exponents")),
+                    (77, ("meanfield", "fluctuations", "spectrum",
+                          "exponents")),
+                    (100, ("meanfield", "fluctuations", "spectrum",
+                           "exponents"))):
+        for cmd in cmds:
+            assert_unit_free(cmd, float(f"1e{e}"), float(f"1e{e + 2}"),
+                             float(f"5e{e - 2}"),
+                             *(["--points", "5"] if cmd in _ENERGY_COLUMNS
+                               else []))
+
+
+def test_meanfield_at_a_tiny_energy_unit_finds_the_root(monkeypatch,
+                                                        tmp_path, capsys):
+    # omega = 1e-100: in raw units the Jacobian's curvature 4 g^2 Delta^2
+    # underflowed and the solver returned the saddle A = B = 0; in units of
+    # omega this is the run at Delta = fl(1e-98/1e-100)
+    rows = []
+    for flags in (["--omega", "1e-100", "--delta", "1e-98", "--j", "5e-102"],
+                  ["--delta", "99.99999999999999", "--j", "0.05"]):
+        assert run(monkeypatch, tmp_path, "meanfield", *flags, "--g1",
+                   "0.4922") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "# phase = antiferromagnetic" in out
+        rows.append([ln for ln in out if ln[:1].isdigit()])
+    assert rows[0] == rows[1]
+    assert rows[0][0].split(",")[1] == "1.1806002640270463"
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(cmd=st.sampled_from(["meanfield", "fluctuations", "spectrum",
+                            "exponents", "phase-boundary"]),
+       decade=st.floats(-300.0, 300.0), theta=st.floats(-math.pi, math.pi),
+       j=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
+       g1=st.floats(0.0, 2.0), lo=st.floats(0.5, 1.5),
+       width=st.floats(1e-6, 0.5), points=st.integers(2, 4))
+@example(cmd="meanfield", decade=-100.0, theta=0.0, j=0.05, delta=100.0,
+         g1=0.4922, lo=0.5, width=0.1, points=2)
+# gaps of order 1e-314 in the unit, where a fit of the raw values lost
+# digits to the subnormal range
+@example(cmd="exponents", decade=-300.0, theta=1.0, j=0.25, delta=10.0,
+         g1=0.0, lo=1.0, width=0.5, points=2)
+@example(cmd="exponents", decade=300.0, theta=0.1, j=0.05, delta=100.0,
+         g1=0.0, lo=1.0, width=0.5, points=2)
+def test_every_solver_is_unit_free(cmd, decade, theta, j, delta, g1, lo,
+                                   width, points):
+    # omega log-uniform over the normal float range, Delta and J scaled
+    # with it
+    omega = 10.0 ** decade
+    if cmd == "phase-boundary":
+        flags = ["--points", str(points)]
+    elif cmd == "meanfield":
+        flags = ["--theta", repr(theta), "--g1", repr(g1)]
+    elif cmd == "exponents":
+        flags = ["--theta", repr(theta)]
+    else:
+        flags = ["--theta", repr(theta), "--window-min", repr(lo),
+                 "--window-max", repr(lo + width), "--points", str(points)]
+    assert_unit_free(cmd, omega, delta * omega, j * omega, *flags)
 
 
 def test_failing_run_leaves_no_file(monkeypatch, tmp_path, capsys):
@@ -299,9 +407,10 @@ def test_failing_run_leaves_no_file(monkeypatch, tmp_path, capsys):
     (["--delta", "1e308"], "overflows"),   # finite H, infinite width
     (["--j", "1e300"], "exceeds the cap"),   # about 1e297 substeps
     (["--g1", "1e300"], "exceeds the cap"),
-    # omega*delta underflows to zero, which would leave g = 0
+    # omega*delta underflows to zero, but g = g1 sqrt(omega) sqrt(delta)
+    # = 5.5e63 does not: about 1e64 substeps
     (["--omega", "7.7e-197", "--delta", "1.4e-246", "--g1", "5.3e284"],
-     "underflows"),
+     "exceeds the cap"),
     # 1e10 samples; the cap refuses them before anything is allocated
     (["--omega", "1e-150", "--delta", "1e-150", "--j", "0", "--g1", "0",
       "--tfinal", "1e9"], "samples exceed the cap"),
@@ -368,31 +477,36 @@ log_uniform = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
        g1=st.floats(0.0, 2.0), lo=st.floats(0.5, 1.5),
        width=st.floats(1e-6, 0.5), points=st.integers(2, 5),
        sizes=st.tuples(*[log_uniform] * 4), nmax=st.integers(1, 2),
-       tfinal=st.floats(0.0, 3.0))
+       tfinal=st.floats(0.0, 3.0), decade=st.floats(-300.0, 300.0))
 # a coupling whose Rabi entries overflow to infinity
 @example(cmd="dynamics", theta=0.0, j=0.0, jr=0.0, delta=10.0, seed=0,
          g1=0.0, lo=0.5, width=0.1, points=2, sizes=(1.0, 50.0, 0.05, 1e308),
-         nmax=1, tfinal=1.0)
-# omega*delta underflows to zero while g is about 5.5e63
+         nmax=1, tfinal=1.0, decade=0.0)
+# omega*delta underflows to zero, but g = g1 sqrt(omega) sqrt(delta)
+# = 5.5e63 does not
 @example(cmd="dynamics", theta=0.0, j=0.0, jr=0.0, delta=10.0, seed=0,
          g1=0.0, lo=0.5, width=0.1, points=2,
-         sizes=(7.7e-197, 1.4e-246, 0.05, 5.3e284), nmax=1, tfinal=1.0)
+         sizes=(7.7e-197, 1.4e-246, 0.05, 5.3e284), nmax=1, tfinal=1.0,
+         decade=0.0)
 # J/omega past 1/2 where J^2 and omega^2 underflow
 @example(cmd="phase-boundary", theta=0.0, j=0.0, jr=0.507, delta=10.0,
          seed=0, g1=0.0, lo=0.5, width=0.1, points=3,
-         sizes=(1e-260, 1.0, 1.0, 1.0), nmax=1, tfinal=1.0)
+         sizes=(1e-260, 1.0, 1.0, 1.0), nmax=1, tfinal=1.0, decade=0.0)
 def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
         cmd, theta, j, jr, delta, seed, g1, lo, width, points, sizes, nmax,
-        tfinal):
+        tfinal, decade):
     argv = [cmd]
+    # the mean-field subcommands at omega log-uniform over the normal
+    # float range, with Delta and J scaled by it
+    omega = 10.0 ** decade
     if cmd == "phase-boundary":
         # omega over the whole positive float range, J/omega up to and past
         # the boundary formula's limit of 1/2
         argv += ["--omega", repr(sizes[0]), "--j", repr(jr * sizes[0]),
                  "--points", str(points)]
     elif cmd == "exponents":
-        argv += ["--theta", repr(theta), "--j", repr(jr),
-                 "--delta", repr(delta)]
+        argv += ["--theta", repr(theta), "--omega", repr(omega),
+                 "--j", repr(jr * omega), "--delta", repr(delta * omega)]
     elif cmd == "dynamics":
         argv += ["--theta", repr(theta), "--nmax", str(nmax),
                  "--tfinal", repr(tfinal)]
@@ -400,8 +514,9 @@ def test_cli_fuzz_gives_trustworthy_rows_or_typed_failure(
         for key, value in zip(("omega", "delta", "j", "g1"), sizes):
             argv += ["--" + key, repr(value)]
     else:
-        argv += ["--theta", repr(theta), "--j", repr(j), "--delta",
-                 repr(delta), "--seed", str(seed)]
+        argv += ["--theta", repr(theta), "--omega", repr(omega), "--j",
+                 repr(j * omega), "--delta", repr(delta * omega), "--seed",
+                 str(seed)]
         if cmd == "meanfield":
             argv += ["--g1", repr(g1)]
         else:

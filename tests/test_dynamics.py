@@ -340,6 +340,20 @@ def test_exact_ground_energy_matches_dense():
     assert exact_ground_energy(p, basis) == pytest.approx(dense, rel=1e-9)
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-100, 1e100, 1e300])
+def test_exact_ground_energy_scales_with_the_energy_unit(s):
+    # solved in units of omega: in raw units the Hamiltonian's entries
+    # underflow or overflow float64 at these scales
+    basis = FockBasis(n_max=3)
+    scaled = params(theta=0.3, g1=0.1, omega=s, delta=50.0 * s,
+                    j_hop=0.05 * s)
+    ref = exact_ground_energy(params(theta=0.3, g1=0.1,
+                                     delta=scaled.delta / s,
+                                     j_hop=scaled.j_hop / s), basis)
+    assert exact_ground_energy(scaled, basis) == pytest.approx(
+        s * ref, rel=1e-13, abs=0)
+
+
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
 def test_trajectory_csv_roundtrip(tmp_path):
     # `rabitri dynamics` defaults to the parameters of dyn_params()

@@ -39,12 +39,14 @@ def test_bare_coupling():
     assert bare_coupling(p) == pytest.approx(0.3 * math.sqrt(50.0), rel=1e-15)
 
 
-def test_bare_coupling_refuses_an_underflowing_product():
-    # omega*delta = 1.1e-442 underflows to zero, though g = 5.5e63
+def test_bare_coupling_survives_an_underflowing_product():
+    # omega*delta = 1.1e-442 underflows to zero, but g = g1 sqrt(omega)
+    # sqrt(delta) = 5.5e63 does not
     p = ModelParams(omega=7.7e-197, delta=1.4e-246, g1=5.3e284, j_hop=0.0,
                     theta=0.0)
-    with pytest.raises(DomainError, match="underflows"):
-        bare_coupling(p)
+    want = 5.3e284 * math.sqrt(7.7e-197) * math.sqrt(1.4e-246)
+    assert bare_coupling(p) == pytest.approx(want, rel=1e-15)
+    assert bare_coupling(p) == pytest.approx(5.5e63, rel=1e-2)
     # where g underflows to zero whichever way it is computed, it is zero
     p = ModelParams(omega=1e-310, delta=1e-310, g1=1e-320, j_hop=0.0,
                     theta=0.0)

@@ -100,9 +100,18 @@ def test_vacuum_limit():
 def test_ground_energy_recompute():
     p = params(theta=0.1, g1=0.3, delta=50.0)
     w, d, g1, j = p.omega, p.delta, p.g1, p.j_hop
-    e0 = 3 * (-0.5 * d - w * g1 ** 2 + (w + j) * w ** 2 * g1 ** 2 / d)
+    e0 = 3 * (-0.5 * d - w * g1 ** 2 + (w + j) * w * g1 ** 2 / d)
     corr = sum(0.5 * (mode(p, q).epsilon - mode(p, q).omega_q) for q in MOMENTA)
     assert ground_energy_np(p) == pytest.approx(e0 + corr, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-3, 1e3, 1e100])
+def test_ground_energy_scales_with_the_energy_unit(s):
+    # (omega, Delta, J) -> s (omega, Delta, J) scales the energy by s
+    ref = ground_energy_np(params(theta=0.3, g1=0.3, delta=50.0))
+    got = ground_energy_np(params(theta=0.3, g1=0.3, omega=s,
+                                  delta=50.0 * s, j_hop=0.05 * s))
+    assert got == pytest.approx(s * ref, rel=1e-14, abs=0)
 
 
 def test_observables_bundle_matches_parts():
