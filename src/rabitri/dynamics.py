@@ -10,6 +10,11 @@ state's parity sector only, by a Chebyshev series for exp(-i H tau)
 samples, with the spectrum enclosed by Gershgorin discs. The series is
 truncated, not unitary, so the norm column (the sector norm, equal to the
 full norm) is the accuracy witness.
+
+`exact_ground_energy` uses the one antiunitary symmetry the flux leaves,
+the theta -> -theta mirror with the 2<->3 swap: in a basis of vectors it
+fixes, H is real symmetric, and ARPACK's Lanczos finds its lowest level
+over every parity and ring-momentum sector.
 """
 from __future__ import annotations
 
@@ -270,12 +275,45 @@ def chirality_metric(traj: Trajectory) -> float:
     return 1.0 if t2 < t3 else -1.0
 
 
+def _mirror_basis(basis: FockBasis) -> sp.csc_matrix:
+    """Unitary V whose columns are invariant under A = P23 K, the 2<->3 swap
+    of cavities and spins times complex conjugation.
+
+    A basis index fixed by P23 (n2 = n3, s2 = s3) is its own column; each
+    pair s < s' = P23 s puts (s + s')/sqrt(2) in column s and
+    i (s - s')/sqrt(2) in column s'. Since A H A = H at every flux,
+    V^dag H V is real symmetric (Dyson, J. Math. Phys. 3, 1199 (1962)).
+    """
+    table = _fock_table(basis)
+    d = basis.n_max + 1
+    mate = np.ravel_multi_index(table[[0, 2, 1, 3, 5, 4]], (d,) * 3 + (2,) * 3)
+    idx = np.arange(basis.dim)
+    r, pair = math.sqrt(0.5), mate != idx
+    diag = np.where(pair, np.where(idx < mate, r, -1j * r), 1.0)
+    off = np.where(idx < mate, r, 1j * r)[pair]
+    return sp.csc_matrix((np.concatenate([diag, off]),
+                          (np.concatenate([idx, mate[pair]]),
+                           np.concatenate([idx, idx[pair]]))),
+                         shape=(basis.dim, basis.dim))
+
+
 def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
-    """Lowest eigenvalue of the truncated Hamiltonian, solved at omega = 1."""
-    h = build_full_hamiltonian(in_omega_units(params), basis)
-    v0 = np.ones(basis.dim) / math.sqrt(basis.dim)
+    """Lowest eigenvalue of the truncated Hamiltonian, solved at omega = 1.
+
+    H is solved as the real symmetric Re(V^dag H V) in the mirror basis V
+    (`_mirror_basis`) by ARPACK's Lanczos, started from one fixed-seed
+    normal vector. That vector has weight in every excitation-parity and
+    ring-momentum sector, so the result is the lowest level over all of
+    them: with flux the ground state need not carry momentum 0.
+    """
+    v = _mirror_basis(basis)
+    # .real is a strided view of the complex product, which every matvec
+    # would copy again; the copy is contiguous and frees the product
+    hr = (v.conj().T @ build_full_hamiltonian(in_omega_units(params), basis)
+          @ v).real.copy()
+    v0 = np.random.default_rng(0).standard_normal(basis.dim)
     try:
-        vals = eigsh(h, k=1, which="SA", v0=v0, tol=0,
+        vals = eigsh(hr, k=1, which="SA", v0=v0, tol=0,
                      return_eigenvectors=False)
     except ArpackNoConvergence as ex:
         raise ConvergenceError(f"ground-state eigensolver failed: {ex}") from ex

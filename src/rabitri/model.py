@@ -62,9 +62,21 @@ class ModelParams:
 
 
 def in_omega_units(params: ModelParams) -> ModelParams:
-    """The same ring in units of omega: 1, delta/omega, J/omega, g1, theta."""
-    return replace(params, omega=1.0, delta=params.delta / params.omega,
-                   j_hop=params.j_hop / params.omega)
+    """The same ring in units of omega: 1, delta/omega, J/omega, g1, theta.
+
+    A ratio that leaves float64 raises DomainError naming it: delta/omega or
+    J/omega overflowing to inf, or delta/omega underflowing to 0.
+    """
+    delta, j_hop = params.delta / params.omega, params.j_hop / params.omega
+    for name, ratio, value in (("delta/omega", delta, params.delta),
+                               ("J/omega", j_hop, params.j_hop)):
+        if ratio == math.inf:
+            raise DomainError(f"{name} = {value!r}/{params.omega!r} "
+                              "overflows float64")
+    if delta == 0:
+        raise DomainError(f"delta/omega = {params.delta!r}/{params.omega!r} "
+                          "underflows float64 to 0")
+    return replace(params, omega=1.0, delta=delta, j_hop=j_hop)
 
 
 def bare_coupling(params: ModelParams) -> float:

@@ -339,6 +339,21 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
                                else []))
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--omega", "1e-10", "--delta", "1e300"],
+     "delta/omega = 1e+300/1e-10 overflows float64"),
+    (["--omega", "1e300", "--delta", "1e-300", "--j", "0"],
+     "delta/omega = 1e-300/1e+300 underflows float64 to 0"),
+])
+def test_energy_ratio_outside_float64_exits_3(monkeypatch, tmp_path, capsys,
+                                              flags, message):
+    # every flag is a finite positive number; the ratio the solvers compute
+    # in is not, and the error names the ratio
+    rc = run(monkeypatch, tmp_path, "meanfield", *flags)
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_meanfield_at_a_tiny_energy_unit_finds_the_root(monkeypatch,
                                                         tmp_path, capsys):
     # omega = 1e-100: in raw units the Jacobian's curvature 4 g^2 Delta^2

@@ -13,7 +13,7 @@ from rabitri.cli import main
 from rabitri.dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                               chirality_metric, evolve, exact_ground_energy,
                               initial_state, number_operators)
-from rabitri.model import bare_coupling
+from rabitri.model import bare_coupling, critical_coupling_min
 
 from conftest import params
 
@@ -332,12 +332,51 @@ def test_chirality_metric_synthetic():
     assert chirality_metric(synth_traj(peak, ripple)) == 1.0
 
 
+def superradiant_params(delta, j_hop, ratio, theta):
+    """The ring at g1 = ratio * g1c, omega = 1."""
+    p = params(theta=theta, delta=delta, j_hop=j_hop)
+    return params(theta=theta, delta=delta, j_hop=j_hop,
+                  g1=ratio * critical_coupling_min(p))
+
+
 def test_exact_ground_energy_matches_dense():
-    p = dyn_params(theta=0.2)
-    basis = FockBasis(n_max=1)
-    h = reference_hamiltonian(p, basis).toarray()
-    dense = float(np.min(np.linalg.eigvalsh(h)))
-    assert exact_ground_energy(p, basis) == pytest.approx(dense, rel=1e-9)
+    cases = [
+        (1, dyn_params(theta=0.2)),
+        # superradiant cases whose ground state carries ring momentum
+        # +-2pi/3: a solve confined to momentum 0 misses them by up to 0.11
+        (2, superradiant_params(20.0, 0.4, 1.5, 1.0)),
+        (2, superradiant_params(20.0, 0.4, 1.5, 1.7)),
+        (2, superradiant_params(10.0, 0.4, 1.2, 1.0)),
+    ]
+    for n_max, p in cases:
+        basis = FockBasis(n_max=n_max)
+        h = reference_hamiltonian(p, basis).toarray()
+        dense = float(np.min(np.linalg.eigvalsh(h)))
+        assert exact_ground_energy(p, basis) == pytest.approx(dense, rel=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(theta=st.floats(-np.pi, np.pi), j_hop=st.floats(0.0, 0.4),
+       delta=st.floats(5.0, 1000.0), g1=st.floats(0.0, 2.0))
+@example(theta=1.0, j_hop=0.4, delta=20.0, g1=0.75)
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_mirror_basis_makes_h_real(n_max, theta, j_hop, delta, g1):
+    # A = P23 K (the 2<->3 swap times complex conjugation) commutes with H
+    # at every flux, so H is real in a basis of A-invariant vectors
+    p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
+    basis = FockBasis(n_max=n_max)
+    v = dynamics._mirror_basis(basis).toarray()
+    assert np.abs(v.conj().T @ v - np.eye(basis.dim)).max() <= 1e-15
+    h = build_full_hamiltonian(p, basis).toarray()
+    hv = v.conj().T @ h @ v
+    assert np.abs(hv.imag).max() <= 1e-15 * np.abs(h).max()
+    ev = np.linalg.eigvalsh(h)
+    assert np.abs(np.linalg.eigvalsh(hv.real) - ev).max() <= (
+        1e-12 * np.abs(ev).max())
+    mirrored = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop,
+                           theta=-theta)
+    assert exact_ground_energy(mirrored, basis) == pytest.approx(
+        exact_ground_energy(p, basis), rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-100, 1e100, 1e300])
