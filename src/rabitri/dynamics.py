@@ -13,8 +13,11 @@ full norm) is the accuracy witness.
 
 `exact_ground_energy` uses the one antiunitary symmetry the flux leaves,
 the theta -> -theta mirror with the 2<->3 swap: in a basis of vectors it
-fixes, H is real symmetric, and ARPACK's Lanczos finds its lowest level
-over every parity and ring-momentum sector.
+fixes, H is real symmetric, and an unrestarted Lanczos recurrence finds its
+lowest level over every parity and ring-momentum sector: it stops when the
+residual bound of the lowest Ritz pair is a small multiple of eps ||H||, and
+since lost orthogonality only repeats converged Ritz values (Paige, Linear
+Algebra Appl. 34, 235 (1980)), it needs no stored basis.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, ResourceError, TruncationWarning
 from .model import ModelParams, bare_coupling, in_omega_units
@@ -38,6 +41,13 @@ _SPAN = 40.0      # largest r tau of one Chebyshev block
 # of the K x n workspace (K <= 82) even when r tau is tiny
 _BLOCK_CAP = 64
 _TAIL = 1e-15     # bound on the dropped Chebyshev coefficients
+# ground-state Lanczos: the residual bound that stops it, in units of
+# eps ||H|| (at n_max 1-2 a bound of 1-4 eps ||H|| can take hundreds of steps
+# more after the Ritz value has converged), the steps between looks at the
+# tridiagonal, and the step cap per basis dimension
+_LANCZOS_TOL = 16.0
+_LANCZOS_CHECK = 10
+_LANCZOS_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -297,24 +307,60 @@ def _mirror_basis(basis: FockBasis) -> sp.csc_matrix:
                          shape=(basis.dim, basis.dim))
 
 
+def _lanczos_lowest(h, v0: np.ndarray, tol: float, cap: int) -> float:
+    """Lowest eigenvalue of the real symmetric h by the three-term Lanczos
+    recurrence from v0, with no stored basis and no reorthogonalization.
+
+    Every _LANCZOS_CHECK steps, and at the cap, the lowest eigenpair
+    (theta, s) of the tridiagonal T_k is taken; the recurrence returns theta
+    when the residual bound |beta_k s_k| is at most tol, and at once when
+    beta_k = 0 (the Krylov space is invariant). More than cap steps raise
+    ConvergenceError. Only h @ x is used.
+    """
+    alpha, beta = [], []
+    q_prev, q, b = np.zeros_like(v0), v0 / np.linalg.norm(v0), 0.0
+    for k in range(1, cap + 1):
+        w = h @ q - b * q_prev
+        a = float(q @ w)
+        w -= a * q
+        b = float(np.linalg.norm(w))
+        alpha.append(a)
+        beta.append(b)
+        if b == 0.0 or k % _LANCZOS_CHECK == 0 or k == cap:
+            theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                        select_range=(0, 0))
+            if b * abs(s[-1, 0]) <= tol:
+                return float(theta[0])
+        q_prev, q = q, w / b
+    raise ConvergenceError(
+        f"ground-state Lanczos did not converge in the cap of {cap} steps")
+
+
 def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
     """Lowest eigenvalue of the truncated Hamiltonian, solved at omega = 1.
 
     H is solved as the real symmetric Re(V^dag H V) in the mirror basis V
-    (`_mirror_basis`) by ARPACK's Lanczos, started from one fixed-seed
-    normal vector. That vector has weight in every excitation-parity and
-    ring-momentum sector, so the result is the lowest level over all of
-    them: with flux the ground state need not carry momentum 0.
+    (`_mirror_basis`) by the unrestarted Lanczos recurrence
+    (`_lanczos_lowest`), started from one fixed-seed normal vector. That
+    vector has weight in every excitation-parity and ring-momentum sector, so
+    the result is the lowest level over all of them: with flux the ground
+    state need not carry momentum 0. The recurrence stops when the residual
+    bound of the lowest Ritz pair is below _LANCZOS_TOL eps ||H||, with ||H||
+    from the Gershgorin enclosure; in floating point, lost orthogonality only
+    adds copies of converged Ritz values (Paige, Linear Algebra Appl. 34, 235
+    (1980)), so the lowest one approaches the ground energy from above. An
+    enclosure that overflows raises DomainError, and more than _LANCZOS_CAP
+    steps per basis dimension ConvergenceError.
     """
     v = _mirror_basis(basis)
     # .real is a strided view of the complex product, which every matvec
     # would copy again; the copy is contiguous and frees the product
     hr = (v.conj().T @ build_full_hamiltonian(in_omega_units(params), basis)
           @ v).real.copy()
+    lo, hi = _spectral_bounds(hr)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"H overflows float64: enclosure [{lo:.3g}, {hi:.3g}]")
     v0 = np.random.default_rng(0).standard_normal(basis.dim)
-    try:
-        vals = eigsh(hr, k=1, which="SA", v0=v0, tol=0,
-                     return_eigenvectors=False)
-    except ArpackNoConvergence as ex:
-        raise ConvergenceError(f"ground-state eigensolver failed: {ex}") from ex
-    return float(vals[0]) * params.omega
+    tol = _LANCZOS_TOL * np.finfo(float).eps * max(-lo, hi)
+    return (_lanczos_lowest(hr, v0, tol, _LANCZOS_CAP * basis.dim)
+            * params.omega)

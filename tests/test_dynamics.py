@@ -7,7 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from rabitri import DomainError, ModelParams, ResourceError, TruncationWarning
+from rabitri import (ConvergenceError, DomainError, ModelParams, ResourceError,
+                     TruncationWarning)
 from rabitri import dynamics
 from rabitri.cli import main
 from rabitri.dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
@@ -347,6 +348,8 @@ def test_exact_ground_energy_matches_dense():
         (2, superradiant_params(20.0, 0.4, 1.5, 1.0)),
         (2, superradiant_params(20.0, 0.4, 1.5, 1.7)),
         (2, superradiant_params(10.0, 0.4, 1.2, 1.0)),
+        # levels of different momentum nearly cross here
+        (3, superradiant_params(10.0, 0.4, 1.1, 1.0)),
     ]
     for n_max, p in cases:
         basis = FockBasis(n_max=n_max)
@@ -373,10 +376,53 @@ def test_mirror_basis_makes_h_real(n_max, theta, j_hop, delta, g1):
     ev = np.linalg.eigvalsh(h)
     assert np.abs(np.linalg.eigvalsh(hv.real) - ev).max() <= (
         1e-12 * np.abs(ev).max())
+    assert abs(exact_ground_energy(p, basis) - ev.min()) <= (
+        1e-12 * np.abs(ev).max())
     mirrored = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop,
                            theta=-theta)
     assert exact_ground_energy(mirrored, basis) == pytest.approx(
         exact_ground_energy(p, basis), rel=1e-12)
+
+
+class CountedProducts:
+    """h, counting the products h @ x."""
+
+    def __init__(self, h):
+        self.h, self.products = h, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.h @ x
+
+
+def test_ground_lanczos_separates_nearly_crossing_levels(monkeypatch):
+    # levels of different ring momentum nearly cross here; a restarted
+    # Lanczos took 1421 products
+    counted, lanczos_lowest = [], dynamics._lanczos_lowest
+
+    def lanczos(h, *args):
+        counted.append(CountedProducts(h))
+        return lanczos_lowest(counted[-1], *args)
+
+    monkeypatch.setattr(dynamics, "_lanczos_lowest", lanczos)
+    exact_ground_energy(superradiant_params(10.0, 0.4, 1.1, 1.0),
+                        FockBasis(n_max=8))
+    assert counted[0].products <= 500
+
+
+def test_ground_lanczos_raises_at_the_step_cap():
+    h = sp.diags(np.arange(100.0), format="csr")
+    v0 = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(ConvergenceError, match="cap of 5 steps"):
+        dynamics._lanczos_lowest(h, v0, 1e-12, 5)
+    assert dynamics._lanczos_lowest(h, v0, 1e-12, 1000) == pytest.approx(
+        0.0, abs=1e-12)
+
+
+def test_exact_ground_energy_refuses_an_overflowing_hamiltonian():
+    p = params(g1=1e306, delta=1e10)
+    with pytest.raises(DomainError, match="overflows float64"):
+        exact_ground_energy(p, FockBasis(n_max=1))
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-100, 1e100, 1e300])
