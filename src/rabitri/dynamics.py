@@ -12,8 +12,9 @@ truncated, not unitary, so the norm column (the sector norm, equal to the
 full norm) is the accuracy witness.
 
 `exact_ground_energy` uses the one antiunitary symmetry the flux leaves,
-the theta -> -theta mirror with the 2<->3 swap: in a basis of vectors it
-fixes, H is real symmetric, and an unrestarted Lanczos recurrence finds its
+the theta -> -theta mirror with the 2<->3 swap P23: the real symmetric
+Re H - P23 Im H = W^dag H W, with W = ((1 + i) + (1 - i) P23)/2 unitary,
+has the spectrum of H, and an unrestarted Lanczos recurrence finds its
 lowest level over every parity and ring-momentum sector: it stops when the
 residual bound of the lowest Ritz pair is a small multiple of eps ||H||, and
 since lost orthogonality only repeats converged Ritz values (Paige, Linear
@@ -285,28 +286,6 @@ def chirality_metric(traj: Trajectory) -> float:
     return 1.0 if t2 < t3 else -1.0
 
 
-def _mirror_basis(basis: FockBasis) -> sp.csc_matrix:
-    """Unitary V whose columns are invariant under A = P23 K, the 2<->3 swap
-    of cavities and spins times complex conjugation.
-
-    A basis index fixed by P23 (n2 = n3, s2 = s3) is its own column; each
-    pair s < s' = P23 s puts (s + s')/sqrt(2) in column s and
-    i (s - s')/sqrt(2) in column s'. Since A H A = H at every flux,
-    V^dag H V is real symmetric (Dyson, J. Math. Phys. 3, 1199 (1962)).
-    """
-    table = _fock_table(basis)
-    d = basis.n_max + 1
-    mate = np.ravel_multi_index(table[[0, 2, 1, 3, 5, 4]], (d,) * 3 + (2,) * 3)
-    idx = np.arange(basis.dim)
-    r, pair = math.sqrt(0.5), mate != idx
-    diag = np.where(pair, np.where(idx < mate, r, -1j * r), 1.0)
-    off = np.where(idx < mate, r, 1j * r)[pair]
-    return sp.csc_matrix((np.concatenate([diag, off]),
-                          (np.concatenate([idx, mate[pair]]),
-                           np.concatenate([idx, idx[pair]]))),
-                         shape=(basis.dim, basis.dim))
-
-
 def _lanczos_lowest(h, v0: np.ndarray, tol: float, cap: int) -> float:
     """Lowest eigenvalue of the real symmetric h by the three-term Lanczos
     recurrence from v0, with no stored basis and no reorthogonalization.
@@ -339,24 +318,28 @@ def _lanczos_lowest(h, v0: np.ndarray, tol: float, cap: int) -> float:
 def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
     """Lowest eigenvalue of the truncated Hamiltonian, solved at omega = 1.
 
-    H is solved as the real symmetric Re(V^dag H V) in the mirror basis V
-    (`_mirror_basis`) by the unrestarted Lanczos recurrence
-    (`_lanczos_lowest`), started from one fixed-seed normal vector. That
-    vector has weight in every excitation-parity and ring-momentum sector, so
-    the result is the lowest level over all of them: with flux the ground
-    state need not carry momentum 0. The recurrence stops when the residual
-    bound of the lowest Ritz pair is below _LANCZOS_TOL eps ||H||, with ||H||
-    from the Gershgorin enclosure; in floating point, lost orthogonality only
-    adds copies of converged Ritz values (Paige, Linear Algebra Appl. 34, 235
-    (1980)), so the lowest one approaches the ground energy from above. An
-    enclosure that overflows raises DomainError, and more than _LANCZOS_CAP
-    steps per basis dimension ConvergenceError.
+    H is solved as the real symmetric Re H - P23 Im H in the Fock basis, with
+    P23 the 2<->3 swap of cavities and spins: since A = P23 K (K complex
+    conjugation) commutes with H at every flux, it equals W^dag H W for the
+    unitary W = ((1 + i) + (1 - i) P23)/2 (Dyson, J. Math. Phys. 3, 1199
+    (1962)). The unrestarted Lanczos recurrence (`_lanczos_lowest`) runs on
+    it from one fixed-seed normal start vector. That vector has weight in
+    every excitation-parity and ring-momentum sector, so the result is the
+    lowest level over all of them: with flux the ground state need not carry
+    momentum 0. The recurrence stops when the residual bound of the lowest
+    Ritz pair is below _LANCZOS_TOL eps ||H||, with ||H|| from the Gershgorin
+    enclosure; in floating point, lost orthogonality only adds copies of
+    converged Ritz values (Paige, Linear Algebra Appl. 34, 235 (1980)), so
+    the lowest one approaches the ground energy from above. An enclosure
+    that overflows raises DomainError, and more than _LANCZOS_CAP steps per
+    basis dimension ConvergenceError.
     """
-    v = _mirror_basis(basis)
-    # .real is a strided view of the complex product, which every matvec
-    # would copy again; the copy is contiguous and frees the product
-    hr = (v.conj().T @ build_full_hamiltonian(in_omega_units(params), basis)
-          @ v).real.copy()
+    d = basis.n_max + 1
+    # mate[s] is the index of P23 s
+    mate = np.ravel_multi_index(_fock_table(basis)[[0, 2, 1, 3, 5, 4]],
+                                (d,) * 3 + (2,) * 3)
+    h = build_full_hamiltonian(in_omega_units(params), basis)
+    hr = h.real - h.imag[mate]
     lo, hi = _spectral_bounds(hr)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"H overflows float64: enclosure [{lo:.3g}, {hi:.3g}]")

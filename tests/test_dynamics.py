@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+import rabitri
 from rabitri import (ConvergenceError, DomainError, ModelParams, ResourceError,
                      TruncationWarning)
 from rabitri import dynamics
@@ -358,30 +362,49 @@ def test_exact_ground_energy_matches_dense():
         assert exact_ground_energy(p, basis) == pytest.approx(dense, rel=1e-9)
 
 
+def ground_real_form(p, basis):
+    """The real matrix exact_ground_energy hands to the Lanczos recurrence,
+    dense, and the energy it returns."""
+    handed, lanczos_lowest = [], dynamics._lanczos_lowest
+
+    def lanczos(h, *args):
+        handed.append(h)
+        return lanczos_lowest(h, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_lanczos_lowest", lanczos)
+        energy = exact_ground_energy(p, basis)
+    return handed[0].toarray(), energy
+
+
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(theta=st.floats(-np.pi, np.pi), j_hop=st.floats(0.0, 0.4),
        delta=st.floats(5.0, 1000.0), g1=st.floats(0.0, 2.0))
 @example(theta=1.0, j_hop=0.4, delta=20.0, g1=0.75)
 @pytest.mark.parametrize("n_max", [1, 2])
-def test_mirror_basis_makes_h_real(n_max, theta, j_hop, delta, g1):
+def test_ground_real_form_has_the_spectrum_of_h(n_max, theta, j_hop, delta,
+                                                g1):
     # A = P23 K (the 2<->3 swap times complex conjugation) commutes with H
-    # at every flux, so H is real in a basis of A-invariant vectors
+    # at every flux, so Re H - P23 Im H = W^dag H W with W unitary
     p = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop, theta=theta)
-    basis = FockBasis(n_max=n_max)
-    v = dynamics._mirror_basis(basis).toarray()
-    assert np.abs(v.conj().T @ v - np.eye(basis.dim)).max() <= 1e-15
-    h = build_full_hamiltonian(p, basis).toarray()
-    hv = v.conj().T @ h @ v
-    assert np.abs(hv.imag).max() <= 1e-15 * np.abs(h).max()
-    ev = np.linalg.eigvalsh(h)
-    assert np.abs(np.linalg.eigvalsh(hv.real) - ev).max() <= (
-        1e-12 * np.abs(ev).max())
-    assert abs(exact_ground_energy(p, basis) - ev.min()) <= (
-        1e-12 * np.abs(ev).max())
     mirrored = ModelParams(omega=1.0, delta=delta, g1=g1, j_hop=j_hop,
                            theta=-theta)
-    assert exact_ground_energy(mirrored, basis) == pytest.approx(
-        exact_ground_energy(p, basis), rel=1e-12)
+    basis = FockBasis(n_max=n_max)
+    m, energy = ground_real_form(p, basis)
+    assert np.array_equal(m, m.T)
+    h = build_full_hamiltonian(p, basis).toarray()
+    ev = np.linalg.eigvalsh(h)
+    assert np.abs(np.linalg.eigvalsh(m) - ev).max() <= (
+        1e-12 * np.abs(ev).max())
+    # the theta -> -theta mirror: P23 M(theta) P23 = M(-theta)
+    d = n_max + 1
+    p23 = np.arange(basis.dim).reshape((d,) * 3 + (2,) * 3).transpose(
+        0, 2, 1, 3, 5, 4).ravel()
+    m_mirrored, energy_mirrored = ground_real_form(mirrored, basis)
+    assert np.abs(m[p23][:, p23] - m_mirrored).max() <= (
+        1e-15 * np.abs(h).max())
+    assert abs(energy - ev.min()) <= 1e-12 * np.abs(ev).max()
+    assert energy_mirrored == pytest.approx(energy, rel=1e-12)
 
 
 class CountedProducts:
@@ -417,6 +440,18 @@ def test_ground_lanczos_raises_at_the_step_cap():
         dynamics._lanczos_lowest(h, v0, 1e-12, 5)
     assert dynamics._lanczos_lowest(h, v0, 1e-12, 1000) == pytest.approx(
         0.0, abs=1e-12)
+
+
+def test_import_leaves_out_scipy_sparse_linalg():
+    # the ground-state solve needs only h @ x; scipy.sparse.linalg costs
+    # about 2 MB of resident memory at import
+    src = os.path.dirname(os.path.dirname(rabitri.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, rabitri; "
+         "print('scipy.sparse.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"
 
 
 def test_exact_ground_energy_refuses_an_overflowing_hamiltonian():
