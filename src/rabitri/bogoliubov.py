@@ -15,8 +15,8 @@ are Lam C^dag U+ / sqrt(e): one product and a sign per row, with no
 triangular solve. Hd must be positive definite, which fails at both dynamical
 instability and the critical point; the two are told apart by the
 eigenvalues of Lam*Hd. Definiteness is tested by a Cholesky of Hd - tau,
-with tau = 1e-12 * max|M| in float64 and rescaled to the working epsilon at
-higher precision, so an exact zero mode cannot pass on rounding noise.
+tau = 1e-12 * 10^(16 - digits) * max|M| (float64 counts as 16 digits), so
+an exact zero mode cannot pass on rounding noise.
 
 Every step runs at the precision of its input (see `numerics`). The
 residuals of a solution are computed when first read, at the precision the
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from mpmath import mp
 
 from . import numerics
 from .errors import (CriticalPointError, DegeneracyWarning, DomainError,
@@ -42,7 +41,7 @@ from .model import ModelParams, bare_coupling
 from .np_analytics import (excitation_energies, local_photon_np,
                            variance_p_np, variance_x_np)
 
-_SIGN = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+_SIGN = np.array([1, 1, 1, -1, -1, -1])
 _LAMBDA = np.diag(_SIGN)
 
 
@@ -51,13 +50,13 @@ class ParaunitarySolution:
     t: np.ndarray             # 6x6 complex paraunitary
     eps: np.ndarray           # 3 excitation energies, ascending
     hd: np.ndarray            # the doubled form 2M that T diagonalizes
-    prec: int = 53            # bits of working precision T was built with
+    prec: int = 16            # digits of working precision T was built with
 
     @cached_property
     def para_residual(self) -> float:
         """max |T^dag Lam T - Lam|"""
         t = self.t
-        with mp.workprec(self.prec):
+        with numerics.working(self.prec):
             return float(np.max(np.abs(t.conj().T @ _LAMBDA @ t - _LAMBDA)))
 
     @cached_property
@@ -65,7 +64,7 @@ class ParaunitarySolution:
         """max |T^dag Hd T - diag(eps, eps)|, Colpa's congruence; for a
         paraunitary T it equals Lam T^-1 (Lam Hd) T up to para_residual."""
         t = self.t
-        with mp.workprec(self.prec):
+        with numerics.working(self.prec):
             rec = t.conj().T @ self.hd @ t
             rec -= np.diag(np.concatenate([self.eps, self.eps]))
             return float(np.max(np.abs(rec)))
@@ -79,18 +78,18 @@ def build_m_matrix(params: ModelParams, disp: Displacement) -> np.ndarray:
     w, j, th = params.omega, params.j_hop, params.theta
     nb = numerics.of(params.omega, disp.a)
     dn = _gaps(params, disp.a)
-    lam = np.divide(bare_coupling(params) * params.delta, dn)
+    lam = bare_coupling(params) * params.delta / dn
     kap = lam ** 2 / dn   # lambda_n^2 / Delta_n per site
     m = np.zeros((6, 6), dtype=nb.cdtype)
-    eith = nb.cos(th) + 1j * nb.sin(th)
+    eith = nb.complex(nb.cos(th), nb.sin(th))
     for n in range(3):
         p, q = (n + 1) % 3, (n - 1) % 3
-        m[n, n] = 0.5 * w - kap[n]
-        m[3 + n, 3 + n] = 0.5 * w - kap[n]
-        m[n, p] += 0.5 * j / eith
-        m[n, q] += 0.5 * j * eith
-        m[3 + n, 3 + p] += 0.5 * j * eith
-        m[3 + n, 3 + q] += 0.5 * j / eith
+        m[n, n] = w / 2 - kap[n]
+        m[3 + n, 3 + n] = w / 2 - kap[n]
+        m[n, p] += j / 2 / eith
+        m[n, q] += j / 2 * eith
+        m[3 + n, 3 + p] += j / 2 * eith
+        m[3 + n, 3 + q] += j / 2 / eith
         m[n, 3 + n] = -kap[n]
         m[3 + n, n] = -kap[n]
     return m
@@ -112,20 +111,19 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
     scale = np.max(np.abs(m))
     if scale == 0.0:
         raise CriticalPointError("zero quadratic form")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
+    tol = nb.num(1e-10) * scale
+    if np.max(np.abs(m - m.conj().T)) > tol:
         raise DomainError("quadratic form must be Hermitian")
-    hd = 2.0 * m
-    # an exact zero mode leaves Hd positive semidefinite; Cholesky can then
-    # still succeed on rounding noise and return sqrt(eps_machine)-scale
-    # energies, so require Hd - tau to be positive definite first; tau is
-    # 1e-12 relative in float64, rescaled to the working epsilon
-    tau = 1e-12 * 2.0 ** (53 - nb.prec()) * scale
+    hd = 2 * m
+    # an exact zero mode could pass the Cholesky of Hd on rounding noise,
+    # with sqrt(eps)-scale energies; Hd - tau must pass first
+    tau = nb.num(1e-12 * 10.0 ** (16 - nb.prec())) * scale
     try:
-        nb.cholesky(hd - np.eye(6) * tau)
+        nb.cholesky(hd - nb.num(np.eye(6)) * tau)
         c = nb.cholesky(hd)                 # hd = c^dag c
     except np.linalg.LinAlgError:
         evals = np.linalg.eigvals(_LAMBDA @ np.asarray(hd, dtype=complex))
-        if float(np.max(np.abs(evals.imag))) > 1e-8 * scale:
+        if float(np.max(np.abs(evals.imag))) > 1e-8 * float(scale):
             raise InstabilityError(
                 "Lam*Hd has complex eigenvalues; the expansion point is "
                 "dynamically unstable (wrong phase branch)")
@@ -139,7 +137,7 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
         raise CriticalPointError(
             f"soft mode energy {float(eps[0]):.3e} is numerically zero")
     gaps = [abs(eps[0] - eps[1]), abs(eps[1] - eps[2]), abs(eps[0] - eps[2])]
-    if min(gaps) < 1e-10 * scale:
+    if min(gaps) < tol:
         warnings.warn("near-degenerate excitation energies; T columns are "
                       "basis-dependent within the degenerate subspace",
                       DegeneracyWarning, stacklevel=2)
@@ -153,21 +151,18 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
 
 def local_photon_sr(ps: ParaunitarySolution, disp: Displacement) -> np.ndarray:
     """Per-site photon number: fluctuation part plus |alpha_n|^2."""
-    t = ps.t
-    fluct = np.sum(np.abs(t[:3, 3:]) ** 2, axis=1)
+    fluct = np.sum(np.abs(ps.t[:3, 3:]) ** 2, axis=1)
     return fluct + disp.a ** 2 + disp.b ** 2
 
 
 def variance_x_sr(ps: ParaunitarySolution) -> np.ndarray:
     """(Delta x_n)^2 for x = a + a^dag; displacement-independent."""
-    t = ps.t
-    return np.sum(np.abs(t[:3, :3] + t[:3, 3:].conj()) ** 2, axis=1)
+    return np.sum(np.abs(ps.t[:3, :3] + ps.t[:3, 3:].conj()) ** 2, axis=1)
 
 
 def variance_p_sr(ps: ParaunitarySolution) -> np.ndarray:
     """(Delta p_n)^2 for p = i(a^dag - a); displacement-independent."""
-    t = ps.t
-    return np.sum(np.abs(t[:3, 3:].conj() - t[:3, :3]) ** 2, axis=1)
+    return np.sum(np.abs(ps.t[:3, 3:].conj() - ps.t[:3, :3]) ** 2, axis=1)
 
 
 def ground_energy_fluct(params: ModelParams, ps: ParaunitarySolution,

@@ -11,32 +11,24 @@ the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
 Roots: at a reduced coupling delta = g1/g1c - 1 >= 1e-2 a float64
 multi-start damped Newton returns the minimal-energy root, canonicalized
 so the distinguished site (when the ring order breaks C3) sits at index 0.
-All starts (up to 26) run as one batch: every iteration makes one stacked
-Jacobian and solve, one residual call for the full steps and one for all
-backtracking steps of the rows that need them, and each start follows the
-iterates it would follow alone. A row stops when it converges, when the
-Levenberg regularization it needs exceeds 1e6, when its max|r| has
-not halved over the last 20 iterations (a stall at a non-root minimum of
-max|r|; the give-up rule of MINPACK's hybrj, Moré, Garbow & Hillstrom,
-ANL-80-74 (1980)), or at the 200-iteration cap.
-Closer to g1c the Jacobian goes singular, so `continued_roots` follows
-that root from delta = 1e-2 down a descending delta ladder, each step
-seeded by scaling the previous root with sqrt(delta'/delta) and polished
-by Newton to 1e-12. Points with delta >= 1e-4 run in float64;
-deeper points run the same functions on 50-digit mpmath numbers (g1c and
-g1 included), because the Cholesky step of the fluctuations needs
-min-eig(Hd) ~ eps1^2 to stay clear of roundoff. There the Newton
-solves, like the Cholesky and eigensolve of the fluctuations, run on the
-standard library's `decimal` and keep mpmath's rule for a singular
-Jacobian (see `numerics`).
+All starts (up to 26) run as one batch (`_newton`): every iteration makes
+one stacked Jacobian and solve, one residual call for the full steps and
+one for all backtracking steps of the rows that need them. Closer to g1c
+the Jacobian goes singular, so `continued_roots` follows that root from
+delta = 1e-2 down a descending delta ladder, each step seeded by scaling
+the previous root with sqrt(delta'/delta) and polished by Newton to 1e-12.
+Points with delta >= 1e-4 run in float64; deeper points run the same
+functions on 50-digit Decimal numbers (g1c and g1 included), because the
+Cholesky step of the fluctuations needs min-eig(Hd) ~ eps1^2 to stay clear
+of roundoff (see `numerics`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
-from mpmath import mp
 
 from . import numerics
 from .errors import ConvergenceError, CriticalPointError, DomainError
@@ -52,7 +44,7 @@ _MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
 _LADDER_DECADES = 3     # continuation fill density: points per decade
 # ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
 _NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
-_HALVINGS = 0.5 ** np.arange(1, 30)     # Newton backtracking step lengths
+_HALVINGS = 0.5 ** np.arange(1, 30)[:, None]    # Newton backtracking steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +68,7 @@ class MeanFieldSolution:
 def _gaps(params: ModelParams, a: np.ndarray) -> np.ndarray:
     g = bare_coupling(params)
     nb = numerics.of(params.omega, a)
-    return nb.sqrt(a * (16.0 * g * g) * a + params.delta ** 2)
+    return nb.sqrt(a * (16 * g * g) * a + params.delta ** 2)
 
 
 def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
@@ -93,7 +85,7 @@ def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
     an, ap = a[..., _NXT], a[..., _PRV]    # A_{n+1}, A_{n-1}
     bn, bp = b[..., _NXT], b[..., _PRV]
     ct, st = nb.cos(th), nb.sin(th)
-    r = a * w - a * (4.0 * g * g) / dn + ((an + ap) * ct + (bn - bp) * st) * j
+    r = a * w - a * (4 * g * g) / dn + ((an + ap) * ct + (bn - bp) * st) * j
     s = b * w + ((bn + bp) * ct + (ap - an) * st) * j
     return np.concatenate([r, s], axis=-1)
 
@@ -107,16 +99,16 @@ def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
     a = np.asarray(disp.a)
     dn = _gaps(params, a)
     ct, st = nb.cos(th), nb.sin(th)
-    nxt, prv = np.eye(3)[_NXT], np.eye(3)[_PRV]
+    nxt, prv = nb.num(np.eye(3)[_NXT]), nb.num(np.eye(3)[_PRV])
     jac = np.zeros(a.shape[:-1] + (6, 6), dtype=nb.rdtype)
     # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
-    curv = np.divide(4.0 * g * g * params.delta ** 2, dn ** 3)
+    curv = 4 * g * g * params.delta ** 2 / dn ** 3
     diag = np.zeros(a.shape + (3,), dtype=nb.rdtype)
     diag[..., range(3), range(3)] = -curv + w
     jac[..., :3, :3] = diag + (nxt + prv) * (j * ct)
     jac[..., :3, 3:] = (nxt - prv) * (j * st)
     jac[..., 3:, :3] = (prv - nxt) * (j * st)
-    jac[..., 3:, 3:] = np.eye(3) * w + (nxt + prv) * (j * ct)
+    jac[..., 3:, 3:] = nb.num(np.eye(3)) * w + (nxt + prv) * (j * ct)
     return jac
 
 
@@ -132,8 +124,8 @@ def ground_energy_mf(params: ModelParams, disp: Displacement) -> float:
     dn = _gaps(params, a)
     an, bn = a[_NXT], b[_NXT]
     ct, st = nb.cos(th), nb.sin(th)
-    hop = 2.0 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st)
-    return float(w * np.sum(a * a + b * b) + hop - 0.5 * np.sum(dn))
+    hop = 2 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st)
+    return float(w * np.sum(a * a + b * b) + hop - np.sum(dn) / 2)
 
 
 def fsp_closed_form(params: ModelParams) -> Displacement:
@@ -192,7 +184,8 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
       - given up by the Levenberg rule, when the regularization mu of a
         step that lowers no max|r| would exceed 1e6;
       - stalled, when max|r| has not halved over the last _STALL
-        iterations;
+        iterations (a stall at a non-root minimum of max|r|; the give-up
+        rule of MINPACK's hybrj, Moré, Garbow & Hillstrom, ANL-80-74);
       - at the cap of _MAX_ITER iterations.
     Returns the root reached, or None where a row ends above tol; for a
     stack, a list with one entry per row.
@@ -200,24 +193,24 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
     nb = numerics.of(params.omega, x0)
     x = np.array(x0, dtype=nb.rdtype, ndmin=2)
     r = residuals(params, _disp(x))
-    mu = np.zeros(len(x), dtype=nb.rdtype)
+    mu = nb.num(np.zeros(len(x)))
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
     past = []                            # max|r| of each row, per iteration
     for it in range(_MAX_ITER):
         rn = np.max(np.abs(r), axis=-1)
         live &= ~(rn <= tol)
         if it >= _STALL:
-            live &= rn <= past[it - _STALL] * 0.5
+            live &= rn <= past[it - _STALL] / 2
         past.append(rn)
         if not live.any():
             break
         rows = np.flatnonzero(live)
         jac = residual_jacobian(params, _disp(x[rows]))
         reg = mu[rows] != 0
-        jac[reg] += np.eye(6) * mu[rows[reg], None, None]
+        jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
         step, regular = _solve_rows(nb, jac, -r[rows])
         sing = rows[~regular]
-        mu[sing] = np.maximum(10.0 * mu[sing], 1e-12)
+        mu[sing] = np.maximum(10 * mu[sing], nb.num(1e-12))
         rows, step = rows[regular], step[regular]
         # backtracking on the residual norm: the full step, then for the
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
@@ -227,7 +220,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
         ok = np.max(np.abs(rt), axis=-1) < rn[rows]
         back = np.flatnonzero(~ok)
         if len(back):
-            xh = x[rows[back], None] + _HALVINGS[:, None] * step[back, None]
+            xh = x[rows[back], None] + nb.num(_HALVINGS) * step[back, None]
             rh = residuals(params, _disp(xh))
             lower = np.max(np.abs(rh), axis=-1) < rn[rows[back], None]
             first = np.argmax(lower, axis=1)
@@ -236,8 +229,8 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
             ok[back] = lower.any(axis=1)
         good, bad = rows[ok], rows[~ok]
         x[good], r[good] = xt[ok], rt[ok]
-        mu[good] *= 0.25
-        mu[bad] = np.where(mu[bad] == 0, 1e-10, mu[bad] * 100.0)
+        mu[good] /= 4
+        mu[bad] = np.where(mu[bad] == 0, nb.num(1e-10), mu[bad] * 100)
         live[bad[mu[bad] > 1e6]] = False
     conv = np.max(np.abs(r), axis=-1) <= tol
     out = [xi if ci else None for xi, ci in zip(x, conv)]
@@ -353,29 +346,29 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
     """(params, root) at each reduced coupling delta = g1/g1c - 1 > 0, by
     continuation from the multi-start root at max(delta, 1e-2) found with
     the given seed. The params are in units of omega (`in_omega_units`).
-    Below delta = 1e-4 both are 50-digit mpmath numbers, to be used inside
-    mp.workdps(numerics.MP_DPS)."""
+    Below delta = 1e-4 both are 50-digit Decimal numbers, to be used inside
+    `numerics.working()`."""
     base = in_omega_units(base)
     need = sorted({float(d) for d in deltas}, reverse=True)
     g1c = critical_coupling_min(base)
     anchor = max(need[0], _ANCHOR)
     x = _multistart(replace(base, g1=g1c * (1.0 + anchor)), seed)
     out = {}
-    with mp.workdps(numerics.MP_DPS):
+    with numerics.working():
         # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
-        base_mp = replace(base, omega=mp.mpf(1),
-                          delta=mp.mpf(base.delta), j_hop=mp.mpf(base.j_hop))
-        g1c_mp = critical_coupling_min(base_mp)
+        base_dec = replace(base, omega=Decimal(1), delta=Decimal(base.delta),
+                           j_hop=Decimal(base.j_hop))
+        g1c_dec = critical_coupling_min(base_dec)
         prev = anchor
         for d in _ladder(anchor, need):
             if d >= _MP_SPLIT:
                 p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12
                 step = math.sqrt(d / prev)
             else:
-                p = replace(base_mp, g1=g1c_mp * (1 + mp.mpf(d)))
-                tol = mp.mpf(10) ** (12 - numerics.MP_DPS)
-                step = mp.sqrt(mp.mpf(d) / prev)
-            x = _newton(p, x * step, tol)
+                p = replace(base_dec, g1=g1c_dec * (1 + Decimal(d)))
+                tol = Decimal(10) ** (12 - numerics.MP_DPS)
+                step = (Decimal(d) / Decimal(prev)).sqrt()
+            x = _newton(p, numerics.of(p.omega).num(x) * step, tol)
             if x is None:
                 raise ConvergenceError(
                     f"continuation lost the root at g1={float(p.g1)}")

@@ -67,6 +67,8 @@ def in_omega_units(params: ModelParams) -> ModelParams:
     A ratio that leaves float64 raises DomainError naming it: delta/omega or
     J/omega overflowing to inf, or delta/omega underflowing to 0.
     """
+    if params.omega == 1.0:     # already in units of omega
+        return params
     delta, j_hop = params.delta / params.omega, params.j_hop / params.omega
     for name, ratio, value in (("delta/omega", delta, params.delta),
                                ("J/omega", j_hop, params.j_hop)):
@@ -93,16 +95,16 @@ def critical_coupling(params: ModelParams, q: float) -> float:
     """
     _check_momentum(q)
     nb = numerics.of(params.omega)
-    q = round(q / TWO_THIRDS_PI) * 2 * nb.pi / 3   # at working precision
-    jr = params.j_hop / params.omega
-    cq = nb.cos(params.theta) * nb.cos(q)
-    den = 1.0 + 2.0 * jr * cq
+    q = round(q / TWO_THIRDS_PI) * 2 * nb.pi() / 3   # at working precision
+    th, jr = nb.num(params.theta), params.j_hop / params.omega
+    cq = nb.cos(th) * nb.cos(q)
+    den = 1 + 2 * jr * cq
     if den <= 0.0:
         raise DomainError("hopping too strong: boundary formula denominator <= 0")
-    num = 1.0 + 4.0 * jr * cq + 4.0 * jr * jr * nb.cos(params.theta + q) * nb.cos(params.theta - q)
+    num = 1 + 4 * jr * cq + 4 * jr * jr * nb.cos(th + q) * nb.cos(th - q)
     if num < 0.0:
         raise DomainError("hopping too strong: boundary formula radicand < 0")
-    return 0.5 * nb.sqrt(num / den)
+    return nb.sqrt(num / den) / 2
 
 
 def softest_mode(params: ModelParams) -> tuple[float, float]:
@@ -114,7 +116,7 @@ def softest_mode(params: ModelParams) -> tuple[float, float]:
     best = None
     for q in (0.0, -TWO_THIRDS_PI, TWO_THIRDS_PI):
         g1c = critical_coupling(params, q)
-        if best is None or g1c < best[0] - 1e-15:
+        if best is None or best[0] - g1c > 1e-15:
             best = (g1c, q)
     return best
 

@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import MOMENTA, ModelParams, _check_momentum, critical_coupling_min
+from .model import (MOMENTA, ModelParams, _check_momentum,
+                    critical_coupling_min, in_omega_units)
 
 
 @dataclass(frozen=True)
@@ -45,48 +46,35 @@ class NpObservables:
     ground_energy: float
 
 
-def _dispersion(params: ModelParams, q: float) -> float:
-    w, g1, j, th = params.omega, params.g1, params.j_hop, params.theta
-    return w - 2.0 * w * g1 * g1 + 2.0 * j * math.cos(th - q)
-
-
-def _soft_factor(params: ModelParams, q: float) -> float:
-    # Omega_plus - 4*omega*g1^2, expanded so the near-critical cancellation
-    # happens in a single linear expression
-    w, g1, j, th = params.omega, params.g1, params.j_hop, params.theta
-    return 2.0 * w - 8.0 * w * g1 * g1 + 4.0 * j * math.cos(th) * math.cos(q)
-
-
 def mode(params: ModelParams, q: float) -> MomentumMode:
-    """All per-mode normal-phase quantities at momentum q.
+    """All per-mode normal-phase quantities at momentum q, computed in
+    units of omega (`in_omega_units`) with the energies scaled back.
 
-    Raises DomainError past the physical NP regime for this mode
-    (Omega_plus^2 < 16 omega^2 g1^4), where the excitation energy would
-    turn complex and the superradiant branch must be used instead, and
-    where the radicand (Omega_plus - 4 omega g1^2)(Omega_plus + 4 omega g1^2)
-    falls below the normal float64 range, which costs eps_q its digits.
+    Raises DomainError on and past the boundary of the physical NP regime
+    for this mode (Omega_plus^2 <= 16 omega^2 g1^4), where the excitation
+    energy would vanish or turn complex and the superradiant branch must
+    be used instead, and where the radicand underflows float64 (J/omega
+    below about 1e-292 on the boundary), which costs eps_q its digits.
     """
     _check_momentum(q)
-    w, g1 = params.omega, params.g1
-    wq = _dispersion(params, q)
-    wmq = _dispersion(params, -q)
-    op = wq + wmq
-    om = wq - wmq
-    k4 = 4.0 * w * g1 * g1
-    lo = _soft_factor(params, q)   # op - k4, computed stably
+    p, w = in_omega_units(params), params.omega
+    g1, j, th = p.g1, p.j_hop, p.theta
+    wq = 1.0 - 2.0 * g1 * g1 + 2.0 * j * math.cos(th - q)
+    wmq = 1.0 - 2.0 * g1 * g1 + 2.0 * j * math.cos(th + q)
+    op, om, k4 = wq + wmq, wq - wmq, 4.0 * g1 * g1
+    # op - k4, expanded as the module's numerical note says
+    lo = 2.0 - 8.0 * g1 * g1 + 4.0 * j * math.cos(th) * math.cos(q)
     hi = op + k4
-    if lo < 0.0 or hi < 0.0:
+    if lo <= 0.0 or hi < 0.0:
         raise DomainError(
             f"mode q={q:.6f} outside the normal-phase domain (g1={g1})")
-    rad = lo * hi
-    if rad < sys.float_info.min:
-        raise DomainError(f"mode q={q:.6f}: the radicand {rad:.3g} "
+    if lo * hi < sys.float_info.min:
+        raise DomainError(f"mode q={q:.6f}: the radicand {lo * hi:.3g} "
                           "underflows float64")
-    root = math.sqrt(rad)
-    eps = 0.5 * (root + om)
+    eps = 0.5 * (math.sqrt(lo * hi) + om)
     lam = 0.125 * math.log(hi / lo) if g1 > 0.0 else 0.0
-    return MomentumMode(q=q, omega_q=wq, Omega_plus=op, Omega_minus=om,
-                        epsilon=eps, lambda_q=lam)
+    return MomentumMode(q=q, omega_q=wq * w, Omega_plus=op * w,
+                        Omega_minus=om * w, epsilon=eps * w, lambda_q=lam)
 
 
 def _require_np(params: ModelParams) -> None:

@@ -1,43 +1,37 @@
-"""Working precision: float64, or 50 digits on mpmath and `decimal`.
+"""Working precision: float64, or 50 digits on the standard `decimal`.
 
 The equations of the package (boundary, mean-field residuals, Jacobian and
 Newton, M matrix, Colpa step, observables) are written once on numpy
 arrays. Float and complex arrays run them in float64; object arrays of
-mpmath numbers, or parameter sets whose omega is an mpmath number, run the
-same code at mpmath's working precision. Only the primitives in the tables
-F64 and MP differ, and `of` picks the table that matches its inputs.
+Decimal and DComplex numbers, or parameter sets whose omega is a Decimal,
+run them in the current decimal context, which must be `working()` (the
+default holds 28 digits). Only the primitives in the tables F64 and DEC
+differ, and `of` picks the table. Decimal refuses float operands, so
+shared code writes an integral constant as an int and passes other floats
+through `num`, the identity in F64 and the exact conversion in DEC.
 
-At mpmath precision the scalars stay mpmath numbers, but the matrix kernels
-of MP (Cholesky, linear solve, and `colpa`, the Hermitian eigensolve of the
-Colpa step with the products around it) run on `decimal.Decimal`, the
-standard library's C decimal type: each converts its inputs to Decimal with
-one rounding, works at a precision derived from mp.prec at call time, and
-returns mpmath numbers, again rounded once. Every
-Decimal operation runs inside `decimal.localcontext`, because even unary
-minus and abs round to the current context, whose default is 28 digits.
-The kernels keep mpmath's acceptance rules (which pivots count as zero),
-since those decide when Newton regularizes and when the Colpa step raises.
-The linear solve takes only the real systems of the mean-field Newton
-steps: the Colpa step needs no solve (see `bogoliubov`), and its residuals
-are products.
-
-Shared code keeps a numpy array on the left of a scalar (`a * w`, and
-`np.divide(w, a)` for scalar over array): with an mpmath scalar on the
-left, mpmath prints the whole array before it hands the operation to numpy,
-which costs more than the arithmetic.
+The matrix kernels of DEC (Cholesky, linear solve of the real Newton
+systems, and `colpa`, the Colpa eigensolve with the products around it) run
+on Decimal arrays of real and imaginary parts, with the rules of mpmath's
+cholesky and lu_solve for which pivots count as zero: they decide when
+Newton regularizes and when the Colpa step raises.
 """
 from __future__ import annotations
 
 import math
 from decimal import Context, Decimal, getcontext, localcontext
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, normalize, round_nearest
 
-MP_DPS = 50     # decimal digits of the near-critical mpmath points
+MP_DPS = 50     # decimal digits of the near-critical points
+
+
+def working(digits: int = MP_DPS + 2):      # two guard digits
+    """The decimal context of the 50-digit points, or of `digits` digits."""
+    return localcontext(Context(prec=digits))
 
 
 def _colpa_f64(c, sign):
@@ -49,86 +43,120 @@ def _colpa_f64(c, sign):
 
 
 F64 = SimpleNamespace(
-    rdtype=float, cdtype=complex, pi=math.pi, cos=math.cos, sin=math.sin,
+    rdtype=float, cdtype=complex, num=lambda x: x, complex=complex,
+    pi=lambda: math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
-    prec=lambda: 53,                                    # bits
+    prec=lambda: 16,                                    # digits
     cholesky=lambda h: sla.cholesky(h, lower=False),   # h = c^dag c
     colpa=_colpa_f64, solve=np.linalg.solve)
 
 
 # ---------------------------------------------------------------------------
-# Decimal kernels of the mpmath table
+# the 50-digit scalars
 
-def _context(bits: int) -> Context:
-    """A decimal context with at least the given number of bits."""
-    return Context(prec=math.ceil(bits * math.log10(2.0)) + 1)
+class DComplex:
+    """real + i imag on two Decimals, with the operations the equations use
+    (+ - * / on DComplex, Decimal and int, -z, abs, conjugate, complex)."""
 
+    __slots__ = ("real", "imag")
 
-def _dec(v: tuple) -> Decimal:
-    """A raw mpf value (sign, man, exp, bc) as a Decimal, rounded once to
-    the current context."""
-    sign, man, exp, _ = v
-    if not man and exp:
-        raise np.linalg.LinAlgError("non-finite matrix entry")
-    d = Decimal(-man if sign else man)
-    return d * (1 << exp) if exp >= 0 else d / (1 << -exp)
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
 
+    def __add__(self, z):
+        if isinstance(z, DComplex):
+            return DComplex(self.real + z.real, self.imag + z.imag)
+        return DComplex(self.real + z, self.imag)
 
-def _part_pair(x) -> tuple[Decimal, Decimal]:
-    if isinstance(x, mpc):
-        re, im = x._mpc_
-        return _dec(re), _dec(im)
-    if isinstance(x, mpf):
-        return _dec(x._mpf_), Decimal(0)
-    return +Decimal(x.real), +Decimal(x.imag)     # a Python number
+    def __sub__(self, z):
+        return self + -z
 
+    def __rsub__(self, z):
+        return -self + z
 
-# real and imaginary parts of mpmath or Python numbers, as Decimals
-_parts = np.frompyfunc(_part_pair, 1, 2)
+    def __mul__(self, z):
+        if isinstance(z, DComplex):
+            return DComplex(self.real * z.real - self.imag * z.imag,
+                            self.real * z.imag + self.imag * z.real)
+        return DComplex(self.real * z, self.imag * z)
 
+    def __truediv__(self, z):
+        if isinstance(z, DComplex):
+            return self * z.conjugate() / (z.real * z.real + z.imag * z.imag)
+        return DComplex(self.real / z, self.imag / z)
 
-def _mpf_value(d: Decimal, prec: int) -> tuple:
-    """The raw mpf nearest to d at prec bits: the quotient p/q of d's exact
-    ratio, with a sticky bit for the remainder, rounded once."""
-    if not d:
-        return fzero
-    p, q = d.as_integer_ratio()
-    shift = max(prec + 2 + q.bit_length() - abs(p).bit_length(), 0)
-    man, rem = divmod(abs(p) << shift, q)
-    man = man << 1 | (rem != 0)
-    return normalize(int(p < 0), man, -shift - 1, man.bit_length(), prec,
-                     round_nearest)
+    def __rtruediv__(self, z):
+        return DComplex(z, 0) / self
 
+    def __neg__(self):
+        return DComplex(-self.real, -self.imag)
 
-def _to_mp(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
-    """mpf array of Decimal parts re, or mpc array of re + i im."""
-    prec = mp.prec
-    if im is None:
-        return np.frompyfunc(
-            lambda r: mp.make_mpf(_mpf_value(r, prec)), 1, 1)(re)
-    return np.frompyfunc(lambda r, i: mp.make_mpc(
-        (_mpf_value(r, prec), _mpf_value(i, prec))), 2, 1)(re, im)
+    def __abs__(self):
+        return (self.real * self.real + self.imag * self.imag).sqrt()
+
+    def conjugate(self):
+        return DComplex(self.real, -self.imag)
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
-def _cholesky_mp(h):
-    """Upper c (mpc) with h = c^dag c. A pivot below mp.eps raises
-    LinAlgError, as mpmath's cholesky does."""
-    h = np.asarray(h, dtype=object)
-    with localcontext(_context(mp.prec)):
-        hr, hi = _parts(h)
-        eps = Decimal(2) ** (1 - mp.prec)       # mp.eps
-        cr, ci = np.zeros_like(hr), np.zeros_like(hi)
-        for j in range(len(h)):
-            ar, ai, br, bi = cr[:j, j], ci[:j, j], cr[:j, j:], ci[:j, j:]
-            # h[j, j:] - c[:j, j]^dag c[:j, j:]
-            sr = hr[j, j:] - (ar @ br + ai @ bi)
-            si = hi[j, j:] - (ar @ bi - ai @ br)
-            if not sr[0] >= eps:
-                raise np.linalg.LinAlgError("matrix is not positive definite")
-            d = sr[0].sqrt()
-            cr[j, j:], ci[j, j:] = sr / d, si / d
-            ci[j, j] = Decimal(0)
-        return _to_mp(cr, ci)
+def _pi() -> Decimal:
+    """pi at the current precision (the recipe of the decimal docs)."""
+    getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts, n, na, d, da = s, n + na, na + 8, d + da, da + 32
+        t = (t * n) / d
+        s += t
+    getcontext().prec -= 2
+    return +s
+
+
+@lru_cache(maxsize=64)
+def _cos_sin(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
+    """cos x and sin x at prec digits by the Taylor series of the recipes
+    of the decimal docs, cached: a continuation asks for one flux."""
+    out = []
+    with working(prec + 2):
+        for i, s in ((0, Decimal(1)), (1, x)):
+            lasts, fact, num, sign = 0, 1, s, 1
+            while s != lasts:
+                lasts, i, sign = s, i + 2, -sign
+                fact, num = fact * i * (i - 1), num * x * x
+                s += num / fact * sign
+            out.append(Context(prec=prec).plus(s))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Decimal kernels of the 50-digit table
+
+# real and imaginary parts of DComplex, Decimal or int entries
+_parts = np.frompyfunc(lambda z: (z.real, z.imag), 1, 2)
+_complex = np.frompyfunc(DComplex, 2, 1)
+_decimal = np.frompyfunc(Decimal, 1, 1)     # exact, from floats
+
+
+def _cholesky_dec(h):
+    """Upper c (DComplex) with h = c^dag c. A pivot below the working
+    epsilon raises LinAlgError, as mpmath's cholesky does."""
+    hr, hi = _parts(h)
+    eps = Decimal(10) ** (1 - getcontext().prec)
+    cr, ci = np.full((2, *hr.shape), Decimal(0), dtype=object)
+    for j in range(len(hr)):
+        ar, ai, br, bi = cr[:j, j], ci[:j, j], cr[:j, j:], ci[:j, j:]
+        # h[j, j:] - c[:j, j]^dag c[:j, j:]
+        sr = hr[j, j:] - (ar @ br + ai @ bi)
+        si = hi[j, j:] - (ar @ bi - ai @ br)
+        if not sr[0] >= eps:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        d = sr[0].sqrt()
+        cr[j, j:], ci[j, j:] = sr / d, si / d
+        ci[j, j] = Decimal(0)
+    return _complex(cr, ci)
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
@@ -155,18 +183,15 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
     return b
 
 
-def _solve_mp(a, b):
-    """x (mpf) with a x = b for the real Newton systems, one or a stack, at
-    mp.prec + 10 bits by `_lu_solve`, as mpmath's lu_solve."""
+def _solve_dec(a, b):
+    """x with a x = b for the real Newton systems, one or a stack, with 4
+    more digits (10 guard bits) than the context, by `_lu_solve`."""
     if np.ndim(a) > 2:                      # a stack of systems
-        return np.array([_solve_mp(ai, bi) for ai, bi in zip(a, b)])
-    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
-    bits = mp.prec + 10
-    with localcontext(_context(bits)):
-        ar, _ = _parts(a)
-        br, _ = _parts(b.reshape(len(a), -1))
-        xr = _lu_solve(ar, br, Decimal(2) ** (1 - bits))
-        return _to_mp(xr).reshape(b.shape)
+        return np.array([_solve_dec(ai, bi) for ai, bi in zip(a, b)])
+    with working(getcontext().prec + 4):
+        x = _lu_solve(a, np.reshape(b, (len(a), -1)),
+                      Decimal(10) ** (1 - getcontext().prec))
+    return x.reshape(np.shape(b))
 
 
 _CLUSTER = 1e-4     # relative float64 gap below which eigenvalues cluster
@@ -200,12 +225,11 @@ def _eigh_dec(wr, wi):
     pairs = list(zip(*np.nonzero(np.triu(near, 1))))
     eps = Decimal(10) ** (1 - getcontext().prec)
     tiny = Decimal(scale) * eps
-    xr, xi = _parts(x)
-    n = len(wr)
+    xr, xi = _decimal(x.real), _decimal(x.imag)
     for _ in range(8):
         sr, si = _cmul(*(xr.T, -xi.T), *_cmul(wr, wi, xr, xi))
         rr, ri = _cmul(*(xr.T, -xi.T), xr, xi)
-        rr, ri = np.eye(n, dtype=int) - rr, -ri
+        rr, ri = np.eye(len(wr), dtype=int) - rr, -ri
         lam = np.diagonal(sr) / (1 - np.diagonal(rr))
         den = np.where(near, 1, lam - lam[:, None])
         er = np.where(near, rr / 2, (sr + rr * lam) / den)
@@ -233,18 +257,16 @@ def _eigh_dec(wr, wi):
     return lam[order], xr[:, order], xi[:, order]
 
 
-def _colpa_mp(c, sign):
-    """`colpa` at mp.prec: W, its eigensystem and C^dag U+ in one Decimal
-    pass, with mpf eigenvalues and mpc columns."""
-    with localcontext(_context(mp.prec)):
-        cr, ci = _parts(np.asarray(c, dtype=object))
-        # W = (C Lam) C^dag; Lam flips the sign of columns of C
-        lr, li = np.where(sign > 0, cr, -cr), np.where(sign > 0, ci, -ci)
-        wr, wi = _cmul(lr, li, cr.T, -ci.T)
-        lam, ur, ui = _eigh_dec(wr, wi)
-        half = len(lam) // 2
-        vr, vi = _cmul(cr.T, -ci.T, ur[:, half:], ui[:, half:])
-        return _to_mp(lam), _to_mp(vr, vi)
+def _colpa_dec(c, sign):
+    """`colpa` in the current context: W, its eigensystem and C^dag U+ in
+    one pass, with Decimal eigenvalues and DComplex columns."""
+    cr, ci = _parts(c)
+    # W = (C Lam) C^dag; Lam flips the sign of columns of C
+    lr, li = np.where(sign > 0, cr, -cr), np.where(sign > 0, ci, -ci)
+    wr, wi = _cmul(lr, li, cr.T, -ci.T)
+    lam, ur, ui = _eigh_dec(wr, wi)
+    half = len(lam) // 2
+    return lam, _complex(*_cmul(cr.T, -ci.T, ur[:, half:], ui[:, half:]))
 
 
 def _rotate(tr, ti, xr, xi, p, q):
@@ -267,19 +289,19 @@ def _rotate(tr, ti, xr, xi, p, q):
     tr[p, q] = tr[q, p] = ti[p, q] = ti[q, p] = Decimal(0)
 
 
-MP = SimpleNamespace(
-    rdtype=object, cdtype=object, pi=mp.pi, cos=mp.cos, sin=mp.sin,
-    sqrt=np.frompyfunc(mp.sqrt, 1, 1), prec=lambda: mp.prec,
-    cholesky=_cholesky_mp, colpa=_colpa_mp, solve=_solve_mp)
+DEC = SimpleNamespace(
+    rdtype=object, cdtype=object, num=_decimal, complex=DComplex, pi=_pi,
+    cos=lambda x: _cos_sin(Decimal(x), getcontext().prec)[0],
+    sin=lambda x: _cos_sin(Decimal(x), getcontext().prec)[1],
+    sqrt=np.sqrt, prec=lambda: getcontext().prec,
+    cholesky=_cholesky_dec, colpa=_colpa_dec, solve=_solve_dec)
 
 
 def of(*inputs):
-    """MP if any input is an mpmath number or an object array, else F64.
-    A parameter set runs at the precision of its omega."""
+    """DEC if any input is a Decimal, a DComplex or an object array, else
+    F64. A parameter set runs at the precision of its omega."""
     for v in inputs:
-        if isinstance(v, np.ndarray):
-            if v.dtype == object:
-                return MP
-        elif isinstance(v, (mpf, mpc)):
-            return MP
+        if (v.dtype == object if isinstance(v, np.ndarray)
+                else isinstance(v, (Decimal, DComplex))):
+            return DEC
     return F64

@@ -25,14 +25,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from mpmath import mp
 
+from . import numerics
 from .bogoliubov import point_observables
 from .errors import CriticalPointError, DomainError, FitRejected
 from .meanfield import at_critical_point, continued_roots
 from .model import (ModelParams, PhaseLabel, classify_phase,
                     critical_coupling_min, in_omega_units)
-from .numerics import MP_DPS
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
 _DEFAULT_WINDOW = (1e-5, 1e-2)     # SweepSpec defaults
@@ -183,7 +182,7 @@ def observables_near(base: ModelParams, deltas: list[float],
            for d in deltas if d < 0.0}
     above = [d for d in deltas if d > 0.0]
     if above:
-        with mp.workdps(MP_DPS):
+        with numerics.working():
             out.update({d: point_observables(q, x) for d, (q, x)
                         in continued_roots(p, above, seed).items()})
     for obs in out.values():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
 
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
@@ -19,7 +18,7 @@ from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
                                   variance_x_np)
-from rabitri.numerics import F64, MP_DPS
+from rabitri.numerics import F64, working
 
 from conftest import params, unit_phase
 
@@ -227,9 +226,9 @@ def test_paraunitary_definition_holds():
 
 def test_paraunitary_at_fifty_digits():
     # the continuation's deep points run the same Colpa step on 50-digit
-    # numbers: follow the root down to delta = 1e-9
+    # Decimal numbers: follow the root down to delta = 1e-9
     p, x = continued_roots(params(theta=0.1), [1e-9])[1e-9]
-    with mp.workdps(MP_DPS):
+    with working():
         ps = diag_quiet(build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
     # read after leaving the 50-digit context: the residuals are evaluated
     # at the precision the solution was built with

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rabitri import DomainError
+from rabitri import DomainError, ModelParams
 from rabitri.model import MOMENTA, TWO_THIRDS_PI, critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, mode, observables_np,
@@ -112,6 +112,35 @@ def test_ground_energy_scales_with_the_energy_unit(s):
     got = ground_energy_np(params(theta=0.3, g1=0.3, omega=s,
                                   delta=50.0 * s, j_hop=0.05 * s))
     assert got == pytest.approx(s * ref, rel=1e-14, abs=0)
+
+
+def test_modes_scale_with_a_tiny_energy_unit():
+    # in raw units the radicand (Omega_plus - 4 omega g1^2)(Omega_plus +
+    # 4 omega g1^2) is about 1e-400 here and underflowed float64
+    w = 1e-200
+    got = excitation_energies(ModelParams(omega=w, delta=1e-198, g1=0.3,
+                                          j_hop=5e-202, theta=0.1))
+    ref = excitation_energies(params(theta=0.1, g1=0.3))
+    assert got == pytest.approx([w * e for e in ref], rel=1e-15, abs=0)
+    small = ModelParams(omega=w, delta=1e-198, g1=0.3, j_hop=5e-202,
+                        theta=0.1)
+    for q in MOMENTA:
+        m, m1 = mode(small, q), mode(params(theta=0.1, g1=0.3), q)
+        for f in ("omega_q", "Omega_plus", "Omega_minus", "epsilon"):
+            assert getattr(m, f) == pytest.approx(w * getattr(m1, f),
+                                                  rel=1e-15, abs=0), f
+        assert m.lambda_q == pytest.approx(m1.lambda_q, rel=1e-15, abs=0)
+
+
+def test_mode_refuses_its_own_boundary():
+    # J = 0 and g1 = 1/2: every mode sits exactly on its boundary, where
+    # Omega_plus = 4 omega g1^2 and eps_q = 0
+    for q in MOMENTA:
+        with pytest.raises(DomainError, match="outside the normal-phase"):
+            mode(params(j_hop=0.0, g1=0.5), q)
+    # a subnormal J/omega leaves the q = 0 radicand 8e-310 in omega units
+    with pytest.raises(DomainError, match="underflows float64"):
+        mode(params(j_hop=1e-310, g1=0.5), 0.0)
 
 
 def test_observables_bundle_matches_parts():
