@@ -15,12 +15,11 @@ from .meanfield import (Displacement, MeanFieldSolution, fsp_closed_form,
                         ground_energy_mf, residual_jacobian, residuals,
                         solve_displacements)
 from .bogoliubov import (ParaunitarySolution, build_m_matrix,
-                         diagonalize_paraunitary, ground_energy_fluct,
-                         local_photon_sr, point_observables, variance_p_sr,
-                         variance_x_sr)
+                         diagonalize_paraunitary, local_photon_sr,
+                         point_observables, variance_p_sr, variance_x_sr)
 from .dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                        chirality_metric, evolve, exact_ground_energy,
-                       initial_state, number_operators)
+                       initial_state)
 from .scaling import (ExponentReport, PowerLawFit, ReportEntry, SweepSpec,
                       ZPair, exponent_report, fit_power_law, format_report,
                       observables_near, sweep)
@@ -40,11 +39,10 @@ __all__ = [
     "Displacement", "MeanFieldSolution", "fsp_closed_form",
     "ground_energy_mf", "residual_jacobian", "residuals",
     "solve_displacements",
-    "ParaunitarySolution", "build_m_matrix",
-    "diagonalize_paraunitary", "ground_energy_fluct", "local_photon_sr",
-    "point_observables", "variance_p_sr", "variance_x_sr",
+    "ParaunitarySolution", "build_m_matrix", "diagonalize_paraunitary",
+    "local_photon_sr", "point_observables", "variance_p_sr", "variance_x_sr",
     "FockBasis", "Trajectory", "build_full_hamiltonian", "chirality_metric",
-    "evolve", "exact_ground_energy", "initial_state", "number_operators",
+    "evolve", "exact_ground_energy", "initial_state",
     "ExponentReport", "PowerLawFit", "ReportEntry", "SweepSpec", "ZPair",
     "exponent_report", "fit_power_law", "format_report", "observables_near",
     "sweep",

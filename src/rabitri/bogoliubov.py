@@ -2,9 +2,11 @@
 
 Eliminating the rotated spins to second order leaves a bilinear photon
 Hamiltonian, encoded as a 6x6 Hermitian matrix M in the ordered basis
-{a1, a2, a3, a1^dag, a2^dag, a3^dag}. Diagonalization must preserve the
-bosonic commutators, i.e. the transformation T is paraunitary:
-T^dag Lam T = Lam with Lam = diag(1, 1, 1, -1, -1, -1).
+{a1, a2, a3, a1^dag, a2^dag, a3^dag}. It is the second-order expansion of
+the mean-field energy, so `build_m_matrix` reads it off the residual
+Jacobian of `meanfield` by a change of basis. Diagonalization must
+preserve the bosonic commutators, i.e. the transformation T is
+paraunitary: T^dag Lam T = Lam with Lam = diag(1, 1, 1, -1, -1, -1).
 
 The solver follows Colpa's recipe on the doubled matrix Hd = 2M:
 Cholesky Hd = C^dag C, then the Hermitian W = C Lam C^dag is diagonalized
@@ -36,8 +38,8 @@ import numpy as np
 from . import numerics
 from .errors import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError)
-from .meanfield import Displacement, _gaps, ground_energy_mf
-from .model import ModelParams, bare_coupling
+from .meanfield import Displacement, residual_jacobian
+from .model import ModelParams
 from .np_analytics import (excitation_energies, local_photon_np,
                            variance_p_np, variance_x_np)
 
@@ -71,27 +73,21 @@ class ParaunitarySolution:
 
 
 def build_m_matrix(params: ModelParams, disp: Displacement) -> np.ndarray:
-    """Bilinear form M around the displacement disp: diagonal
-    omega/2 - lambda_n^2/Delta_n, hopping J e^{-i theta}/2 along the ring,
-    anomalous -lambda_n^2/Delta_n, with the renormalized gaps Delta_n of
-    disp and the effective couplings lambda_n = g Delta/Delta_n."""
-    w, j, th = params.omega, params.j_hop, params.theta
-    nb = numerics.of(params.omega, disp.a)
-    dn = _gaps(params, disp.a)
-    lam = bare_coupling(params) * params.delta / dn
-    kap = lam ** 2 / dn   # lambda_n^2 / Delta_n per site
-    m = np.zeros((6, 6), dtype=nb.cdtype)
-    eith = nb.complex(nb.cos(th), nb.sin(th))
-    for n in range(3):
-        p, q = (n + 1) % 3, (n - 1) % 3
-        m[n, n] = w / 2 - kap[n]
-        m[3 + n, 3 + n] = w / 2 - kap[n]
-        m[n, p] += j / 2 / eith
-        m[n, q] += j / 2 * eith
-        m[3 + n, 3 + p] += j / 2 * eith
-        m[3 + n, 3 + q] += j / 2 / eith
-        m[n, 3 + n] = -kap[n]
-        m[3 + n, n] = -kap[n]
+    """Bilinear form M around the displacement disp, derived from the
+    residual Jacobian J there (half the Hessian of `ground_energy_mf`).
+
+    To second order in the shift x = (A, B) the energy is x^T J x, which
+    is psi^dag M psi for psi = (alpha, alpha^*) = U x, U = [[1, i], [1, -i]]
+    in 3x3 blocks, since U^dag U = 2: M = U J U^dag / 4. In the blocks
+    J = [[aa, ab], [ba, bb]] the normal block of M is
+    (aa + bb + i (ba - ab)) / 4 and, since ba = -ab, the anomalous block is
+    the real (aa - bb) / 4."""
+    jac = residual_jacobian(params, disp)
+    aa, ab, ba, bb = jac[:3, :3], jac[:3, 3:], jac[3:, :3], jac[3:, 3:]
+    normal = numerics.of(jac).complex((aa + bb) / 4, (ba - ab) / 4)
+    m = np.empty((6, 6), dtype=normal.dtype)
+    m[:3, :3], m[3:, 3:] = normal, normal.conj()
+    m[:3, 3:] = m[3:, :3] = (aa - bb) / 4
     return m
 
 
@@ -163,13 +159,6 @@ def variance_x_sr(ps: ParaunitarySolution) -> np.ndarray:
 def variance_p_sr(ps: ParaunitarySolution) -> np.ndarray:
     """(Delta p_n)^2 for p = i(a^dag - a); displacement-independent."""
     return np.sum(np.abs(ps.t[:3, 3:].conj() - ps.t[:3, :3]) ** 2, axis=1)
-
-
-def ground_energy_fluct(params: ModelParams, ps: ParaunitarySolution,
-                        disp: Displacement) -> float:
-    """Mean-field energy plus the zero-point shift sum_k (eps_k - omega)/2."""
-    return (ground_energy_mf(params, disp)
-            + float(np.sum(ps.eps - params.omega)) / 2.0)
 
 
 def point_observables(params: ModelParams,

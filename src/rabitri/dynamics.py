@@ -119,10 +119,6 @@ def build_full_hamiltonian(params: ModelParams, basis: FockBasis) -> sp.csr_matr
     return h
 
 
-def number_operators(basis: FockBasis) -> list[sp.csr_matrix]:
-    return [sp.diags(n, format="csr", dtype=float) for n in _fock_table(basis)[:3]]
-
-
 def initial_state(basis: FockBasis) -> np.ndarray:
     """|1,0,0> photons, all spins down; unit norm."""
     psi = np.zeros(basis.dim, dtype=complex)

@@ -44,6 +44,11 @@ _MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
 _LADDER_DECADES = 3     # continuation fill density: points per decade
 # ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
 _NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# and as matrices: (_HOP @ x)[n] = x_{n+1} + x_{n-1}, and _TWIST gives
+# x_{n+1} - x_{n-1}
+_HOP = np.eye(3)[_NXT] + np.eye(3)[_PRV]
+_TWIST = np.eye(3)[_NXT] - np.eye(3)[_PRV]
+_DIAG = np.arange(3)    # an index array: fancy indexing by range() is slower
 _HALVINGS = 0.5 ** np.arange(1, 30)[:, None]    # Newton backtracking steps
 
 
@@ -66,8 +71,12 @@ class MeanFieldSolution:
 
 
 def _gaps(params: ModelParams, a: np.ndarray) -> np.ndarray:
+    """Renormalized gaps Delta_n; params and a must share one precision."""
+    nb, na = numerics.of(params.omega), numerics.of(a)
+    if na is not nb:
+        raise DomainError(f"parameters in {nb.name} but displacement in "
+                          f"{na.name}; convert one to the other's precision")
     g = bare_coupling(params)
-    nb = numerics.of(params.omega, a)
     return nb.sqrt(a * (16 * g * g) * a + params.delta ** 2)
 
 
@@ -98,17 +107,15 @@ def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
     nb = numerics.of(params.omega, disp.a)
     a = np.asarray(disp.a)
     dn = _gaps(params, a)
-    ct, st = nb.cos(th), nb.sin(th)
-    nxt, prv = nb.num(np.eye(3)[_NXT]), nb.num(np.eye(3)[_PRV])
-    jac = np.zeros(a.shape[:-1] + (6, 6), dtype=nb.rdtype)
+    hop = nb.num(_HOP) * (j * nb.cos(th))
+    twist = nb.num(_TWIST) * (j * nb.sin(th))
     # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
     curv = 4 * g * g * params.delta ** 2 / dn ** 3
-    diag = np.zeros(a.shape + (3,), dtype=nb.rdtype)
-    diag[..., range(3), range(3)] = -curv + w
-    jac[..., :3, :3] = diag + (nxt + prv) * (j * ct)
-    jac[..., :3, 3:] = (nxt - prv) * (j * st)
-    jac[..., 3:, :3] = (prv - nxt) * (j * st)
-    jac[..., 3:, 3:] = nb.num(np.eye(3)) * w + (nxt + prv) * (j * ct)
+    jac = np.zeros(a.shape[:-1] + (6, 6), dtype=nb.rdtype)
+    jac[..., :3, :3] = jac[..., 3:, 3:] = hop
+    jac[..., :3, 3:], jac[..., 3:, :3] = twist, -twist
+    jac[..., _DIAG, _DIAG] += w - curv
+    jac[..., _DIAG + 3, _DIAG + 3] += w
     return jac
 
 

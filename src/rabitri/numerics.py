@@ -8,7 +8,9 @@ run them in the current decimal context, which must be `working()` (the
 default holds 28 digits). Only the primitives in the tables F64 and DEC
 differ, and `of` picks the table. Decimal refuses float operands, so
 shared code writes an integral constant as an int and passes other floats
-through `num`, the identity in F64 and the exact conversion in DEC.
+through `num`, the identity in F64 and the exact conversion in DEC, and
+builds a complex array from its real and imaginary parts by `complex`
+(in DEC an entry whose imaginary part is zero stays a Decimal).
 
 The matrix kernels of DEC (Cholesky, linear solve of the real Newton
 systems, and `colpa`, the Colpa eigensolve with the products around it) run
@@ -43,7 +45,8 @@ def _colpa_f64(c, sign):
 
 
 F64 = SimpleNamespace(
-    rdtype=float, cdtype=complex, num=lambda x: x, complex=complex,
+    name="float64", rdtype=float, cdtype=complex, num=lambda x: x,
+    complex=lambda re, im: re + 1j * im,
     pi=lambda: math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 16,                                    # digits
@@ -56,7 +59,8 @@ F64 = SimpleNamespace(
 
 class DComplex:
     """real + i imag on two Decimals, with the operations the equations use
-    (+ - * / on DComplex, Decimal and int, -z, abs, conjugate, complex)."""
+    (+ - * on DComplex, Decimal and int, / by them, -z, abs, conjugate,
+    complex)."""
 
     __slots__ = ("real", "imag")
 
@@ -84,9 +88,6 @@ class DComplex:
         if isinstance(z, DComplex):
             return self * z.conjugate() / (z.real * z.real + z.imag * z.imag)
         return DComplex(self.real / z, self.imag / z)
-
-    def __rtruediv__(self, z):
-        return DComplex(z, 0) / self
 
     def __neg__(self):
         return DComplex(-self.real, -self.imag)
@@ -290,7 +291,10 @@ def _rotate(tr, ti, xr, xi, p, q):
 
 
 DEC = SimpleNamespace(
-    rdtype=object, cdtype=object, num=_decimal, complex=DComplex, pi=_pi,
+    name="Decimal", rdtype=object, cdtype=object, num=_decimal,
+    # entries with a zero imaginary part stay Decimal: abs() of a DComplex
+    # costs a square root
+    complex=lambda re, im: np.where(im == 0, re, _complex(re, im)), pi=_pi,
     cos=lambda x: _cos_sin(Decimal(x), getcontext().prec)[0],
     sin=lambda x: _cos_sin(Decimal(x), getcontext().prec)[1],
     sqrt=np.sqrt, prec=lambda: getcontext().prec,

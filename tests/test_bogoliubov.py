@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
 from rabitri.bogoliubov import (_SIGN, build_m_matrix,
-                                diagonalize_paraunitary, ground_energy_fluct,
-                                local_photon_sr, point_observables,
-                                variance_p_sr, variance_x_sr)
+                                diagonalize_paraunitary, local_photon_sr,
+                                point_observables, variance_p_sr,
+                                variance_x_sr)
 from rabitri.meanfield import (Displacement, _newton, continued_roots,
-                               solve_displacements)
+                               ground_energy_mf, solve_displacements)
 from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
@@ -180,16 +180,43 @@ def test_uncertainty_products_superradiant():
         assert np.all(vx * vp >= 1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("theta, ratio", [(0.0, 1.1), (0.1, 1.05),
+                                          (1.7, 1.2)])
+def test_m_matrix_is_the_second_order_energy(theta, ratio):
+    # the second difference of the mean-field energy along v is
+    # 2 psi^dag M psi with psi = (v_A + i v_B, c.c.): M checked against the
+    # energy alone, not against the residuals or their Jacobian
+    g1c = critical_coupling_min(params(theta=theta))
+    p = params(theta=theta, g1=ratio * g1c)
+    disp = solve_displacements(p).disp
+    x = np.concatenate([disp.a, disp.b])
+    m = build_m_matrix(p, disp)
+
+    def energy(y):
+        return ground_energy_mf(p, Displacement(a=y[:3], b=y[3:]))
+
+    rng = np.random.default_rng(5)
+    h = 1e-4
+    for _ in range(5):
+        v = rng.normal(size=6)
+        fd = (energy(x + h * v) + energy(x - h * v) - 2 * energy(x)) / h ** 2
+        alpha = v[:3] + 1j * v[3:]
+        psi = np.concatenate([alpha, alpha.conj()])
+        quad = 2 * np.real(psi.conj() @ m @ psi)
+        assert abs(fd - quad) <= 1e-4 * np.max(np.abs(m)) * (v @ v)
+
+
 def test_normal_phase_energy_identity():
     # ground_energy_np carries the 1/delta dispersive shift that the pure
-    # photon fluctuation energy lacks; the difference is exactly
+    # photon fluctuation energy (mean-field energy plus the zero-point
+    # shift sum_k (eps_k - omega)/2) lacks; the difference is exactly
     # 3 (omega + J) g^2 / delta^2 = 3 (omega + J) omega g1^2 / delta
     p = params(theta=0.1, g1=0.3)
     mf = np_solution(p)
     ps = diag_quiet(build_m_matrix(p, mf.disp))
+    fluct = ground_energy_mf(p, mf.disp) + np.sum(ps.eps - p.omega) / 2
     shift = 3 * (p.omega + p.j_hop) * p.omega * p.g1 ** 2 / p.delta
-    assert ground_energy_np(p) == pytest.approx(
-        ground_energy_fluct(p, ps, mf.disp) + shift, abs=1e-9)
+    assert ground_energy_np(p) == pytest.approx(fluct + shift, abs=1e-9)
 
 
 def test_sine_saddle_is_flagged_unstable():

@@ -13,12 +13,14 @@ import pytest
 from mpmath import mp
 
 import rabitri
-from rabitri import CriticalPointError, DegeneracyWarning, ModelParams
+from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
+                     ModelParams)
 from rabitri.bogoliubov import (_SIGN, build_m_matrix,
                                 diagonalize_paraunitary)
-from rabitri.meanfield import Displacement, continued_roots, residual_jacobian
+from rabitri.meanfield import (Displacement, continued_roots,
+                               ground_energy_mf, residual_jacobian, residuals)
 from rabitri.model import critical_flux
-from rabitri.numerics import DEC, F64, MP_DPS, DComplex, of, working
+from rabitri.numerics import DEC, F64, MP_DPS, DComplex, _parts, of, working
 from rabitri.scaling import exponent_report
 
 from conftest import params, unit_phase
@@ -187,6 +189,39 @@ def test_cholesky_refuses_the_exact_zero_mode():
             diagonalize_paraunitary(m)
 
 
+@pytest.mark.parametrize("fn", [residuals, residual_jacobian,
+                                ground_energy_mf, build_m_matrix])
+def test_mixed_precision_input_is_a_domain_error(fn):
+    # Decimal refuses float operands, so parameters and displacement must
+    # come at one precision; either mix names both
+    with working():
+        zero = DEC.num(np.zeros(3))
+        for p, disp in ((dec_params(), Displacement.zero()),
+                        (params(), Displacement(a=zero, b=zero))):
+            with pytest.raises(DomainError) as err:
+                fn(p, disp)
+            assert "float64" in str(err.value)
+            assert "Decimal" in str(err.value)
+
+
+def test_m_matrix_at_fifty_digits_is_hermitian_and_matches_float64():
+    p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
+    with working():
+        m = build_m_matrix(p, Displacement(a=x[:3], b=x[3:]))
+        re, im = _parts(m)
+        assert np.all(re == re.T) and np.all(im == -im.T)
+    # the structurally real entries, anomalous blocks and diagonal, stay
+    # Decimal
+    real = [*m[:3, 3:].flat, *m[3:, :3].flat, *np.diagonal(m)]
+    assert all(isinstance(v, Decimal) for v in real)
+    # the same point in float64
+    pf = ModelParams(omega=float(p.omega), delta=float(p.delta),
+                     g1=float(p.g1), j_hop=float(p.j_hop), theta=p.theta)
+    xf = x.astype(float)
+    m64 = build_m_matrix(pf, Displacement(a=xf[:3], b=xf[3:]))
+    assert np.max(np.abs(m.astype(complex) - m64)) <= 1e-14
+
+
 def test_solve_refuses_the_singular_jacobian():
     # at J = 0 and g1 = g1c = 1/2 the curvature of site 1 cancels omega at
     # A_1 = 0 exactly (see test_singular_start_does_not_disturb_its_batch)
@@ -285,8 +320,7 @@ def test_dcomplex_matches_mpc():
                "z - k": z - k, "k - z": k - z,
                "z * w": z * w, "z * d": z * d, "d * z": d * z,
                "z * k": z * k, "k * z": k * z,
-               "z / w": z / w, "z / d": z / d, "d / z": d / z,
-               "z / k": z / k, "k / z": k / z,
+               "z / w": z / w, "z / d": z / d, "z / k": z / k,
                "-z": -z, "abs(z)": abs(z), "z.conjugate()": z.conjugate(),
                "z.real": z.real, "z.imag": z.imag}
     assert complex(z) == complex(5 / 12, -7 / 11)
