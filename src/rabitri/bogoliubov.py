@@ -95,16 +95,20 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
     """Paraunitary T and positive excitation energies of the 6x6 Hermitian
     form m.
 
-    Raises CriticalPointError when a mode energy collapses to zero (the
-    Bogoliubov normalization is singular there) and InstabilityError when
-    the spectrum of Lam*Hd leaves the real axis (expansion around an
-    unstable configuration).
+    Raises DomainError for a NaN or infinite entry, CriticalPointError
+    when a mode energy collapses to zero (the Bogoliubov normalization is
+    singular there) and InstabilityError when the spectrum of Lam*Hd leaves
+    the real axis (expansion around an unstable configuration).
     """
     nb = numerics.of(m)
     m = np.asarray(m, dtype=nb.cdtype)
     if m.shape != (6, 6):
         raise DomainError(f"expected a 6x6 matrix, got {m.shape}")
-    scale = np.max(np.abs(m))
+    mag = np.abs(m)
+    # NaN != NaN; unlike <, == does not raise on a Decimal NaN
+    if not np.all((mag == mag) & (mag != np.inf)):
+        raise DomainError("quadratic form has a NaN or infinite entry")
+    scale = np.max(mag)
     if scale == 0.0:
         raise CriticalPointError("zero quadratic form")
     tol = nb.num(1e-10) * scale

@@ -19,19 +19,25 @@ lowest level over every parity and ring-momentum sector: it stops when the
 residual bound of the lowest Ritz pair is a small multiple of eps ||H||, and
 since lost orthogonality only repeats converged Ritz values (Paige, Linear
 Algebra Appl. 34, 235 (1980)), it needs no stored basis.
+
+scipy is imported by the functions that build or solve a sparse H, on
+their first call, so the rest of the package runs without it: `evolve`
+loads scipy.sparse, and `exact_ground_energy` scipy.linalg as well.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, ResourceError, TruncationWarning
 from .model import ModelParams, bare_coupling, in_omega_units
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _DIM_CAP = 1_000_000
 _WORK_CAP = 1e7   # largest r t_final, about 2 sparse products per unit
@@ -92,6 +98,8 @@ def build_full_hamiltonian(params: ModelParams, basis: FockBasis) -> sp.csr_matr
     each forward bond J e^{i theta} a_{n+1}^dag a_n, whose conjugate is the
     reverse link. Zero entries are not stored.
     """
+    import scipy.sparse as sp
+
     w, half, j, th = params.omega, 0.5 * params.delta, params.j_hop, params.theta
     g = bare_coupling(params)
     table = _fock_table(basis)
@@ -194,6 +202,8 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     1.6 MB at n_max=6 and at most 0.66 GB at n_max=49 (_DIM_CAP); the B
     states of a block take at most _BLOCK_CAP n 16 bytes more.
     """
+    import scipy.sparse as sp
+
     if not (math.isfinite(t_final) and t_final >= 0.0
             and math.isfinite(sample_dt) and sample_dt > 0.0):
         raise DomainError("need finite t_final >= 0 and sample_dt > 0")
@@ -292,6 +302,8 @@ def _lanczos_lowest(h, v0: np.ndarray, tol: float, cap: int) -> float:
     beta_k = 0 (the Krylov space is invariant). More than cap steps raise
     ConvergenceError. Only h @ x is used.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     alpha, beta = [], []
     q_prev, q, b = np.zeros_like(v0), v0 / np.linalg.norm(v0), 0.0
     for k in range(1, cap + 1):

@@ -12,6 +12,10 @@ through `num`, the identity in F64 and the exact conversion in DEC, and
 builds a complex array from its real and imaginary parts by `complex`
 (in DEC an entry whose imaginary part is zero stays a Decimal).
 
+F64 runs on numpy alone (its Cholesky is the upper factor of
+`np.linalg.cholesky`, new in numpy 2.0), so the mean field, the Colpa step
+and the exponent reports load no scipy module.
+
 The matrix kernels of DEC (Cholesky, linear solve of the real Newton
 systems, and `colpa`, the Colpa eigensolve with the products around it) run
 on Decimal arrays of real and imaginary parts, with the rules of mpmath's
@@ -26,7 +30,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 
 MP_DPS = 50     # decimal digits of the near-critical points
 
@@ -50,7 +53,7 @@ F64 = SimpleNamespace(
     pi=lambda: math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 16,                                    # digits
-    cholesky=lambda h: sla.cholesky(h, lower=False),   # h = c^dag c
+    cholesky=lambda h: np.linalg.cholesky(h, upper=True),   # h = c^dag c
     colpa=_colpa_f64, solve=np.linalg.solve)
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def test_rejects_wrong_shape_and_non_hermitian():
     m = np.eye(6, dtype=complex)
     m[0, 1] = 0.5
     with pytest.raises(DomainError):
+        diagonalize_paraunitary(m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
+                                 Decimal("NaN"), Decimal("-Infinity")])
+def test_rejects_a_non_finite_entry(bad):
+    # before the Hermitian check, which a NaN would fail with its own
+    # message, and before the Cholesky, which may not raise on it at all
+    m = np.eye(6, dtype=object if isinstance(bad, Decimal) else complex)
+    m[1, 2] = bad
+    with working(), pytest.raises(DomainError, match="NaN or infinite"):
         diagonalize_paraunitary(m)
 
 

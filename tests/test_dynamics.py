@@ -451,6 +451,36 @@ def test_import_leaves_out_scipy_sparse_linalg():
     assert probe.stdout.strip() == "False"
 
 
+_SCIPY_FREE_PROBE = """
+import contextlib, io, sys
+import rabitri, rabitri.cli
+
+def scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert rabitri.cli.main(["meanfield"]) == 0
+    assert rabitri.cli.main(["spectrum", "--points", "3"]) == 0
+print(scipy())
+p = rabitri.ModelParams(omega=1.0, delta=50.0, g1=0.1, j_hop=0.05, theta=0.0)
+traj = rabitri.evolve(p, rabitri.FockBasis(n_max=1), 0.5)
+print(len(traj.times), "scipy.sparse" in sys.modules)
+"""
+
+
+def test_runs_that_build_no_sparse_hamiltonian_leave_out_scipy(tmp_path):
+    # scipy is imported where a sparse H is built or solved, and takes
+    # more than half of the package's import time
+    src = os.path.dirname(os.path.dirname(rabitri.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PROBE],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           text=True, check=True)
+    assert probe.stdout.splitlines() == ["[]", "[]", "6 True"]
+    assert (tmp_path / "spectrum.csv").exists()
+
+
 def test_exact_ground_energy_refuses_an_overflowing_hamiltonian():
     p = params(g1=1e306, delta=1e10)
     with pytest.raises(DomainError, match="overflows float64"):

@@ -175,6 +175,21 @@ def test_cholesky_matches_mpmath_and_refuses_indefinite():
         assert biggest(c.conj().T @ c - h) <= mp.mpf("1e-48")
 
 
+def test_float64_cholesky_is_upper_and_refuses_indefinite():
+    # the factor C of Hd = C^dag C that the Colpa step reads, as DEC's
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = a.conj().T @ a + 0.1 * np.eye(6)
+        c = F64.cholesky(h)
+        assert np.array_equal(c, np.triu(c))
+        d = np.diagonal(c)
+        assert np.all(d.imag == 0) and np.all(d.real > 0)
+        assert np.max(np.abs(c.conj().T @ c - h)) <= 1e-14 * np.max(np.abs(h))
+    with pytest.raises(np.linalg.LinAlgError):
+        F64.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
+
+
 def test_cholesky_refuses_the_exact_zero_mode():
     # J = 0 and g1 = 1/2: the decoupled ring on its boundary (see
     # test_exact_zero_mode_raises_critical_point), here at 50 digits
