@@ -7,9 +7,11 @@ index, and `evolve` reads the occupations and the conserved excitation
 parity exp(i pi (N_photon + N_up)) from it. It propagates the initial
 state's parity sector only, by a Chebyshev series for exp(-i H tau)
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) over blocks of
-samples, with the spectrum enclosed by Gershgorin discs. The series is
-truncated, not unitary, so the norm column (the sector norm, equal to the
-full norm) is the accuracy witness.
+samples, with the spectrum enclosed by Gershgorin discs and the series cut
+where Kapteyn's bound on the Bessel coefficients (DLMF 10.14.7) puts the
+dropped tail below 1e-15. The series is truncated, not unitary, so the
+norm column (the sector norm, equal to the full norm) is the accuracy
+witness.
 
 `exact_ground_energy` uses the one antiunitary symmetry the flux leaves,
 the theta -> -theta mirror with the 2<->3 swap P23: the real symmetric
@@ -40,13 +42,14 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _DIM_CAP = 1_000_000
-_WORK_CAP = 1e7   # largest r t_final, about 2 sparse products per unit
+_WORK_CAP = 1e7   # largest r t_final, about 1.3 sparse products per unit
 # largest t_final / sample_dt: the trajectory takes 40 B a sample (4 MB)
 _SAMPLE_CAP = 10 ** 5
-_SPAN = 40.0      # largest r tau of one Chebyshev block
-# most samples in one block, so that its B x n states stay within the bound
-# of the K x n workspace (K <= 82) even when r tau is tiny
-_BLOCK_CAP = 64
+# largest r tau of one Chebyshev block: its K ~ 1.3 r tau sparse products
+# are shared by its samples, at a cost of K n per sample for the sum
+_SPAN = 240.0
+_BLOCK_CAP = 64   # most samples in one block: its B x n states are held
+_CHUNK = 32       # T_k psi rows held at once by a Chebyshev block
 _TAIL = 1e-15     # bound on the dropped Chebyshev coefficients
 # ground-state Lanczos: the residual bound that stops it, in units of
 # eps ||H|| (at n_max 1-2 a bound of 1-4 eps ||H|| can take hundreds of steps
@@ -142,21 +145,37 @@ def _spectral_bounds(h: sp.csr_matrix) -> tuple[float, float]:
     return float((diag - radius).min()), float((diag + radius).max())
 
 
+def _log_tail(z: float, k: int) -> float:
+    """Log of a bound on sum_{j >= k} 2|J_j(z)|, for k > z > 0: twice the
+    geometric sum of Kapteyn's bound |J_j(z)| <= b_j = (q e^s/(1 + s))^j,
+    q = z/j, s = sqrt(1 - q^2) (DLMF 10.14.7). d log b_j/dj = log(q/(1 + s))
+    falls with j, so the ratio of successive terms never increases. It cuts
+    at K = 311 for z = 240 and 3166 for z = 3000, where the bound
+    2 (z/2)^j/j! (DLMF 10.14.4) took 357 and 4108 terms."""
+    def log_b(j):
+        q = z / j
+        s = math.sqrt((1.0 - q) * (1.0 + q))
+        return j * (math.log(q) + s - math.log1p(s))
+
+    b = log_b(k)
+    return math.log(2.0) + b - math.log1p(-math.exp(log_b(k + 1) - b))
+
+
 def _chebyshev_coefficients(tau: np.ndarray, c: float, r: float) -> np.ndarray:
     """Rows a[b, k] = (2 - delta_k0) (-i)^k J_k(r tau_b) e^{-i c tau_b}, so
     that exp(-i H tau_b) = sum_k a[b, k] T_k((H - c)/r).
 
     The Bessel functions are the Fourier coefficients of exp(-i z cos phi)
     (Jacobi-Anger), read off one FFT of 2K samples. K is the first index
-    where the bound 2 (z/2)^k/k! on 2|J_k(z)| (DLMF 10.14.4), summed over
-    the dropped k >= K as a geometric series, falls below _TAIL at the
-    largest z of the block. Since ||T_k|| <= 1, that sum bounds the
+    above the largest z of the block where the bound `_log_tail` on the
+    dropped sum_{k >= K} 2|J_k(z)| falls below _TAIL; below z = 1e-8 it is
+    2, as the tail beyond it, about z^2/4, is already below _TAIL (and z/k
+    may underflow there). Since ||T_k|| <= 1, that sum bounds the
     truncation error, and it also bounds the aliasing of the FFT.
     """
     z = r * float(tau[-1])
-    k = max(2, int(z / 2) + 1)
-    while (math.log(2.0) + k * math.log(z / 2) - math.lgamma(k + 1)
-           - math.log1p(-z / (2 * k + 2))) >= math.log(_TAIL):
+    k = max(2, math.floor(z) + 1)
+    while z > 1e-8 and _log_tail(z, k) >= math.log(_TAIL):
         k += 1
     phi = np.pi * np.arange(2 * k) / k
     a = np.fft.fft(np.exp(-1j * np.outer(r * tau, np.cos(phi))),
@@ -168,12 +187,24 @@ def _chebyshev_coefficients(tau: np.ndarray, c: float, r: float) -> np.ndarray:
 def _chebyshev_block(h2: sp.csr_matrix, psi: np.ndarray, a: np.ndarray,
                      v: np.ndarray) -> np.ndarray:
     """States a @ [T_k(H~) psi]_k, one row per row of a, with h2 = 2 H~.
-    The recurrence T_k = 2 H~ T_{k-1} - T_{k-2} fills the K rows of v."""
+
+    The recurrence T_k = 2 H~ T_{k-1} - T_{k-2} writes T_k psi to row
+    k mod m of the m-row buffer v; each time the buffer fills, and at
+    k = K - 1, the columns of a for its rows are added into the states.
+    Rows k - 1 and k - 2, which step k reads, are still in the buffer for
+    m >= 3; K = 2 (m = 2) takes no step.
+    """
+    m, n_terms = len(v), a.shape[1]
+    states = np.zeros((len(a), len(psi)), dtype=complex)
     v[0] = psi
     np.multiply(h2 @ psi, 0.5, out=v[1])
-    for k in range(2, len(v)):
-        np.subtract(h2 @ v[k - 1], v[k - 2], out=v[k])
-    return a @ v
+    for k in range(n_terms):
+        if k >= 2:
+            np.subtract(h2 @ v[(k - 1) % m], v[(k - 2) % m], out=v[k % m])
+        if k % m == m - 1 or k == n_terms - 1:
+            first = k - k % m
+            states += a[:, first:k + 1] @ v[:k + 1 - first]
+    return states
 
 
 def evolve(params: ModelParams, basis: FockBasis, t_final: float,
@@ -192,15 +223,18 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     coefficients bound the error (below _TAIL per block). Samples come in
     blocks of B = floor(_SPAN / (r sample_dt)), clipped to [1, n_samples]
     and to at most _BLOCK_CAP: one recurrence T_k(H~) psi, k < K, from the
-    state at the start of a block gives all B samples as one product with
-    the coefficient rows, computed once per call. A sample interval with
+    state at the start of a block gives all B samples, summed with the
+    coefficient rows computed once per call. A sample interval with
     r sample_dt > _SPAN is split into equal substeps, so every block spans
-    r tau <= 40 and K <= 82. More than _SAMPLE_CAP samples, an enclosure
-    that overflows, or work r t_final above _WORK_CAP is refused.
+    r tau <= _SPAN = 240 and K <= 311 (`_chebyshev_coefficients`). More
+    than _SAMPLE_CAP samples, an enclosure that overflows, or work
+    r t_final above _WORK_CAP is refused.
 
-    Memory: the K x n workspace (n the sector dimension), K n 16 bytes, is
-    1.6 MB at n_max=6 and at most 0.66 GB at n_max=49 (_DIM_CAP); the B
-    states of a block take at most _BLOCK_CAP n 16 bytes more.
+    Memory (n the sector dimension): the recurrence holds _CHUNK = 32 of
+    its K rows at a time, and a block its B states and one B-row product,
+    so (_CHUNK + 2 B) n 16 bytes whatever K is: 1.8 MB for the 26-sample
+    blocks of the transfer protocol at n_max=6, and at most 1.3 GB at
+    n_max=49 (_DIM_CAP) with B = _BLOCK_CAP.
     """
     import scipy.sparse as sp
 
@@ -234,7 +268,7 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     block = max(min(n_samples if r * tau * n_samples <= _SPAN
                     else int(_SPAN / (r * tau)), _BLOCK_CAP), 1)
     a = _chebyshev_coefficients(tau * np.arange(1, block + 1), c, r)
-    v = np.empty((a.shape[1], len(sector)), dtype=complex)
+    v = np.empty((min(_CHUNK, a.shape[1]), len(sector)), dtype=complex)
     warned = False
     for first in range(1, n_samples + 1, block):
         for _ in range(substeps - 1):

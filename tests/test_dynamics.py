@@ -158,12 +158,19 @@ def samples_per_block(h, basis, sample_dt):
        j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),
        g1=st.floats(0.0, 2.0), sample_dt=st.sampled_from([0.1, 0.37, 2.0]),
        blocks=st.integers(1, 2), tail=st.floats(0.0, 1.0, exclude_max=True))
-# one sample per block, each split into substeps
+# one sample per block, each split into 13 substeps
 @example(theta=0.5, j_hop=0.05, delta=1000.0, g1=0.1, sample_dt=2.0,
          blocks=2, tail=0.0)
 # many samples per block and a partial last block
 @example(theta=-1.0, j_hop=0.3, delta=10.0, g1=1.0, sample_dt=0.1,
          blocks=1, tail=0.5)
+# K = 90 terms: two full buffers of _CHUNK = 32 rows and a partial one of
+# 26, whose terms near k = 64 > z = 48 still weigh about 1e-5
+@example(theta=0.3, j_hop=0.05, delta=10.0, g1=0.1, sample_dt=0.045,
+         blocks=2, tail=0.3)
+# r = 2.4: K = 21 terms, shorter than one buffer
+@example(theta=0.3, j_hop=0.05, delta=1.0, g1=0.1, sample_dt=0.02,
+         blocks=1, tail=0.7)
 def test_evolve_matches_dense_expm_across_parameters(
         theta, j_hop, delta, g1, sample_dt, blocks, tail):
     # n_samples = blocks * B + extra with 0 < extra < B whenever B > 1, so
@@ -203,6 +210,81 @@ def test_evolve_memory_stays_flat_when_every_sample_fits_one_span():
     assert traj.n_photon == pytest.approx(
         np.tile([1.0, 0.0, 0.0], (10001, 1)), abs=1e-12)
     assert traj.norm == pytest.approx(np.ones(10001), abs=1e-12)
+
+
+def old_term_count(z):
+    """K by the bound 2 (z/2)^k/k! on 2|J_k(z)| (DLMF 10.14.4), summed over
+    k >= K as a geometric series of ratio z/(2K + 2)."""
+    k = max(2, int(z / 2) + 1)
+    while (math.log(2.0) + k * math.log(z / 2) - math.lgamma(k + 1)
+           - math.log1p(-z / (2 * k + 2))) >= math.log(dynamics._TAIL):
+        k += 1
+    return k
+
+
+def test_chebyshev_terms_bound_the_dropped_bessel_tail():
+    from scipy.special import jv
+
+    for z in np.geomspace(0.05, 3000.0, 41):
+        # tau = 1, c = 0, r = z: the row is (2 - delta_k0) (-i)^k J_k(z)
+        a = dynamics._chebyshev_coefficients(np.array([1.0]), 0.0, z)
+        n_terms = a.shape[1]
+        k = np.arange(int(1.5 * z) + 60)
+        two_j = 2.0 * np.abs(jv(k, z))
+        # tail[K] = sum_{k >= K} 2|J_k(z)|; beyond 1.5 z + 60 it is < 1e-30
+        tail = np.cumsum(two_j[::-1])[::-1]
+        fewest = int(np.argmax(tail <= dynamics._TAIL))
+        assert tail[n_terms] <= dynamics._TAIL
+        # Kapteyn's bound costs at most a few terms over the fewest (14 at
+        # z = 3000), the old bound 30% more; below z = 27 the old bound is
+        # the tighter, by up to 2 terms (at z = 6-10)
+        assert n_terms <= 1.02 * fewest + 3
+        assert n_terms <= old_term_count(z) + 2
+        assert a[0] == pytest.approx(
+            np.where(k[:n_terms] == 0, 1.0, 2.0) * (-1j) ** k[:n_terms]
+            * jv(k[:n_terms], z), rel=0, abs=1e-15 * max(z, 10.0))
+
+
+@pytest.mark.parametrize("z", [0.0, 5e-324, 1e-9])
+def test_chebyshev_terms_stop_at_two_where_z_is_tiny(z):
+    # the tail beyond K = 2 is about z^2/4; at the smallest subnormal z, z/2
+    # rounds to 0, and a bound that takes log(z/k) there raises ValueError
+    a = dynamics._chebyshev_coefficients(np.array([1.0]), 0.0, z)
+    assert a == pytest.approx(np.array([[1.0, -1j * z]]), rel=0, abs=1e-15)
+
+
+def test_evolve_memory_stays_within_the_chunk_buffer_on_long_blocks():
+    # blocks of 25 samples span r tau = 233 with K = 303 terms; the
+    # recurrence holds _CHUNK of its K rows at a time (all K would take
+    # K n 16 B = 14 MB here, against 96 n 16 B = 4.5 MB for the bound)
+    p = dyn_params(theta=0.5)
+    basis = FockBasis(n_max=8)
+    n = basis.dim // 2
+    evolve(p, basis, t_final=0.2)
+    tracemalloc.start()
+    try:
+        build_full_hamiltonian(p, basis)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        traj = evolve(p, basis, t_final=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 51
+    assert np.max(np.abs(traj.norm - 1.0)) <= 1e-12
+    # the allowance is the peak of the full-basis Hamiltonian build, which
+    # evolve does first (about 114 n x 16 B here)
+    assert peak <= (dynamics._CHUNK + dynamics._BLOCK_CAP) * n * 16 + build
+
+
+def test_evolve_keeps_the_initial_state_where_r_tau_underflows():
+    # r sample_dt ~ 1e-150 x 1e-300 is 0 in float64, where J_k(0) = 0 for
+    # every k > 0; the bound on the dropped terms takes log z
+    p = ModelParams(omega=1e-150, delta=1e-150, g1=0.0, j_hop=0.0, theta=0.0)
+    traj = evolve(p, FockBasis(n_max=2), t_final=1e-299, sample_dt=1e-300)
+    assert len(traj.times) == 11
+    assert traj.n_photon.tolist() == [[1.0, 0.0, 0.0]] * 11
+    assert traj.norm.tolist() == [1.0] * 11
 
 
 @pytest.mark.parametrize("t_final", [0.0, 0.05])
