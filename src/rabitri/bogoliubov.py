@@ -8,15 +8,21 @@ Jacobian of `meanfield` by a change of basis. Diagonalization must
 preserve the bosonic commutators, i.e. the transformation T is
 paraunitary: T^dag Lam T = Lam with Lam = diag(1, 1, 1, -1, -1, -1).
 
-The solver follows Colpa's recipe on the doubled matrix Hd = 2M:
-Cholesky Hd = C^dag C, then the Hermitian W = C Lam C^dag is diagonalized
-by a unitary U; its spectrum is (-e3, -e2, -e1, e1, e2, e3). The columns of
-T belonging to e = (e1, e2, e3) are C^-1 U+ sqrt(e), U+ the eigenvectors of
-the positive half. Since W U+ = U+ e, C^-1 U+ = Lam C^dag U+ e^-1, so they
-are Lam C^dag U+ / sqrt(e): one product and a sign per row, with no
-triangular solve. Hd must be positive definite, which fails at both dynamical
-instability and the critical point; the two are told apart by the
-eigenvalues of Lam*Hd. Definiteness is tested by a Cholesky of Hd - tau,
+The solver follows Colpa's recipe on the doubled matrix Hd = 2M, in the
+real arithmetic of Williamson's normal form. Hd = V J V^dag with the
+unitary V = U / sqrt 2 and J = U^dag M U the real symmetric residual
+Jacobian, read back off the blocks of M. The Cholesky J = L^T L (L real
+upper) gives Hd = C^dag C with C = L V^dag, and the Hermitian
+W = C Lam C^dag = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3 blocks, is
+diagonalized by a unitary U; its spectrum is (-e3, -e2, -e1, e1, e2, e3).
+W is imaginary, so the eigenvectors of -e are the conjugates of U+, the
+eigenvectors of the positive half, and only U+ is computed. The columns of
+T belonging to e = (e1, e2, e3) are C^-1 U+ sqrt(e). Since W U+ = U+ e,
+C^-1 U+ = Lam C^dag U+ e^-1, so they are Lam C^dag U+ / sqrt(e) with
+C^dag U+ = V L^T U+: no triangular solve. Hd must be positive definite,
+which fails at both dynamical instability and the critical point; the two
+are told apart by the eigenvalues of Lam*Hd. Definiteness is tested by a
+Cholesky of J - tau (Hd - tau = V (J - tau) V^dag),
 tau = 1e-12 * 10^(16 - digits) * max|M| (float64 counts as 16 digits), so
 an exact zero mode cannot pass on rounding noise.
 
@@ -93,7 +99,8 @@ def build_m_matrix(params: ModelParams, disp: Displacement) -> np.ndarray:
 
 def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
     """Paraunitary T and positive excitation energies of the 6x6 Hermitian
-    form m.
+    bosonic form m = [[N, A], [conj(A), conj(N)]], as `build_m_matrix`
+    makes it; the Colpa step reads the real Jacobian off N and A.
 
     Raises DomainError for a NaN or infinite entry, CriticalPointError
     when a mode energy collapses to zero (the Bogoliubov normalization is
@@ -115,12 +122,21 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
     if np.max(np.abs(m - m.conj().T)) > tol:
         raise DomainError("quadratic form must be Hermitian")
     hd = 2 * m
-    # an exact zero mode could pass the Cholesky of Hd on rounding noise,
-    # with sqrt(eps)-scale energies; Hd - tau must pass first
+    # the residual Jacobian J = U^dag M U (the inverse of `build_m_matrix`)
+    # is 2 [[Re z, -Im w], [Im z, Re w]] for z = N + A and w = N - A, with
+    # the normal block N and the anomalous block A; Hd = V J V^dag with the
+    # unitary V = U / sqrt 2
+    n, a = m[:3, :3], m[:3, 3:]
+    (zr, zi), (wr, wi) = nb.parts(n + a), nb.parts(n - a)
+    jac = np.empty((6, 6), dtype=zr.dtype)
+    jac[:3, :3], jac[:3, 3:], jac[3:, :3], jac[3:, 3:] = zr, -wi, zi, wr
+    jac = 2 * jac
+    # an exact zero mode could pass the Cholesky of J on rounding noise,
+    # with sqrt(eps)-scale energies; J - tau must pass first
     tau = nb.num(1e-12 * 10.0 ** (16 - nb.prec())) * scale
     try:
-        nb.cholesky(hd - nb.num(np.eye(6)) * tau)
-        c = nb.cholesky(hd)                 # hd = c^dag c
+        nb.cholesky(jac - nb.num(np.eye(6)) * tau)
+        l = nb.cholesky(jac)                # jac = l^T l
     except np.linalg.LinAlgError:
         evals = np.linalg.eigvals(_LAMBDA @ np.asarray(hd, dtype=complex))
         if float(np.max(np.abs(evals.imag))) > 1e-8 * float(scale):
@@ -130,9 +146,8 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
         raise CriticalPointError(
             "quadratic form is not positive definite; a mode energy has "
             "reached zero (critical point)")
-    # ascending -e3, -e2, -e1, e1, e2, e3 of W = C Lam C^dag, and C^dag U+
-    evals, cu = nb.colpa(c, _SIGN)
-    eps = evals[3:].copy()
+    # ascending e1, e2, e3 of W = C Lam C^dag = i L Om L^T, and C^dag U+
+    eps, cu = nb.colpa(l)
     if eps[0] <= tau:
         raise CriticalPointError(
             f"soft mode energy {float(eps[0]):.3e} is numerically zero")
@@ -145,7 +160,8 @@ def diagonalize_paraunitary(m: np.ndarray) -> ParaunitarySolution:
     # deterministic phase: each column's largest-modulus entry real positive
     top = v[np.argmax(np.abs(v), axis=0), range(3)]
     v = v / (top / np.abs(top))
-    t = np.block([[v[:3], v[3:].conj()], [v[3:], v[:3].conj()]])
+    # [[v1, conj(v2)], [v2, conj(v1)]] for v = (v1, v2)
+    t = np.hstack([v, np.vstack([v[3:], v[:3]]).conj()])
     return ParaunitarySolution(t=t, eps=eps, hd=hd, prec=nb.prec())
 
 

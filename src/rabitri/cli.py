@@ -9,9 +9,10 @@ excitation spectrum. Configuration precedence is defaults < config file
 Every subcommand computes its table first and then hands it to one
 writer, `_write_csv`: a comment recording the resolved configuration (so
 runs are reproducible), the subcommand's own '# ' comments, a header and
-the rows, numbers at full double precision. The table goes to the `--out`
-file, or to stdout where `out` is empty (the `meanfield` default); the
-other subcommands need a file, and a failing run leaves none behind.
+the rows, numbers at full double precision (a subnormal at the digits it
+holds). The table goes to the `--out` file, or to stdout where `out` is
+empty (the `meanfield` default); the other subcommands need a file, and a
+failing run leaves none behind.
 
 Exit codes: 0 success, 2 bad flags or config or an unwritable output,
 3 numerical failure.
@@ -134,11 +135,19 @@ def _resolved_line(cfg: dict) -> str:
             " ".join(f"{k}={cfg[k]!r}" for k in keys))
 
 
+def _num(x) -> str:
+    """x at %.17g, which round-trips every normal float; a nonzero
+    subnormal, which holds fewer digits, at its shortest round-trip repr."""
+    if 0 < abs(x) < sys.float_info.min:
+        return repr(float(x))
+    return f"{x:.17g}"
+
+
 def _write_csv(cfg: dict, comments: list[str], header: str,
                rows) -> None:
     """The table to cfg["out"], or to stdout where that is empty: the
     resolved-config line and the comments as '# ' lines, the header, then
-    one line per row. Numbers are written at %.17g and str cells as they
+    one line per row. Numbers are written by `_num` and str cells as they
     are; a str row becomes a '# ' comment line."""
     lines = [f"# {c}" for c in (_resolved_line(cfg), *comments)]
     lines.append(header)
@@ -146,7 +155,7 @@ def _write_csv(cfg: dict, comments: list[str], header: str,
         if isinstance(row, str):
             lines.append(f"# {row}")
         else:
-            lines.append(",".join(c if isinstance(c, str) else f"{c:.17g}"
+            lines.append(",".join(c if isinstance(c, str) else _num(c)
                                   for c in row))
     text = "\n".join(lines) + "\n"
     if cfg["out"]:
@@ -192,8 +201,8 @@ def cmd_phase_boundary(cfg: dict) -> int:
     thc = critical_flux(base)
     rows = [(th, *softest_mode(replace(base, theta=float(th))))
             for th in np.linspace(0.0, math.pi, cfg["points"])]
-    _write_csv(cfg, [f"theta_c = {thc:.17g}"], "theta,g1c,q_soft", rows)
-    print(f"theta_c = {thc:.17g}")
+    _write_csv(cfg, [f"theta_c = {_num(thc)}"], "theta,g1c,q_soft", rows)
+    print(f"theta_c = {_num(thc)}")
     print(f"wrote {cfg['out']}")
     if cfg["gnuplot"]:
         _write_gnuplot(cfg["out"], [(2, "g1c")], "theta")
@@ -228,7 +237,7 @@ def cmd_scan(cfg: dict) -> int:
         cfg["seed"])
     rows = [[g1c * (1.0 + d), *values(obs[d])] if d in obs
             else "g1 = g1c skipped (critical point)" for d in deltas]
-    _write_csv(cfg, [f"g1c = {g1c:.17g}"], header, rows)
+    _write_csv(cfg, [f"g1c = {_num(g1c)}"], header, rows)
     print(f"wrote {cfg['out']}")
     if cfg["gnuplot"]:
         _write_gnuplot(cfg["out"], columns, "g1", logy=logy)
@@ -263,8 +272,8 @@ def cmd_meanfield(cfg: dict) -> int:
     p = _params(cfg)
     mf = solve_displacements(p, seed=cfg["seed"])
     _write_csv(cfg, [f"phase = {mf.label.value}",
-                     f"energy = {mf.energy:.17g}",
-                     f"residual_norm = {mf.residual_norm:.17g}"],
+                     f"energy = {_num(mf.energy)}",
+                     f"residual_norm = {_num(mf.residual_norm)}"],
                "site,A,B", [(i + 1, mf.disp.a[i], mf.disp.b[i])
                             for i in range(3)])
     if cfg["out"]:

@@ -16,11 +16,20 @@ F64 runs on numpy alone (its Cholesky is the upper factor of
 `np.linalg.cholesky`, new in numpy 2.0), so the mean field, the Colpa step
 and the exponent reports load no scipy module.
 
-The matrix kernels of DEC (Cholesky, linear solve of the real Newton
-systems, and `colpa`, the Colpa eigensolve with the products around it) run
-on Decimal arrays of real and imaginary parts, with the rules of mpmath's
-cholesky and lu_solve for which pivots count as zero: they decide when
-Newton regularizes and when the Colpa step raises.
+The Cholesky and the linear solve take real arrays: the residual Jacobian
+of the Colpa step and the Newton systems. `colpa(l)` takes the real upper
+factor L of the Jacobian J = L^T L (see `bogoliubov`). With V = U / sqrt 2
+the doubled form is Hd = V J V^dag = C^dag C for C = L V^dag, and
+W = C Lam C^dag = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3 blocks, is i
+times a real antisymmetric matrix. Its eigenvalues come in pairs +-e, the
+eigenvectors of -e are the conjugates of those of +e, and `colpa` returns
+only the ascending e and C^dag U+ = V L^T U+. F64 takes them from `eigh`;
+DEC refines the +e vectors of that float64 start (`_eigh_plus`).
+
+The matrix kernels of DEC run on Decimal arrays of real and imaginary
+parts, with the rules of mpmath's cholesky and lu_solve for which pivots
+count as zero: they decide when Newton regularizes and when the Colpa step
+raises.
 """
 from __future__ import annotations
 
@@ -39,12 +48,22 @@ def working(digits: int = MP_DPS + 2):      # two guard digits
     return localcontext(Context(prec=digits))
 
 
-def _colpa_f64(c, sign):
-    """Ascending eigenvalues of the Hermitian W = C Lam C^dag, Lam =
-    diag(sign) with as many +1 as -1, and C^dag U+, U+ the orthonormal
-    eigenvectors of the upper half of the spectrum."""
-    lam, u = np.linalg.eigh((c * sign) @ c.conj().T)
-    return lam, c.conj().T @ u[:, len(lam) // 2:]
+def _k(l):
+    """K = L Om L^T with Om = [[0, 1], [-1, 0]] in 3x3 blocks: the real
+    antisymmetric matrix with W = i K."""
+    p = l[:, :3] @ l[:, 3:].T
+    return p - p.T
+
+
+def _colpa_f64(l):
+    """Ascending eigenvalues e of the upper half of the spectrum of
+    W = i L Om L^T, and C^dag U+ = V L^T U+, U+ their orthonormal
+    eigenvectors (C = L V^dag, V = U / sqrt 2)."""
+    lam, u = np.linalg.eigh(1j * _k(l))
+    y = l.T @ u[:, 3:]
+    # V y = (y1 + i y2, y1 - i y2) / sqrt 2
+    return lam[3:], np.vstack([y[:3] + 1j * y[3:],
+                               y[:3] - 1j * y[3:]]) / math.sqrt(2)
 
 
 F64 = SimpleNamespace(
@@ -53,7 +72,8 @@ F64 = SimpleNamespace(
     pi=lambda: math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 16,                                    # digits
-    cholesky=lambda h: np.linalg.cholesky(h, upper=True),   # h = c^dag c
+    parts=lambda a: (a.real, a.imag),
+    cholesky=lambda a: np.linalg.cholesky(a, upper=True),   # a = l^T l
     colpa=_colpa_f64, solve=np.linalg.solve)
 
 
@@ -144,23 +164,18 @@ _complex = np.frompyfunc(DComplex, 2, 1)
 _decimal = np.frompyfunc(Decimal, 1, 1)     # exact, from floats
 
 
-def _cholesky_dec(h):
-    """Upper c (DComplex) with h = c^dag c. A pivot below the working
-    epsilon raises LinAlgError, as mpmath's cholesky does."""
-    hr, hi = _parts(h)
+def _cholesky_dec(a):
+    """Upper l (Decimal) with a = l^T l for the real symmetric a. A pivot
+    below the working epsilon raises LinAlgError, as mpmath's cholesky
+    does."""
     eps = Decimal(10) ** (1 - getcontext().prec)
-    cr, ci = np.full((2, *hr.shape), Decimal(0), dtype=object)
-    for j in range(len(hr)):
-        ar, ai, br, bi = cr[:j, j], ci[:j, j], cr[:j, j:], ci[:j, j:]
-        # h[j, j:] - c[:j, j]^dag c[:j, j:]
-        sr = hr[j, j:] - (ar @ br + ai @ bi)
-        si = hi[j, j:] - (ar @ bi - ai @ br)
-        if not sr[0] >= eps:
+    l = np.full(a.shape, Decimal(0), dtype=object)
+    for j in range(len(a)):
+        s = a[j, j:] - l[:j, j] @ l[:j, j:]
+        if not s[0] >= eps:
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        d = sr[0].sqrt()
-        cr[j, j:], ci[j, j:] = sr / d, si / d
-        ci[j, j] = Decimal(0)
-    return _complex(cr, ci)
+        l[j, j:] = s / s[0].sqrt()
+    return l
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
@@ -201,76 +216,97 @@ def _solve_dec(a, b):
 _CLUSTER = 1e-4     # relative float64 gap below which eigenvalues cluster
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai) @ (br + i bi) for real Decimal arrays, by three real
-    products."""
-    t, u = ar @ br, ai @ bi
-    return t - u, (ar + ai) @ (br + bi) - t - u
+def _quarters(a):
+    """The 3x3 blocks of a 6x6 array, row by row."""
+    return a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:]
 
 
-def _eigh_dec(wr, wi):
-    """Ascending eigenvalues and orthonormal eigenvector columns of the
-    Hermitian W = wr + i wi, all real Decimal arrays in the current context.
+def _eigh_plus(k):
+    """Ascending eigenvalues e > 0 of the upper half of the spectrum of the
+    Hermitian W = i k, k a real antisymmetric 6x6 Decimal array, and their
+    orthonormal eigenvectors u as x = [Re u | Im u], in the current context.
+    The lower half is -e with the vectors conj(u), since W is imaginary.
 
-    Starts from float64 `eigh` and refines by Ogita & Aishima
-    (Japan J. Indust. Appl. Math. 35, 1007 (2018)): with S = X^dag W X and
+    Starts from float64 `eigh`. Each column's real and imaginary parts span
+    the real plane of its +-e pair, even where float64 mixes u with conj(u)
+    (eps1 of the frustrated roots); they are orthonormalized to
+    u = (q1 + i q2) / sqrt 2, which makes u^T u = 0. Then it refines by
+    Ogita & Aishima (Japan J. Indust. Appl. Math. 35, 1007 (2018)) on the
+    full basis X = [conj(u), u]: with S = X^dag W X and
     R = 1 - X^dag X, each step sets lam_i = S_ii / (1 - R_ii) and
-    X <- X (1 + E), E_ij = (S_ij + lam_j R_ij) / (lam_j - lam_i). Eigenvalues
-    within _CLUSTER max|lam| of each other form clusters, whose float64
-    vectors are too mixed for that formula: there E_ij = R_ij / 2, and
-    Jacobi rotations diagonalize the cluster blocks of the updated
-    X^dag W X, predicted to first order as T = S + (lam_i + lam_j) R_ij / 2.
-    The error after a step is then about max|E|^2 times the conditioning,
-    so the refinement stops once max|E|^2 reaches the working epsilon.
+    X <- X (1 + E), E_ij = (S_ij + lam_j R_ij) / (lam_j - lam_i). Only the
+    u half is kept, u <- u (1 + E++) + conj(u) E-+, which needs the blocks
+    u^dag W u, u^T W u, u^dag u and u^T u: S-+ = u^T W u and R-+ = -u^T u,
+    and lam is -e on the lower half. On the diagonal of E-+ the formula
+    reads R / 2, since u^T W u = 0, so the nearly coincident +-e pair of a
+    soft mode needs no gap. Eigenvalues e within _CLUSTER max(e) of each
+    other form clusters, whose float64 vectors are too mixed for that
+    formula: there E_ij = R_ij / 2, and Jacobi rotations diagonalize the
+    cluster blocks of the updated u^dag W u, predicted to first order as
+    T = S + (lam_i + lam_j) R_ij / 2. The error after a step is then about
+    max|E|^2 times the conditioning, so the refinement stops once max|E|^2
+    reaches the working epsilon.
     """
-    lam, x = np.linalg.eigh(wr.astype(float) + 1j * wi.astype(float))
-    scale = float(np.max(np.abs(lam)))
+    lam, x = np.linalg.eigh(1j * k.astype(float))
+    lam, x = lam[3:], x[:, 3:]
+    q1 = x.real / np.linalg.norm(x.real, axis=0)
+    q2 = x.imag - q1 * np.sum(q1 * x.imag, axis=0)
+    q2 = q2 / np.linalg.norm(q2, axis=0)
+    x = _decimal(np.hstack([q1, q2]) / math.sqrt(2))
+    scale = float(np.max(lam))
     near = np.abs(lam[:, None] - lam) <= _CLUSTER * scale
     pairs = list(zip(*np.nonzero(np.triu(near, 1))))
+    one = np.eye(3, dtype=int)
     eps = Decimal(10) ** (1 - getcontext().prec)
     tiny = Decimal(scale) * eps
-    xr, xi = _decimal(x.real), _decimal(x.imag)
     for _ in range(8):
-        sr, si = _cmul(*(xr.T, -xi.T), *_cmul(wr, wi, xr, xi))
-        rr, ri = _cmul(*(xr.T, -xi.T), xr, xi)
-        rr, ri = np.eye(len(wr), dtype=int) - rr, -ri
+        yrr, yri, yir, yii = _quarters(x.T @ (k @ x))
+        grr, gri, gir, gii = _quarters(x.T @ x)
+        sr, si = yir - yri, yrr + yii                   # u^dag W u
+        br, bi = -(yri + yir), yrr - yii                # u^T W u
+        rr, ri = one - (grr + gii), gir - gri           # 1 - u^dag u
+        hr, hi = grr - gii, gri + gir                   # u^T u
         lam = np.diagonal(sr) / (1 - np.diagonal(rr))
         den = np.where(near, 1, lam - lam[:, None])
         er = np.where(near, rr / 2, (sr + rr * lam) / den)
         ei = np.where(near, ri / 2, (si + ri * lam) / den)
-        dr, di = _cmul(xr, xi, er, ei)
-        xr, xi = xr + dr, xi + di
-        mean = (lam + lam[:, None]) / 2
-        tr, ti = sr + rr * mean, si + ri * mean
-        np.fill_diagonal(tr, lam)
-        for _ in range(8):              # cyclic Jacobi sweeps
-            big = [(p, q) for p, q in pairs
-                   if abs(tr[p, q]) + abs(ti[p, q]) > tiny]
-            if not big:
-                break
-            for p, q in big:
-                _rotate(tr, ti, xr, xi, p, q)
-        else:
-            raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
-        if max(np.abs(er).max(), np.abs(ei).max()) ** 2 <= eps:
+        tot = lam + lam[:, None]
+        fr = np.where(one, -hr / 2, (br - hr * lam) / tot)
+        fi = np.where(one, -hi / 2, (bi - hi * lam) / tot)
+        xr, xi = x[:, :3], x[:, 3:]
+        x = np.hstack([xr + xr @ (er + fr) + xi @ (fi - ei),
+                       xi + xr @ (ei + fi) + xi @ (er - fr)])
+        if pairs:
+            mean = (lam + lam[:, None]) / 2
+            tr, ti = sr + rr * mean, si + ri * mean
+            np.fill_diagonal(tr, lam)
+            for _ in range(8):              # cyclic Jacobi sweeps
+                big = [(p, q) for p, q in pairs
+                       if abs(tr[p, q]) + abs(ti[p, q]) > tiny]
+                if not big:
+                    break
+                for p, q in big:
+                    _rotate(tr, ti, x[:, :3], x[:, 3:], p, q)
+            else:
+                raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
+            lam = np.diagonal(tr)
+        if max(np.abs(e).max() for e in (er, ei, fr, fi)) ** 2 <= eps:
             break
     else:
         raise np.linalg.LinAlgError("eigenvector refinement diverged")
-    lam = np.diagonal(tr)
     order = np.argsort(lam, kind="stable")
-    return lam[order], xr[:, order], xi[:, order]
+    return lam[order], x[:, np.concatenate([order, 3 + order])]
 
 
-def _colpa_dec(c, sign):
-    """`colpa` in the current context: W, its eigensystem and C^dag U+ in
-    one pass, with Decimal eigenvalues and DComplex columns."""
-    cr, ci = _parts(c)
-    # W = (C Lam) C^dag; Lam flips the sign of columns of C
-    lr, li = np.where(sign > 0, cr, -cr), np.where(sign > 0, ci, -ci)
-    wr, wi = _cmul(lr, li, cr.T, -ci.T)
-    lam, ur, ui = _eigh_dec(wr, wi)
-    half = len(lam) // 2
-    return lam, _complex(*_cmul(cr.T, -ci.T, ur[:, half:], ui[:, half:]))
+def _colpa_dec(l):
+    """`colpa` in the current context, with Decimal eigenvalues and
+    DComplex columns."""
+    lam, x = _eigh_plus(_k(l))
+    yr1, yi1, yr2, yi2 = _quarters(l.T @ x)
+    r = 1 / Decimal(2).sqrt()
+    # V y = (y1 + i y2, y1 - i y2) / sqrt 2 for y = L^T u
+    return lam, _complex(np.vstack([yr1 - yi2, yr1 + yi2]) * r,
+                         np.vstack([yi1 + yr2, yi1 - yr2]) * r)
 
 
 def _rotate(tr, ti, xr, xi, p, q):
@@ -300,7 +336,7 @@ DEC = SimpleNamespace(
     complex=lambda re, im: np.where(im == 0, re, _complex(re, im)), pi=_pi,
     cos=lambda x: _cos_sin(Decimal(x), getcontext().prec)[0],
     sin=lambda x: _cos_sin(Decimal(x), getcontext().prec)[1],
-    sqrt=np.sqrt, prec=lambda: getcontext().prec,
+    sqrt=np.sqrt, prec=lambda: getcontext().prec, parts=_parts,
     cholesky=_cholesky_dec, colpa=_colpa_dec, solve=_solve_dec)
 
 

@@ -21,8 +21,10 @@ def assert_close(actual, expected, rtol, label=""):
     assert err <= rtol, f"{label}: rel err {err:.3e} > {rtol:.1e}"
 
 
-def unit_phase(v):
-    """Columns of v with their largest-modulus entry made real positive,
-    the phase convention of `diagonalize_paraunitary`."""
-    top = v[np.argmax(np.abs(v), axis=0), range(v.shape[1])]
+def unit_phase(v, rows):
+    """Columns of v with the entry in the given row of each made real
+    positive: the phase convention of `diagonalize_paraunitary`, at the
+    rows of largest modulus that it picked (where entries tie in modulus,
+    rounding picks the row)."""
+    top = v[rows, range(v.shape[1])]
     return v / (top / np.abs(top))

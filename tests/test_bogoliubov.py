@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      InstabilityError, PhaseLabel)
-from rabitri.bogoliubov import (_SIGN, build_m_matrix,
-                                diagonalize_paraunitary, local_photon_sr,
-                                point_observables, variance_p_sr,
-                                variance_x_sr)
+from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
+                                local_photon_sr, point_observables,
+                                variance_p_sr, variance_x_sr)
 from rabitri.meanfield import (Displacement, _newton, continued_roots,
                                ground_energy_mf, solve_displacements)
 from rabitri.model import critical_coupling_min
@@ -25,6 +24,8 @@ from conftest import params, unit_phase
 
 THETA_C = 1.6205693443218139
 LAMBDA = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+OMEGA = np.block([[np.zeros((3, 3)), np.eye(3)],
+                  [-np.eye(3), np.zeros((3, 3))]])
 
 
 def np_solution(p):
@@ -109,19 +110,29 @@ def test_closed_forms_match_matrix_route_below_transition(theta, j_hop,
 @pytest.mark.parametrize("theta", [0.1, THETA_C, 1.7])
 def test_colpa_columns_match_the_triangular_solve(monkeypatch, theta):
     # T's columns Lam C^dag U+ / sqrt(e) against the back substitution
-    # C^-1 U+ sqrt(e), from the same C, U and e, just above the transition
+    # C^-1 U+ sqrt(e) = V L^-1 U+ sqrt(e) through the same real factor L of
+    # J = L^T L (C = L V^dag, V = U / sqrt 2), with the same U and e of
+    # W = i L Om L^T, just above the transition
     g1c = critical_coupling_min(params(theta=theta))
     p = params(theta=theta, g1=g1c * 1.001)
     disp = solve_displacements(p).disp
     seen = []
     colpa = F64.colpa
-    monkeypatch.setattr(F64, "colpa",
-                        lambda c, sign: seen.append(c) or colpa(c, sign))
+    monkeypatch.setattr(F64, "colpa", lambda l: seen.append(l) or colpa(l))
     ps = diag_quiet(build_m_matrix(p, disp))
-    c = seen[0]
-    evals, u = np.linalg.eigh((c * _SIGN) @ c.conj().T)
-    ref = unit_phase(sla.solve_triangular(
-        c, u[:, 3:] * np.sqrt(evals[3:])))
+    l = seen[0]
+    assert l.dtype == float and np.array_equal(l, np.triu(l))
+    evals, u = np.linalg.eigh(1j * (l @ OMEGA @ l.T))
+    y = sla.solve_triangular(l, u[:, 3:] * np.sqrt(evals[3:]))
+    # the entry of largest modulus that T made real positive; where the
+    # sites tie in modulus (at THETA_C and 1.7), rounding picks the row
+    rows = np.argmax(ps.t[:, :3].real, axis=0)
+    top = ps.t[rows, range(3)]
+    assert np.all(np.abs(top.imag) <= 1e-15 * top.real)
+    assert np.all(top.real >= (1 - 1e-15) * np.max(np.abs(ps.t[:, :3]),
+                                                   axis=0))
+    ref = unit_phase(np.vstack([y[:3] + 1j * y[3:], y[:3] - 1j * y[3:]])
+                     / np.sqrt(2), rows)
     for k in range(3):
         assert (np.max(np.abs(ps.t[:, k] - ref[:, k]))
                 <= 1e-12 * np.max(np.abs(ref[:, k])))

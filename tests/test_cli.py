@@ -457,6 +457,37 @@ def test_dynamics_at_subnormal_energies_keeps_the_photon(monkeypatch,
     assert np.all(data[:, 1:] == [1.0, 0.0, 0.0, 1.0])
 
 
+def significant_digits(cell):
+    return len(cell.split("e")[0].replace("-", "").replace(".", "")
+               .lstrip("0"))
+
+
+def test_subnormal_cells_carry_only_their_digits(monkeypatch, tmp_path,
+                                                 capsys):
+    # eps1 of the first row is about 6.4e-312, which a subnormal holds to
+    # about 12 digits; the other cells are normal and keep 17
+    rc = run(monkeypatch, tmp_path, "spectrum", "--omega", "1e-300",
+             "--delta", "1e-299", "--j", "2.5e-301", "--theta", "1.0",
+             "--window-min", "1.00000001", "--window-max", "1.000001",
+             "--points", "3", "--out", "s.csv")
+    assert rc == 0
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    cell = lines[3].split(",")[1]
+    assert 0 < float(cell) < 2.2250738585072014e-308
+    assert significant_digits(cell) <= 12
+    assert repr(float(cell)) == cell
+    assert significant_digits(lines[3].split(",")[2]) == 17
+    # the residual norm of `meanfield`, a comment line, goes the same way
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "meanfield", "--omega", "1e-300",
+               "--delta", "1e-298", "--j", "5e-302") == 0
+    norm = [line.split(" = ")[1] for line in capsys.readouterr().out
+            .splitlines() if line.startswith("# residual_norm = ")][0]
+    assert 0 < float(norm) < 2.2250738585072014e-308
+    assert significant_digits(norm) <= 12
+    assert repr(float(norm)) == norm
+
+
 def test_unknown_subcommand_exits_2(monkeypatch, tmp_path, capsys):
     # g1c does not depend on Delta, so phase-boundary takes no --delta
     for argv in (["frobnicate"], ["phase-boundary", "--delta", "5"]):

@@ -16,11 +16,12 @@ import rabitri
 from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
                      ModelParams)
 from rabitri.bogoliubov import (_SIGN, build_m_matrix,
-                                diagonalize_paraunitary)
+                                diagonalize_paraunitary, point_observables)
 from rabitri.meanfield import (Displacement, continued_roots,
                                ground_energy_mf, residual_jacobian, residuals)
 from rabitri.model import critical_flux
-from rabitri.numerics import DEC, F64, MP_DPS, DComplex, _parts, of, working
+from rabitri.numerics import (DEC, F64, MP_DPS, DComplex, _eigh_plus, _k,
+                              _parts, of, working)
 from rabitri.scaling import exponent_report
 
 from conftest import params, unit_phase
@@ -63,14 +64,15 @@ def biggest(a):
 
 
 def report_cholesky_factors(monkeypatch, theta):
-    """The 50-digit Cholesky factors C that the Colpa step hands to colpa
-    at three deep points of a report's continuation."""
+    """The 50-digit Cholesky factors L of the residual Jacobian that the
+    Colpa step hands to colpa at three deep points of a report's
+    continuation."""
     seen = []
     colpa = DEC.colpa
 
-    def record(c, sign):
-        seen.append(c)
-        return colpa(c, sign)
+    def record(l):
+        seen.append(l)
+        return colpa(l)
 
     roots = continued_roots(params(theta=theta), [1e-5, 1e-7, 1e-9])
     with monkeypatch.context() as patch, working(), \
@@ -83,52 +85,82 @@ def report_cholesky_factors(monkeypatch, theta):
     return seen
 
 
-def reference_eigh(c):
-    """W = C Lam C^dag formed here, and mpmath's eigensystem of it, both at
-    twice the working digits: the eigenvectors of the deep +-eps1 pair move
-    by the rounding of W over their gap, 1e-50 / 1e-7 at 50 digits."""
+def v_times(y):
+    """V y = (y1 + i y2, y1 - i y2) / sqrt 2 for y in 3-row halves: with
+    C = L V^dag, C^dag U+ = V L^T U+ and C^-1 = V L^-1."""
+    i, r = mp.mpc(0, 1), 1 / mp.sqrt(2)
+    return np.concatenate([y[:3] + i * y[3:], y[:3] - i * y[3:]]) * r
+
+
+def factor_c(l):
+    """C = L V^dag, the factor of Hd = C^dag C that the real factor L of
+    J = L^T L gives, since Hd = V J V^dag."""
+    return v_times(l.T).conj().T
+
+
+def reference_eigh(l):
+    """W = i L Om L^T formed here, and mpmath's eigensystem of it, both at
+    twice the working digits."""
     with mp.workdps(2 * MP_DPS):
-        c = to_mp(c)
-        w = (c * _SIGN) @ c.conj().T
+        l = to_mp(l)
+        w = mp.mpc(0, 1) * (l[:, :3] @ l[:, 3:].T - l[:, 3:] @ l[:, :3].T)
         lam, u = mp.eighe(mp_matrix(w))
         return w, np.array(list(lam)), mp_array(u)
 
 
-def assert_colpa_pairs(c, lam, cu, tol):
+def assert_colpa_pairs(l, lam, cu, tol):
     """The columns v = C^dag u of colpa against what the eigenpairs (lam, u)
-    of W = C Lam C^dag imply: v^dag Lam v = U+^dag W U+ = diag(lam+), and
+    of W = C Lam C^dag imply: v^dag Lam v = U+^dag W U+ = diag(lam), and
     Hd Lam v = C^dag W u = lam v with Hd = C^dag C."""
-    assert all(lam[i] <= lam[i + 1] for i in range(5))
-    lam_up, cu_lam = lam[3:], cu * _SIGN[:, None]
-    assert biggest(cu.conj().T @ cu_lam - np.diag(lam_up)) <= tol
-    assert (biggest((c.conj().T @ c) @ cu_lam - cu * lam_up)
+    assert all(lam[i] <= lam[i + 1] for i in range(2))
+    c, cu_lam = factor_c(l), cu * _SIGN[:, None]
+    assert biggest(cu.conj().T @ cu_lam - np.diag(lam)) <= tol
+    assert (biggest((c.conj().T @ c) @ cu_lam - cu * lam)
             <= tol * biggest(c))
+
+
+def assert_paired(l, tol):
+    """The eigenvectors u of the +e half that the refinement returns are
+    orthonormal and have u_j^T u_k = 0, so that conj(u) is the -e half."""
+    with working():
+        _, x = _eigh_plus(_k(l))
+    with mp.workdps(2 * MP_DPS):
+        x = to_mp(x)
+        u = x[:, :3] + mp.mpc(0, 1) * x[:, 3:]
+        assert biggest(u.T @ u) <= tol
+        assert biggest(u.conj().T @ u - np.eye(3)) <= tol
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.1, critical_flux(params()), 1.7,
                                    math.pi])
 def test_eigh_matches_mpmath_on_report_matrices(monkeypatch, theta):
     # at theta = pi the q = +-2pi/3 pair is split only by sin(math.pi)
-    cs = report_cholesky_factors(monkeypatch, theta)
-    assert len(cs) == 3
-    for c in cs:
+    ls = report_cholesky_factors(monkeypatch, theta)
+    assert len(ls) == 3
+    for l in ls:
+        assert all(isinstance(v, Decimal) for v in l.flat)
+        assert np.all(np.tril(l, -1) == 0)
         with working():
-            lam, cu = DEC.colpa(c, _SIGN)
-        w, ref_lam, ref_u = reference_eigh(c)
+            lam, cu = DEC.colpa(l)
+        w, ref_lam, ref_u = reference_eigh(l)
+        if theta in (0.0, 0.1):                 # the AFSP and CSP points
+            assert_paired(l, mp.mpf("1e-48"))
         with mp.workdps(MP_DPS):
-            c, lam, cu = to_mp(c), to_mp(lam), to_mp(cu)
+            lam, cu = to_mp(lam), to_mp(cu)
             tol = mp.mpf("1e-45") * biggest(w)
-            assert biggest(lam - ref_lam) <= tol
-            assert_colpa_pairs(c, lam, cu, tol)
+            assert biggest(lam - ref_lam[3:]) <= tol
+            assert_colpa_pairs(to_mp(l), lam, cu, tol)
             # spectral projectors: a perturbation of W moves the projector
             # of an eigenvalue by at most its size over the eigenvalue's
-            # gap, which is below 1e-7 max|W| for the deep +-eps1 pairs;
-            # C^dag maps them to the projectors of the columns v = C^dag u
-            ref_cu = c.conj().T @ ref_u[:, 3:]
-            scale = biggest(c) ** 2
+            # gap. W = i K stays imaginary under rounding, which cannot mix
+            # u with conj(u), so the partner -e does not count: the gaps
+            # of the deep +-eps1 pairs are those to eps2. C^dag maps the
+            # projectors to those of the columns v = C^dag u
+            ref_cu = v_times(to_mp(l).T @ ref_u[:, 3:])
+            scale = biggest(to_mp(l)) ** 2
             for i in range(3):
-                gap = min(abs(lam[3 + i] - lam[k]) for k in range(6)
-                          if k != 3 + i)
+                gap = min(abs(ref_lam[3 + i] - ref_lam[k]) for k in range(6)
+                          if k not in (3 + i, 2 - i))
                 proj = np.outer(cu[:, i], cu[:, i].conj())
                 ref = np.outer(ref_cu[:, i], ref_cu[:, i].conj())
                 assert biggest(proj - ref) * gap <= tol * scale
@@ -136,70 +168,98 @@ def test_eigh_matches_mpmath_on_report_matrices(monkeypatch, theta):
                     assert biggest(proj - ref) <= mp.mpf("1e-45") * scale
 
 
+def random_symplectic(rng):
+    """A 6x6 real S with S^T Om S = Om, as the product of the symplectic
+    generators diag(A, A^-T), [[1, B], [0, 1]] and [[1, 0], [C, 1]] with B
+    and C symmetric, in mpmath numbers. A, B and C are random within 0.3 of
+    1 and 0, so that S is well conditioned and the rounding of
+    J = S diag(e, e) S^T to the working digits moves e by far less than
+    1e-48."""
+    one, zero = mp.eye(3), mp.zeros(3)
+    a, b, c = (mp.matrix((0.3 * rng.uniform(-1, 1, size=(3, 3))).tolist())
+               for _ in range(3))
+    a += one
+
+    def blocks(p, q, r, s):
+        return mp.matrix(np.block([[mp_array(p), mp_array(q)],
+                                   [mp_array(r), mp_array(s)]]).tolist())
+
+    return (blocks(a, zero, zero, mp.inverse(a).T)
+            * blocks(one, b + b.T, zero, one)
+            * blocks(one, zero, c + c.T, one))
+
+
 def test_eigh_resolves_exact_and_near_degeneracy():
-    # W = C Lam C^dag with C = Q |L|^(1/2) in a random 50-digit unitary
-    # basis Q has the eigenvalues L = Lam |L|: a triple cluster at -1, and
-    # a pair at 2 and 2 + 1e-30, split far below float64, in the half whose
-    # vectors colpa returns
-    with mp.workdps(MP_DPS):
-        rng = np.random.default_rng(5)
-        z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        q, _ = mp.qr(mp_matrix(z.astype(object) * mp.mpf(1)))
-        q = to_dec(mp_array(q))
-    with working():
-        mag = DEC.num(np.array([2, 2, 3, 1, 1, 1], dtype=float))
-        mag[1] += Decimal("1e-30")
-        c = q * DEC.sqrt(mag)
-        lam, cu = DEC.colpa(c, _SIGN)
-    w, ref_lam, ref_u = reference_eigh(c)
-    with mp.workdps(MP_DPS):
-        c, lam, cu = to_mp(c), to_mp(lam), to_mp(cu)
-        lam0 = np.sort(to_mp(mag) * _SIGN)
-        assert biggest(lam - lam0) <= mp.mpf("1e-48")
-        assert biggest(lam - ref_lam) <= mp.mpf("1e-48")
-        assert_colpa_pairs(c, lam, cu, mp.mpf("1e-48"))
+    # Williamson's form J = S diag(e, e) S^T in a random symplectic basis S
+    # has the symplectic eigenvalues e: W = i L Om L^T for J = L^T L has
+    # the spectrum +-e. The +e half that the refinement computes holds an
+    # exact triple (the decoupled ring's), or a pair at 2 and 2 + 1e-30,
+    # split far below float64, which its Jacobi rotations resolve
+    with mp.workdps(2 * MP_DPS):
+        s = random_symplectic(np.random.default_rng(5))
+        om = mp.matrix(np.block([[np.zeros((3, 3)), np.eye(3)],
+                                 [-np.eye(3), np.zeros((3, 3))]]).tolist())
+        assert mp.mnorm(s.T * om * s - om, 1) <= mp.mpf("1e-90")
+        spectra = ([mp.mpf(1)] * 3,
+                   [mp.mpf(1), mp.mpf(2), 2 + mp.mpf("1e-30")])
+    for e in spectra:
+        with mp.workdps(2 * MP_DPS):
+            jac = np.frompyfunc(lambda z: Decimal(mp.nstr(z, 2 * MP_DPS)), 1,
+                                1)(mp_array(s * mp.diag(e + e) * s.T))
+        with working():
+            l = DEC.cholesky(jac)
+            lam, cu = DEC.colpa(l)
+        w, ref_lam, ref_u = reference_eigh(l)
+        assert_paired(l, mp.mpf("1e-48"))
+        with mp.workdps(MP_DPS):
+            lam, cu = to_mp(lam), to_mp(cu)
+            assert biggest(lam - np.array(e)) <= mp.mpf("1e-48")
+            assert biggest(lam - ref_lam[3:]) <= mp.mpf("1e-48")
+            assert_colpa_pairs(to_mp(l), lam, cu, mp.mpf("1e-48"))
 
 
 def test_cholesky_matches_mpmath_and_refuses_indefinite():
     one, two = Decimal(1), Decimal(2)
-    h = np.array([[4 * one, DComplex(one, two)],
-                  [DComplex(one, -two), 6 * one]])
+    h = np.array([[4 * one, one / 3, -two], [one / 3, 6 * one, one / 7],
+                  [-two, one / 7, 5 * one]])
     with working():
-        c = DEC.cholesky(h)
+        l = DEC.cholesky(h)
         with pytest.raises(np.linalg.LinAlgError):
             DEC.cholesky(np.array([[one, two], [two, one]]))
+    assert np.all(np.tril(l, -1) == 0)
     with mp.workdps(MP_DPS):
-        c, h = to_mp(c), to_mp(h)
-        ref = mp_array(mp.cholesky(mp_matrix(h))).conj().T
-        assert biggest(c - ref) <= mp.mpf("1e-49")
-        assert biggest(c.conj().T @ c - h) <= mp.mpf("1e-48")
+        l, h = to_mp(l), to_mp(h)
+        ref = mp_array(mp.cholesky(mp_matrix(h))).T
+        assert biggest(l - ref) <= mp.mpf("1e-49")
+        assert biggest(l.T @ l - h) <= mp.mpf("1e-48")
 
 
 def test_float64_cholesky_is_upper_and_refuses_indefinite():
-    # the factor C of Hd = C^dag C that the Colpa step reads, as DEC's
+    # the factor L of J = L^T L that the Colpa step reads, as DEC's
     rng = np.random.default_rng(5)
     for _ in range(200):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = a.conj().T @ a + 0.1 * np.eye(6)
-        c = F64.cholesky(h)
-        assert np.array_equal(c, np.triu(c))
-        d = np.diagonal(c)
-        assert np.all(d.imag == 0) and np.all(d.real > 0)
-        assert np.max(np.abs(c.conj().T @ c - h)) <= 1e-14 * np.max(np.abs(h))
+        a = rng.standard_normal((6, 6))
+        h = a.T @ a + 0.1 * np.eye(6)
+        l = F64.cholesky(h)
+        assert l.dtype == float
+        assert np.array_equal(l, np.triu(l))
+        assert np.all(np.diagonal(l) > 0)
+        assert np.max(np.abs(l.T @ l - h)) <= 1e-14 * np.max(np.abs(h))
     with pytest.raises(np.linalg.LinAlgError):
-        F64.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
+        F64.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_cholesky_refuses_the_exact_zero_mode():
     # J = 0 and g1 = 1/2: the decoupled ring on its boundary (see
-    # test_exact_zero_mode_raises_critical_point), here at 50 digits
+    # test_exact_zero_mode_raises_critical_point), here at 50 digits; the
+    # Colpa step factors the residual Jacobian there
     with working():
         zero = DEC.num(np.zeros(3))
-        m = build_m_matrix(dec_params(j_hop=0.0, g1=0.5),
-                           Displacement(a=zero, b=zero))
+        p, disp = dec_params(j_hop=0.0, g1=0.5), Displacement(a=zero, b=zero)
+        m = build_m_matrix(p, disp)
         assert of(m) is DEC
         with pytest.raises(np.linalg.LinAlgError):
-            DEC.cholesky(2 * m)
+            DEC.cholesky(residual_jacobian(p, disp))
         with pytest.raises(CriticalPointError):
             diagonalize_paraunitary(m)
 
@@ -278,29 +338,101 @@ def test_solve_matches_mpmath_on_each_call_shape():
 
 
 def test_colpa_columns_match_the_triangular_solve(monkeypatch):
-    # T's columns Lam C^dag U+ / sqrt(e) against the back substitution
-    # C^-1 U+ sqrt(e) of mpmath, from the same C, at a deep point; U and e
-    # come from the reference eigensystem of W
+    # T's columns Lam C^dag U+ / sqrt(e) against C^-1 U+ sqrt(e)
+    # = V L^-1 U+ sqrt(e), by mpmath's back substitution through the same
+    # real factor L, at a deep point; U and e come from the reference
+    # eigensystem of W
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     seen = []
     colpa = DEC.colpa
-    monkeypatch.setattr(DEC, "colpa",
-                        lambda c, sign: seen.append(c) or colpa(c, sign))
+    monkeypatch.setattr(DEC, "colpa", lambda l: seen.append(l) or colpa(l))
     with working(), warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
         ps = diagonalize_paraunitary(
             build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
     _, evals, u = reference_eigh(seen[0])
+    t = to_mp(ps.t)
+    rows = np.argmax(np.frompyfunc(mp.re, 1, 1)(t[:, :3]), axis=0)
     with mp.workdps(2 * MP_DPS):
         rhs = u[:, 3:] * np.frompyfunc(mp.sqrt, 1, 1)(evals[3:])
-        ref = unit_phase(np.array([list(mp.U_solve(mp_matrix(to_mp(seen[0])),
-                                                   mp_matrix(col)))
-                                   for col in rhs.T]).T)
+        ref = unit_phase(v_times(np.array(
+            [list(mp.U_solve(mp_matrix(to_mp(seen[0])), mp_matrix(col)))
+             for col in rhs.T]).T), rows)
     with mp.workdps(MP_DPS):
-        t = to_mp(ps.t)
         for k in range(3):
             assert (biggest(t[:, k] - ref[:, k])
                     <= mp.mpf("1e-45") * biggest(ref[:, k]))
+
+
+# point_observables at the deep points of the four reference transitions and
+# of theta = pi, as floats: eps1..eps3, then photon_n, var_x and var_p of
+# sites 1..3, from the complex Colpa step that the real one replaced
+THETA_C = critical_flux(params())
+_FROZEN = {
+    (0.0, 1e-06): [
+        7.024019025620364e-06, 0.001899988969550445, 0.40620449292997163,
+        83.08863048251895, 16926.866454028237, 16926.866454028237,
+        334.2295287227689, 67709.34224956341, 67709.34224956341,
+        0.12443180370457238, 0.12342619507963411, 0.12342619507963411],
+    (0.0, 1e-09): [
+        7.024006466632078e-09, 6.008327519438242e-05, 0.40620192280441025,
+        2634.9877833111186, 16906964.184078872, 16906964.184078872,
+        10541.827999021374, 67627858.61321332, 67627858.61321332,
+        0.12313366169651611, 0.12310203326337386, 0.12310203326337386],
+    (0.1, 1e-06): [
+        7.691724969561353e-07, 0.017395773592086758, 0.40520328798706345,
+        9.098505596598262, 1851.8638254191612, 1851.8638254191612,
+        37.45377977607079, 7409.125842389407, 7409.125842389407,
+        0.9396813078299501, 0.32931892319322326, 0.32931892319322326],
+    (0.1, 1e-09): [
+        2.4469779475155206e-11, 0.017291759424102812, 0.40520071221665305,
+        15.389303490605085, 58643.11002704315, 58643.11002704315,
+        37.544721609546, 234567.8425773018, 234567.8425773018,
+        26.01249179157194, 6.597530730403719, 6.597530730403719],
+    (THETA_C, 1e-06): [
+        2.3061707658452218e-05, 0.00199004701860533, 0.17301364166596628,
+        43.11253552955885, 43.11253552955885, 43.11253552955885,
+        174.3915376787696, 174.3915376787696, 174.3915376787696,
+        0.05820243961727642, 0.05820243961727642, 0.05820243961727642],
+    (THETA_C, 1e-09): [
+        2.306483661580069e-08, 6.293089088104515e-05, 0.17299060302314445,
+        1319.06175891744, 1319.06175891744, 1319.06175891744,
+        5278.189493733108, 5278.189493733108, 5278.189493733108,
+        0.057541534652604004, 0.057541534652604004, 0.057541534652604004],
+    (1.7, 1e-06): [
+        0.0019742286333554117, 0.053601044690291255, 0.22536242826847486,
+        42.392682253808466, 42.392682253808466, 42.392682253808466,
+        171.47726451819136, 171.47726451819136, 171.47726451819136,
+        0.09305927619498865, 0.09305927619498865, 0.09305927619498865],
+    (1.7, 1e-09): [
+        6.24306689934364e-05, 0.05358681301419487, 0.22534819659237848,
+        1318.3415146475822, 1318.3415146475822, 1318.3415146475822,
+        5275.273653919948, 5275.273653919948, 5275.273653919948,
+        0.09240426515982435, 0.09240426515982435, 0.09240426515982435],
+    (math.pi, 1e-06): [
+        0.0017999977500030937, 0.396867458971569, 0.39686745897156905,
+        41.67094462271472, 41.67094462271472, 41.67094462271472,
+        168.43068804177375, 168.43068804177375, 168.43068804177375,
+        0.2526460048629021, 0.2526460048629021, 0.2526460048629021],
+    (math.pi, 1e-09): [
+        5.692099781187958e-05, 0.3968627014220409, 0.39686270142204094,
+        1317.6196513915615, 1317.6196513915615, 1317.6196513915615,
+        5272.226607721587, 5272.226607721587, 5272.226607721587,
+        0.251997400214242, 0.251997400214242, 0.251997400214242],
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, THETA_C, 1.7, math.pi])
+def test_deep_observables_match_the_complex_colpa_step(theta):
+    roots = continued_roots(params(theta=theta), [1e-6, 1e-9])
+    for d, (p, x) in roots.items():
+        with working(), warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            obs = point_observables(p, x)
+        got = [obs["eps1"], obs["eps2"], obs["eps3"], *obs["photon_n"],
+               *obs["var_x"], *obs["var_p"]]
+        for g, want in zip(got, _FROZEN[theta, d], strict=True):
+            assert abs(g - want) <= math.ulp(want), (d, g, want)
 
 
 def test_degenerate_report_has_no_failed_rows():
