@@ -2,9 +2,9 @@
 phase: exact photon-transfer dynamics, mean-field phases, quadratic
 fluctuations, and critical-exponent extraction."""
 
-from .errors import (ConvergenceError, CriticalPointError, DegeneracyWarning,
-                     DomainError, FitRejected, InstabilityError,
-                     ResourceError, TruncationWarning)
+from .errors import (ConvergenceError, CriticalPointError, DomainError,
+                     FitRejected, InstabilityError, ResourceError,
+                     TruncationWarning)
 from .model import (MOMENTA, ModelParams, PhaseLabel, bare_coupling,
                     classify_phase, critical_coupling, critical_coupling_min,
                     critical_flux, softest_mode)
@@ -15,8 +15,7 @@ from .meanfield import (Displacement, MeanFieldSolution, fsp_closed_form,
                         ground_energy_mf, residual_jacobian, residuals,
                         solve_displacements)
 from .bogoliubov import (ParaunitarySolution, build_m_matrix,
-                         diagonalize_paraunitary, local_photon_sr,
-                         point_observables, variance_p_sr, variance_x_sr)
+                         diagonalize_paraunitary, point_observables)
 from .dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
                        chirality_metric, evolve, exact_ground_energy,
                        initial_state)
@@ -27,9 +26,8 @@ from .scaling import (ExponentReport, PowerLawFit, ReportEntry, SweepSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "CriticalPointError", "DegeneracyWarning",
-    "DomainError", "FitRejected", "InstabilityError", "ResourceError",
-    "TruncationWarning",
+    "ConvergenceError", "CriticalPointError", "DomainError", "FitRejected",
+    "InstabilityError", "ResourceError", "TruncationWarning",
     "MOMENTA", "ModelParams", "PhaseLabel", "bare_coupling", "classify_phase",
     "critical_coupling", "critical_coupling_min", "critical_flux",
     "softest_mode",
@@ -40,7 +38,7 @@ __all__ = [
     "ground_energy_mf", "residual_jacobian", "residuals",
     "solve_displacements",
     "ParaunitarySolution", "build_m_matrix", "diagonalize_paraunitary",
-    "local_photon_sr", "point_observables", "variance_p_sr", "variance_x_sr",
+    "point_observables",
     "FockBasis", "Trajectory", "build_full_hamiltonian", "chirality_metric",
     "evolve", "exact_ground_energy", "initial_state",
     "ExponentReport", "PowerLawFit", "ReportEntry", "SweepSpec", "ZPair",

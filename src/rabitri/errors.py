@@ -42,9 +42,5 @@ class ResourceError(RuntimeError):
     """Requested computation exceeds the configured size cap."""
 
 
-class DegeneracyWarning(UserWarning):
-    """Two excitation energies coincide within pairing tolerance."""
-
-
 class TruncationWarning(UserWarning):
     """Population at the Fock-space truncation edge is non-negligible."""

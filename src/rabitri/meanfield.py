@@ -19,7 +19,7 @@ delta = 1e-2 down a descending delta ladder, each step seeded by scaling
 the previous root with sqrt(delta'/delta) and polished by Newton to 1e-12.
 Points with delta >= 1e-4 run in float64; deeper points run the same
 functions on 50-digit Decimal numbers (g1c and g1 included), because the
-Cholesky step of the fluctuations needs min-eig(Hd) ~ eps1^2 to stay clear
+Cholesky step of the fluctuations needs min-eig(J) ~ eps1^2 to stay clear
 of roundoff (see `numerics`).
 """
 from __future__ import annotations
@@ -70,13 +70,13 @@ class MeanFieldSolution:
     residual_norm: float
 
 
-def _gaps(params: ModelParams, a: np.ndarray) -> np.ndarray:
-    """Renormalized gaps Delta_n; params and a must share one precision."""
+def _gaps(params: ModelParams, a: np.ndarray, g) -> np.ndarray:
+    """Renormalized gaps Delta_n at the bare coupling g of params; params
+    and a must share one precision."""
     nb, na = numerics.of(params.omega), numerics.of(a)
     if na is not nb:
         raise DomainError(f"parameters in {nb.name} but displacement in "
                           f"{na.name}; convert one to the other's precision")
-    g = bare_coupling(params)
     return nb.sqrt(a * (16 * g * g) * a + params.delta ** 2)
 
 
@@ -90,7 +90,7 @@ def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
     g = bare_coupling(params)
     nb = numerics.of(params.omega, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
-    dn = _gaps(params, a)
+    dn = _gaps(params, a, g)
     an, ap = a[..., _NXT], a[..., _PRV]    # A_{n+1}, A_{n-1}
     bn, bp = b[..., _NXT], b[..., _PRV]
     ct, st = nb.cos(th), nb.sin(th)
@@ -106,7 +106,7 @@ def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
     g = bare_coupling(params)
     nb = numerics.of(params.omega, disp.a)
     a = np.asarray(disp.a)
-    dn = _gaps(params, a)
+    dn = _gaps(params, a, g)
     hop = nb.num(_HOP) * (j * nb.cos(th))
     twist = nb.num(_TWIST) * (j * nb.sin(th))
     # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
@@ -128,7 +128,7 @@ def ground_energy_mf(params: ModelParams, disp: Displacement) -> float:
     w, j, th = params.omega, params.j_hop, params.theta
     nb = numerics.of(params.omega, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
-    dn = _gaps(params, a)
+    dn = _gaps(params, a, bare_coupling(params))
     an, bn = a[_NXT], b[_NXT]
     ct, st = nb.cos(th), nb.sin(th)
     hop = 2 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st)

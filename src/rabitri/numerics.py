@@ -1,16 +1,14 @@
 """Working precision: float64, or 50 digits on the standard `decimal`.
 
 The equations of the package (boundary, mean-field residuals, Jacobian and
-Newton, M matrix, Colpa step, observables) are written once on numpy
-arrays. Float and complex arrays run them in float64; object arrays of
-Decimal and DComplex numbers, or parameter sets whose omega is a Decimal,
-run them in the current decimal context, which must be `working()` (the
-default holds 28 digits). Only the primitives in the tables F64 and DEC
-differ, and `of` picks the table. Decimal refuses float operands, so
-shared code writes an integral constant as an int and passes other floats
-through `num`, the identity in F64 and the exact conversion in DEC, and
-builds a complex array from its real and imaginary parts by `complex`
-(in DEC an entry whose imaginary part is zero stays a Decimal).
+Newton, Colpa step, observables) are written once on real numpy arrays.
+Float arrays run them in float64; object arrays of Decimal numbers, or
+parameter sets whose omega is a Decimal, run them in the current decimal
+context, which must be `working()` (the default holds 28 digits). Only the
+primitives in the tables F64 and DEC differ, and `of` picks the table.
+Decimal refuses float operands, so shared code writes an integral constant
+as an int and passes other floats through `num`, the identity in F64 and
+the exact conversion in DEC.
 
 F64 runs on numpy alone (its Cholesky is the upper factor of
 `np.linalg.cholesky`, new in numpy 2.0), so the mean field, the Colpa step
@@ -18,18 +16,18 @@ and the exponent reports load no scipy module.
 
 The Cholesky and the linear solve take real arrays: the residual Jacobian
 of the Colpa step and the Newton systems. `colpa(l)` takes the real upper
-factor L of the Jacobian J = L^T L (see `bogoliubov`). With V = U / sqrt 2
-the doubled form is Hd = V J V^dag = C^dag C for C = L V^dag, and
-W = C Lam C^dag = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3 blocks, is i
-times a real antisymmetric matrix. Its eigenvalues come in pairs +-e, the
-eigenvectors of -e are the conjugates of those of +e, and `colpa` returns
-only the ascending e and C^dag U+ = V L^T U+. F64 takes them from `eigh`;
-DEC refines the +e vectors of that float64 start (`_eigh_plus`).
+factor L of the Jacobian J = L^T L (see `bogoliubov`). The Hermitian
+W = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3 blocks, is i times a real
+antisymmetric matrix, so its eigenvalues come in pairs +-e and the
+eigenvectors of -e are the conjugates of those of +e. `colpa` returns the
+ascending e and Y = L^T X, where X = [Re u | Im u] holds the orthonormal
+eigenvectors u of +e as real 6x6 columns. F64 takes them from `eigh`; DEC
+refines the +e vectors of that float64 start (`_eigh_plus`), in real
+arithmetic on the two halves of X.
 
-The matrix kernels of DEC run on Decimal arrays of real and imaginary
-parts, with the rules of mpmath's cholesky and lu_solve for which pivots
-count as zero: they decide when Newton regularizes and when the Colpa step
-raises.
+The matrix kernels of DEC follow the rules of mpmath's cholesky and
+lu_solve for which pivots count as zero: they decide when Newton
+regularizes and when the Colpa step raises.
 """
 from __future__ import annotations
 
@@ -57,75 +55,23 @@ def _k(l):
 
 def _colpa_f64(l):
     """Ascending eigenvalues e of the upper half of the spectrum of
-    W = i L Om L^T, and C^dag U+ = V L^T U+, U+ their orthonormal
-    eigenvectors (C = L V^dag, V = U / sqrt 2)."""
+    W = i L Om L^T, and L^T X for their orthonormal eigenvectors u,
+    X = [Re u | Im u]."""
     lam, u = np.linalg.eigh(1j * _k(l))
-    y = l.T @ u[:, 3:]
-    # V y = (y1 + i y2, y1 - i y2) / sqrt 2
-    return lam[3:], np.vstack([y[:3] + 1j * y[3:],
-                               y[:3] - 1j * y[3:]]) / math.sqrt(2)
+    return lam[3:], l.T @ np.hstack([u[:, 3:].real, u[:, 3:].imag])
 
 
 F64 = SimpleNamespace(
-    name="float64", rdtype=float, cdtype=complex, num=lambda x: x,
-    complex=lambda re, im: re + 1j * im,
+    name="float64", rdtype=float, num=lambda x: x,
     pi=lambda: math.pi, cos=math.cos, sin=math.sin,
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 16,                                    # digits
-    parts=lambda a: (a.real, a.imag),
     cholesky=lambda a: np.linalg.cholesky(a, upper=True),   # a = l^T l
     colpa=_colpa_f64, solve=np.linalg.solve)
 
 
 # ---------------------------------------------------------------------------
 # the 50-digit scalars
-
-class DComplex:
-    """real + i imag on two Decimals, with the operations the equations use
-    (+ - * on DComplex, Decimal and int, / by them, -z, abs, conjugate,
-    complex)."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def __add__(self, z):
-        if isinstance(z, DComplex):
-            return DComplex(self.real + z.real, self.imag + z.imag)
-        return DComplex(self.real + z, self.imag)
-
-    def __sub__(self, z):
-        return self + -z
-
-    def __rsub__(self, z):
-        return -self + z
-
-    def __mul__(self, z):
-        if isinstance(z, DComplex):
-            return DComplex(self.real * z.real - self.imag * z.imag,
-                            self.real * z.imag + self.imag * z.real)
-        return DComplex(self.real * z, self.imag * z)
-
-    def __truediv__(self, z):
-        if isinstance(z, DComplex):
-            return self * z.conjugate() / (z.real * z.real + z.imag * z.imag)
-        return DComplex(self.real / z, self.imag / z)
-
-    def __neg__(self):
-        return DComplex(-self.real, -self.imag)
-
-    def __abs__(self):
-        return (self.real * self.real + self.imag * self.imag).sqrt()
-
-    def conjugate(self):
-        return DComplex(self.real, -self.imag)
-
-    def __complex__(self):
-        return complex(float(self.real), float(self.imag))
-
-    __radd__, __rmul__ = __add__, __mul__
-
 
 def _pi() -> Decimal:
     """pi at the current precision (the recipe of the decimal docs)."""
@@ -158,9 +104,6 @@ def _cos_sin(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
 # ---------------------------------------------------------------------------
 # Decimal kernels of the 50-digit table
 
-# real and imaginary parts of DComplex, Decimal or int entries
-_parts = np.frompyfunc(lambda z: (z.real, z.imag), 1, 2)
-_complex = np.frompyfunc(DComplex, 2, 1)
 _decimal = np.frompyfunc(Decimal, 1, 1)     # exact, from floats
 
 
@@ -299,14 +242,9 @@ def _eigh_plus(k):
 
 
 def _colpa_dec(l):
-    """`colpa` in the current context, with Decimal eigenvalues and
-    DComplex columns."""
+    """`colpa` in the current context, with Decimal entries."""
     lam, x = _eigh_plus(_k(l))
-    yr1, yi1, yr2, yi2 = _quarters(l.T @ x)
-    r = 1 / Decimal(2).sqrt()
-    # V y = (y1 + i y2, y1 - i y2) / sqrt 2 for y = L^T u
-    return lam, _complex(np.vstack([yr1 - yi2, yr1 + yi2]) * r,
-                         np.vstack([yi1 + yr2, yi1 - yr2]) * r)
+    return lam, l.T @ x
 
 
 def _rotate(tr, ti, xr, xi, p, q):
@@ -330,21 +268,18 @@ def _rotate(tr, ti, xr, xi, p, q):
 
 
 DEC = SimpleNamespace(
-    name="Decimal", rdtype=object, cdtype=object, num=_decimal,
-    # entries with a zero imaginary part stay Decimal: abs() of a DComplex
-    # costs a square root
-    complex=lambda re, im: np.where(im == 0, re, _complex(re, im)), pi=_pi,
+    name="Decimal", rdtype=object, num=_decimal, pi=_pi,
     cos=lambda x: _cos_sin(Decimal(x), getcontext().prec)[0],
     sin=lambda x: _cos_sin(Decimal(x), getcontext().prec)[1],
-    sqrt=np.sqrt, prec=lambda: getcontext().prec, parts=_parts,
+    sqrt=np.sqrt, prec=lambda: getcontext().prec,
     cholesky=_cholesky_dec, colpa=_colpa_dec, solve=_solve_dec)
 
 
 def of(*inputs):
-    """DEC if any input is a Decimal, a DComplex or an object array, else
-    F64. A parameter set runs at the precision of its omega."""
+    """DEC if any input is a Decimal or an object array, else F64. A
+    parameter set runs at the precision of its omega."""
     for v in inputs:
         if (v.dtype == object if isinstance(v, np.ndarray)
-                else isinstance(v, (Decimal, DComplex))):
+                else isinstance(v, Decimal)):
             return DEC
     return F64

@@ -20,11 +20,3 @@ def assert_close(actual, expected, rtol, label=""):
     err = np.max(np.abs(actual - expected) / np.maximum(np.abs(expected), 1e-300))
     assert err <= rtol, f"{label}: rel err {err:.3e} > {rtol:.1e}"
 
-
-def unit_phase(v, rows):
-    """Columns of v with the entry in the given row of each made real
-    positive: the phase convention of `diagonalize_paraunitary`, at the
-    rows of largest modulus that it picked (where entries tie in modulus,
-    rounding picks the row)."""
-    top = v[rows, range(v.shape[1])]
-    return v / (top / np.abs(top))

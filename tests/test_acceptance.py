@@ -6,19 +6,17 @@ criterion-by-criterion record. The heavy pieces (exponent reports, long
 trajectories) are module-scoped fixtures shared across tests.
 """
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rabitri import DegeneracyWarning, ModelParams
-from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
-                                local_photon_sr, point_observables,
-                                variance_p_sr, variance_x_sr)
+from rabitri import ModelParams
+from rabitri.bogoliubov import diagonalize_paraunitary, point_observables
 from rabitri.dynamics import FockBasis, chirality_metric, evolve, \
     exact_ground_energy
-from rabitri.meanfield import (Displacement, ground_energy_mf, residuals,
+from rabitri.meanfield import (Displacement, ground_energy_mf,
+                               residual_jacobian, residuals,
                                fsp_closed_form, solve_displacements)
 from rabitri.model import MOMENTA, critical_coupling_min, critical_flux
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
@@ -35,10 +33,9 @@ def params(theta, g1):
     return replace(BASE, theta=theta, g1=g1)
 
 
-def diag_quiet(m):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        return diagonalize_paraunitary(m)
+def matrix_route(p, disp):
+    """point_observables at the mean-field displacement disp."""
+    return point_observables(p, np.concatenate([disp.a, disp.b]))
 
 
 def np_grid():
@@ -98,15 +95,14 @@ def test_criterion_1_normal_phase_equivalence():
     count = 0
     for p in np_grid():
         count += 1
-        mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf.disp))
+        obs = matrix_route(p, solve_displacements(p).disp)
         closed = excitation_energies(p)
-        for a, b in zip(sorted(ps.eps), closed):
+        for a, b in zip((obs["eps1"], obs["eps2"], obs["eps3"]), closed):
             worst = max(worst, abs(a - b) / abs(b))
         n_closed = local_photon_np(p)
         vx_closed = variance_x_np(p)
-        n_mat = local_photon_sr(ps, mf.disp)
-        vx_mat = variance_x_sr(ps)
+        n_mat = obs["photon_n"]
+        vx_mat = obs["var_x"]
         for s in range(3):
             worst = max(worst, abs(n_mat[s] - n_closed) / abs(n_closed))
             worst = max(worst, abs(vx_mat[s] - vx_closed) / abs(vx_closed))
@@ -118,17 +114,15 @@ def test_criterion_1_normal_phase_equivalence():
 
 def test_criterion_2_paraunitarity_everywhere():
     worst = 0.0
-    for p in np_grid():
+    # in the real form: the symplectic S, whose complex dress is Colpa's
+    # paraunitary T, has S^T Om S = Om
+    for p in (*np_grid(), *sr_grid()):
         mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf.disp))
-        worst = max(worst, ps.para_residual)
-    for p in sr_grid():
-        mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf.disp))
+        ps = diagonalize_paraunitary(residual_jacobian(p, mf.disp))
         worst = max(worst, ps.para_residual)
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 2 paraunitarity: PASS "
-          f"(worst |T^dag Lam T - Lam| = {worst:.2e} <= 1e-10)")
+          f"(worst |S^T Om S - Om| = {worst:.2e} <= 1e-10)")
 
 
 # (flux, side, quantity, site) -> table exponent; variance rows carry nu,
@@ -327,9 +321,8 @@ def test_criterion_8_uncertainty_bound():
             vpq = math.exp(-4 * m.lambda_q)
             worst_mode = max(worst_mode, abs(vxq * vpq - 1.0))
     for p in sr_grid():
-        mf = solve_displacements(p)
-        ps = diag_quiet(build_m_matrix(p, mf.disp))
-        prod = variance_x_sr(ps) * variance_p_sr(ps)
+        obs = matrix_route(p, solve_displacements(p).disp)
+        prod = obs["var_x"] * obs["var_p"]
         worst_site = min(worst_site, float(np.min(prod)))
     assert worst_site >= 1.0 - 1e-12
     assert worst_mode <= 1e-12

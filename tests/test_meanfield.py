@@ -1,14 +1,11 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabitri import DegeneracyWarning, ModelParams, PhaseLabel
-from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
-                                local_photon_sr, variance_p_sr,
-                                variance_x_sr)
+from rabitri import PhaseLabel
+from rabitri.bogoliubov import diagonalize_paraunitary, point_observables
 from rabitri.model import critical_coupling_min
 from rabitri import meanfield
 from rabitri.meanfield import (Displacement, _newton, _seed_list,
@@ -215,19 +212,19 @@ def test_mirror_and_paraunitarity_across_parameters(theta, j_hop, delta,
     assert np.max(np.abs(r_q)) <= 5e-10
     assert abs(ground_energy_mf(q, mirrored)
                - ground_energy_mf(p, mf.disp)) <= 1e-12 * delta
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        ps = diagonalize_paraunitary(build_m_matrix(p, mf.disp))
-        qs = diagonalize_paraunitary(build_m_matrix(q, mirrored))
+    ps = diagonalize_paraunitary(residual_jacobian(p, mf.disp))
+    qs = diagonalize_paraunitary(residual_jacobian(q, mirrored))
     assert ps.para_residual <= 1e-10 and qs.para_residual <= 1e-10
     # the Colpa energies, and per-site observables with sites 2 <-> 3;
-    # rounding of Hd moves them by up to max|Hd| / eps1 times its size
-    rel = 1e-13 * np.max(np.abs(ps.hd)) / ps.eps[0]
+    # rounding of J moves them by up to max|J| / eps1 times its size
+    rel = 1e-13 * np.max(np.abs(ps.jac)) / ps.eps[0]
     assert qs.eps == pytest.approx(ps.eps, rel=rel)
-    assert local_photon_sr(qs, mirrored) == pytest.approx(
-        local_photon_sr(ps, mf.disp)[sites], rel=rel, abs=1e-12)
-    for f in (variance_x_sr, variance_p_sr):
-        assert f(qs) == pytest.approx(f(ps)[sites], rel=rel)
+    obs_p = point_observables(p, x)
+    obs_q = point_observables(q, x[swap])
+    assert obs_q["photon_n"] == pytest.approx(obs_p["photon_n"][sites],
+                                              rel=rel, abs=1e-12)
+    for key in ("var_x", "var_p"):
+        assert obs_q[key] == pytest.approx(obs_p[key][sites], rel=rel)
     if ratio < 1.0:
         # the normal-phase closed forms are even in theta
         assert excitation_energies(q) == pytest.approx(

@@ -1,11 +1,10 @@
-"""The 50-digit table `numerics.DEC` (Decimal scalars, the DComplex type,
-pi, cos and sin, and the matrix kernels) against mpmath, which serves as
-the reference here only."""
+"""The 50-digit table `numerics.DEC` (Decimal scalars, pi, cos and sin,
+and the matrix kernels) against mpmath, which serves as the reference here
+only."""
 import math
 import os
 import subprocess
 import sys
-import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -13,34 +12,25 @@ import pytest
 from mpmath import mp
 
 import rabitri
-from rabitri import (CriticalPointError, DegeneracyWarning, DomainError,
-                     ModelParams)
-from rabitri.bogoliubov import (_SIGN, build_m_matrix,
-                                diagonalize_paraunitary, point_observables)
+from rabitri import (CriticalPointError, DomainError, ModelParams, bogoliubov)
+from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
+                                point_observables)
 from rabitri.meanfield import (Displacement, continued_roots,
                                ground_energy_mf, residual_jacobian, residuals)
 from rabitri.model import critical_flux
-from rabitri.numerics import (DEC, F64, MP_DPS, DComplex, _eigh_plus, _k,
-                              _parts, of, working)
+from rabitri.numerics import DEC, F64, MP_DPS, _eigh_plus, _k, of, working
 from rabitri.scaling import exponent_report
 
-from conftest import params, unit_phase
+from conftest import params
+
+OMEGA = np.kron([[0, 1], [-1, 0]], np.eye(3, dtype=int))
 
 
 def to_mp(a):
-    """mpmath copy of a Decimal or DComplex array (or scalar), to twice the
-    working digits, so that a reference sees the numbers the kernels saw."""
+    """mpmath copy of a Decimal array (or scalar), to twice the working
+    digits, so that a reference sees the numbers the kernels saw."""
     with mp.workdps(2 * MP_DPS):
-        return np.frompyfunc(
-            lambda z: mp.mpf(str(z)) if isinstance(z, Decimal)
-            else mp.mpc(str(z.real), str(z.imag)), 1, 1)(a)
-
-
-def to_dec(a):
-    """DComplex copy of an mpmath array, to twice the working digits."""
-    return np.frompyfunc(lambda z: DComplex(
-        *(Decimal(mp.nstr(v, 2 * MP_DPS)) for v in (mp.re(z), mp.im(z)))),
-        1, 1)(a)
+        return np.frompyfunc(lambda z: mp.mpf(str(z)), 1, 1)(a)
 
 
 def mp_matrix(a):
@@ -75,27 +65,18 @@ def report_cholesky_factors(monkeypatch, theta):
         return colpa(l)
 
     roots = continued_roots(params(theta=theta), [1e-5, 1e-7, 1e-9])
-    with monkeypatch.context() as patch, working(), \
-            warnings.catch_warnings():
+    with monkeypatch.context() as patch, working():
         patch.setattr(DEC, "colpa", record)
-        warnings.simplefilter("ignore", DegeneracyWarning)
         for p, x in roots.values():
             diagonalize_paraunitary(
-                build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
+                residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
     return seen
 
 
-def v_times(y):
-    """V y = (y1 + i y2, y1 - i y2) / sqrt 2 for y in 3-row halves: with
-    C = L V^dag, C^dag U+ = V L^T U+ and C^-1 = V L^-1."""
-    i, r = mp.mpc(0, 1), 1 / mp.sqrt(2)
-    return np.concatenate([y[:3] + i * y[3:], y[:3] - i * y[3:]]) * r
-
-
-def factor_c(l):
-    """C = L V^dag, the factor of Hd = C^dag C that the real factor L of
-    J = L^T L gives, since Hd = V J V^dag."""
-    return v_times(l.T).conj().T
+def complex_columns(y):
+    """u = x1 + i x2 from the real columns [x1 | x2]; L^T u from
+    Y = L^T X."""
+    return y[:, :3] + mp.mpc(0, 1) * y[:, 3:]
 
 
 def reference_eigh(l):
@@ -108,15 +89,16 @@ def reference_eigh(l):
         return w, np.array(list(lam)), mp_array(u)
 
 
-def assert_colpa_pairs(l, lam, cu, tol):
-    """The columns v = C^dag u of colpa against what the eigenpairs (lam, u)
-    of W = C Lam C^dag imply: v^dag Lam v = U+^dag W U+ = diag(lam), and
-    Hd Lam v = C^dag W u = lam v with Hd = C^dag C."""
+def assert_colpa_pairs(l, lam, y, tol):
+    """The columns v = L^T u of colpa (Y = L^T X, u = x1 + i x2) against
+    what the eigenpairs (lam, u) of W = i L Om L^T imply:
+    u^dag W u = i v^dag Om v = diag(lam), and i J Om v = lam v with
+    J = L^T L, from L^T W u = lam L^T u."""
     assert all(lam[i] <= lam[i + 1] for i in range(2))
-    c, cu_lam = factor_c(l), cu * _SIGN[:, None]
-    assert biggest(cu.conj().T @ cu_lam - np.diag(lam)) <= tol
-    assert (biggest((c.conj().T @ c) @ cu_lam - cu * lam)
-            <= tol * biggest(c))
+    v, i = complex_columns(y), mp.mpc(0, 1)
+    assert biggest(i * (v.conj().T @ OMEGA @ v) - np.diag(lam)) <= tol
+    assert (biggest(i * ((l.T @ l) @ (OMEGA @ v)) - v * lam)
+            <= tol * biggest(l))
 
 
 def assert_paired(l, tol):
@@ -141,28 +123,29 @@ def test_eigh_matches_mpmath_on_report_matrices(monkeypatch, theta):
         assert all(isinstance(v, Decimal) for v in l.flat)
         assert np.all(np.tril(l, -1) == 0)
         with working():
-            lam, cu = DEC.colpa(l)
+            lam, y = DEC.colpa(l)
         w, ref_lam, ref_u = reference_eigh(l)
         if theta in (0.0, 0.1):                 # the AFSP and CSP points
             assert_paired(l, mp.mpf("1e-48"))
         with mp.workdps(MP_DPS):
-            lam, cu = to_mp(lam), to_mp(cu)
+            lam, y = to_mp(lam), to_mp(y)
             tol = mp.mpf("1e-45") * biggest(w)
             assert biggest(lam - ref_lam[3:]) <= tol
-            assert_colpa_pairs(to_mp(l), lam, cu, tol)
+            assert_colpa_pairs(to_mp(l), lam, y, tol)
             # spectral projectors: a perturbation of W moves the projector
             # of an eigenvalue by at most its size over the eigenvalue's
             # gap. W = i K stays imaginary under rounding, which cannot mix
             # u with conj(u), so the partner -e does not count: the gaps
-            # of the deep +-eps1 pairs are those to eps2. C^dag maps the
-            # projectors to those of the columns v = C^dag u
-            ref_cu = v_times(to_mp(l).T @ ref_u[:, 3:])
+            # of the deep +-eps1 pairs are those to eps2. L^T maps the
+            # projectors to those of the columns v = L^T u
+            v = complex_columns(y)
+            ref_v = to_mp(l).T @ ref_u[:, 3:]
             scale = biggest(to_mp(l)) ** 2
             for i in range(3):
                 gap = min(abs(ref_lam[3 + i] - ref_lam[k]) for k in range(6)
                           if k not in (3 + i, 2 - i))
-                proj = np.outer(cu[:, i], cu[:, i].conj())
-                ref = np.outer(ref_cu[:, i], ref_cu[:, i].conj())
+                proj = np.outer(v[:, i], v[:, i].conj())
+                ref = np.outer(ref_v[:, i], ref_v[:, i].conj())
                 assert biggest(proj - ref) * gap <= tol * scale
                 if gap >= mp.mpf("1e-4") * biggest(w):
                     assert biggest(proj - ref) <= mp.mpf("1e-45") * scale
@@ -208,14 +191,14 @@ def test_eigh_resolves_exact_and_near_degeneracy():
                                 1)(mp_array(s * mp.diag(e + e) * s.T))
         with working():
             l = DEC.cholesky(jac)
-            lam, cu = DEC.colpa(l)
+            lam, y = DEC.colpa(l)
         w, ref_lam, ref_u = reference_eigh(l)
         assert_paired(l, mp.mpf("1e-48"))
         with mp.workdps(MP_DPS):
-            lam, cu = to_mp(lam), to_mp(cu)
+            lam, y = to_mp(lam), to_mp(y)
             assert biggest(lam - np.array(e)) <= mp.mpf("1e-48")
             assert biggest(lam - ref_lam[3:]) <= mp.mpf("1e-48")
-            assert_colpa_pairs(to_mp(l), lam, cu, mp.mpf("1e-48"))
+            assert_colpa_pairs(to_mp(l), lam, y, mp.mpf("1e-48"))
 
 
 def test_cholesky_matches_mpmath_and_refuses_indefinite():
@@ -256,12 +239,12 @@ def test_cholesky_refuses_the_exact_zero_mode():
     with working():
         zero = DEC.num(np.zeros(3))
         p, disp = dec_params(j_hop=0.0, g1=0.5), Displacement(a=zero, b=zero)
-        m = build_m_matrix(p, disp)
-        assert of(m) is DEC
+        jac = residual_jacobian(p, disp)
+        assert of(jac) is DEC
         with pytest.raises(np.linalg.LinAlgError):
-            DEC.cholesky(residual_jacobian(p, disp))
+            DEC.cholesky(jac)
         with pytest.raises(CriticalPointError):
-            diagonalize_paraunitary(m)
+            diagonalize_paraunitary(jac)
 
 
 @pytest.mark.parametrize("fn", [residuals, residual_jacobian,
@@ -279,22 +262,19 @@ def test_mixed_precision_input_is_a_domain_error(fn):
             assert "Decimal" in str(err.value)
 
 
-def test_m_matrix_at_fifty_digits_is_hermitian_and_matches_float64():
+def test_jacobian_at_fifty_digits_is_symmetric_and_matches_float64():
+    # the form the Colpa step takes at a deep point
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     with working():
-        m = build_m_matrix(p, Displacement(a=x[:3], b=x[3:]))
-        re, im = _parts(m)
-        assert np.all(re == re.T) and np.all(im == -im.T)
-    # the structurally real entries, anomalous blocks and diagonal, stay
-    # Decimal
-    real = [*m[:3, 3:].flat, *m[3:, :3].flat, *np.diagonal(m)]
-    assert all(isinstance(v, Decimal) for v in real)
+        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+    assert all(isinstance(v, Decimal) for v in jac.flat)
+    assert np.all(jac == jac.T)
     # the same point in float64
     pf = ModelParams(omega=float(p.omega), delta=float(p.delta),
                      g1=float(p.g1), j_hop=float(p.j_hop), theta=p.theta)
     xf = x.astype(float)
-    m64 = build_m_matrix(pf, Displacement(a=xf[:3], b=xf[3:]))
-    assert np.max(np.abs(m.astype(complex) - m64)) <= 1e-14
+    jac64 = residual_jacobian(pf, Displacement(a=xf[:3], b=xf[3:]))
+    assert np.max(np.abs(jac.astype(float) - jac64)) <= 1e-14
 
 
 def test_solve_refuses_the_singular_jacobian():
@@ -338,35 +318,72 @@ def test_solve_matches_mpmath_on_each_call_shape():
 
 
 def test_colpa_columns_match_the_triangular_solve(monkeypatch):
-    # T's columns Lam C^dag U+ / sqrt(e) against C^-1 U+ sqrt(e)
-    # = V L^-1 U+ sqrt(e), by mpmath's back substitution through the same
-    # real factor L, at a deep point; U and e come from the reference
-    # eigensystem of W
+    # the columns z = L^-1 u sqrt(e) of S, taken as i Om L^T u / sqrt(e),
+    # against mpmath's back substitution through the same real factor L,
+    # at a deep point; u and e come from the reference eigensystem of W.
+    # Each column is compared as its projector z z^dag, which no phase of
+    # u moves
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     seen = []
     colpa = DEC.colpa
     monkeypatch.setattr(DEC, "colpa", lambda l: seen.append(l) or colpa(l))
-    with working(), warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
+    with working():
         ps = diagonalize_paraunitary(
-            build_m_matrix(p, Displacement(a=x[:3], b=x[3:])))
+            residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
     _, evals, u = reference_eigh(seen[0])
-    t = to_mp(ps.t)
-    rows = np.argmax(np.frompyfunc(mp.re, 1, 1)(t[:, :3]), axis=0)
+    s = to_mp(ps.s)
     with mp.workdps(2 * MP_DPS):
         rhs = u[:, 3:] * np.frompyfunc(mp.sqrt, 1, 1)(evals[3:])
-        ref = unit_phase(v_times(np.array(
+        ref = np.array(
             [list(mp.U_solve(mp_matrix(to_mp(seen[0])), mp_matrix(col)))
-             for col in rhs.T]).T), rows)
+             for col in rhs.T]).T
+        z = (s[:, 3:] + mp.mpc(0, 1) * s[:, :3]) / mp.sqrt(2)
     with mp.workdps(MP_DPS):
         for k in range(3):
-            assert (biggest(t[:, k] - ref[:, k])
-                    <= mp.mpf("1e-45") * biggest(ref[:, k]))
+            want = np.outer(ref[:, k], ref[:, k].conj())
+            got = np.outer(z[:, k], z[:, k].conj())
+            assert biggest(got - want) <= mp.mpf("1e-45") * biggest(want)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.7, 2.0, math.pi])
+def test_real_form_invariants_at_fifty_digits(theta):
+    # S^T Om S = Om, the real form of T^dag Lam T = Lam, and Colpa's
+    # congruence S^T J S = diag(e, e), read at the precision S was built
+    # with: 50 digits meet 1e-30, which float64 cannot
+    roots = continued_roots(params(theta=theta), [1e-5, 1e-7, 1e-9])
+    for d, (p, x) in roots.items():
+        with working():
+            ps = diagonalize_paraunitary(
+                residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
+        assert ps.para_residual <= 1e-30, d
+        assert ps.diag_residual <= 1e-30, d
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.7])
+def test_float64_observables_match_fifty_digits(monkeypatch, theta):
+    # the float64 Colpa step and observables against the same steps at 50
+    # digits, on the same float64 root and the same float64 Jacobian there
+    # (the rounding of J itself moves eps1 by up to u max|J| / min-eig(J),
+    # 2.5e-10 relative at theta = 0.1, delta = 1e-4; both routes share it)
+    keys = ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p")
+    roots = continued_roots(params(theta=theta), [1e-4, 1e-3, 1e-2])
+    for d, (p, x) in roots.items():
+        assert x.dtype == float
+        got = point_observables(p, x)
+        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        with monkeypatch.context() as patch, working():
+            patch.setattr(bogoliubov, "residual_jacobian",
+                          lambda q, disp: DEC.num(jac))
+            want = point_observables(p, DEC.num(x))
+        for key in keys:
+            assert np.asarray(got[key]) == pytest.approx(want[key],
+                                                         rel=1e-10), (d, key)
 
 
 # point_observables at the deep points of the four reference transitions and
 # of theta = pi, as floats: eps1..eps3, then photon_n, var_x and var_p of
-# sites 1..3, from the complex Colpa step that the real one replaced
+# sites 1..3, frozen from the complex Colpa step, which the real normal form
+# reproduces to the last bit
 THETA_C = critical_flux(params())
 _FROZEN = {
     (0.0, 1e-06): [
@@ -423,11 +440,10 @@ _FROZEN = {
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.1, THETA_C, 1.7, math.pi])
-def test_deep_observables_match_the_complex_colpa_step(theta):
+def test_deep_observables_match_the_frozen_values(theta):
     roots = continued_roots(params(theta=theta), [1e-6, 1e-9])
     for d, (p, x) in roots.items():
-        with working(), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneracyWarning)
+        with working():
             obs = point_observables(p, x)
         got = [obs["eps1"], obs["eps2"], obs["eps3"], *obs["photon_n"],
                *obs["var_x"], *obs["var_p"]]
@@ -456,33 +472,9 @@ def test_pi_cos_sin_match_mpmath(theta):
             assert abs(mp.mpf(str(v)) - r) <= mp.mpf("1e-49")
 
 
-def test_dcomplex_matches_mpc():
-    with working():
-        z = DComplex(Decimal(5) / 12, -Decimal(7) / 11)
-        w = DComplex(Decimal(2).sqrt(), Decimal("0.1"))
-        d, k = Decimal(3).sqrt(), -7
-        ops = {"z + w": z + w, "z + d": z + d, "d + z": d + z,
-               "z + k": z + k, "k + z": k + z,
-               "z - w": z - w, "z - d": z - d, "d - z": d - z,
-               "z - k": z - k, "k - z": k - z,
-               "z * w": z * w, "z * d": z * d, "d * z": d * z,
-               "z * k": z * k, "k * z": k * z,
-               "z / w": z / w, "z / d": z / d, "z / k": z / k,
-               "-z": -z, "abs(z)": abs(z), "z.conjugate()": z.conjugate(),
-               "z.real": z.real, "z.imag": z.imag}
-    assert complex(z) == complex(5 / 12, -7 / 11)
-    with mp.workdps(MP_DPS):
-        z, w, d = to_mp(z), to_mp(w), to_mp(d)
-        for expr, got in ops.items():
-            ref = eval(expr)
-            assert isinstance(got, Decimal if isinstance(ref, mp.mpf)
-                              else DComplex), expr
-            assert abs(to_mp(got) - ref) <= mp.mpf("1e-49") * abs(ref), expr
-
-
 def test_of_picks_the_table_from_the_inputs():
-    z = DComplex(Decimal(1), Decimal(2))
-    for v in (Decimal(1), z, np.array([Decimal(1), z]), np.zeros(2, object)):
+    for v in (Decimal(1), np.array([Decimal(1), Decimal(2)]),
+              np.zeros(2, object)):
         assert of(v) is DEC
         assert of(1.0, v) is DEC
     for v in (1.0, 1j, np.zeros(3), np.zeros(3, complex)):
