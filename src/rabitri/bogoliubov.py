@@ -145,7 +145,7 @@ def diagonalize_paraunitary(jac: np.ndarray) -> ParaunitarySolution:
             "quadratic form is not positive definite; a mode energy has "
             "reached zero (critical point)")
     # ascending e1, e2, e3 of W = i L Om L^T, and Y = L^T [Re u | Im u]
-    eps, y = nb.colpa(l)
+    eps, y = numerics.colpa(l)
     if eps[0] <= tau:
         raise CriticalPointError(
             f"soft mode energy {float(eps[0]):.3e} is numerically zero")

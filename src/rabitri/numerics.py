@@ -15,19 +15,21 @@ F64 runs on numpy alone (its Cholesky is the upper factor of
 and the exponent reports load no scipy module.
 
 The Cholesky and the linear solve take real arrays: the residual Jacobian
-of the Colpa step and the Newton systems. `colpa(l)` takes the real upper
-factor L of the Jacobian J = L^T L (see `bogoliubov`). The Hermitian
-W = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3 blocks, is i times a real
-antisymmetric matrix, so its eigenvalues come in pairs +-e and the
-eigenvectors of -e are the conjugates of those of +e. `colpa` returns the
-ascending e and Y = L^T X, where X = [Re u | Im u] holds the orthonormal
-eigenvectors u of +e as real 6x6 columns. F64 takes them from `eigh`; DEC
-refines the +e vectors of that float64 start (`_eigh_plus`), in real
-arithmetic on the two halves of X.
+of the Colpa step and the Newton systems. At 50 digits both run on one
+factorization, `_cholesky_dec`: a Newton system is solved by its Cholesky
+and two triangular substitutions, so a singular or indefinite one raises
+LinAlgError, on which Newton regularizes. Float64 solves by LU
+(`np.linalg.solve`), since its multi-start steps past saddles.
 
-The matrix kernels of DEC follow the rules of mpmath's cholesky and
-lu_solve for which pivots count as zero: they decide when Newton
-regularizes and when the Colpa step raises.
+`colpa(l)` takes the real upper factor L of the Jacobian J = L^T L (see
+`bogoliubov`). The Hermitian W = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3
+blocks, is i times a real antisymmetric matrix, so its eigenvalues come in
+pairs +-e and the eigenvectors of -e are the conjugates of those of +e.
+`colpa` returns the ascending e and Y = L^T X, where X = [Re u | Im u]
+holds the orthonormal eigenvectors u of +e as real 6x6 columns. The tables
+differ only in `eigh_plus`, which computes them: F64 takes the upper half
+of `eigh`, and DEC refines that float64 start (`_eigh_plus`), in real
+arithmetic on the two halves of X.
 """
 from __future__ import annotations
 
@@ -53,12 +55,19 @@ def _k(l):
     return p - p.T
 
 
-def _colpa_f64(l):
-    """Ascending eigenvalues e of the upper half of the spectrum of
-    W = i L Om L^T, and L^T X for their orthonormal eigenvectors u,
-    X = [Re u | Im u]."""
-    lam, u = np.linalg.eigh(1j * _k(l))
-    return lam[3:], l.T @ np.hstack([u[:, 3:].real, u[:, 3:].imag])
+def _eigh_plus_f64(k):
+    """Ascending eigenvalues e of the upper half of the spectrum of the
+    Hermitian W = i k, k real antisymmetric, and their orthonormal
+    eigenvectors u as x = [Re u | Im u]."""
+    lam, u = np.linalg.eigh(1j * k)
+    return lam[3:], np.hstack([u[:, 3:].real, u[:, 3:].imag])
+
+
+def colpa(l):
+    """The ascending e and Y = L^T X of the +e half of W = i L Om L^T, for
+    the real upper factor l of J = L^T L, at the precision of l."""
+    lam, x = of(l).eigh_plus(_k(l))
+    return lam, l.T @ x
 
 
 F64 = SimpleNamespace(
@@ -67,7 +76,7 @@ F64 = SimpleNamespace(
     sqrt=lambda x: np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x),
     prec=lambda: 16,                                    # digits
     cholesky=lambda a: np.linalg.cholesky(a, upper=True),   # a = l^T l
-    colpa=_colpa_f64, solve=np.linalg.solve)
+    eigh_plus=_eigh_plus_f64, solve=np.linalg.solve)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +117,10 @@ _decimal = np.frompyfunc(Decimal, 1, 1)     # exact, from floats
 
 
 def _cholesky_dec(a):
-    """Upper l (Decimal) with a = l^T l for the real symmetric a. A pivot
-    below the working epsilon raises LinAlgError, as mpmath's cholesky
-    does."""
+    """Upper l (Decimal) with a = l^T l for the real symmetric a, the one
+    factorization of the 50-digit table: the Colpa step's and the Newton
+    systems'. A pivot below the working epsilon raises LinAlgError, so a
+    singular or indefinite a is refused."""
     eps = Decimal(10) ** (1 - getcontext().prec)
     l = np.full(a.shape, Decimal(0), dtype=object)
     for j in range(len(a)):
@@ -121,38 +131,19 @@ def _cholesky_dec(a):
     return l
 
 
-def _lu_solve(a: np.ndarray, b: np.ndarray, eps: Decimal) -> np.ndarray:
-    """x with a x = b for real Decimal arrays a (n, n) and b (n, m), by
-    the elimination of mpmath's lu_solve: the pivot of each column maximizes
-    |a_kj| / sum_l |a_kl| over the remaining rows k, and a row sum or pivot
-    <= ||a||_1 eps raises LinAlgError."""
-    a, b, n = a.copy(), b.copy(), len(a)
-    tol = max(np.sum(np.abs(a), axis=0)) * eps
-    for j in range(n):
-        if j < n - 1:
-            rows = np.sum(np.abs(a[j:, j:]), axis=1)
-            if min(rows) <= tol:
-                raise np.linalg.LinAlgError("matrix is numerically singular")
-            p = j + int(np.argmax(np.abs(a[j:, j]) / rows))
-            a[[j, p]], b[[j, p]] = a[[p, j]], b[[p, j]]
-        if abs(a[j, j]) <= tol:
-            raise np.linalg.LinAlgError("matrix is numerically singular")
-        f = a[j + 1:, j, None] / a[j, j]
-        a[j + 1:, j + 1:] -= f * a[j, j + 1:]
-        b[j + 1:] -= f * b[j]
-    for i in reversed(range(n)):
-        b[i] = (b[i] - a[i, i + 1:] @ b[i + 1:]) / a[i, i]
-    return b
-
-
 def _solve_dec(a, b):
-    """x with a x = b for the real Newton systems, one or a stack, with 4
-    more digits (10 guard bits) than the context, by `_lu_solve`."""
+    """x with a x = b for the real symmetric Newton systems, one or a
+    stack, with 4 more digits (10 guard bits) than the context: the
+    Cholesky a = l^T l, then l^T y = b and l x = y by substitution."""
     if np.ndim(a) > 2:                      # a stack of systems
         return np.array([_solve_dec(ai, bi) for ai, bi in zip(a, b)])
     with working(getcontext().prec + 4):
-        x = _lu_solve(a, np.reshape(b, (len(a), -1)),
-                      Decimal(10) ** (1 - getcontext().prec))
+        l = _cholesky_dec(a)
+        x = np.reshape(b, (len(a), -1)).copy()
+        for i in range(len(a)):
+            x[i] = (x[i] - l[:i, i] @ x[:i]) / l[i, i]
+        for i in reversed(range(len(a))):
+            x[i] = (x[i] - l[i, i + 1:] @ x[i + 1:]) / l[i, i]
     return x.reshape(np.shape(b))
 
 
@@ -170,7 +161,7 @@ def _eigh_plus(k):
     orthonormal eigenvectors u as x = [Re u | Im u], in the current context.
     The lower half is -e with the vectors conj(u), since W is imaginary.
 
-    Starts from float64 `eigh`. Each column's real and imaginary parts span
+    Starts from the float64 `_eigh_plus_f64`. Each column's two halves span
     the real plane of its +-e pair, even where float64 mixes u with conj(u)
     (eps1 of the frustrated roots); they are orthonormalized to
     u = (q1 + i q2) / sqrt 2, which makes u^T u = 0. Then it refines by
@@ -190,10 +181,9 @@ def _eigh_plus(k):
     max|E|^2 times the conditioning, so the refinement stops once max|E|^2
     reaches the working epsilon.
     """
-    lam, x = np.linalg.eigh(1j * k.astype(float))
-    lam, x = lam[3:], x[:, 3:]
-    q1 = x.real / np.linalg.norm(x.real, axis=0)
-    q2 = x.imag - q1 * np.sum(q1 * x.imag, axis=0)
+    lam, x = _eigh_plus_f64(k.astype(float))
+    q1 = x[:, :3] / np.linalg.norm(x[:, :3], axis=0)
+    q2 = x[:, 3:] - q1 * np.sum(q1 * x[:, 3:], axis=0)
     q2 = q2 / np.linalg.norm(q2, axis=0)
     x = _decimal(np.hstack([q1, q2]) / math.sqrt(2))
     scale = float(np.max(lam))
@@ -241,12 +231,6 @@ def _eigh_plus(k):
     return lam[order], x[:, np.concatenate([order, 3 + order])]
 
 
-def _colpa_dec(l):
-    """`colpa` in the current context, with Decimal entries."""
-    lam, x = _eigh_plus(_k(l))
-    return lam, l.T @ x
-
-
 def _rotate(tr, ti, xr, xi, p, q):
     """Zero T_pq of the Hermitian T = tr + i ti by the unitary rotation of
     columns p, q that diagonalizes [[T_pp, T_pq], [T_qp, T_qq]], applied in
@@ -272,7 +256,7 @@ DEC = SimpleNamespace(
     cos=lambda x: _cos_sin(Decimal(x), getcontext().prec)[0],
     sin=lambda x: _cos_sin(Decimal(x), getcontext().prec)[1],
     sqrt=np.sqrt, prec=lambda: getcontext().prec,
-    cholesky=_cholesky_dec, colpa=_colpa_dec, solve=_solve_dec)
+    cholesky=_cholesky_dec, eigh_plus=_eigh_plus, solve=_solve_dec)
 
 
 def of(*inputs):

@@ -18,7 +18,8 @@ from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
                                   variance_x_np)
-from rabitri.numerics import F64, working
+from rabitri import numerics
+from rabitri.numerics import colpa, working
 
 from conftest import params
 
@@ -137,8 +138,8 @@ def test_colpa_columns_match_the_triangular_solve(monkeypatch, theta):
     p = params(theta=theta, g1=g1c * 1.001)
     disp = solve_displacements(p).disp
     seen = []
-    colpa = F64.colpa
-    monkeypatch.setattr(F64, "colpa", lambda l: seen.append(l) or colpa(l))
+    monkeypatch.setattr(numerics, "colpa",
+                        lambda l: seen.append(l) or colpa(l))
     ps = colpa_step(p, disp)
     l = seen[0]
     assert l.dtype == float and np.array_equal(l, np.triu(l))

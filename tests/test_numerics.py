@@ -12,13 +12,15 @@ import pytest
 from mpmath import mp
 
 import rabitri
-from rabitri import (CriticalPointError, DomainError, ModelParams, bogoliubov)
+from rabitri import (CriticalPointError, DomainError, ModelParams, bogoliubov,
+                     numerics)
 from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
                                 point_observables)
 from rabitri.meanfield import (Displacement, continued_roots,
                                ground_energy_mf, residual_jacobian, residuals)
 from rabitri.model import critical_flux
-from rabitri.numerics import DEC, F64, MP_DPS, _eigh_plus, _k, of, working
+from rabitri.numerics import (DEC, F64, MP_DPS, _eigh_plus, _k, colpa, of,
+                              working)
 from rabitri.scaling import exponent_report
 
 from conftest import params
@@ -58,7 +60,6 @@ def report_cholesky_factors(monkeypatch, theta):
     Colpa step hands to colpa at three deep points of a report's
     continuation."""
     seen = []
-    colpa = DEC.colpa
 
     def record(l):
         seen.append(l)
@@ -66,7 +67,7 @@ def report_cholesky_factors(monkeypatch, theta):
 
     roots = continued_roots(params(theta=theta), [1e-5, 1e-7, 1e-9])
     with monkeypatch.context() as patch, working():
-        patch.setattr(DEC, "colpa", record)
+        patch.setattr(numerics, "colpa", record)
         for p, x in roots.values():
             diagonalize_paraunitary(
                 residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
@@ -123,7 +124,7 @@ def test_eigh_matches_mpmath_on_report_matrices(monkeypatch, theta):
         assert all(isinstance(v, Decimal) for v in l.flat)
         assert np.all(np.tril(l, -1) == 0)
         with working():
-            lam, y = DEC.colpa(l)
+            lam, y = colpa(l)
         w, ref_lam, ref_u = reference_eigh(l)
         if theta in (0.0, 0.1):                 # the AFSP and CSP points
             assert_paired(l, mp.mpf("1e-48"))
@@ -191,7 +192,7 @@ def test_eigh_resolves_exact_and_near_degeneracy():
                                 1)(mp_array(s * mp.diag(e + e) * s.T))
         with working():
             l = DEC.cholesky(jac)
-            lam, y = DEC.colpa(l)
+            lam, y = colpa(l)
         w, ref_lam, ref_u = reference_eigh(l)
         assert_paired(l, mp.mpf("1e-48"))
         with mp.workdps(MP_DPS):
@@ -279,15 +280,45 @@ def test_jacobian_at_fifty_digits_is_symmetric_and_matches_float64():
 
 def test_solve_refuses_the_singular_jacobian():
     # at J = 0 and g1 = g1c = 1/2 the curvature of site 1 cancels omega at
-    # A_1 = 0 exactly (see test_singular_start_does_not_disturb_its_batch)
+    # A_1 = 0 exactly (see test_singular_start_does_not_disturb_its_batch).
+    # The 50-digit solve is a Cholesky solve, so it refuses a nonsingular
+    # indefinite system too, which float64's LU solves
+    indefinite = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
     with working():
         p = dec_params(j_hop=0.0, g1=0.5)
         a = np.array([Decimal(0), Decimal("0.3"), Decimal("0.3")])
         jac = residual_jacobian(p, Displacement(a=a, b=np.zeros(3)))
-        with pytest.raises(np.linalg.LinAlgError):
-            DEC.solve(jac, DEC.num(np.ones(6)))
-        with pytest.raises(np.linalg.LinAlgError):
-            DEC.solve(jac[None], DEC.num(np.ones((1, 6, 1))))
+        for a in (jac, DEC.num(indefinite)):
+            with pytest.raises(np.linalg.LinAlgError):
+                DEC.solve(a, DEC.num(np.ones(6)))
+            with pytest.raises(np.linalg.LinAlgError):
+                DEC.solve(a[None], DEC.num(np.ones((1, 6, 1))))
+    x = F64.solve(indefinite, np.ones(6))
+    assert np.array_equal(x, [1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("j_hop", [0.05, 0.2])
+def test_fifty_digit_newton_systems_are_positive_definite(monkeypatch,
+                                                          j_hop):
+    # the Cholesky solve refuses an indefinite Newton system, on which
+    # Newton would regularize; near a minimum the 50-digit continuation
+    # meets none, at each transition and on either side of theta_c
+    calls, raises = [], []
+    solve = DEC.solve
+
+    def counted(a, b):
+        calls.append(len(a))
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raises.append(len(a))
+            raise
+
+    monkeypatch.setattr(DEC, "solve", counted)
+    theta_c = critical_flux(params(j_hop=j_hop))
+    for theta in (0.0, 0.1, theta_c, 1.7, math.pi):
+        continued_roots(params(theta=theta, j_hop=j_hop), [1e-5, 1e-7, 1e-9])
+    assert calls and not raises
 
 
 def test_solve_matches_mpmath_on_each_call_shape():
@@ -325,8 +356,8 @@ def test_colpa_columns_match_the_triangular_solve(monkeypatch):
     # u moves
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     seen = []
-    colpa = DEC.colpa
-    monkeypatch.setattr(DEC, "colpa", lambda l: seen.append(l) or colpa(l))
+    monkeypatch.setattr(numerics, "colpa",
+                        lambda l: seen.append(l) or colpa(l))
     with working():
         ps = diagonalize_paraunitary(
             residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
