@@ -51,9 +51,9 @@ import numpy as np
 from . import numerics
 from .errors import CriticalPointError, DomainError, InstabilityError
 from .meanfield import Displacement, residual_jacobian
-from .model import ModelParams
-from .np_analytics import (excitation_energies, local_photon_np,
-                           variance_p_np, variance_x_np)
+from .model import MOMENTA, ModelParams
+from .np_analytics import (local_photon_np, mode, variance_p_np,
+                           variance_x_np)
 
 _OMEGA = np.kron([[0, 1], [-1, 0]], np.eye(3, dtype=int))   # Om
 
@@ -158,24 +158,31 @@ def diagonalize_paraunitary(jac: np.ndarray) -> ParaunitarySolution:
 
 def point_observables(params: ModelParams,
                       root: np.ndarray | None = None) -> dict:
-    """Gaps eps1..eps3 and per-site photon_n, var_x, var_p as floats.
+    """Gaps eps1..eps3, per-site photon_n, var_x, var_p and var_x_modes
+    (mode k's part of var_x_n at [n, k], modes by ascending eps) as floats.
 
-    Without a root they come from the normal-phase closed forms, which
-    raise DomainError at or above the critical coupling. With a mean-field
-    root (A_1..A_3, B_1..B_3) they are the Bogoliubov observables around
-    it, computed at the precision of params and root.
+    Without a root they come from the normal-phase closed forms (mode q
+    adds exp(4 lambda_q) / 3 at each site), which raise DomainError at or
+    above the critical coupling. With a mean-field root (A_1..A_3, B_1..B_3)
+    they are the Bogoliubov observables around it, computed at the
+    precision of params and root (mode k adds S_{n,k}^2 + S_{n,3+k}^2).
     """
     if root is None:
-        eps = excitation_energies(params)
         n, vx, vp = (np.full(3, f(params)) for f in
                      (local_photon_np, variance_x_np, variance_p_np))
+        eps, lam = zip(*sorted((m.epsilon, m.lambda_q) for m in
+                               (mode(params, q) for q in MOMENTA)))
+        vx_modes = np.tile(np.exp(4 * np.array(lam)) / 3, (3, 1))
     else:
         disp = Displacement(a=root[:3], b=root[3:])
         ps = diagonalize_paraunitary(residual_jacobian(params, disp))
         eps = ps.eps
-        var = np.sum(ps.s * ps.s, axis=1)
+        sq = ps.s * ps.s
+        var = np.sum(sq, axis=1)
         vx, vp = var[:3], var[3:]
         n = (vx + vp - 2) / 4 + disp.a ** 2 + disp.b ** 2
-        n, vx, vp = (np.asarray(v, dtype=float) for v in (n, vx, vp))
+        n, vx, vp, vx_modes = (np.asarray(v, dtype=float) for v in
+                               (n, vx, vp, sq[:3, :3] + sq[:3, 3:]))
     return {"eps1": float(eps[0]), "eps2": float(eps[1]),
-            "eps3": float(eps[2]), "photon_n": n, "var_x": vx, "var_p": vp}
+            "eps3": float(eps[2]), "photon_n": n, "var_x": vx, "var_p": vp,
+            "var_x_modes": vx_modes}

@@ -337,10 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _resolve(args)
         _params(cfg)                 # validate physical flags up front
-        if "nmax" in cfg and cfg["nmax"] < 1:
-            raise DomainError("nmax must be >= 1")
-        if "points" in cfg and cfg["points"] < 2:
-            raise DomainError("points must be >= 2")
+        for key, least in (("nmax", 1), ("points", 2), ("seed", 0)):
+            if key in cfg and cfg[key] < least:
+                raise DomainError(f"{key} must be >= {least}")
         if "tfinal" in cfg and not 0 <= cfg["tfinal"] < math.inf:
             raise DomainError("tfinal must be finite and nonnegative")
         if "window_min" in cfg and not (0.0 < cfg["window_min"]

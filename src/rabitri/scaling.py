@@ -18,6 +18,10 @@ dips and slow corrections bend it. The two exceptions are the chiral
 transition's distinguished-site photon number and variance above the
 transition: their slope passes through the unusual exponent in a narrow
 crossover band, and _CROSSOVER_WINDOWS fits them there.
+
+The z = gamma/nu pairs are derived: a power-law var_x row is paired with
+the gap whose mode carries its largest share (var_x_modes) at the smallest
+delta of its window, if that gap vanishes as a power law.
 """
 from __future__ import annotations
 
@@ -50,19 +54,6 @@ _SIGN = {"below": -1.0, "above": 1.0}   # side -> sign of g1/g1c - 1
 _CROSSOVER_WINDOWS: dict[tuple, tuple[float, float]] = {
     ("csp", "above", "var_x", 1): (1.687e-04, 3e-04),
     ("csp", "above", "photon_n", 1): (5.335e-11, 1.149e-10),
-}
-
-# z = gamma/nu consistency pairs: which vanishing gap drives which site's
-# divergence. (gap quantity, site whose var_x supplies nu).
-_Z_PAIRS: dict[tuple[str, str], list[tuple[str, int]]] = {
-    ("afsp", "below"): [("eps1", 1)],
-    ("afsp", "above"): [("eps1", 2), ("eps2", 1)],
-    ("csp", "below"): [],
-    ("csp", "above"): [("eps1", 2), ("eps1", 1)],
-    ("tp", "below"): [("eps2", 1)],
-    ("tp", "above"): [("eps2", 1)],
-    ("fsp", "below"): [("eps1", 1)],
-    ("fsp", "above"): [("eps1", 1)],
 }
 
 _TRANSITION_NAMES = {
@@ -310,8 +301,11 @@ def exponent_report(theta: float,
     Fits every (side, quantity, site) row on 12 log-spaced points of the
     asymptotic window [1e-9, 1e-6] (the two chiral crossover rows on their
     band, see _CROSSOVER_WINDOWS), checks window stability by refitting
-    on a 2x-shrunk window, and assembles the z = gamma/nu consistency
-    pairs. Each row's status comes from its own fit: "power-law",
+    on a 2x-shrunk window, and derives the z = gamma/nu pairs: each
+    power-law var_x row names the gap whose mode carries its largest share
+    at the window's smallest delta (the lower gap on a tie), a pair if that
+    gap's row is a power law with slope > 0; each (side, gap) keeps its
+    lowest site. Each row's status comes from its own fit: "power-law",
     "finite-limit" (|slope| < 0.05, as for a mode that stays gapped) or
     "failed" (a sloped fit with r^2 < 0.999).
     """
@@ -330,23 +324,23 @@ def exponent_report(theta: float,
     entries = [_entry(row, win, series, base.omega)
                for row, win in windows.items()]
 
+    # z pairs keyed (side sign, gap), which sorts below before above
     fitted = {(e.side, e.quantity, e.site): e for e in entries
               if e.status == "power-law"}
-    z_pairs: list[ZPair] = []
-    for side in ("below", "above"):
-        for gap_q, site in _Z_PAIRS[(key, side)]:
-            gap = fitted.get((side, gap_q, None))
-            nu = fitted.get((side, "var_x", site))
-            if gap is None or nu is None:
-                continue
-            gamma_hat = abs(gap.slope)
-            nu_hat = abs(nu.slope) / 2.0
-            z_pairs.append(ZPair(side=side, gap_quantity=gap_q, site=site,
-                                 gamma_hat=gamma_hat, nu_hat=nu_hat,
-                                 z=gamma_hat / nu_hat))
+    pairs: dict[tuple[float, str], ZPair] = {}
+    for nu in (e for e in fitted.values() if e.quantity == "var_x"):
+        d = _SIGN[nu.side] * _log_grid(nu.window, _REPORT_POINTS)[0]
+        k = int(np.argmax(series[d]["var_x_modes"][nu.site - 1]))
+        gap = fitted.get((nu.side, f"eps{k + 1}", None))
+        if gap is not None and gap.slope > 0.0:
+            gamma_hat, nu_hat = abs(gap.slope), abs(nu.slope) / 2.0
+            pairs.setdefault((_SIGN[nu.side], gap.quantity), ZPair(
+                side=nu.side, gap_quantity=gap.quantity, site=nu.site,
+                gamma_hat=gamma_hat, nu_hat=nu_hat, z=gamma_hat / nu_hat))
     return ExponentReport(transition=transition, theta=theta,
                           g1c=critical_coupling_min(base),
-                          params=base, entries=entries, z_pairs=z_pairs)
+                          params=base, entries=entries,
+                          z_pairs=[pairs[k] for k in sorted(pairs)])
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,21 @@ def test_criterion_8_uncertainty_bound():
           f"{worst_mode:.2e} <= 1e-12)")
 
 
+# the z pairs the report derives from the modes' shares of var_x, as
+# (side, gap, site of the var_x row)
+Z_PAIRS = {
+    0.0: {("below", "eps1", 1), ("above", "eps1", 2), ("above", "eps2", 1)},
+    0.1: {("above", "eps1", 2)},
+    THETA_C: {("below", "eps2", 1), ("above", "eps2", 1)},
+    1.7: {("below", "eps1", 1), ("above", "eps1", 1)},
+}
+
+
 def test_criterion_9_dynamical_exponent(reports):
+    for th, want in Z_PAIRS.items():
+        got = {(zp.side, zp.gap_quantity, zp.site)
+               for zp in reports[th].z_pairs}
+        assert got == want, f"theta={th}: z pairs {sorted(got)}"
     gaps = {}
     for th, label in ((0.0, "NP-AFSP"), (THETA_C, "TP"), (1.7, "NP-FSP")):
         zs = [zp.z for zp in reports[th].z_pairs]
@@ -339,8 +353,11 @@ def test_criterion_9_dynamical_exponent(reports):
         gap = max(abs(a - b) for a in zs for b in zs)
         assert gap <= 0.05, f"{label}: z values {zs}, spread {gap:.4f}"
         gaps[label] = gap
-    # the chiral transition mixes two scaling sectors on the distinguished
-    # site; its z estimates are reported but have no single-sector partner
+    # the chiral transition pairs only eps1 with site 2: below it var_x
+    # tends to a finite limit, and above it site 1's var_x, fitted on its
+    # crossover band, is carried by the gapped eps2 mode (94% at the band's
+    # lower end, 97.6% at delta = 1e-9, where eps1's part vanishes as
+    # delta^1/2), so site 1 has no vanishing gap to pair with
     csp = [zp.z for zp in reports[0.1].z_pairs]
     assert all(math.isfinite(z) and z > 0 for z in csp)
     worst = max(gaps.values())

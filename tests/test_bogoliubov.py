@@ -182,6 +182,23 @@ def test_degenerate_pair_matches_closed_forms_at_zero_flux():
         assert_matches_closed_forms(p)
 
 
+@pytest.mark.parametrize("theta", [0.7, 1.7])
+def test_mode_parts_of_var_x(theta):
+    # the flux splits the +-q pair, so each mode is one column: at the zero
+    # displacement the Colpa step's parts match the closed forms' mode by
+    # mode, and around a superradiant root each site's parts sum to var_x
+    g1c = critical_coupling_min(params(theta=theta))
+    p = params(theta=theta, g1=0.8 * g1c)
+    parts = observables(p, Displacement.zero())["var_x_modes"]
+    assert parts == pytest.approx(point_observables(p)["var_x_modes"],
+                                  rel=1e-10)
+    p = params(theta=theta, g1=1.2 * g1c)
+    obs = observables(p, solve_displacements(p).disp)
+    assert obs["var_x_modes"].shape == (3, 3)
+    assert obs["var_x_modes"].sum(axis=1) == pytest.approx(obs["var_x"],
+                                                           rel=1e-12)
+
+
 def test_split_spectrum_does_not_warn_in_small_units():
     # gaps of 0.066 omega at theta = 1.7 are far from degenerate, whatever
     # the unit of energy

@@ -302,6 +302,27 @@ def test_malformed_config_exits_2(monkeypatch, tmp_path, capsys):
     assert rc == 2
 
 
+# numpy's default_rng raises an untyped ValueError on a negative seed, so
+# the CLI must refuse one with the other bad settings
+@pytest.mark.parametrize("cmd", ["meanfield", "fluctuations", "spectrum"])
+def test_negative_seed_flag_exits_2(monkeypatch, tmp_path, cmd, capsys):
+    rc = run(monkeypatch, tmp_path, cmd, "--seed", "-1", "--out", "o.csv")
+    assert rc == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["meanfield", "fluctuations", "spectrum"])
+def test_negative_seed_in_config_exits_2(monkeypatch, tmp_path, cmd, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -3\n")
+    rc = run(monkeypatch, tmp_path, cmd, "--config", str(cfg), "--out",
+             "o.csv")
+    assert rc == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
     # nmax passes flag validation but the basis exceeds the dimension cap
     rc = run(monkeypatch, tmp_path, "dynamics", "--nmax", "50",

@@ -189,6 +189,22 @@ def test_observables_near_independent_of_energy_unit(theta):
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("theta", [0.1, 0.5])
+def test_chiral_soft_mode_share_law(theta):
+    # above the chiral transition the soft mode eps1 ~ delta^1.5 drives
+    # site 2's var_x (its contribution diverges as delta^-1/2), while its
+    # contribution to site 1's var_x vanishes as delta^+1/2: site 1's
+    # finite limit is carried by the gapped eps2 mode
+    from dataclasses import replace
+    deltas = list(np.logspace(-9, -6, 12))
+    out = observables_near(replace(BASE, theta=theta), deltas)
+    log_d = np.log10(deltas)
+    for site, want in ((1, 0.5), (2, -0.5)):
+        part = [out[d]["var_x_modes"][site - 1, 0] for d in deltas]
+        slope = np.polyfit(log_d, np.log10(part), 1)[0]
+        assert slope == pytest.approx(want, abs=0.02), (site, slope)
+
+
 def test_exponent_report_ferromagnetic(tmp_path, monkeypatch):
     rep = exponent_report(1.7, BASE)
     assert rep.transition == "NP-FSP"
