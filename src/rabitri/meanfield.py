@@ -302,8 +302,10 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     """Minimal-energy root (A_1..A_3, B_1..B_3) by multi-start damped Newton
     in float64, canonically labeled (see `solve_displacements`).
 
-    Raises DomainError where 16 g^4 or 4 g^2 Delta^2, the products the
-    starts and the Jacobian form, overflow float64."""
+    Raises DomainError for a negative seed and where 16 g^4 or 4 g^2
+    Delta^2, formed by the starts and the Jacobian, overflow float64."""
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     g = bare_coupling(params)
     if not (math.isfinite(16.0 * g * g * g * g)
             and math.isfinite(4.0 * g * g * params.delta * params.delta)):

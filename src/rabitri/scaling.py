@@ -217,13 +217,7 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
         raise DomainError(f"need at least 10 points, got {len(points)}")
     if any(v <= 0.0 for _, v in points):
         raise DomainError("all values must be positive for a log-log fit")
-    x = np.log10([d for d, _ in points])
-    y = np.log10([v for _, v in points])
-    a = np.vstack([x, np.ones_like(x)]).T
-    (slope, icept), *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - (slope * x + icept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0.0 else 1.0
+    slope, icept, r2 = _line(points)
     if abs(slope) < _FLAT_SLOPE:
         direction = "finite"
     else:
@@ -237,10 +231,16 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
                        direction=direction)
 
 
-def _shrunk(window: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = math.log10(window[0]), math.log10(window[1])
-    c, q = 0.5 * (lo + hi), 0.25 * (hi - lo)
-    return (10.0 ** (c - q), 10.0 ** (c + q))
+def _line(points: list[tuple[float, float]]) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line in log-log."""
+    x = np.log10([d for d, _ in points])
+    y = np.log10([v for _, v in points])
+    a = np.vstack([x, np.ones_like(x)]).T
+    (slope, icept), *_ = np.linalg.lstsq(a, y, rcond=None)
+    resid = y - (slope * x + icept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0.0 else 1.0
+    return slope, icept, r2
 
 
 def _transition_key(theta: float, base: ModelParams) -> tuple[str, str]:
@@ -265,15 +265,14 @@ def _rows(side: str) -> list[tuple[str, str, int | None]]:
 def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
            series: dict[float, dict], omega: float) -> ReportEntry:
     """The report entry of one row, fitted on 12 log-spaced points of its
-    window taken from `series` (observables in units of omega by signed
-    delta): "failed" for a sloped fit with r^2 < 0.999, "finite-limit"
-    (a gap's limit times omega) for |slope| < 0.05, else "power-law", with
-    window stability judged by a refit on the 2x-shrunk window."""
+    window from `series` (observables in units of omega by signed delta):
+    "failed" for r^2 < 0.999 at |slope| >= 0.05, "finite-limit" (a gap's
+    limit times omega) below 0.05, else "power-law", window-stable if its
+    central six points refit with r^2 >= 0.999 and |slope| within 0.02."""
     side, quantity, site = row
     unit = omega if quantity.startswith("eps") else 1.0
-    pts, shrunk = ([(d, _extract(series[_SIGN[side] * d], quantity, site))
-                    for d in _log_grid(win, _REPORT_POINTS)]
-                   for win in (window, _shrunk(window)))
+    pts = [(d, _extract(series[_SIGN[side] * d], quantity, site))
+           for d in _log_grid(window, _REPORT_POINTS)]
     head = dict(quantity=quantity, site=site, side=side, window=window,
                 symbol=_symbol_for(quantity))
     try:
@@ -285,10 +284,9 @@ def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
             **head, status="finite-limit", slope=fit.slope,
             r_squared=fit.r_squared, limit=pts[0][1] * unit,
             note="no power law; value tends to a finite limit")
-    try:
-        stable = abs(fit_power_law(shrunk).exponent - fit.exponent) <= 0.02
-    except (FitRejected, DomainError):
-        stable = False
+    q = _REPORT_POINTS // 4
+    slope, _, r2 = _line(pts[q:_REPORT_POINTS - q])
+    stable = bool(r2 >= _R2_MIN and abs(abs(slope) - fit.exponent) <= 0.02)
     return ReportEntry(**head, status="power-law", slope=fit.slope,
                        exponent=_table_exponent(quantity, fit.slope),
                        r_squared=fit.r_squared, window_stable=stable)
@@ -300,8 +298,8 @@ def exponent_report(theta: float,
 
     Fits every (side, quantity, site) row on 12 log-spaced points of the
     asymptotic window [1e-9, 1e-6] (the two chiral crossover rows on their
-    band, see _CROSSOVER_WINDOWS), checks window stability by refitting
-    on a 2x-shrunk window, and derives the z = gamma/nu pairs: each
+    band, see _CROSSOVER_WINDOWS), judges window stability on the central
+    half of the same points, and derives the z = gamma/nu pairs: each
     power-law var_x row names the gap whose mode carries its largest share
     at the window's smallest delta (the lower gap on a tie), a pair if that
     gap's row is a power law with slope > 0; each (side, gap) keeps its
@@ -320,7 +318,7 @@ def exponent_report(theta: float,
     # in units of omega, so that no fit depends on the unit
     series = observables_near(in_omega_units(base), sorted(
         {_SIGN[row[0]] * d for row, win in windows.items()
-         for w in (win, _shrunk(win)) for d in _log_grid(w, _REPORT_POINTS)}))
+         for d in _log_grid(win, _REPORT_POINTS)}))
     entries = [_entry(row, win, series, base.omega)
                for row, win in windows.items()]
 

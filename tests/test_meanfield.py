@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabitri import PhaseLabel
+from rabitri import DomainError, PhaseLabel
 from rabitri.bogoliubov import diagonalize_paraunitary, point_observables
 from rabitri.model import critical_coupling_min
 from rabitri import meanfield
@@ -158,6 +158,17 @@ def test_seed_only_feeds_random_starts():
     s1 = solve_displacements(p, seed=12345)
     assert s0.disp.a == pytest.approx(s1.disp.a, abs=1e-8)
     assert s0.disp.b == pytest.approx(s1.disp.b, abs=1e-8)
+
+
+def test_negative_seed_is_a_domain_error():
+    # the multi-start is the one consumer of the seed, directly and through
+    # the continuation anchor of the scaling sweeps
+    from rabitri.scaling import observables_near
+    p = params(theta=0.0, g1=0.6)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        solve_displacements(p, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        observables_near(p, [1e-3], seed=-1)
 
 
 def test_sine_branch_saddle_exists_but_loses():

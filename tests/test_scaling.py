@@ -8,8 +8,10 @@ import rabitri.meanfield as meanfield
 from rabitri.meanfield import _ladder
 from rabitri.model import critical_flux
 from rabitri.cli import main
-from rabitri.scaling import (SweepSpec, exponent_report, fit_power_law,
-                             format_report, observables_near, sweep)
+import rabitri.scaling as scaling
+from rabitri.scaling import (SweepSpec, _entry, _log_grid, exponent_report,
+                             fit_power_law, format_report, observables_near,
+                             sweep)
 
 BASE = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 
@@ -253,6 +255,37 @@ def test_exponent_report_ferromagnetic(tmp_path, monkeypatch):
     assert "finite limit" in text
     assert "z[below" in text and "z[above" in text
     assert "[window-sensitive]" not in text
+
+
+@pytest.mark.parametrize("k, stable", [(0.0, True), (0.01, True),
+                                      (0.02, False)])
+def test_window_stability_rule(k, stable):
+    # log10 y = 0.5 log10 delta + k (log10 delta + 7.5)^3 on [1e-9, 1e-6]:
+    # the cubic bends the central half's slope away from the full fit's
+    # by about 1.2 k while the full fit keeps r^2 >= 0.999
+    window = (1e-9, 1e-6)
+    series = {}
+    for d in _log_grid(window, 12):
+        x = math.log10(d)
+        series[d] = {"eps1": 10.0 ** (0.5 * x + k * (x + 7.5) ** 3)}
+    e = _entry(("above", "eps1", None), window, series, 1.0)
+    assert e.status == "power-law"
+    assert e.window_stable is stable
+
+
+@pytest.mark.parametrize("theta, n_deltas", [(1.7, 24), (0.1, 48)])
+def test_report_evaluates_one_grid_per_row(monkeypatch, theta, n_deltas):
+    # 12 points per side; above the chiral transition the two crossover
+    # bands add 12 each
+    asked = []
+
+    def recording(base, deltas, seed=0):
+        asked.extend(deltas)
+        return observables_near(base, deltas, seed)
+
+    monkeypatch.setattr(scaling, "observables_near", recording)
+    exponent_report(theta, BASE)
+    assert len(asked) == len(set(asked)) == n_deltas
 
 
 def test_exponent_report_default_base():
