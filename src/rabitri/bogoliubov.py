@@ -39,7 +39,8 @@ residuals of a solution are computed when first read, at the precision the
 solution was built with: para_residual = max|S^T Om S - Om| and
 diag_residual = max|S^T J S - diag(e, e)|, the congruence Colpa proves.
 `point_observables` evaluates gaps, photon numbers and quadrature variances
-below the critical coupling or at a mean-field root above it.
+below the critical coupling or at a mean-field root above it, or at a stack
+of roots in one pass.
 """
 from __future__ import annotations
 
@@ -60,6 +61,8 @@ _OMEGA = np.kron([[0, 1], [-1, 0]], np.eye(3, dtype=int))   # Om
 
 @dataclass(frozen=True, eq=False)
 class ParaunitarySolution:
+    """One normal form, or a stack of them: each field then carries the
+    stack's leading axis, and the residuals are the largest over it."""
     s: np.ndarray             # 6x6 real symplectic, the real form of T
     eps: np.ndarray           # 3 excitation energies, ascending
     jac: np.ndarray           # the residual Jacobian J that S diagonalizes
@@ -70,15 +73,16 @@ class ParaunitarySolution:
         """max |S^T Om S - Om|, the real form of max |T^dag Lam T - Lam|"""
         s = self.s
         with numerics.working(self.prec):
-            return float(np.max(np.abs(s.T @ _OMEGA @ s - _OMEGA)))
+            return float(np.max(np.abs(numerics._t(s) @ _OMEGA @ s - _OMEGA)))
 
     @cached_property
     def diag_residual(self) -> float:
         """max |S^T J S - diag(eps, eps)|, Colpa's congruence"""
         s = self.s
         with numerics.working(self.prec):
-            rec = s.T @ self.jac @ s
-            rec -= np.diag(np.concatenate([self.eps, self.eps]))
+            rec = numerics._t(s) @ self.jac @ s
+            diag = np.arange(6)
+            rec[..., diag, diag] -= np.concatenate([self.eps, self.eps], -1)
             return float(np.max(np.abs(rec)))
 
 
@@ -106,16 +110,17 @@ def build_m_matrix(params: ModelParams, disp: Displacement) -> np.ndarray:
 def diagonalize_paraunitary(jac: np.ndarray) -> ParaunitarySolution:
     """Real symplectic S and positive excitation energies of the 6x6 real
     symmetric form jac, the residual Jacobian J of `meanfield`, by
-    Williamson's normal form (see the module docstring).
+    Williamson's normal form (see the module docstring); of each form of a
+    stack, shape (k, 6, 6), in one pass.
 
     Raises DomainError for a NaN or infinite entry and for a complex or
     asymmetric form, CriticalPointError when a mode energy collapses to
     zero (the normal form is singular there) and InstabilityError when the
     spectrum of i J Om leaves the real axis (expansion around an unstable
-    configuration).
+    configuration); for a stack, when any of its forms does.
     """
     jac = np.asarray(jac)
-    if jac.shape != (6, 6):
+    if jac.shape[-2:] != (6, 6) or jac.ndim not in (2, 3):
         raise DomainError(f"expected a 6x6 matrix, got {jac.shape}")
     mag = np.abs(jac)
     # NaN != NaN; unlike <, == does not raise on a Decimal NaN
@@ -124,20 +129,22 @@ def diagonalize_paraunitary(jac: np.ndarray) -> ParaunitarySolution:
     if np.iscomplexobj(jac):
         raise DomainError("the residual Jacobian must be real")
     nb = numerics.of(jac)
-    scale = np.max(mag)
-    if scale == 0:
+    scale = np.max(mag, axis=(-2, -1))
+    if np.any(scale == 0):
         raise CriticalPointError("zero quadratic form")
-    if np.max(np.abs(jac - jac.T)) > nb.num(1e-10) * scale:
+    if np.any(np.max(np.abs(jac - numerics._t(jac)), axis=(-2, -1))
+              > nb.num(1e-10) * scale):
         raise DomainError("quadratic form must be symmetric")
     # an exact zero mode could pass the Cholesky of J on rounding noise,
     # with sqrt(eps)-scale energies; J - tau must pass first
     tau = nb.num(1e-12 * 10.0 ** (16 - nb.prec())) * scale
     try:
-        nb.cholesky(jac - nb.num(np.eye(6)) * tau)
+        nb.cholesky(jac - nb.num(np.eye(6)) * np.expand_dims(tau, (-2, -1)))
         l = nb.cholesky(jac)                # jac = l^T l
     except np.linalg.LinAlgError:
         evals = np.linalg.eigvals(1j * np.asarray(jac, dtype=float) @ _OMEGA)
-        if float(np.max(np.abs(evals.imag))) > 1e-8 * float(scale):
+        if np.any(np.max(np.abs(evals.imag), axis=-1)
+                  > 1e-8 * np.asarray(scale, dtype=float)):
             raise InstabilityError(
                 "i J Om has complex eigenvalues; the expansion point is "
                 "dynamically unstable (wrong phase branch)")
@@ -146,18 +153,19 @@ def diagonalize_paraunitary(jac: np.ndarray) -> ParaunitarySolution:
             "reached zero (critical point)")
     # ascending e1, e2, e3 of W = i L Om L^T, and Y = L^T [Re u | Im u]
     eps, y = numerics.colpa(l)
-    if eps[0] <= tau:
-        raise CriticalPointError(
-            f"soft mode energy {float(eps[0]):.3e} is numerically zero")
+    if np.any(eps[..., 0] <= tau):
+        raise CriticalPointError(f"soft mode energy "
+                                 f"{float(np.min(eps[..., 0])):.3e} is "
+                                 "numerically zero")
     # S = sqrt 2 Om [Re Y | -Im Y] diag(e, e)^-1/2
-    w = nb.sqrt(2 / eps)
-    z = np.hstack([y[:, :3] * w, -y[:, 3:] * w])
-    s = np.vstack([z[3:], -z[:3]])
+    w = nb.sqrt(2 / eps)[..., None, :]
+    z = np.concatenate([y[..., :3] * w, -y[..., 3:] * w], axis=-1)
+    s = np.concatenate([z[..., 3:, :], -z[..., :3, :]], axis=-2)
     return ParaunitarySolution(s=s, eps=eps, jac=jac, prec=nb.prec())
 
 
-def point_observables(params: ModelParams,
-                      root: np.ndarray | None = None) -> dict:
+def point_observables(params: ModelParams, root: np.ndarray | None = None,
+                      g=None) -> dict | list[dict]:
     """Gaps eps1..eps3, per-site photon_n, var_x, var_p and var_x_modes
     (mode k's part of var_x_n at [n, k], modes by ascending eps) as floats.
 
@@ -166,6 +174,13 @@ def point_observables(params: ModelParams,
     above the critical coupling. With a mean-field root (A_1..A_3, B_1..B_3)
     they are the Bogoliubov observables around it, computed at the
     precision of params and root (mode k adds S_{n,k}^2 + S_{n,3+k}^2).
+    A stack of roots, shape (k, 6), of rings that differ only in g1 (their
+    bare couplings the column g, see `meanfield.residuals`) runs as one
+    stacked Colpa step and gives one dict per root.
+
+    The modes of a degenerate group, energies within numerics._CLUSTER of
+    each other relative to the largest, each get the group's mean part, so
+    var_x_modes does not depend on the basis chosen inside the group.
     """
     if root is None:
         n, vx, vp = (np.full(3, f(params)) for f in
@@ -174,15 +189,21 @@ def point_observables(params: ModelParams,
                                (mode(params, q) for q in MOMENTA)))
         vx_modes = np.tile(np.exp(4 * np.array(lam)) / 3, (3, 1))
     else:
-        disp = Displacement(a=root[:3], b=root[3:])
-        ps = diagonalize_paraunitary(residual_jacobian(params, disp))
+        disp = Displacement(a=root[..., :3], b=root[..., 3:])
+        ps = diagonalize_paraunitary(residual_jacobian(params, disp, g))
         eps = ps.eps
         sq = ps.s * ps.s
-        var = np.sum(sq, axis=1)
-        vx, vp = var[:3], var[3:]
+        var = np.sum(sq, axis=-1)
+        vx, vp = var[..., :3], var[..., 3:]
         n = (vx + vp - 2) / 4 + disp.a ** 2 + disp.b ** 2
-        n, vx, vp, vx_modes = (np.asarray(v, dtype=float) for v in
-                               (n, vx, vp, sq[:3, :3] + sq[:3, 3:]))
-    return {"eps1": float(eps[0]), "eps2": float(eps[1]),
-            "eps3": float(eps[2]), "photon_n": n, "var_x": vx, "var_p": vp,
-            "var_x_modes": vx_modes}
+        vx_modes = sq[..., :3, :3] + sq[..., :3, 3:]
+    eps, n, vx, vp = (np.asarray(v, dtype=float).reshape(-1, 3)
+                      for v in (eps, n, vx, vp))
+    near = (np.abs(eps[:, :, None] - eps[:, None])
+            <= numerics._CLUSTER * eps[:, -1:, None])
+    vx_modes = (np.asarray(vx_modes, dtype=float).reshape(-1, 3, 3) @ near
+                / np.sum(near, axis=1)[:, None])
+    out = [{"eps1": float(e[0]), "eps2": float(e[1]), "eps3": float(e[2]),
+            "photon_n": n[i], "var_x": vx[i], "var_p": vp[i],
+            "var_x_modes": vx_modes[i]} for i, e in enumerate(eps)]
+    return out if np.ndim(root) == 2 else out[0]

@@ -15,12 +15,15 @@ All starts (up to 26) run as one batch (`_newton`): every iteration makes
 one stacked Jacobian and solve, one residual call for the full steps and
 one for all backtracking steps of the rows that need them. Closer to g1c
 the Jacobian goes singular, so `continued_roots` follows that root from
-delta = 1e-2 down a descending delta ladder, each step seeded by scaling
-the previous root with sqrt(delta'/delta) and polished by Newton to 1e-12.
-Points with delta >= 1e-4 run in float64; deeper points run the same
-functions on 50-digit Decimal numbers (g1c and g1 included), because the
-Cholesky step of the fluctuations needs min-eig(J) ~ eps1^2 to stay clear
-of roundoff (see `numerics`).
+delta = 1e-2 down a descending float64 delta ladder, each step seeded by
+scaling the previous root with sqrt(delta'/delta) and polished by Newton
+to 1e-12, through the points with delta >= 1e-4 and on down to 1e-4
+itself. Every deeper point is seeded from that root by the same sqrt law,
+and all of them are polished by one stacked Newton that runs the same
+functions on 50-digit Decimal numbers (g1c and g1 included, each row's
+coupling in the column g of `residuals`), because the Cholesky step of the
+fluctuations needs min-eig(J) ~ eps1^2 to stay clear of roundoff (see
+`numerics`).
 """
 from __future__ import annotations
 
@@ -80,14 +83,17 @@ def _gaps(params: ModelParams, a: np.ndarray, g) -> np.ndarray:
     return nb.sqrt(a * (16 * g * g) * a + params.delta ** 2)
 
 
-def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
+def residuals(params: ModelParams, disp: Displacement,
+              g=None) -> np.ndarray:
     """Stationarity residuals (R_1..R_3, S_1..S_3); zero at a mean-field root.
 
     Equal to half the gradient of ground_energy_mf with respect to
-    (A_1..A_3, B_1..B_3), so roots are exactly the stationary points.
+    (A_1..A_3, B_1..B_3), so roots are exactly the stationary points. For
+    a stack of displacements whose rings differ only in g1, g holds the
+    bare coupling of each as a column (default: bare_coupling(params)).
     """
     w, j, th = params.omega, params.j_hop, params.theta
-    g = bare_coupling(params)
+    g = bare_coupling(params) if g is None else g
     nb = numerics.of(params.omega, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a, g)
@@ -99,11 +105,13 @@ def residuals(params: ModelParams, disp: Displacement) -> np.ndarray:
     return np.concatenate([r, s], axis=-1)
 
 
-def residual_jacobian(params: ModelParams, disp: Displacement) -> np.ndarray:
+def residual_jacobian(params: ModelParams, disp: Displacement,
+                      g=None) -> np.ndarray:
     """Analytic 6x6 Jacobian of `residuals` in the (A, B) ordering; one
-    per displacement when disp holds a stack of them."""
+    per displacement when disp holds a stack of them, each at its own
+    coupling where g gives them as a column (see `residuals`)."""
     w, j, th = params.omega, params.j_hop, params.theta
-    g = bare_coupling(params)
+    g = bare_coupling(params) if g is None else g
     nb = numerics.of(params.omega, disp.a)
     a = np.asarray(disp.a)
     dn = _gaps(params, a, g)
@@ -181,14 +189,16 @@ def _solve_rows(nb, a: np.ndarray, b: np.ndarray
         return x, regular
 
 
-def _newton(params: ModelParams, x0: np.ndarray, tol: float
+def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
             ) -> np.ndarray | None | list[np.ndarray | None]:
     """Damped (Levenberg-regularized) Newton on the residual vector, at the
     precision of params and x0, in units of omega.
 
     x0 is one start, shape (6,), or a stack of starts, shape (k, 6), that
     run together: each row keeps its own regularization and stops on its
-    own, and follows the iterates it would follow alone. A row stops
+    own, and follows the iterates it would follow alone. Rows of rings
+    that differ only in g1 take their bare couplings as the column g, shape
+    (k, 1) (see `residuals`). A row stops
       - converged, at max|r| <= tol;
       - given up by the Levenberg rule, when the regularization mu of a
         step that lowers no max|r| would exceed 1e6;
@@ -201,7 +211,9 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
     """
     nb = numerics.of(params.omega, x0)
     x = np.array(x0, dtype=nb.rdtype, ndmin=2)
-    r = residuals(params, _disp(x))
+    g = bare_coupling(params) if g is None else g
+    shared = np.ndim(g) == 0            # one coupling, or a column of them
+    r = residuals(params, _disp(x), g)
     mu = nb.num(np.zeros(len(x)))
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
     past = []                            # max|r| of each row, per iteration
@@ -214,7 +226,8 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
         if not live.any():
             break
         rows = np.flatnonzero(live)
-        jac = residual_jacobian(params, _disp(x[rows]))
+        jac = residual_jacobian(params, _disp(x[rows]),
+                                g if shared else g[rows])
         reg = mu[rows] != 0
         jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
         step, regular = _solve_rows(nb, jac, -r[rows])
@@ -225,12 +238,13 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
         # of which each row takes the first that lowers max|r|
         xt = x[rows] + step
-        rt = residuals(params, _disp(xt))
+        rt = residuals(params, _disp(xt), g if shared else g[rows])
         ok = np.max(np.abs(rt), axis=-1) < rn[rows]
         back = np.flatnonzero(~ok)
         if len(back):
             xh = x[rows[back], None] + nb.num(_HALVINGS) * step[back, None]
-            rh = residuals(params, _disp(xh))
+            rh = residuals(params, _disp(xh),
+                           g if shared else g[rows[back], None])
             lower = np.max(np.abs(rh), axis=-1) < rn[rows[back], None]
             first = np.argmax(lower, axis=1)
             xt[back] = xh[range(len(back)), first]
@@ -357,35 +371,51 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
     """(params, root) at each reduced coupling delta = g1/g1c - 1 > 0, by
     continuation from the multi-start root at max(delta, 1e-2) found with
     the given seed. The params are in units of omega (`in_omega_units`).
-    Below delta = 1e-4 both are 50-digit Decimal numbers, to be used inside
-    `numerics.working()`."""
+
+    The ladder runs in float64 alone, through the deltas >= 1e-4 and, when
+    a delta lies below, on down to 1e-4 itself. Every delta below is seeded
+    from that last float64 root x by the sqrt(delta) law,
+    x sqrt(delta / 1e-4), and all of them are polished together by one
+    stacked 50-digit Newton; their params and roots are 50-digit Decimal
+    numbers, to be used inside `numerics.working()`. So a deep root does
+    not depend on which other deep deltas were asked for."""
     base = in_omega_units(base)
     need = sorted({float(d) for d in deltas}, reverse=True)
+    deep = [d for d in need if d < _MP_SPLIT]
     g1c = critical_coupling_min(base)
     anchor = max(need[0], _ANCHOR)
     x = _multistart(replace(base, g1=g1c * (1.0 + anchor)), seed)
-    out = {}
+    out, prev = {}, anchor
+    stops = [d for d in need if d >= _MP_SPLIT]
+    if deep:                # the float64 ladder ends at the split
+        stops.append(_MP_SPLIT)
+    for d in _ladder(anchor, stops):
+        p = replace(base, g1=g1c * (1.0 + d))
+        x = _newton(p, x * math.sqrt(d / prev), 1e-12)
+        if x is None:
+            raise ConvergenceError(
+                f"continuation lost the root at g1={float(p.g1)}")
+        if d in need:
+            out[d] = (p, x)
+        prev = d
+    if not deep:
+        return out
     with numerics.working():
         # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
         base_dec = replace(base, omega=Decimal(1), delta=Decimal(base.delta),
                            j_hop=Decimal(base.j_hop))
         g1c_dec = critical_coupling_min(base_dec)
-        prev = anchor
-        for d in _ladder(anchor, need):
-            if d >= _MP_SPLIT:
-                p, tol = replace(base, g1=g1c * (1.0 + d)), 1e-12
-                step = math.sqrt(d / prev)
-            else:
-                p = replace(base_dec, g1=g1c_dec * (1 + Decimal(d)))
-                tol = Decimal(10) ** (12 - numerics.MP_DPS)
-                step = (Decimal(d) / Decimal(prev)).sqrt()
-            x = _newton(p, numerics.of(p.omega).num(x) * step, tol)
-            if x is None:
-                raise ConvergenceError(
-                    f"continuation lost the root at g1={float(p.g1)}")
-            if d in need:
-                out[d] = (p, x)
-            prev = d
+        ps = [replace(base_dec, g1=g1c_dec * (1 + Decimal(d))) for d in deep]
+        x0 = [numerics.DEC.num(x) * (Decimal(d) / Decimal(_MP_SPLIT)).sqrt()
+              for d in deep]
+        roots = _newton(ps[0], np.array(x0),
+                        Decimal(10) ** (12 - numerics.MP_DPS),
+                        np.array([[bare_coupling(p)] for p in ps]))
+    for d, p, x in zip(deep, ps, roots):
+        if x is None:
+            raise ConvergenceError(
+                f"continuation lost the root at g1={float(p.g1)}")
+        out[d] = (p, x)
     return out
 
 

@@ -21,6 +21,16 @@ and two triangular substitutions, so a singular or indefinite one raises
 LinAlgError, on which Newton regularizes. Float64 solves by LU
 (`np.linalg.solve`), since its multi-start steps past saddles.
 
+Every kernel takes one matrix or a stack of them along a leading axis, and
+a stack runs each step on all its matrices at once: on 6x6 object arrays
+numpy's cost per call outweighs the Decimal arithmetic. Each matrix of a
+stack gets the Decimal numbers a call on it alone gives: the factor, the
+solve and the eigensolve's steps are the same elementwise operations and
+the same ordered sums, the eigenvector refinement stops each matrix on its
+own, and the Jacobi pass runs on each matrix that has a cluster. A stack
+with one indefinite matrix is refused as a whole (`meanfield._solve_rows`
+then solves its systems one by one).
+
 `colpa(l)` takes the real upper factor L of the Jacobian J = L^T L (see
 `bogoliubov`). The Hermitian W = i L Om L^T, Om = [[0, 1], [-1, 0]] in 3x3
 blocks, is i times a real antisymmetric matrix, so its eigenvalues come in
@@ -48,11 +58,16 @@ def working(digits: int = MP_DPS + 2):      # two guard digits
     return localcontext(Context(prec=digits))
 
 
+def _t(a):
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _k(l):
     """K = L Om L^T with Om = [[0, 1], [-1, 0]] in 3x3 blocks: the real
     antisymmetric matrix with W = i K."""
-    p = l[:, :3] @ l[:, 3:].T
-    return p - p.T
+    p = l[..., :, :3] @ _t(l[..., :, 3:])
+    return p - _t(p)
 
 
 def _eigh_plus_f64(k):
@@ -60,14 +75,16 @@ def _eigh_plus_f64(k):
     Hermitian W = i k, k real antisymmetric, and their orthonormal
     eigenvectors u as x = [Re u | Im u]."""
     lam, u = np.linalg.eigh(1j * k)
-    return lam[3:], np.hstack([u[:, 3:].real, u[:, 3:].imag])
+    u = u[..., 3:]
+    return lam[..., 3:], np.concatenate([u.real, u.imag], axis=-1)
 
 
 def colpa(l):
     """The ascending e and Y = L^T X of the +e half of W = i L Om L^T, for
-    the real upper factor l of J = L^T L, at the precision of l."""
+    the real upper factor l of J = L^T L, at the precision of l; for a
+    stack of factors, one e and Y per factor."""
     lam, x = of(l).eigh_plus(_k(l))
-    return lam, l.T @ x
+    return lam, _t(l) @ x
 
 
 F64 = SimpleNamespace(
@@ -117,33 +134,37 @@ _decimal = np.frompyfunc(Decimal, 1, 1)     # exact, from floats
 
 
 def _cholesky_dec(a):
-    """Upper l (Decimal) with a = l^T l for the real symmetric a, the one
-    factorization of the 50-digit table: the Colpa step's and the Newton
-    systems'. A pivot below the working epsilon raises LinAlgError, so a
-    singular or indefinite a is refused."""
+    """Upper l (Decimal) with a = l^T l for the real symmetric a, or for
+    each matrix of a stack: the one factorization of the 50-digit table,
+    the Colpa step's and the Newton systems'. A pivot below the working
+    epsilon, in any matrix of a stack, raises LinAlgError, so a singular or
+    indefinite a is refused."""
     eps = Decimal(10) ** (1 - getcontext().prec)
     l = np.full(a.shape, Decimal(0), dtype=object)
-    for j in range(len(a)):
-        s = a[j, j:] - l[:j, j] @ l[:j, j:]
-        if not s[0] >= eps:
+    for j in range(a.shape[-1]):
+        s = a[..., j, j:] - (l[..., None, :j, j] @ l[..., :j, j:])[..., 0, :]
+        if not np.all(s[..., 0] >= eps):
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        l[j, j:] = s / s[0].sqrt()
+        l[..., j, j:] = s / np.sqrt(s[..., :1])
     return l
 
 
 def _solve_dec(a, b):
-    """x with a x = b for the real symmetric Newton systems, one or a
-    stack, with 4 more digits (10 guard bits) than the context: the
-    Cholesky a = l^T l, then l^T y = b and l x = y by substitution."""
-    if np.ndim(a) > 2:                      # a stack of systems
-        return np.array([_solve_dec(ai, bi) for ai, bi in zip(a, b)])
+    """x with a x = b for the real symmetric Newton systems, one (b of
+    shape (n,)) or a stack (a of shape (k, n, n), b (k, n, 1)), with 4 more
+    digits (10 guard bits) than the context: the Cholesky a = l^T l, then
+    l^T y = b and l x = y by substitution, on all systems at once."""
     with working(getcontext().prec + 4):
         l = _cholesky_dec(a)
-        x = np.reshape(b, (len(a), -1)).copy()
-        for i in range(len(a)):
-            x[i] = (x[i] - l[:i, i] @ x[:i]) / l[i, i]
-        for i in reversed(range(len(a))):
-            x[i] = (x[i] - l[i, i + 1:] @ x[i + 1:]) / l[i, i]
+        x = np.reshape(b, a.shape[:-1] + (-1,)).copy()
+        for i in range(a.shape[-1]):
+            x[..., i, :] = ((x[..., i, :] - (l[..., None, :i, i]
+                                             @ x[..., :i, :])[..., 0, :])
+                            / l[..., i, i, None])
+        for i in reversed(range(a.shape[-1])):
+            x[..., i, :] = ((x[..., i, :] - (l[..., None, i, i + 1:]
+                                             @ x[..., i + 1:, :])[..., 0, :])
+                            / l[..., i, i, None])
     return x.reshape(np.shape(b))
 
 
@@ -151,14 +172,15 @@ _CLUSTER = 1e-4     # relative float64 gap below which eigenvalues cluster
 
 
 def _quarters(a):
-    """The 3x3 blocks of a 6x6 array, row by row."""
-    return a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:]
+    """The 3x3 blocks of a 6x6 array, or of each of a stack, row by row."""
+    return a[..., :3, :3], a[..., :3, 3:], a[..., 3:, :3], a[..., 3:, 3:]
 
 
 def _eigh_plus(k):
     """Ascending eigenvalues e > 0 of the upper half of the spectrum of the
     Hermitian W = i k, k a real antisymmetric 6x6 Decimal array, and their
-    orthonormal eigenvectors u as x = [Re u | Im u], in the current context.
+    orthonormal eigenvectors u as x = [Re u | Im u], in the current context;
+    for a stack of k, those of each, each refined until it stops on its own.
     The lower half is -e with the vectors conj(u), since W is imaginary.
 
     Starts from the float64 `_eigh_plus_f64`. Each column's two halves span
@@ -181,54 +203,75 @@ def _eigh_plus(k):
     max|E|^2 times the conditioning, so the refinement stops once max|E|^2
     reaches the working epsilon.
     """
+    if k.ndim == 2:
+        lam, x = _eigh_plus(k[None])
+        return lam[0], x[0]
     lam, x = _eigh_plus_f64(k.astype(float))
-    q1 = x[:, :3] / np.linalg.norm(x[:, :3], axis=0)
-    q2 = x[:, 3:] - q1 * np.sum(q1 * x[:, 3:], axis=0)
-    q2 = q2 / np.linalg.norm(q2, axis=0)
-    x = _decimal(np.hstack([q1, q2]) / math.sqrt(2))
-    scale = float(np.max(lam))
-    near = np.abs(lam[:, None] - lam) <= _CLUSTER * scale
-    pairs = list(zip(*np.nonzero(np.triu(near, 1))))
+    q1 = x[..., :3] / np.linalg.norm(x[..., :3], axis=-2, keepdims=True)
+    q2 = x[..., 3:] - q1 * np.sum(q1 * x[..., 3:], axis=-2, keepdims=True)
+    q2 = q2 / np.linalg.norm(q2, axis=-2, keepdims=True)
+    x = _decimal(np.concatenate([q1, q2], axis=-1) / math.sqrt(2))
+    scale = np.max(lam, axis=-1)
+    near = (np.abs(lam[:, :, None] - lam[:, None]) <= _CLUSTER
+            * scale[:, None, None])
     one = np.eye(3, dtype=int)
     eps = Decimal(10) ** (1 - getcontext().prec)
-    tiny = Decimal(scale) * eps
+    e = np.empty(lam.shape, dtype=object)
+    live = np.arange(len(k))        # the matrices still refining
     for _ in range(8):
-        yrr, yri, yir, yii = _quarters(x.T @ (k @ x))
-        grr, gri, gir, gii = _quarters(x.T @ x)
+        kl, xl, nl = k[live], x[live], near[live]
+        yrr, yri, yir, yii = _quarters(_t(xl) @ (kl @ xl))
+        grr, gri, gir, gii = _quarters(_t(xl) @ xl)
         sr, si = yir - yri, yrr + yii                   # u^dag W u
         br, bi = -(yri + yir), yrr - yii                # u^T W u
         rr, ri = one - (grr + gii), gir - gri           # 1 - u^dag u
         hr, hi = grr - gii, gri + gir                   # u^T u
-        lam = np.diagonal(sr) / (1 - np.diagonal(rr))
-        den = np.where(near, 1, lam - lam[:, None])
-        er = np.where(near, rr / 2, (sr + rr * lam) / den)
-        ei = np.where(near, ri / 2, (si + ri * lam) / den)
-        tot = lam + lam[:, None]
-        fr = np.where(one, -hr / 2, (br - hr * lam) / tot)
-        fi = np.where(one, -hi / 2, (bi - hi * lam) / tot)
-        xr, xi = x[:, :3], x[:, 3:]
-        x = np.hstack([xr + xr @ (er + fr) + xi @ (fi - ei),
-                       xi + xr @ (ei + fi) + xi @ (er - fr)])
-        if pairs:
-            mean = (lam + lam[:, None]) / 2
-            tr, ti = sr + rr * mean, si + ri * mean
-            np.fill_diagonal(tr, lam)
-            for _ in range(8):              # cyclic Jacobi sweeps
-                big = [(p, q) for p, q in pairs
-                       if abs(tr[p, q]) + abs(ti[p, q]) > tiny]
-                if not big:
-                    break
-                for p, q in big:
-                    _rotate(tr, ti, x[:, :3], x[:, 3:], p, q)
-            else:
-                raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
-            lam = np.diagonal(tr)
-        if max(np.abs(e).max() for e in (er, ei, fr, fi)) ** 2 <= eps:
+        lam = (np.diagonal(sr, axis1=1, axis2=2)
+               / (1 - np.diagonal(rr, axis1=1, axis2=2)))
+        lj, li = lam[:, None], lam[:, :, None]          # lam_j, lam_i at ij
+        den = np.where(nl, 1, lj - li)
+        er = np.where(nl, rr / 2, (sr + rr * lj) / den)
+        ei = np.where(nl, ri / 2, (si + ri * lj) / den)
+        fr = np.where(one, -hr / 2, (br - hr * lj) / (lj + li))
+        fi = np.where(one, -hi / 2, (bi - hi * lj) / (lj + li))
+        xr, xi = xl[..., :3], xl[..., 3:]
+        xl = np.concatenate([xr + xr @ (er + fr) + xi @ (fi - ei),
+                             xi + xr @ (ei + fi) + xi @ (er - fr)], axis=-1)
+        for i in np.flatnonzero(np.any(np.triu(nl, 1), axis=(1, 2))):
+            lam[i] = _jacobi(sr[i], si[i], rr[i], ri[i], lam[i], xl[i],
+                             np.triu(nl[i], 1), Decimal(scale[live[i]]) * eps)
+        x[live], e[live] = xl, lam
+        big = np.max(np.abs(np.concatenate([er, ei, fr, fi], axis=-1)),
+                     axis=(1, 2))
+        live = live[~np.array(big ** 2 <= eps, dtype=bool)]
+        if not len(live):
             break
     else:
         raise np.linalg.LinAlgError("eigenvector refinement diverged")
-    order = np.argsort(lam, kind="stable")
-    return lam[order], x[:, np.concatenate([order, 3 + order])]
+    order = np.argsort(e, axis=-1, kind="stable")
+    cols = np.concatenate([order, 3 + order], axis=-1)
+    return (np.take_along_axis(e, order, -1),
+            np.take_along_axis(x, cols[:, None], -1))
+
+
+def _jacobi(sr, si, rr, ri, lam, x, pairs, tiny):
+    """The eigenvalues of the cluster blocks of the updated u^dag W u of
+    one matrix, predicted to first order as T = S + (lam_i + lam_j) R_ij / 2
+    with the diagonal lam, by cyclic Jacobi sweeps over the cluster pairs
+    (the upper-triangle mask pairs) until every |T_pq| <= tiny; the
+    rotations are applied in place to the columns of x = [Re u | Im u]."""
+    mean = (lam + lam[:, None]) / 2
+    tr, ti = sr + rr * mean, si + ri * mean
+    np.fill_diagonal(tr, lam)
+    pairs = list(zip(*np.nonzero(pairs)))
+    for _ in range(8):
+        big = [(p, q) for p, q in pairs
+               if abs(tr[p, q]) + abs(ti[p, q]) > tiny]
+        if not big:
+            return np.diagonal(tr)
+        for p, q in big:
+            _rotate(tr, ti, x[:, :3], x[:, 3:], p, q)
+    raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
 
 
 def _rotate(tr, ti, xr, xi, p, q):

@@ -8,7 +8,8 @@ per transition (ring-symmetric, chiral, uniform, and the triple point).
 Every point is evaluated by `bogoliubov.point_observables`: below the
 transition from the normal-phase closed forms (float64 suffices down to
 delta ~ 1e-11 with the factored gap expression), above around the roots of
-`meanfield.continued_roots`.
+`meanfield.continued_roots`, the float64 ones (delta >= 1e-4) one by one
+and all 50-digit ones as one stack, in one Colpa step.
 
 Fit windows: every report row is fitted on one asymptotic window,
 delta in [1e-9, 1e-6]. There the local slope d log y / d log delta has
@@ -34,7 +35,7 @@ from . import numerics
 from .bogoliubov import point_observables
 from .errors import CriticalPointError, DomainError, FitRejected
 from .meanfield import at_critical_point, continued_roots
-from .model import (ModelParams, PhaseLabel, classify_phase,
+from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
                     critical_coupling_min, in_omega_units)
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
@@ -173,9 +174,17 @@ def observables_near(base: ModelParams, deltas: list[float],
            for d in deltas if d < 0.0}
     above = [d for d in deltas if d > 0.0]
     if above:
-        with numerics.working():
-            out.update({d: point_observables(q, x) for d, (q, x)
-                        in continued_roots(p, above, seed).items()})
+        roots = continued_roots(p, above, seed)
+        deep = [d for d, (q, x) in roots.items()
+                if numerics.of(x) is numerics.DEC]
+        out.update({d: point_observables(q, x) for d, (q, x) in roots.items()
+                    if d not in deep})
+        if deep:        # rings that differ only in g1: one stack
+            qs = [roots[d][0] for d in deep]
+            with numerics.working():
+                out.update(zip(deep, point_observables(
+                    qs[0], np.array([roots[d][1] for d in deep]),
+                    np.array([[bare_coupling(q)] for q in qs]))))
     for obs in out.values():
         obs.update({k: obs[k] * base.omega for k in ("eps1", "eps2", "eps3")})
     return out

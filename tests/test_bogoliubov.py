@@ -168,12 +168,15 @@ def assert_matches_closed_forms(p):
     closed forms, to 1e-10."""
     obs = observables(p, Displacement.zero())
     closed = point_observables(p)
-    for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p"):
+    for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p",
+                "var_x_modes"):
         assert obs[key] == pytest.approx(closed[key], rel=1e-10), key
 
 
 def test_degenerate_pair_matches_closed_forms_at_zero_flux():
-    # the q = +-2pi/3 pair is degenerate at theta = 0, in any unit
+    # the q = +-2pi/3 pair is degenerate at theta = 0, in any unit; its
+    # two modes share each site's var_x equally, whatever basis of the
+    # pair the Colpa step picks
     for omega in (1.0, 1e-12):
         p = params(theta=0.0, g1=0.3, omega=omega, delta=100.0 * omega,
                    j_hop=0.05 * omega)

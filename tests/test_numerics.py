@@ -16,12 +16,15 @@ from rabitri import (CriticalPointError, DomainError, ModelParams, bogoliubov,
                      numerics)
 from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
                                 point_observables)
-from rabitri.meanfield import (Displacement, continued_roots,
-                               ground_energy_mf, residual_jacobian, residuals)
+from rabitri import meanfield
+from rabitri.meanfield import (Displacement, _newton, _seed_list,
+                               continued_roots, ground_energy_mf,
+                               residual_jacobian, residuals)
 from rabitri.model import critical_flux
 from rabitri.numerics import (DEC, F64, MP_DPS, _eigh_plus, _k, colpa, of,
                               working)
-from rabitri.scaling import exponent_report
+from rabitri.scaling import (_REPORT_POINTS, _REPORT_WINDOW, _log_grid,
+                             exponent_report)
 
 from conftest import params
 
@@ -297,6 +300,49 @@ def test_solve_refuses_the_singular_jacobian():
     assert np.array_equal(x, [1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
 
 
+def test_stack_with_one_indefinite_system_is_refused():
+    # one refused system makes the stacked solve raise for all; Newton
+    # then solves each alone and regularizes that one only
+    with working():
+        stack = DEC.num(np.array([np.eye(6), np.diag([1.0, -1.0, 1.0, 1.0,
+                                                      1.0, 1.0]), np.eye(6)]))
+        with pytest.raises(np.linalg.LinAlgError):
+            DEC.cholesky(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            DEC.solve(stack, DEC.num(np.ones((3, 6, 1))))
+
+
+def test_singular_start_does_not_disturb_its_fifty_digit_batch(monkeypatch):
+    # the 50-digit twin of test_meanfield's
+    # test_singular_start_does_not_disturb_its_batch: at J = 0 and
+    # g1 = g1c = 1/2 the start x0 has an exactly singular Jacobian, so the
+    # stacked Cholesky solve raises; each row of the batch still follows
+    # the iterates it follows alone, Decimal for Decimal
+    refused = []
+    solve = DEC.solve
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            refused.append(np.ndim(a))
+            raise
+
+    monkeypatch.setattr(DEC, "solve", counted)
+    x0 = np.array([0.0, 0.3, 0.3, 0.0, 0.0, 0.0])
+    seeds = _seed_list(params(theta=0.0, g1=0.5, j_hop=0.0), seed=1)
+    with working():
+        p, tol = dec_params(j_hop=0.0, g1=0.5), Decimal(10) ** (12 - MP_DPS)
+        starts = DEC.num(np.array([seeds[1], x0, seeds[3]]))
+        batch = _newton(p, starts, tol)
+        assert 3 in refused and 2 in refused
+        for x, got in zip(starts, batch):
+            alone = _newton(p, x, tol)
+            assert (got is None) == (alone is None)
+            assert got is None or np.array_equal(got, alone)
+    assert batch[0] is not None and batch[2] is not None
+
+
 @pytest.mark.parametrize("j_hop", [0.05, 0.2])
 def test_fifty_digit_newton_systems_are_positive_definite(monkeypatch,
                                                           j_hop):
@@ -316,9 +362,60 @@ def test_fifty_digit_newton_systems_are_positive_definite(monkeypatch,
 
     monkeypatch.setattr(DEC, "solve", counted)
     theta_c = critical_flux(params(j_hop=j_hop))
+    deltas = [1e-5, *_log_grid(_REPORT_WINDOW, _REPORT_POINTS), 3e-12]
     for theta in (0.0, 0.1, theta_c, 1.7, math.pi):
-        continued_roots(params(theta=theta, j_hop=j_hop), [1e-5, 1e-7, 1e-9])
+        continued_roots(params(theta=theta, j_hop=j_hop), deltas)
     assert calls and not raises
+
+
+def test_stacked_kernels_match_each_matrix_alone():
+    # the deep Jacobians of five reports in one stack, the theta = pi ones
+    # with a cluster for the Jacobi pass and the others without: the
+    # Cholesky, the solve and the Colpa step give, matrix by matrix, the
+    # Decimal numbers of a call on that matrix alone
+    jacs = []
+    for theta in (0.0, 0.1, THETA_C, 1.7, math.pi):
+        roots = continued_roots(params(theta=theta), [1e-5, 1e-9, 3e-12])
+        with working():
+            jacs += [residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+                     for p, x in roots.values()]
+    with working():
+        jacs = np.array(jacs)
+        rhs = DEC.num(np.arange(1.0, 1.0 + 6 * len(jacs)).reshape(-1, 6, 1))
+        ls, xs = DEC.cholesky(jacs), DEC.solve(jacs, rhs)
+        lams, ys = colpa(ls)
+        for jac, b, l, x, lam, y in zip(jacs, rhs, ls, xs, lams, ys):
+            assert np.array_equal(DEC.cholesky(jac), l)
+            assert np.array_equal(DEC.solve(jac, b[:, 0]), x[:, 0])
+            alone = colpa(l)
+            assert np.array_equal(alone[0], lam)
+            assert np.array_equal(alone[1], y)
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.7])
+def test_report_runs_one_fifty_digit_newton_and_colpa_step(monkeypatch,
+                                                           theta):
+    # every 50-digit point of a report is polished by one stacked Newton
+    # and evaluated by one stacked Colpa step; the float64 ladder and the
+    # theta = 0.1 crossover band above the split stay in float64
+    newton, steps = [], []
+    real_newton, real_colpa = meanfield._newton, numerics.colpa
+
+    def count_newton(p, x0, *args):
+        if of(x0) is DEC:
+            newton.append(len(x0))
+        return real_newton(p, x0, *args)
+
+    def count_colpa(l):
+        if of(l) is DEC:
+            steps.append(len(l))
+        return real_colpa(l)
+
+    monkeypatch.setattr(meanfield, "_newton", count_newton)
+    monkeypatch.setattr(numerics, "colpa", count_colpa)
+    exponent_report(theta)
+    assert newton == steps and len(newton) == 1
+    assert newton[0] >= _REPORT_POINTS
 
 
 def test_solve_matches_mpmath_on_each_call_shape():
@@ -404,7 +501,7 @@ def test_float64_observables_match_fifty_digits(monkeypatch, theta):
         jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
         with monkeypatch.context() as patch, working():
             patch.setattr(bogoliubov, "residual_jacobian",
-                          lambda q, disp: DEC.num(jac))
+                          lambda q, disp, g=None: DEC.num(jac))
             want = point_observables(p, DEC.num(x))
         for key in keys:
             assert np.asarray(got[key]) == pytest.approx(want[key],

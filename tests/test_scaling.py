@@ -288,6 +288,31 @@ def test_report_evaluates_one_grid_per_row(monkeypatch, theta, n_deltas):
     assert len(asked) == len(set(asked)) == n_deltas
 
 
+def assert_same_floats(a, b):
+    for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p",
+                "var_x_modes"):
+        assert np.array_equal(a[key], b[key]), key
+
+
+def test_deep_row_does_not_depend_on_the_other_rows():
+    # every 50-digit root is polished from the same float64 root at the
+    # split, so asking for more deltas leaves each deep row as it is
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.2, theta=0.0)
+    assert_same_floats(observables_near(base, [3e-12])[3e-12],
+                       observables_near(base, [3e-12, 9e-5])[3e-12])
+
+
+@pytest.mark.parametrize("delta, j_hop", [(100.0, 0.05), (400.0, 0.02)])
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.7])
+def test_report_window_rows_match_single_delta_calls(delta, j_hop, theta):
+    base = ModelParams(omega=1.0, delta=delta, g1=0.1, j_hop=j_hop,
+                       theta=theta)
+    grid = _log_grid(scaling._REPORT_WINDOW, scaling._REPORT_POINTS)
+    window = observables_near(base, grid)
+    for d in grid:
+        assert_same_floats(window[d], observables_near(base, [d])[d])
+
+
 def test_exponent_report_default_base():
     rep = exponent_report(1.7)
     assert rep.params.delta == 100.0 and rep.params.j_hop == 0.05
