@@ -52,9 +52,8 @@ import numpy as np
 from . import numerics
 from .errors import CriticalPointError, DomainError, InstabilityError
 from .meanfield import Displacement, residual_jacobian
-from .model import MOMENTA, ModelParams
-from .np_analytics import (local_photon_np, mode, variance_p_np,
-                           variance_x_np)
+from .model import ModelParams
+from .np_analytics import local_moments
 
 _OMEGA = np.kron([[0, 1], [-1, 0]], np.eye(3, dtype=int))   # Om
 
@@ -183,10 +182,9 @@ def point_observables(params: ModelParams, root: np.ndarray | None = None,
     var_x_modes does not depend on the basis chosen inside the group.
     """
     if root is None:
-        n, vx, vp = (np.full(3, f(params)) for f in
-                     (local_photon_np, variance_x_np, variance_p_np))
-        eps, lam = zip(*sorted((m.epsilon, m.lambda_q) for m in
-                               (mode(params, q) for q in MOMENTA)))
+        modes, *moments = local_moments(params)
+        n, vx, vp = (np.full(3, v) for v in moments)
+        eps, lam = zip(*sorted((m.epsilon, m.lambda_q) for m in modes))
         vx_modes = np.tile(np.exp(4 * np.array(lam)) / 3, (3, 1))
     else:
         disp = Displacement(a=root[..., :3], b=root[..., 3:])

@@ -84,14 +84,19 @@ class Trajectory:
     n_max: int
 
 
-def _fock_table(basis: FockBasis) -> np.ndarray:
+def _fock_table(basis: FockBasis, index: np.ndarray | None = None
+                ) -> np.ndarray:
     """Rows n_1, n_2, n_3, s_1, s_2, s_3 (photon numbers, then spin bits
-    with 0 = up) of every basis index ((n1 d + n2) d + n3) 8 + s."""
+    with 0 = up) of every basis index ((n1 d + n2) d + n3) 8 + s, or of
+    each of the indices given."""
     d = basis.n_max + 1
-    return np.array(np.unravel_index(np.arange(basis.dim), (d,) * 3 + (2,) * 3))
+    return np.array(np.unravel_index(
+        np.arange(basis.dim) if index is None else index, (d,) * 3 + (2,) * 3))
 
 
-def build_full_hamiltonian(params: ModelParams, basis: FockBasis) -> sp.csr_matrix:
+def build_full_hamiltonian(params: ModelParams, basis: FockBasis,
+                           states: np.ndarray | None = None
+                           ) -> sp.csr_matrix:
     """Sparse Hamiltonian: cavity energies, Rabi couplings, (delta/2) sigma_z
     per site, and the phase-dressed ring hopping, as CSR.
 
@@ -100,32 +105,43 @@ def build_full_hamiltonian(params: ModelParams, basis: FockBasis) -> sp.csr_matr
     to the one with a photon fewer at that site and its spin flipped; and
     each forward bond J e^{i theta} a_{n+1}^dag a_n, whose conjugate is the
     reverse link. Zero entries are not stored.
+
+    With `states`, ascending basis indices that H maps into their own span
+    (a union of excitation-parity sectors), H is built on that span alone:
+    only its rows are generated, and row and column i stand for the basis
+    index states[i]. It equals the full H restricted to those rows and
+    columns, entry for entry.
     """
     import scipy.sparse as sp
 
     w, half, j, th = params.omega, 0.5 * params.delta, params.j_hop, params.theta
     g = bare_coupling(params)
-    table = _fock_table(basis)
+    index = np.arange(basis.dim) if states is None else np.asarray(states)
+    table = _fock_table(basis, index)
+    at = np.arange(len(index))
+    pos = np.zeros(basis.dim, dtype=at.dtype)   # the row of each index
+    pos[index] = at
     stride = (8 * (basis.n_max + 1) ** 2, 8 * (basis.n_max + 1), 8, 4, 2, 1)
     eith = complex(math.cos(th), math.sin(th))
-    src, diag = np.arange(basis.dim), np.zeros(basis.dim)
-    rows, cols, vals = [src], [src], []
+    diag = np.zeros(len(index))
+    rows, cols, vals = [at], [at], []
     for n in range(3):
         # omega n then sigma_z, site by site: this order fixes the rounding
         diag = diag + w * table[n] + np.where(table[3 + n] == 0, half, -half)
-        i = src[table[n] > 0]
-        flip = i - stride[n] + stride[3 + n] * (1 - 2 * table[3 + n][i])
+        i = at[table[n] > 0]
+        flip = pos[index[i] - stride[n]
+                   + stride[3 + n] * (1 - 2 * table[3 + n][i])]
         rabi = g * np.sqrt(table[n][i])
         m = (n + 1) % 3
         k = i[table[m][i] < basis.n_max]
         hop = j * (eith * (np.sqrt(table[m][k] + 1) * np.sqrt(table[n][k])))
-        out = k - stride[n] + stride[m]
+        out = pos[index[k] - stride[n] + stride[m]]
         rows += [i, flip, out, k]
         cols += [flip, i, k, out]
         vals += [rabi, rabi, hop, hop.conj()]
     h = sp.csr_matrix((np.concatenate([diag, *vals]),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(basis.dim, basis.dim))
+                      shape=(len(index), len(index)))
     h.eliminate_zeros()
     return h
 
@@ -250,7 +266,7 @@ def evolve(params: ModelParams, basis: FockBasis, t_final: float,
     parity = table.sum(axis=0) % 2
     psi = initial_state(basis)
     sector = np.flatnonzero(parity == parity[np.flatnonzero(psi)[0]])
-    h = build_full_hamiltonian(params, basis)[sector][:, sector]
+    h = build_full_hamiltonian(params, basis, sector)
     lo, hi = _spectral_bounds(h)
     c, r = 0.5 * (hi + lo), max(0.5 * (hi - lo), np.finfo(float).tiny)
     if not (math.isfinite(c) and math.isfinite(r)):

@@ -53,6 +53,13 @@ _HOP = np.eye(3)[_NXT] + np.eye(3)[_PRV]
 _TWIST = np.eye(3)[_NXT] - np.eye(3)[_PRV]
 _DIAG = np.arange(3)    # an index array: fancy indexing by range() is slower
 _HALVINGS = 0.5 ** np.arange(1, 30)[:, None]    # Newton backtracking steps
+# the symmetry orbit of a root x, up to six exact roots of equal energy:
+# x[_ROTATIONS[s]] relabels the sites cyclically,
+# (A, B) -> (np.roll(A, s), np.roll(B, s)), and _SIGNS keeps or flips the
+# sign of the whole root
+_ROTATIONS = np.array([[(n - s) % 3 + h for h in (0, 3) for n in range(3)]
+                       for s in range(3)])
+_SIGNS = np.array([1.0, -1.0])[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +134,10 @@ def residual_jacobian(params: ModelParams, disp: Displacement,
     return jac
 
 
-def ground_energy_mf(params: ModelParams, disp: Displacement) -> float:
-    """Mean-field energy of a displacement configuration.
+def ground_energy_mf(params: ModelParams,
+                     disp: Displacement) -> float | np.ndarray:
+    """Mean-field energy of a displacement configuration, or an array of
+    them for a stack of displacements.
 
     omega*sum|alpha|^2 + hopping bilinear - sum Delta_n/2. The hopping sum
     is real: each bond contributes 2*Re[e^{i theta} alpha_{n+1}^* alpha_n].
@@ -137,10 +146,12 @@ def ground_energy_mf(params: ModelParams, disp: Displacement) -> float:
     nb = numerics.of(params.omega, disp.a, disp.b)
     a, b = np.asarray(disp.a), np.asarray(disp.b)
     dn = _gaps(params, a, bare_coupling(params))
-    an, bn = a[_NXT], b[_NXT]
+    an, bn = a[..., _NXT], b[..., _NXT]
     ct, st = nb.cos(th), nb.sin(th)
-    hop = 2 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st)
-    return float(w * np.sum(a * a + b * b) + hop - np.sum(dn) / 2)
+    hop = 2 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st,
+                         axis=-1)
+    e = w * np.sum(a * a + b * b, axis=-1) + hop - np.sum(dn, axis=-1) / 2
+    return float(e) if np.ndim(e) == 0 else e
 
 
 def fsp_closed_form(params: ModelParams) -> Displacement:
@@ -214,49 +225,53 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
     g = bare_coupling(params) if g is None else g
     shared = np.ndim(g) == 0            # one coupling, or a column of them
     r = residuals(params, _disp(x), g)
+    rn = np.max(np.abs(r), axis=-1)     # max|r| of each row, kept with r
     mu = nb.num(np.zeros(len(x)))
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
     past = []                            # max|r| of each row, per iteration
     for it in range(_MAX_ITER):
-        rn = np.max(np.abs(r), axis=-1)
         live &= ~(rn <= tol)
         if it >= _STALL:
             live &= rn <= past[it - _STALL] / 2
-        past.append(rn)
+        past.append(rn.copy())
         if not live.any():
             break
         rows = np.flatnonzero(live)
         jac = residual_jacobian(params, _disp(x[rows]),
                                 g if shared else g[rows])
         reg = mu[rows] != 0
-        jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
+        if reg.any():
+            jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
         step, regular = _solve_rows(nb, jac, -r[rows])
-        sing = rows[~regular]
-        mu[sing] = np.maximum(10 * mu[sing], nb.num(1e-12))
-        rows, step = rows[regular], step[regular]
+        if not regular.all():
+            sing = rows[~regular]
+            mu[sing] = np.maximum(10 * mu[sing], nb.num(1e-12))
+            rows, step = rows[regular], step[regular]
         # backtracking on the residual norm: the full step, then for the
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
         # of which each row takes the first that lowers max|r|
         xt = x[rows] + step
         rt = residuals(params, _disp(xt), g if shared else g[rows])
-        ok = np.max(np.abs(rt), axis=-1) < rn[rows]
+        rnt = np.max(np.abs(rt), axis=-1)
+        ok = rnt < rn[rows]
         back = np.flatnonzero(~ok)
         if len(back):
             xh = x[rows[back], None] + nb.num(_HALVINGS) * step[back, None]
             rh = residuals(params, _disp(xh),
                            g if shared else g[rows[back], None])
-            lower = np.max(np.abs(rh), axis=-1) < rn[rows[back], None]
-            first = np.argmax(lower, axis=1)
-            xt[back] = xh[range(len(back)), first]
-            rt[back] = rh[range(len(back)), first]
+            rnh = np.max(np.abs(rh), axis=-1)
+            lower = rnh < rn[rows[back], None]
+            first = range(len(back)), np.argmax(lower, axis=1)
+            xt[back], rt[back], rnt[back] = xh[first], rh[first], rnh[first]
             ok[back] = lower.any(axis=1)
-        good, bad = rows[ok], rows[~ok]
-        x[good], r[good] = xt[ok], rt[ok]
+        good = rows[ok]
+        x[good], r[good], rn[good] = xt[ok], rt[ok], rnt[ok]
         mu[good] /= 4
-        mu[bad] = np.where(mu[bad] == 0, nb.num(1e-10), mu[bad] * 100)
-        live[bad[mu[bad] > 1e6]] = False
-    conv = np.max(np.abs(r), axis=-1) <= tol
-    out = [xi if ci else None for xi, ci in zip(x, conv)]
+        if not ok.all():
+            bad = rows[~ok]
+            mu[bad] = np.where(mu[bad] == 0, nb.num(1e-10), mu[bad] * 100)
+            live[bad[mu[bad] > 1e6]] = False
+    out = [xi if ci else None for xi, ci in zip(x, rn <= tol)]
     return out if np.ndim(x0) == 2 else out[0]
 
 
@@ -298,14 +313,6 @@ def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
     return seeds
 
 
-def _orbit(x: np.ndarray) -> list[np.ndarray]:
-    """The symmetry orbit of a root under cyclic relabeling and the global
-    sign flip (A, B) -> (-A, -B): up to six exact roots of equal energy."""
-    a, b = x[:3], x[3:]
-    return [sgn * np.concatenate([np.roll(a, shift), np.roll(b, shift)])
-            for shift in range(3) for sgn in (1.0, -1.0)]
-
-
 def at_critical_point(delta: float, g1c: float) -> bool:
     """Whether g1 = g1c (1 + delta) lies within 1e-12 of g1c, where the
     soft mode makes the fluctuations singular."""
@@ -326,29 +333,31 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
         raise DomainError(
             f"g/omega={g} and Delta/omega={params.delta} overflow the "
             "mean-field equations in float64")
-    roots = np.empty((0, 6))
-    for x in _newton(params, np.array(_seed_list(params, seed)), _NEWTON_TOL):
-        # np.allclose(x, root, atol=1e-8) against every kept root at once
-        if x is not None and not np.any(np.all(
-                np.abs(x - roots) <= 1e-8 + 1e-5 * np.abs(roots), axis=1)):
-            roots = np.vstack([roots, x])
-    if not len(roots):
+    xs = np.array([x for x in _newton(params, np.array(
+        _seed_list(params, seed)), _NEWTON_TOL) if x is not None])
+    if not len(xs):
         raise ConvergenceError(
             f"no mean-field root converged to {_NEWTON_TOL} at g1={params.g1}, "
             f"theta={params.theta}")
-
-    scored = []
-    for x in roots:
-        e = ground_energy_mf(params, _disp(x))
-        scored.append((e, x))
-    scored.sort(key=lambda t: t[0])
-    e_min = scored[0][0]
-    tied = [x for e, x in scored if e - e_min <= 1e-10 * params.delta]
+    # close[i][j]: np.allclose(xs[i], xs[j], atol=1e-8); each converged row
+    # is kept unless it is close to a root kept before it
+    close = np.all(np.abs(xs[:, None] - xs) <= 1e-8 + 1e-5 * np.abs(xs),
+                   axis=-1).tolist()
+    keep = []
+    for i, row in enumerate(close):
+        if not any(row[k] for k in keep):
+            keep.append(i)
+    roots = xs[keep]
+    energy = ground_energy_mf(params, _disp(roots))
+    order = np.argsort(energy, kind="stable")
+    e = energy[order]
+    tied = roots[order][e - e[0] <= 1e-10 * params.delta]
     # canonical labeling: the lexicographically largest orbit member of any
     # tied root, keyed at the root-identity scale (1e-8, the dedup
-    # tolerance) so Newton noise cannot decide a tie
-    return max((c for x in tied for c in _orbit(x)),
-               key=lambda c: tuple(np.round(c, 8)))
+    # tolerance) so Newton noise cannot decide a tie; the first on a tie
+    orbit = (tied[:, _ROTATIONS][:, :, None] * _SIGNS).reshape(-1, 6)
+    key = np.round(orbit, 8).tolist()
+    return orbit[max(range(len(key)), key=key.__getitem__)]
 
 
 def _ladder(anchor: float, need: list[float]) -> list[float]:

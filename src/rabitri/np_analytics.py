@@ -97,23 +97,37 @@ def excitation_energies(params: ModelParams) -> list[float]:
     return sorted(m.epsilon for m in _modes(params))
 
 
+def local_moments(params: ModelParams
+                  ) -> tuple[list[MomentumMode], float, float, float]:
+    """The modes at the three momenta, and the site-local photon number,
+    (delta x)^2 and (delta p)^2 they give (see `local_photon_np`,
+    `variance_x_np` and `variance_p_np`), once params are checked to lie
+    below the critical coupling."""
+    modes = _modes(params)
+    n = sum(m.Omega_plus / (2.0 * m.epsilon - m.Omega_minus) - 1.0
+            for m in modes) / 6.0
+    vx = sum(math.exp(4.0 * m.lambda_q) for m in modes) / 3.0
+    vp = sum(math.exp(-4.0 * m.lambda_q) for m in modes) / 3.0
+    return modes, n, vx, vp
+
+
 def local_photon_np(params: ModelParams) -> float:
     """Site-local mean photon number (site independent in the NP).
 
     (1/2N) sum_q [Omega_plus,q / (2 eps_q - Omega_minus,q) - 1].
     """
-    return sum(m.Omega_plus / (2.0 * m.epsilon - m.Omega_minus) - 1.0
-               for m in _modes(params)) / 6.0
+    return local_moments(params)[1]
 
 
 def variance_x_np(params: ModelParams) -> float:
     """Local (delta x)^2 with x = a + a^dagger: (1/N) sum_q exp(4 lambda_q)."""
-    return sum(math.exp(4.0 * m.lambda_q) for m in _modes(params)) / 3.0
+    return local_moments(params)[2]
 
 
 def variance_p_np(params: ModelParams) -> float:
-    """Local (delta p)^2 with p = i(a^dagger - a)."""
-    return sum(math.exp(-4.0 * m.lambda_q) for m in _modes(params)) / 3.0
+    """Local (delta p)^2 with p = i(a^dagger - a): (1/N) sum_q
+    exp(-4 lambda_q)."""
+    return local_moments(params)[3]
 
 
 def ground_energy_np(params: ModelParams) -> float:
@@ -130,9 +144,6 @@ def ground_energy_np(params: ModelParams) -> float:
 
 def observables_np(params: ModelParams) -> NpObservables:
     """Convenience bundle of the four NP observables."""
-    return NpObservables(
-        photon_number=local_photon_np(params),
-        var_x=variance_x_np(params),
-        var_p=variance_p_np(params),
-        ground_energy=ground_energy_np(params),
-    )
+    _, n, vx, vp = local_moments(params)
+    return NpObservables(photon_number=n, var_x=vx, var_p=vp,
+                         ground_energy=ground_energy_np(params))

@@ -8,8 +8,8 @@ per transition (ring-symmetric, chiral, uniform, and the triple point).
 Every point is evaluated by `bogoliubov.point_observables`: below the
 transition from the normal-phase closed forms (float64 suffices down to
 delta ~ 1e-11 with the factored gap expression), above around the roots of
-`meanfield.continued_roots`, the float64 ones (delta >= 1e-4) one by one
-and all 50-digit ones as one stack, in one Colpa step.
+`meanfield.continued_roots` in one stack per precision: the float64 ones
+(delta >= 1e-4) in one Colpa step, and all 50-digit ones in another.
 
 Fit windows: every report row is fitted on one asymptotic window,
 delta in [1e-9, 1e-6]. There the local slope d log y / d log delta has
@@ -159,9 +159,11 @@ def observables_near(base: ModelParams, deltas: list[float],
 
     Points below the transition come from the closed forms, all points
     above from one root continuation (`meanfield.continued_roots`) whose
-    anchor the mean-field multi-start finds with the given seed. Keys are
-    the deltas as given. The points are computed in units of omega, and
-    the gaps returned in the unit of base.
+    anchor the mean-field multi-start finds with the given seed, evaluated
+    as one stacked `point_observables` call per precision (the float64
+    roots, then the 50-digit ones; each row equals the call on its root
+    alone). Keys are the deltas as given. The points are computed in units
+    of omega, and the gaps returned in the unit of base.
     """
     p = in_omega_units(base)
     g1c = critical_coupling_min(p)
@@ -175,16 +177,16 @@ def observables_near(base: ModelParams, deltas: list[float],
     above = [d for d in deltas if d > 0.0]
     if above:
         roots = continued_roots(p, above, seed)
-        deep = [d for d, (q, x) in roots.items()
-                if numerics.of(x) is numerics.DEC]
-        out.update({d: point_observables(q, x) for d, (q, x) in roots.items()
-                    if d not in deep})
-        if deep:        # rings that differ only in g1: one stack
-            qs = [roots[d][0] for d in deep]
-            with numerics.working():
-                out.update(zip(deep, point_observables(
-                    qs[0], np.array([roots[d][1] for d in deep]),
-                    np.array([[bare_coupling(q)] for q in qs]))))
+        # rings that differ only in g1: one stack per precision (the
+        # decimal context sets the 50-digit one's and leaves float64 alone)
+        for prec in (numerics.F64, numerics.DEC):
+            ds = [d for d, (q, x) in roots.items() if numerics.of(x) is prec]
+            if ds:
+                qs = [roots[d][0] for d in ds]
+                with numerics.working():
+                    out.update(zip(ds, point_observables(
+                        qs[0], np.array([roots[d][1] for d in ds]),
+                        np.array([[bare_coupling(q)] for q in qs]))))
     for obs in out.values():
         obs.update({k: obs[k] * base.omega for k in ("eps1", "eps2", "eps3")})
     return out

@@ -213,6 +213,73 @@ def test_runs_are_reproducible(monkeypatch, tmp_path):
     assert (tmp_path / "mf.csv").read_bytes() == first
 
 
+# every line after the resolved-config line of three scan-path calls, as
+# written at `.17g`: the cold multi-start, the float64 continuation and
+# the stacked Bogoliubov step may be made cheaper, never different
+_FROZEN_OUTPUT = {
+    ('fluctuations', '--theta', '0.5', '--points', '6', '--seed', '4'): [
+        '# g1c = 0.48844597766361819',
+        'g1,n1,n2,n3,vx1,vx2,vx3,vp1,vp2,vp3,eps1,eps2',
+        '0.46402367878043727,0.30230803553338426,0.30230803553338426,'
+        '0.30230803553338426,2.847155097137636,2.847155097137636,'
+        '2.847155097137636,0.36207704499590121,0.36207704499590121,'
+        '0.36207704499590121,0.25962349274429364,0.342662431875149',
+        '0.47379259833370962,0.4509206384471624,0.4509206384471624,'
+        '0.4509206384471624,3.4999440032890958,3.4999440032890958,'
+        '3.4999440032890958,0.30373855049955462,0.30373855049955462,'
+        '0.30373855049955462,0.19438149004179081,0.2774204291726462',
+        '0.48356151788698198,0.90853843430875625,0.90853843430875625,'
+        '0.90853843430875625,5.4110572723701473,5.4110572723701473,'
+        '5.4110572723701473,0.22309646486487844,0.22309646486487844,'
+        '0.22309646486487844,0.099482257850468575,0.18252119698132394',
+        '0.4933304374402544,1.8968305663733629,2.0123080349882989,'
+        '2.012308034988298,3.7284618915242209,8.0581721365924963,'
+        '8.0581721365924928,0.30197842335659192,0.18414632026150157,'
+        '0.18414632026150166,0.067111653050027961,0.20119241979810382',
+        '0.5030993569935267,4.2212344805788913,2.338006069510759,'
+        '2.338006069510759,2.3935169223424397,3.7762853236736733,'
+        '3.7762853236736729,0.43056942035035689,0.28309637512941277,'
+        '0.28309637512941294,0.1940418291410152,0.31729300260914667',
+        '0.51286827654679912,6.5529942135422399,3.7711675706105581,'
+        '3.7711675706105581,1.9864306174960449,2.7750757140515745,'
+        '2.7750757140515736,0.50987190545086247,0.36863880867455379,'
+        '0.36863880867455401,0.29039650262163791,0.40138489975957653',
+    ],
+    ('spectrum', '--theta', '2.0', '--points', '6', '--seed', '2'): [
+        '# g1c = 0.48948578026978623',
+        'g1,eps1,eps2,eps3',
+        '0.46501149125629687,0.29925571911353643,0.32013562566046383,'
+        '0.47763055990583625',
+        '0.47480120686169264,0.2329881814643128,0.26987836933643017,'
+        '0.42737330358180259',
+        '0.48459092246708835,0.13519688624471529,0.20967854517788007,'
+        '0.36717347942325251',
+        '0.49438063807248411,0.18931362288239506,0.24046223721630336,'
+        '0.39795717146167564',
+        '0.50417035367787988,0.32003892848696008,0.33696513530857497,'
+        '0.49446006955394722',
+        '0.51396006928327553,0.40354455144856455,0.40825949029953401,'
+        '0.56575442454490632',
+    ],
+    ('meanfield', '--theta', '0', '--seed', '3'): [
+        '# phase = antiferromagnetic',
+        '# energy = -162.28577118906318',
+        '# residual_norm = 2.1302404284995191e-15',
+        'site,A,B',
+        '1,5.0760036587939981,0',
+        '2,-4.3834336285020408,-1.4581278365932305e-86',
+        '3,-4.3834336285020372,-2.9531703019609727e-87',
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(_FROZEN_OUTPUT))
+def test_scan_path_output_is_frozen(argv):
+    rc, err, lines = run_quiet(list(argv))
+    assert rc == 0 and err == ""
+    assert lines[1:] == _FROZEN_OUTPUT[argv]
+
+
 def test_exponents_csv(monkeypatch, tmp_path, capsys):
     rc = run(monkeypatch, tmp_path, "exponents", "--theta", "1.7",
              "--out", "e.csv")

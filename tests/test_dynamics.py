@@ -106,6 +106,24 @@ def test_hamiltonian_hermitian():
     assert abs(h - h.conj().T).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n_max", [2, 4])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_sector_hamiltonian_is_the_full_one_restricted(n_max, theta):
+    # `evolve` builds its parity sector's rows alone; the CSR arrays must
+    # be those of the full H sliced to the sector, so the trajectory keeps
+    # its bits
+    basis = FockBasis(n_max=n_max)
+    parity = dynamics._fock_table(basis).sum(axis=0) % 2
+    full = build_full_hamiltonian(dyn_params(theta), basis)
+    for side in (0, 1):
+        sector = np.flatnonzero(parity == side)
+        want = full[sector][:, sector]
+        got = build_full_hamiltonian(dyn_params(theta), basis, sector)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
 def test_hamiltonian_conserves_excitation_number_at_extreme_detuning():
     # counter-rotating terms couple different total-excitation sectors; a

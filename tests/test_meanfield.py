@@ -392,3 +392,39 @@ def test_slow_start_that_keeps_halving_converges(monkeypatch):
     assert np.max(np.abs(residuals(p, Displacement(a=x[:3], b=x[3:])))) <= tol
     monkeypatch.setattr(meanfield, "_STALL", meanfield._MAX_ITER)
     assert np.array_equal(_newton(p, x0, tol), x)
+
+
+def _loop_multistart(p, seed):
+    """The multi-start's root choice written as loops over the Newton batch
+    (dedup against the kept roots, energies sorted one by one, the largest
+    member of np.roll orbits), the reference of `meanfield._multistart`."""
+    roots = np.empty((0, 6))
+    for x in _newton(p, np.array(_seed_list(p, seed)), meanfield._NEWTON_TOL):
+        if x is not None and not np.any(np.all(
+                np.abs(x - roots) <= 1e-8 + 1e-5 * np.abs(roots), axis=1)):
+            roots = np.vstack([roots, x])
+    scored = sorted(((ground_energy_mf(p, Displacement(a=x[:3], b=x[3:])), x)
+                     for x in roots), key=lambda t: t[0])
+    tied = [x for e, x in scored if e - scored[0][0] <= 1e-10 * p.delta]
+    orbit = [sgn * np.concatenate([np.roll(x[:3], shift),
+                                   np.roll(x[3:], shift)])
+             for x in tied for shift in range(3) for sgn in (1.0, -1.0)]
+    return max(orbit, key=lambda c: tuple(np.round(c, 8)))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, -1.7])
+def test_multistart_equals_its_loop_reference(theta):
+    for ratio in (1.05, 1.5):
+        for j_hop in (0.02, 0.2):
+            g1c = critical_coupling_min(params(theta=theta, j_hop=j_hop))
+            p = params(theta=theta, g1=ratio * g1c, j_hop=j_hop)
+            for seed in (0, 4):
+                assert np.array_equal(meanfield._multistart(p, seed),
+                                      _loop_multistart(p, seed))
+            # a stack of displacements gets the energy of each alone
+            x = np.array(_seed_list(p, 0))
+            stacked = ground_energy_mf(p, Displacement(a=x[:, :3],
+                                                       b=x[:, 3:]))
+            assert stacked.tolist() == [
+                ground_energy_mf(p, Displacement(a=r[:3], b=r[3:]))
+                for r in x]

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from rabitri import DomainError, ModelParams
+from rabitri.bogoliubov import point_observables
 from rabitri.model import MOMENTA, TWO_THIRDS_PI, critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, mode, observables_np,
@@ -150,3 +152,20 @@ def test_observables_bundle_matches_parts():
     assert obs.var_x == variance_x_np(p)
     assert obs.var_p == variance_p_np(p)
     assert obs.ground_energy == ground_energy_np(p)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.7, math.pi])
+@pytest.mark.parametrize("ratio", [0.5, 0.999])
+def test_closed_form_point_observables_are_the_public_functions(theta,
+                                                                ratio):
+    # point_observables below g1c computes the three modes once; every
+    # value must equal the public closed form's, bit for bit
+    g1c = critical_coupling_min(params(theta=theta))
+    p = params(theta=theta, g1=ratio * g1c)
+    obs = point_observables(p)
+    for key, f in (("photon_n", local_photon_np), ("var_x", variance_x_np),
+                   ("var_p", variance_p_np)):
+        assert np.array_equal(obs[key], np.full(3, f(p))), key
+    eps = sorted(mode(p, q).epsilon for q in MOMENTA)
+    assert [obs["eps1"], obs["eps2"], obs["eps3"]] == eps
+    assert excitation_energies(p) == eps

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
+from rabitri.bogoliubov import point_observables
 import rabitri.meanfield as meanfield
 from rabitri.meanfield import _ladder
-from rabitri.model import critical_flux
+from rabitri.model import bare_coupling, critical_flux
 from rabitri.cli import main
 import rabitri.scaling as scaling
 from rabitri.scaling import (SweepSpec, _entry, _log_grid, exponent_report,
@@ -292,6 +293,27 @@ def assert_same_floats(a, b):
     for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p",
                 "var_x_modes"):
         assert np.array_equal(a[key], b[key]), key
+
+
+@pytest.mark.parametrize("theta, deltas", [
+    # the chiral var_x band of the report, and the superradiant points of
+    # the `fluctuations` and `spectrum` scans (g1/g1c = 1.01, 1.03, 1.05)
+    (0.1, _log_grid(scaling._CROSSOVER_WINDOWS[
+        ("csp", "above", "var_x", 1)], scaling._REPORT_POINTS)),
+    *((theta, [float(r) - 1.0 for r in np.linspace(0.95, 1.05, 6)[3:]])
+      for theta in (0.0, 0.5, 2.0))])
+def test_float64_stack_equals_the_point_by_point_calls(theta, deltas):
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05,
+                       theta=theta)
+    roots = meanfield.continued_roots(base, deltas)
+    qs = [roots[d][0] for d in deltas]
+    stack = point_observables(qs[0], np.array([roots[d][1] for d in deltas]),
+                              np.array([[bare_coupling(q)] for q in qs]))
+    near = observables_near(base, deltas)
+    for d, row in zip(deltas, stack):
+        alone = point_observables(*roots[d])
+        assert_same_floats(row, alone)
+        assert_same_floats(near[d], alone)
 
 
 def test_deep_row_does_not_depend_on_the_other_rows():
