@@ -13,6 +13,11 @@ dropped tail below 1e-15. The series is truncated, not unitary, so the
 norm column (the sector norm, equal to the full norm) is the accuracy
 witness.
 
+The entries of H are written once: `_links` gives the links of a set of
+basis indices (Rabi and hop, with their sqrt factors) and `_link_values`
+their values at given params; `build_full_hamiltonian` (complex CSR) and
+the ground solve both read these two.
+
 `exact_ground_energy` uses the one antiunitary symmetry the flux leaves,
 the theta -> -theta mirror with the 2<->3 swap P23: the real symmetric
 Re H - P23 Im H = W^dag H W, with W = ((1 + i) + (1 - i) P23)/2 unitary,
@@ -20,7 +25,13 @@ has the spectrum of H, and an unrestarted Lanczos recurrence finds its
 lowest level over every parity and ring-momentum sector: it stops when the
 residual bound of the lowest Ritz pair is a small multiple of eps ||H||, and
 since lost orthogonality only repeats converged Ritz values (Paige, Linear
-Algebra Appl. 34, 235 (1980)), it needs no stored basis.
+Algebra Appl. 34, 235 (1980)), it needs no stored basis. The real form is
+scattered from a template that each `FockBasis` caches on first use and
+keeps as long as it lives (its CSR pattern, the link that gives each
+entry's Re and Im part, the occupation table, the links' sqrt factors and
+the start vector: about 240 bytes per basis dimension at n_max = 8 and at
+most 300 at any n_max), so a call builds no complex H and sorts nothing.
+Its Ritz pairs come from LAPACK's dstebz and dstein, called directly.
 
 scipy is imported by the functions that build or solve a sparse H, on
 their first call, so the rest of the package runs without it: `evolve`
@@ -28,10 +39,12 @@ loads scipy.sparse, and `exact_ground_energy` scipy.linalg as well.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -62,17 +75,37 @@ _LANCZOS_CAP = 10
 
 @dataclass(frozen=True)
 class FockBasis:
+    """The truncated product basis: photon numbers 0..n_max per cavity, two
+    spin states per atom, dimension 8 (n_max + 1)^3.
+
+    n_max is any integer >= 1 (`operator.index`, so numpy integers too, and
+    stored as an int); a bool is refused. The basis caches, on first use by
+    `exact_ground_energy` and for as long as it lives, the template of its
+    real-form Hamiltonian (`_real_form_template`): 111 bytes per basis
+    dimension at n_max = 1, 241 (1.4 MB) at n_max = 8 and at most 300 at any
+    n_max. Equal bases do not share it.
+    """
     n_max: int
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise DomainError(f"n_max must be an integer >= 1, got {self.n_max!r}")
-        dim = (self.n_max + 1) ** 3 * 8
+        try:
+            n_max = operator.index(self.n_max)
+        except TypeError:
+            n_max = 0
+        if isinstance(self.n_max, bool) or n_max < 1:
+            raise DomainError(
+                f"n_max must be an integer >= 1, got {self.n_max!r}")
+        dim = (n_max + 1) ** 3 * 8
         if dim > _DIM_CAP:
             raise ResourceError(
                 f"basis dimension {dim} exceeds the cap {_DIM_CAP}")
+        object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "dim", dim)
+
+    @functools.cached_property
+    def _real_form(self) -> _RealForm:
+        return _real_form_template(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +127,70 @@ def _fock_table(basis: FockBasis, index: np.ndarray | None = None
         np.arange(basis.dim) if index is None else index, (d,) * 3 + (2,) * 3))
 
 
+class _Links(NamedTuple):
+    """The links of H among a set of basis indices, whatever the params:
+    `table` (`_fock_table` of the indices), the (row, column) pairs of the
+    Rabi links, site by site, with their factors sqrt(n), and those of the
+    forward hops a_{n+1}^dag a_n, bond by bond, with their factors
+    sqrt(n_{n+1} + 1) sqrt(n_n). Rows and columns are positions in the set."""
+    table: np.ndarray
+    rabi: np.ndarray        # (2, links)
+    rabi_amp: np.ndarray
+    hop: np.ndarray         # (2, links)
+    hop_amp: np.ndarray
+
+
+def _links(basis: FockBasis, index: np.ndarray | None = None) -> _Links:
+    """The links of H on every basis index, or on the ascending indices given
+    (a set that H maps into its own span): from each index, a Rabi link to
+    the one with a photon fewer at a site and that site's spin flipped, and
+    a forward hop to the one with a photon moved from site n to n + 1."""
+    index = np.arange(basis.dim) if index is None else np.asarray(index)
+    table = _fock_table(basis, index)
+    at = np.arange(len(index))
+    pos = np.zeros(basis.dim, dtype=at.dtype)   # the row of each index
+    pos[index] = at
+    stride = (8 * (basis.n_max + 1) ** 2, 8 * (basis.n_max + 1), 8, 4, 2, 1)
+    rabi, rabi_amp, hop, hop_amp = [], [], [], []
+    for n in range(3):
+        i = at[table[n] > 0]
+        rabi.append((i, pos[index[i] - stride[n]
+                            + stride[3 + n] * (1 - 2 * table[3 + n][i])]))
+        rabi_amp.append(np.sqrt(table[n][i]))
+        m = (n + 1) % 3
+        k = i[table[m][i] < basis.n_max]
+        hop.append((pos[index[k] - stride[n] + stride[m]], k))
+        hop_amp.append(np.sqrt(table[m][k] + 1) * np.sqrt(table[n][k]))
+    return _Links(table, np.hstack(rabi), np.concatenate(rabi_amp),
+                  np.hstack(hop), np.concatenate(hop_amp))
+
+
+def _link_values(params: ModelParams, links) -> tuple[np.ndarray, ...]:
+    """The entries of H at params on the links (any object with the fields
+    `table`, `rabi_amp` and `hop_amp` of `_Links`): the diagonal
+    omega N + (delta/2) sum sigma_z, the Rabi entries g sqrt(n), and the
+    forward hops J e^{i theta} sqrt(n_{n+1} + 1) sqrt(n_n), whose conjugates
+    are the reverse hops."""
+    w, half, j, th = params.omega, 0.5 * params.delta, params.j_hop, params.theta
+    table = links.table
+    diag = np.zeros(table.shape[1])
+    for n in range(3):
+        # omega n then sigma_z, site by site: this order fixes the rounding
+        diag = diag + w * table[n] + np.where(table[3 + n] == 0, half, -half)
+    eith = complex(math.cos(th), math.sin(th))
+    return (diag, bare_coupling(params) * links.rabi_amp,
+            j * (eith * links.hop_amp))
+
+
 def build_full_hamiltonian(params: ModelParams, basis: FockBasis,
                            states: np.ndarray | None = None
                            ) -> sp.csr_matrix:
     """Sparse Hamiltonian: cavity energies, Rabi couplings, (delta/2) sigma_z
     per site, and the phase-dressed ring hopping, as CSR.
 
-    The COO triplets come from the occupation table: the diagonal
-    omega N + (delta/2) sum sigma_z; a Rabi link g sqrt(n) from each index
-    to the one with a photon fewer at that site and its spin flipped; and
-    each forward bond J e^{i theta} a_{n+1}^dag a_n, whose conjugate is the
+    The COO triplets are the entries `_link_values` gives on the links of
+    `_links`: the diagonal, each Rabi link and its transpose, and each
+    forward hop J e^{i theta} a_{n+1}^dag a_n with its conjugate on the
     reverse link. Zero entries are not stored.
 
     With `states`, ascending basis indices that H maps into their own span
@@ -114,36 +201,77 @@ def build_full_hamiltonian(params: ModelParams, basis: FockBasis,
     """
     import scipy.sparse as sp
 
-    w, half, j, th = params.omega, 0.5 * params.delta, params.j_hop, params.theta
-    g = bare_coupling(params)
-    index = np.arange(basis.dim) if states is None else np.asarray(states)
-    table = _fock_table(basis, index)
-    at = np.arange(len(index))
-    pos = np.zeros(basis.dim, dtype=at.dtype)   # the row of each index
-    pos[index] = at
-    stride = (8 * (basis.n_max + 1) ** 2, 8 * (basis.n_max + 1), 8, 4, 2, 1)
-    eith = complex(math.cos(th), math.sin(th))
-    diag = np.zeros(len(index))
-    rows, cols, vals = [at], [at], []
-    for n in range(3):
-        # omega n then sigma_z, site by site: this order fixes the rounding
-        diag = diag + w * table[n] + np.where(table[3 + n] == 0, half, -half)
-        i = at[table[n] > 0]
-        flip = pos[index[i] - stride[n]
-                   + stride[3 + n] * (1 - 2 * table[3 + n][i])]
-        rabi = g * np.sqrt(table[n][i])
-        m = (n + 1) % 3
-        k = i[table[m][i] < basis.n_max]
-        hop = j * (eith * (np.sqrt(table[m][k] + 1) * np.sqrt(table[n][k])))
-        out = pos[index[k] - stride[n] + stride[m]]
-        rows += [i, flip, out, k]
-        cols += [flip, i, k, out]
-        vals += [rabi, rabi, hop, hop.conj()]
-    h = sp.csr_matrix((np.concatenate([diag, *vals]),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(len(index), len(index)))
+    links = _links(basis, states)
+    diag, rabi, hop = _link_values(params, links)
+    at = np.arange(len(diag))
+    (ri, rf), (ho, hk) = links.rabi, links.hop
+    h = sp.csr_matrix((np.concatenate([diag, rabi, rabi, hop, hop.conj()]),
+                       (np.concatenate([at, ri, rf, ho, hk]),
+                        np.concatenate([at, rf, ri, hk, ho]))),
+                      shape=(len(at), len(at)))
     h.eliminate_zeros()
     return h
+
+
+class _RealForm(NamedTuple):
+    """A basis's template of the real form Re H - P23 Im H that
+    `exact_ground_energy` solves, whatever the params: its CSR pattern
+    (`indptr`, `indices`), and for each entry the slots `re` and `im` of
+    the value vector [0, diag, Rabi, Re hop, Im hop, -Im hop] (`_link_values`
+    on the basis's links, in their order) that give its Re H part and the
+    Im H part of its P23 mate row (slot 0: none), so that `data` is
+    values[re] - values[im]; the `table` (as int8), `rabi_amp` and `hop_amp`
+    that `_link_values` reads; and the fixed-seed start vector `v0`."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    table: np.ndarray
+    rabi_amp: np.ndarray
+    hop_amp: np.ndarray
+    v0: np.ndarray
+
+    def data(self, params: ModelParams) -> np.ndarray:
+        """The entries of the real form at params, in the template's order."""
+        diag, rabi, hop = _link_values(params, self)
+        values = np.concatenate(([0.0], diag, rabi, hop.real, hop.imag,
+                                 -hop.imag))
+        return values[self.re] - values[self.im]
+
+
+def _real_form_template(basis: FockBasis) -> _RealForm:
+    """The `_RealForm` of the basis. An entry of Re H - P23 Im H is
+    Re H[i, c] - Im H[P23 i, c]; Im H is nonzero on the hops alone, so the
+    pattern is that of H together with each hop entry (r, c) moved to row
+    P23 r, ordered by row, then column, as a CSR matrix is."""
+    links = _links(basis)
+    n, d = basis.dim, basis.n_max + 1
+    # mate[s] is the index of P23 s
+    mate = np.ravel_multi_index(links.table[[0, 2, 1, 3, 5, 4]],
+                                (d,) * 3 + (2,) * 3)
+    at = np.arange(n)
+    (ri, rf), (ho, hk) = links.rabi, links.hop
+    # slots of the value vector of `_RealForm.data`
+    rabi = 1 + n + np.arange(len(ri))
+    hop_re = 1 + n + len(ri) + np.arange(len(ho))
+    hop_im = hop_re + len(ho)
+    rows = np.concatenate([at, ri, rf, ho, hk, mate[ho], mate[hk]])
+    cols = np.concatenate([at, rf, ri, hk, ho, hk, ho])
+    slot = np.concatenate([1 + at, rabi, rabi, hop_re, hop_re,
+                           hop_im, hop_im + len(ho)])
+    key, entry = np.unique(rows * n + cols, return_inverse=True)
+    real = n + 2 * (len(ri) + len(ho))      # the Re H entries come first
+    re, im = np.zeros((2, len(key)), dtype=np.int32)
+    re[entry[:real]] = slot[:real]
+    im[entry[real:]] = slot[real:]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    form = _RealForm(indptr, (key % n).astype(np.int32), re, im,
+                     links.table.astype(np.int8), links.rabi_amp,
+                     links.hop_amp, np.random.default_rng(0).standard_normal(n))
+    for a in form:
+        a.flags.writeable = False
+    return form
 
 
 def initial_state(basis: FockBasis) -> np.ndarray:
@@ -342,33 +470,56 @@ def chirality_metric(traj: Trajectory) -> float:
     return 1.0 if t2 < t3 else -1.0
 
 
+def _lowest_ritz(alpha: list[float], beta: list[float]) -> tuple[float, float]:
+    """The lowest eigenvalue theta of the symmetric tridiagonal T with
+    diagonal alpha and off-diagonal beta, and the last component of its unit
+    eigenvector: LAPACK's bisection dstebz and inverse iteration dstein, the
+    routines of scipy's eigh_tridiagonal(select="i"), called directly. A
+    1 x 1 T is its own answer. A T that is not finite raises DomainError,
+    and a nonzero LAPACK info ConvergenceError."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if len(alpha) == 1:
+        return alpha[0], 1.0
+    d, e = np.array(alpha), np.array(beta)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise DomainError("H overflows float64 in the Lanczos recurrence")
+    m, w, block, split, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(d, e, w[:m], block, split)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK tridiagonal eigensolver info {info}"
+                               f" at Lanczos step {len(alpha)}")
+    return float(w[0]), float(z[-1, 0])
+
+
 def _lanczos_lowest(h, v0: np.ndarray, tol: float, cap: int) -> float:
     """Lowest eigenvalue of the real symmetric h by the three-term Lanczos
     recurrence from v0, with no stored basis and no reorthogonalization.
 
-    Every _LANCZOS_CHECK steps, and at the cap, the lowest eigenpair
-    (theta, s) of the tridiagonal T_k is taken; the recurrence returns theta
-    when the residual bound |beta_k s_k| is at most tol, and at once when
-    beta_k = 0 (the Krylov space is invariant). More than cap steps raise
-    ConvergenceError. Only h @ x is used.
+    Every _LANCZOS_CHECK steps, and at the cap, the lowest Ritz pair
+    (theta, s) of the tridiagonal T_k is taken (`_lowest_ritz`); the
+    recurrence returns theta when the residual bound |beta_k s_k| is at most
+    tol, and at once when beta_k = 0 (the Krylov space is invariant). More
+    than cap steps raise ConvergenceError. Only h @ x is used; the iterates
+    are updated in place, three vectors and one work vector held.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     alpha, beta = [], []
     q_prev, q, b = np.zeros_like(v0), v0 / np.linalg.norm(v0), 0.0
+    tmp = np.empty_like(q)
     for k in range(1, cap + 1):
-        w = h @ q - b * q_prev
+        w = h @ q
+        w -= np.multiply(q_prev, b, out=tmp)
         a = float(q @ w)
-        w -= a * q
+        w -= np.multiply(q, a, out=tmp)
         b = float(np.linalg.norm(w))
         alpha.append(a)
         beta.append(b)
         if b == 0.0 or k % _LANCZOS_CHECK == 0 or k == cap:
-            theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i",
-                                        select_range=(0, 0))
-            if b * abs(s[-1, 0]) <= tol:
-                return float(theta[0])
-        q_prev, q = q, w / b
+            theta, s = _lowest_ritz(alpha, beta[:-1])
+            if b * abs(s) <= tol:
+                return theta
+        q_prev, q = q, np.divide(w, b, out=q_prev)
     raise ConvergenceError(
         f"ground-state Lanczos did not converge in the cap of {cap} steps")
 
@@ -380,8 +531,14 @@ def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
     P23 the 2<->3 swap of cavities and spins: since A = P23 K (K complex
     conjugation) commutes with H at every flux, it equals W^dag H W for the
     unitary W = ((1 + i) + (1 - i) P23)/2 (Dyson, J. Math. Phys. 3, 1199
-    (1962)). The unrestarted Lanczos recurrence (`_lanczos_lowest`) runs on
-    it from one fixed-seed normal start vector. That vector has weight in
+    (1962)). It is assembled from the basis's cached template
+    (`FockBasis._real_form`, built on the first call and kept as long as the
+    basis, about 240 bytes per basis dimension at n_max = 8): the
+    `_link_values` at these params are scattered into the template's CSR
+    pattern, with no complex H, and its exact zeros are dropped, so the
+    matrix is entry for entry that of the complex route. The unrestarted
+    Lanczos recurrence (`_lanczos_lowest`) runs on it from the template's
+    fixed-seed normal start vector. That vector has weight in
     every excitation-parity and ring-momentum sector, so the result is the
     lowest level over all of them: with flux the ground state need not carry
     momentum 0. The recurrence stops when the residual bound of the lowest
@@ -392,16 +549,19 @@ def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
     that overflows raises DomainError, and more than _LANCZOS_CAP steps per
     basis dimension ConvergenceError.
     """
-    d = basis.n_max + 1
-    # mate[s] is the index of P23 s
-    mate = np.ravel_multi_index(_fock_table(basis)[[0, 2, 1, 3, 5, 4]],
-                                (d,) * 3 + (2,) * 3)
-    h = build_full_hamiltonian(in_omega_units(params), basis)
-    hr = h.real - h.imag[mate]
+    import scipy.sparse as sp
+
+    form = basis._real_form
+    # dropping the zeros that g1 = 0, J = 0 or a real hop leave keeps the
+    # matvec and Gershgorin sums of the complex route, bit for bit; it
+    # compacts the arrays in place, so the pattern is copied
+    hr = sp.csr_matrix((form.data(in_omega_units(params)),
+                        form.indices.copy(), form.indptr.copy()),
+                       shape=(basis.dim, basis.dim))
+    hr.eliminate_zeros()
     lo, hi = _spectral_bounds(hr)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"H overflows float64: enclosure [{lo:.3g}, {hi:.3g}]")
-    v0 = np.random.default_rng(0).standard_normal(basis.dim)
     tol = _LANCZOS_TOL * np.finfo(float).eps * max(-lo, hi)
-    return (_lanczos_lowest(hr, v0, tol, _LANCZOS_CAP * basis.dim)
+    return (_lanczos_lowest(hr, form.v0, tol, _LANCZOS_CAP * basis.dim)
             * params.omega)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -84,6 +85,20 @@ def test_basis_rejects_bad_nmax(bad):
         FockBasis(n_max=bad)
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_basis_rejects_a_bool(bad):
+    # bool is an int subclass; True is no n_max
+    with pytest.raises(DomainError, match="must be an integer"):
+        FockBasis(n_max=bad)
+
+
+@pytest.mark.parametrize("n_max", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_basis_takes_any_integer_and_stores_an_int(n_max):
+    basis = FockBasis(n_max=n_max)
+    assert type(basis.n_max) is int and basis.n_max == 3
+    assert basis == FockBasis(n_max=3) and basis.dim == 512
+
+
 def test_basis_dimension_cap():
     with pytest.raises(ResourceError):
         FockBasis(n_max=50)
@@ -122,6 +137,38 @@ def test_sector_hamiltonian_is_the_full_one_restricted(n_max, theta):
         assert got.shape == want.shape and got.dtype == want.dtype
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+# sha256 of indptr, indices and data (first 16 hex digits, then the dtype)
+# of build_full_hamiltonian(dyn_params(theta), FockBasis(n_max), states) on
+# the full basis (None) and on each parity sector, captured before the
+# Hamiltonian entries moved into _link_values
+_FROZEN_BUILDS = {
+    (2, 0.0, None): ['ec58c3d4a62cae46int32', '4a7e5d30b759ae55int32', '18995ea389b3721fcomplex128'],
+    (2, 0.0, 0): ['90491d38f9161a4aint32', 'c9eb2b9ec23d8731int32', '2fa19c9d1262e29dcomplex128'],
+    (2, 0.0, 1): ['90491d38f9161a4aint32', 'c9eb2b9ec23d8731int32', '6e557afdb54a5350complex128'],
+    (2, math.pi / 2, None): ['ec58c3d4a62cae46int32', '4a7e5d30b759ae55int32', 'b85d2bd13d4f32a3complex128'],
+    (2, math.pi / 2, 0): ['90491d38f9161a4aint32', 'c9eb2b9ec23d8731int32', 'c9dc316aa8b13af9complex128'],
+    (2, math.pi / 2, 1): ['90491d38f9161a4aint32', 'c9eb2b9ec23d8731int32', '3893023b5c6771b8complex128'],
+    (4, 0.0, None): ['e365bb2aac027057int32', 'dbdf2e8f0d6b2edfint32', 'fb54056a48b6ebbacomplex128'],
+    (4, 0.0, 0): ['a2d1dc54de8310f4int32', '955aeb9c8ad49fb4int32', '24afb5e7314d1f0ecomplex128'],
+    (4, 0.0, 1): ['a2d1dc54de8310f4int32', '955aeb9c8ad49fb4int32', 'a6946aa86b71409bcomplex128'],
+    (4, math.pi / 2, None): ['e365bb2aac027057int32', 'dbdf2e8f0d6b2edfint32', 'f10883e3a2a6b288complex128'],
+    (4, math.pi / 2, 0): ['a2d1dc54de8310f4int32', '955aeb9c8ad49fb4int32', '9b67f182d5e2bb96complex128'],
+    (4, math.pi / 2, 1): ['a2d1dc54de8310f4int32', '955aeb9c8ad49fb4int32', 'a32dc4440ee03dcecomplex128'],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FROZEN_BUILDS, key=str))
+def test_hamiltonian_csr_arrays_are_frozen(key):
+    n_max, theta, side = key
+    basis = FockBasis(n_max=n_max)
+    parity = dynamics._fock_table(basis).sum(axis=0) % 2
+    states = None if side is None else np.flatnonzero(parity == side)
+    h = build_full_hamiltonian(dyn_params(theta), basis, states)
+    got = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+           + str(a.dtype) for a in (h.indptr, h.indices, h.data)]
+    assert got == _FROZEN_BUILDS[key]
 
 
 @pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
@@ -459,6 +506,67 @@ def test_exact_ground_energy_matches_dense():
         assert exact_ground_energy(p, basis) == pytest.approx(dense, rel=1e-9)
 
 
+# float.hex of exact_ground_energy, captured before the real-form template
+# replaced the complex build: per n_max, one row per theta of _FROZEN_THETAS,
+# at the points (base, g1 = 0, J = 0, superradiant) of frozen_ground_points
+_FROZEN_THETAS = (0.0, 0.3, math.pi / 2, 2.5, math.pi, -1.0)
+_FROZEN_GROUND = {
+    1: [
+        ('-0x1.2c1e1ca6a819bp+6', '-0x1.2c00000000001p+6', '-0x1.2c1e1ca2d5991p+6', '-0x1.ef363d1883626p+4'),
+        ('-0x1.2c1e1ca6a7ac7p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e1ca2d5991p+6', '-0x1.edf628e8d5537p+4'),
+        ('-0x1.2c1e1ca69fd1dp+6', '-0x1.2c00000000001p+6', '-0x1.2c1e1ca2d5991p+6', '-0x1.ed352505ea68fp+4'),
+        ('-0x1.2c1e1ca6a5fa1p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e1ca2d5991p+6', '-0x1.e9287787d61c1p+4'),
+        ('-0x1.2c1e1ca6aafe6p+6', '-0x1.2c00000000000p+6', '-0x1.2c1e1ca2d5991p+6', '-0x1.e51f0b6c77570p+4'),
+        ('-0x1.2c1e1ca6a3864p+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e1ca2d5991p+6', '-0x1.e8ef69479e9bdp+4'),
+    ],
+    2: [
+        ('-0x1.2c1e68f3a3bb7p+6', '-0x1.2c00000000000p+6', '-0x1.2c1e688ccccfdp+6', '-0x1.f6dea18aec7c9p+4'),
+        ('-0x1.2c1e68eb27fd1p+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e688ccccfdp+6', '-0x1.f440a864db8eep+4'),
+        ('-0x1.2c1e6890ab171p+6', '-0x1.2c00000000000p+6', '-0x1.2c1e688ccccfdp+6', '-0x1.f2f509f12d3ccp+4'),
+        ('-0x1.2c1e68d62e4afp+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e688ccccfdp+6', '-0x1.ed33620e75313p+4'),
+        ('-0x1.2c1e68fe5ae0bp+6', '-0x1.2c00000000001p+6', '-0x1.2c1e688ccccfdp+6', '-0x1.e74ee64ebaeb5p+4'),
+        ('-0x1.2c1e68ae20323p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e688ccccfdp+6', '-0x1.ecb9df3c27027p+4'),
+    ],
+    3: [
+        ('-0x1.2c1e6a0ee12bbp+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a511781p+6', '-0x1.0007c2f8ece91p+5'),
+        ('-0x1.2c1e6a06242d9p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a511781p+6', '-0x1.fd3e61e8f6837p+4'),
+        ('-0x1.2c1e69a8f1001p+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e69a511781p+6', '-0x1.faab2980b8abcp+4'),
+        ('-0x1.2c1e69f089f4bp+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a511781p+6', '-0x1.f4450050cc2bap+4'),
+        ('-0x1.2c1e6a19ec101p+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e69a511781p+6', '-0x1.eb11bff88016dp+4'),
+        ('-0x1.2c1e69c747c8fp+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e69a511781p+6', '-0x1.f1d5e0f1a8048p+4'),
+    ],
+    6: [
+        ('-0x1.2c1e6a11aa9d4p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a7ccf53p+6', '-0x1.0e9d856e2b561p+5'),
+        ('-0x1.2c1e6a08ec545p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a7ccf53p+6', '-0x1.0be103d0ba3e3p+5'),
+        ('-0x1.2c1e69abab831p+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a7ccf53p+6', '-0x1.0a01c6f972e39p+5'),
+        ('-0x1.2c1e69f34eefbp+6', '-0x1.2c00000000001p+6', '-0x1.2c1e69a7ccf53p+6', '-0x1.07cc660b832ddp+5'),
+        ('-0x1.2c1e6a1cb71ffp+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e69a7ccf53p+6', '-0x1.fb45e8ad3d5f6p+4'),
+        ('-0x1.2c1e69ca06b3bp+6', '-0x1.2bfffffffffffp+6', '-0x1.2c1e69a7ccf53p+6', '-0x1.0150c9abfcd7bp+5'),
+    ],
+}
+
+
+def frozen_ground_points(theta):
+    return (dyn_params(theta), dyn_params(theta, g1=0.0),
+            ModelParams(omega=1.0, delta=50.0, g1=0.1, j_hop=0.0, theta=theta),
+            superradiant_params(20.0, 0.4, 1.5, theta))
+
+
+@pytest.mark.parametrize("n_max", sorted(_FROZEN_GROUND))
+def test_exact_ground_energy_bits_are_frozen(n_max):
+    basis = FockBasis(n_max=n_max)
+    got = [tuple(exact_ground_energy(p, basis).hex()
+                 for p in frozen_ground_points(theta))
+           for theta in _FROZEN_THETAS]
+    assert got == _FROZEN_GROUND[n_max]
+
+
+def test_exact_ground_energy_bits_are_frozen_off_the_energy_unit():
+    p = ModelParams(omega=2.0, delta=60.0, g1=0.3, j_hop=0.1, theta=1.1)
+    assert (exact_ground_energy(p, FockBasis(n_max=8)).hex()
+            == '-0x1.6a4d9626c6838p+6')
+
+
 def ground_real_form(p, basis):
     """The real matrix exact_ground_energy hands to the Lanczos recurrence,
     dense, and the energy it returns."""
@@ -504,6 +612,86 @@ def test_ground_real_form_has_the_spectrum_of_h(n_max, theta, j_hop, delta,
     assert energy_mirrored == pytest.approx(energy, rel=1e-12)
 
 
+def parent_real_form(p, basis):
+    """Re H - P23 Im H by the route exact_ground_energy took before its
+    template: the complex H, a row gather and a sparse subtraction."""
+    d = basis.n_max + 1
+    mate = np.ravel_multi_index(dynamics._fock_table(basis)[[0, 2, 1, 3, 5, 4]],
+                                (d,) * 3 + (2,) * 3)
+    h = build_full_hamiltonian(p, basis)
+    return h.real - h.imag[mate]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, -1.0])
+def test_ground_real_form_template_equals_the_complex_route(n_max, theta,
+                                                             monkeypatch):
+    builds, template = [], dynamics._real_form_template
+
+    def counted(basis):
+        builds.append(basis)
+        return template(basis)
+
+    handed, lanczos_lowest = [], dynamics._lanczos_lowest
+
+    def lanczos(h, *args):
+        handed.append(h)
+        return lanczos_lowest(h, *args)
+
+    monkeypatch.setattr(dynamics, "_real_form_template", counted)
+    monkeypatch.setattr(dynamics, "_lanczos_lowest", lanczos)
+    basis = FockBasis(n_max=n_max)
+    for p in (dyn_params(theta), dyn_params(theta, g1=0.0),
+              ModelParams(omega=1.0, delta=50.0, g1=0.1, j_hop=0.0,
+                          theta=theta),
+              superradiant_params(20.0, 0.4, 1.5, theta)):
+        exact_ground_energy(p, basis)
+        got, want = handed[-1], parent_real_form(p, basis)
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got.toarray(), got.toarray().T)
+        # the template keeps the zeros of g1 = 0, J = 0 or theta = 0; the
+        # handed matrix drops them, so its CSR arrays are the parent's
+        assert np.all(got.data != 0)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    # four parameter sets on one basis: one template, kept by the basis
+    assert builds == [basis]
+    assert basis._real_form is basis._real_form
+    exact_ground_energy(dyn_params(theta), FockBasis(n_max=n_max))
+    assert len(builds) == 2
+
+
+def test_ground_template_is_read_only():
+    form = FockBasis(n_max=1)._real_form
+    for a in form:
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 170])
+def test_lowest_ritz_pair_is_eigh_tridiagonals(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        alpha = rng.standard_normal(k) * 10.0
+        beta = np.abs(rng.standard_normal(k - 1))
+        theta, s = sla.eigh_tridiagonal(alpha, beta, select="i",
+                                        select_range=(0, 0))
+        assert dynamics._lowest_ritz(list(alpha), list(beta)) == (
+            theta[0], s[-1, 0])
+
+
+def test_lowest_ritz_pair_raises_typed_errors(monkeypatch):
+    with pytest.raises(DomainError, match="overflows float64"):
+        dynamics._lowest_ritz([1.0, math.inf], [1.0])
+    with pytest.raises(DomainError, match="overflows float64"):
+        dynamics._lowest_ritz([1.0, 2.0], [math.nan])
+    import scipy.linalg.lapack as lapack
+    dstebz = lapack.dstebz
+    monkeypatch.setattr(lapack, "dstebz",
+                        lambda *args: dstebz(*args)[:4] + (2,))
+    with pytest.raises(ConvergenceError, match="info 2"):
+        dynamics._lowest_ritz([1.0, 2.0], [1.0])
+
+
 class CountedProducts:
     """h, counting the products h @ x."""
 
@@ -546,9 +734,12 @@ def test_import_leaves_out_scipy_sparse_linalg():
     env = {**os.environ, "PYTHONPATH": src}
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, rabitri; "
+         "print('scipy.sparse.linalg' in sys.modules); "
+         "p = rabitri.ModelParams(1.0, 50.0, 0.1, 0.05, 0.3); "
+         "rabitri.exact_ground_energy(p, rabitri.FockBasis(n_max=1)); "
          "print('scipy.sparse.linalg' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.split() == ["False", "False"]
 
 
 _SCIPY_FREE_PROBE = """
