@@ -11,9 +11,8 @@ from .model import (MOMENTA, ModelParams, PhaseLabel, bare_coupling,
 from .np_analytics import (MomentumMode, NpObservables, excitation_energies,
                            ground_energy_np, local_photon_np, mode,
                            observables_np, variance_p_np, variance_x_np)
-from .meanfield import (Displacement, MeanFieldSolution, fsp_closed_form,
-                        ground_energy_mf, residual_jacobian, residuals,
-                        solve_displacements)
+from .meanfield import (MeanFieldSolution, fsp_closed_form, ground_energy_mf,
+                        residual_jacobian, residuals, solve_displacements)
 from .bogoliubov import (ParaunitarySolution, build_m_matrix,
                          diagonalize_paraunitary, point_observables)
 from .dynamics import (FockBasis, Trajectory, build_full_hamiltonian,
@@ -34,9 +33,8 @@ __all__ = [
     "MomentumMode", "NpObservables", "excitation_energies",
     "ground_energy_np", "local_photon_np", "mode", "observables_np",
     "variance_p_np", "variance_x_np",
-    "Displacement", "MeanFieldSolution", "fsp_closed_form",
-    "ground_energy_mf", "residual_jacobian", "residuals",
-    "solve_displacements",
+    "MeanFieldSolution", "fsp_closed_form", "ground_energy_mf",
+    "residual_jacobian", "residuals", "solve_displacements",
     "ParaunitarySolution", "build_m_matrix", "diagonalize_paraunitary",
     "point_observables",
     "FockBasis", "Trajectory", "build_full_hamiltonian", "chirality_metric",

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import numerics
 from .errors import CriticalPointError, DomainError, InstabilityError
-from .meanfield import Displacement, residual_jacobian
+from .meanfield import residual_jacobian
 from .model import ModelParams
 from .np_analytics import local_moments
 
@@ -85,19 +85,20 @@ class ParaunitarySolution:
             return float(np.max(np.abs(rec)))
 
 
-def build_m_matrix(params: ModelParams, disp: Displacement) -> np.ndarray:
+def build_m_matrix(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The float64 complex presentation M of the bilinear form around the
-    displacement disp, in the ordered basis {a1, a2, a3, a1^dag, a2^dag,
-    a3^dag}. No code in the package calls it: the Colpa step takes the
-    residual Jacobian J itself (`diagonalize_paraunitary`).
+    displacement x = (A_1..A_3, B_1..B_3), in the ordered basis
+    {a1, a2, a3, a1^dag, a2^dag, a3^dag}. No code in the package calls it:
+    the Colpa step takes the residual Jacobian J itself
+    (`diagonalize_paraunitary`).
 
-    To second order in the shift x = (A, B) the energy is x^T J x, which
-    is psi^dag M psi for psi = (alpha, alpha^*) = U x, U = [[1, i], [1, -i]]
+    To second order in a shift y = (A, B) of x the energy is y^T J y, which
+    is psi^dag M psi for psi = (alpha, alpha^*) = U y, U = [[1, i], [1, -i]]
     in 3x3 blocks, since U^dag U = 2: M = U J U^dag / 4. In the blocks
     J = [[aa, ab], [ba, bb]] the normal block of M is
     (aa + bb + i (ba - ab)) / 4 and, since ba = -ab, the anomalous block is
     the real (aa - bb) / 4."""
-    jac = np.asarray(residual_jacobian(params, disp), dtype=float)
+    jac = np.asarray(residual_jacobian(params, x), dtype=float)
     aa, ab, ba, bb = jac[:3, :3], jac[:3, 3:], jac[3:, :3], jac[3:, 3:]
     normal = (aa + bb) / 4 + 1j * (ba - ab) / 4
     m = np.empty((6, 6), dtype=complex)
@@ -187,13 +188,12 @@ def point_observables(params: ModelParams, root: np.ndarray | None = None,
         eps, lam = zip(*sorted((m.epsilon, m.lambda_q) for m in modes))
         vx_modes = np.tile(np.exp(4 * np.array(lam)) / 3, (3, 1))
     else:
-        disp = Displacement(a=root[..., :3], b=root[..., 3:])
-        ps = diagonalize_paraunitary(residual_jacobian(params, disp, g))
+        ps = diagonalize_paraunitary(residual_jacobian(params, root, g))
         eps = ps.eps
         sq = ps.s * ps.s
         var = np.sum(sq, axis=-1)
         vx, vp = var[..., :3], var[..., 3:]
-        n = (vx + vp - 2) / 4 + disp.a ** 2 + disp.b ** 2
+        n = (vx + vp - 2) / 4 + root[..., :3] ** 2 + root[..., 3:] ** 2
         vx_modes = sq[..., :3, :3] + sq[..., :3, 3:]
     eps, n, vx, vp = (np.asarray(v, dtype=float).reshape(-1, 3)
                       for v in (eps, n, vx, vp))

@@ -274,8 +274,7 @@ def cmd_meanfield(cfg: dict) -> int:
     _write_csv(cfg, [f"phase = {mf.label.value}",
                      f"energy = {_num(mf.energy)}",
                      f"residual_norm = {_num(mf.residual_norm)}"],
-               "site,A,B", [(i + 1, mf.disp.a[i], mf.disp.b[i])
-                            for i in range(3)])
+               "site,A,B", [(i + 1, mf.x[i], mf.x[3 + i]) for i in range(3)])
     if cfg["out"]:
         print(f"wrote {cfg['out']}")
     return 0

@@ -71,6 +71,7 @@ _TAIL = 1e-15     # bound on the dropped Chebyshev coefficients
 _LANCZOS_TOL = 16.0
 _LANCZOS_CHECK = 10
 _LANCZOS_CAP = 10
+_SQRT_MAX = math.sqrt(np.finfo(float).max)    # largest ||H|| Lanczos takes
 
 
 @dataclass(frozen=True)
@@ -546,7 +547,8 @@ def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
     enclosure; in floating point, lost orthogonality only adds copies of
     converged Ritz values (Paige, Linear Algebra Appl. 34, 235 (1980)), so
     the lowest one approaches the ground energy from above. An enclosure
-    that overflows raises DomainError, and more than _LANCZOS_CAP steps per
+    that reaches sqrt(float max), where the squared norm of a Lanczos vector
+    can overflow, raises DomainError, and more than _LANCZOS_CAP steps per
     basis dimension ConvergenceError.
     """
     import scipy.sparse as sp
@@ -560,7 +562,8 @@ def exact_ground_energy(params: ModelParams, basis: FockBasis) -> float:
                        shape=(basis.dim, basis.dim))
     hr.eliminate_zeros()
     lo, hi = _spectral_bounds(hr)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    # above sqrt(float max) the Lanczos norm ||w||^2 can overflow
+    if not (-_SQRT_MAX < lo and hi < _SQRT_MAX):
         raise DomainError(f"H overflows float64: enclosure [{lo:.3g}, {hi:.3g}]")
     tol = _LANCZOS_TOL * np.finfo(float).eps * max(-lo, hi)
     return (_lanczos_lowest(hr, form.v0, tol, _LANCZOS_CAP * basis.dim)

@@ -2,7 +2,9 @@
 
 Displacing each cavity by alpha_n = A_n + i B_n and projecting the spins
 onto the rotated ground state turns the stationarity condition into six
-coupled real equations. Residuals, Jacobian, energy and Newton run at the
+coupled real equations. A displacement, and so a root, is one real array
+x = (A_1..A_3, B_1..B_3), or a stack of them of shape (k, 6), everywhere
+in the package. Residuals, Jacobian, energy and Newton run at the
 precision of their inputs (see `numerics`), the solvers in units of omega.
 
 Gap renormalization per site: Delta_n = sqrt(Delta^2 + 16 g^2 A_n^2) with
@@ -63,47 +65,44 @@ _SIGNS = np.array([1.0, -1.0])[:, None]
 
 
 @dataclass(frozen=True, eq=False)
-class Displacement:
-    a: np.ndarray   # real parts A_n, shape (3,)
-    b: np.ndarray   # imaginary parts B_n, shape (3,)
-
-    @staticmethod
-    def zero() -> "Displacement":
-        return Displacement(a=np.zeros(3), b=np.zeros(3))
-
-
-@dataclass(frozen=True, eq=False)
 class MeanFieldSolution:
-    disp: Displacement
+    x: np.ndarray       # the root (A_1..A_3, B_1..B_3)
     energy: float
     label: PhaseLabel
     residual_norm: float
 
 
-def _gaps(params: ModelParams, a: np.ndarray, g) -> np.ndarray:
-    """Renormalized gaps Delta_n at the bare coupling g of params; params
-    and a must share one precision."""
-    nb, na = numerics.of(params.omega), numerics.of(a)
-    if na is not nb:
+def _table(params: ModelParams, x: np.ndarray):
+    """The precision table of params and the displacement x, which must
+    share one."""
+    nb, nx = numerics.of(params.omega), numerics.of(x)
+    if nx is not nb:
         raise DomainError(f"parameters in {nb.name} but displacement in "
-                          f"{na.name}; convert one to the other's precision")
+                          f"{nx.name}; convert one to the other's precision")
+    return nb
+
+
+def _gaps(nb, params: ModelParams, a: np.ndarray, g) -> np.ndarray:
+    """Renormalized gaps Delta_n at the bare coupling g of params, in the
+    precision table nb of params and a."""
     return nb.sqrt(a * (16 * g * g) * a + params.delta ** 2)
 
 
-def residuals(params: ModelParams, disp: Displacement,
-              g=None) -> np.ndarray:
-    """Stationarity residuals (R_1..R_3, S_1..S_3); zero at a mean-field root.
+def residuals(params: ModelParams, x: np.ndarray, g=None) -> np.ndarray:
+    """Stationarity residuals (R_1..R_3, S_1..S_3) at the displacement
+    x = (A_1..A_3, B_1..B_3); zero at a mean-field root.
 
-    Equal to half the gradient of ground_energy_mf with respect to
-    (A_1..A_3, B_1..B_3), so roots are exactly the stationary points. For
-    a stack of displacements whose rings differ only in g1, g holds the
-    bare coupling of each as a column (default: bare_coupling(params)).
+    Equal to half the gradient of ground_energy_mf with respect to x, so
+    roots are exactly the stationary points. For a stack of displacements,
+    shape (k, 6), whose rings differ only in g1, g holds the bare coupling
+    of each as a column (default: bare_coupling(params)).
     """
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params) if g is None else g
-    nb = numerics.of(params.omega, disp.a, disp.b)
-    a, b = np.asarray(disp.a), np.asarray(disp.b)
-    dn = _gaps(params, a, g)
+    x = np.asarray(x)
+    nb = _table(params, x)
+    a, b = x[..., :3], x[..., 3:]
+    dn = _gaps(nb, params, a, g)
     an, ap = a[..., _NXT], a[..., _PRV]    # A_{n+1}, A_{n-1}
     bn, bp = b[..., _NXT], b[..., _PRV]
     ct, st = nb.cos(th), nb.sin(th)
@@ -112,16 +111,17 @@ def residuals(params: ModelParams, disp: Displacement,
     return np.concatenate([r, s], axis=-1)
 
 
-def residual_jacobian(params: ModelParams, disp: Displacement,
+def residual_jacobian(params: ModelParams, x: np.ndarray,
                       g=None) -> np.ndarray:
     """Analytic 6x6 Jacobian of `residuals` in the (A, B) ordering; one
-    per displacement when disp holds a stack of them, each at its own
+    per displacement when x holds a stack of them, each at its own
     coupling where g gives them as a column (see `residuals`)."""
     w, j, th = params.omega, params.j_hop, params.theta
     g = bare_coupling(params) if g is None else g
-    nb = numerics.of(params.omega, disp.a)
-    a = np.asarray(disp.a)
-    dn = _gaps(params, a, g)
+    x = np.asarray(x)
+    nb = _table(params, x)
+    a = x[..., :3]
+    dn = _gaps(nb, params, a, g)
     hop = nb.num(_HOP) * (j * nb.cos(th))
     twist = nb.num(_TWIST) * (j * nb.sin(th))
     # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
@@ -135,17 +135,18 @@ def residual_jacobian(params: ModelParams, disp: Displacement,
 
 
 def ground_energy_mf(params: ModelParams,
-                     disp: Displacement) -> float | np.ndarray:
-    """Mean-field energy of a displacement configuration, or an array of
-    them for a stack of displacements.
+                     x: np.ndarray) -> float | np.ndarray:
+    """Mean-field energy of the displacement x = (A_1..A_3, B_1..B_3), or
+    an array of them for a stack of displacements, shape (k, 6).
 
     omega*sum|alpha|^2 + hopping bilinear - sum Delta_n/2. The hopping sum
     is real: each bond contributes 2*Re[e^{i theta} alpha_{n+1}^* alpha_n].
     """
     w, j, th = params.omega, params.j_hop, params.theta
-    nb = numerics.of(params.omega, disp.a, disp.b)
-    a, b = np.asarray(disp.a), np.asarray(disp.b)
-    dn = _gaps(params, a, bare_coupling(params))
+    x = np.asarray(x)
+    nb = _table(params, x)
+    a, b = x[..., :3], x[..., 3:]
+    dn = _gaps(nb, params, a, bare_coupling(params))
     an, bn = a[..., _NXT], b[..., _NXT]
     ct, st = nb.cos(th), nb.sin(th)
     hop = 2 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st,
@@ -154,8 +155,9 @@ def ground_energy_mf(params: ModelParams,
     return float(e) if np.ndim(e) == 0 else e
 
 
-def fsp_closed_form(params: ModelParams) -> Displacement:
-    """Uniform real displacement of the ferromagnetic phase, positive branch.
+def fsp_closed_form(params: ModelParams) -> np.ndarray:
+    """Uniform real displacement x = (A, A, A, 0, 0, 0) of the ferromagnetic
+    phase, positive branch.
 
     A = sqrt(16 g^4/(omega + 2J cos theta)^2 - Delta^2) / (4g).
     Raises DomainError below the threshold where the radicand turns negative.
@@ -172,13 +174,9 @@ def fsp_closed_form(params: ModelParams) -> Displacement:
         else:
             raise DomainError(
                 f"g1={params.g1} below the uniform-displacement threshold")
-    amp = math.sqrt(rad) / (4.0 * g)
-    return Displacement(a=np.full(3, amp), b=np.zeros(3))
-
-
-def _disp(x: np.ndarray) -> Displacement:
-    """The displacement, or stack of them, of x = (A_1..A_3, B_1..B_3)."""
-    return Displacement(a=x[..., :3], b=x[..., 3:])
+    x = np.zeros(6)
+    x[:3] = math.sqrt(rad) / (4.0 * g)
+    return x
 
 
 def _solve_rows(nb, a: np.ndarray, b: np.ndarray
@@ -224,7 +222,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
     x = np.array(x0, dtype=nb.rdtype, ndmin=2)
     g = bare_coupling(params) if g is None else g
     shared = np.ndim(g) == 0            # one coupling, or a column of them
-    r = residuals(params, _disp(x), g)
+    r = residuals(params, x, g)
     rn = np.max(np.abs(r), axis=-1)     # max|r| of each row, kept with r
     mu = nb.num(np.zeros(len(x)))
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
@@ -237,8 +235,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
         if not live.any():
             break
         rows = np.flatnonzero(live)
-        jac = residual_jacobian(params, _disp(x[rows]),
-                                g if shared else g[rows])
+        jac = residual_jacobian(params, x[rows], g if shared else g[rows])
         reg = mu[rows] != 0
         if reg.any():
             jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
@@ -251,14 +248,13 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
         # of which each row takes the first that lowers max|r|
         xt = x[rows] + step
-        rt = residuals(params, _disp(xt), g if shared else g[rows])
+        rt = residuals(params, xt, g if shared else g[rows])
         rnt = np.max(np.abs(rt), axis=-1)
         ok = rnt < rn[rows]
         back = np.flatnonzero(~ok)
         if len(back):
             xh = x[rows[back], None] + nb.num(_HALVINGS) * step[back, None]
-            rh = residuals(params, _disp(xh),
-                           g if shared else g[rows[back], None])
+            rh = residuals(params, xh, g if shared else g[rows[back], None])
             rnh = np.max(np.abs(rh), axis=-1)
             lower = rnh < rn[rows[back], None]
             first = range(len(back)), np.argmax(lower, axis=1)
@@ -280,9 +276,9 @@ def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
     seeds = [np.zeros(6)]
     try:
         fsp = fsp_closed_form(params)
-        amp = float(fsp.a[0])
-        seeds.append(np.concatenate([fsp.a, fsp.b]))
-        seeds.append(np.concatenate([-fsp.a, fsp.b]))
+        amp = float(fsp[0])
+        seeds.append(fsp)
+        seeds.append(np.concatenate([-fsp[:3], fsp[3:]]))
     except DomainError:
         amp = 0.0
     # staggered seed from the single-mode estimate at the soft momentum
@@ -348,7 +344,7 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
         if not any(row[k] for k in keep):
             keep.append(i)
     roots = xs[keep]
-    energy = ground_energy_mf(params, _disp(roots))
+    energy = ground_energy_mf(params, roots)
     order = np.argsort(energy, kind="stable")
     e = energy[order]
     tied = roots[order][e - e[0] <= 1e-10 * params.delta]
@@ -454,8 +450,7 @@ def solve_displacements(params: ModelParams,
         x = _multistart(p, seed)
     else:
         x = np.array(continued_roots(p, [d], seed)[d][1], dtype=float)
-    disp, w = _disp(x), params.omega
+    w = params.omega
     return MeanFieldSolution(
-        disp=disp, energy=ground_energy_mf(p, disp) * w,
-        label=classify_phase(p),
-        residual_norm=float(np.max(np.abs(residuals(p, disp)))) * w)
+        x=x, energy=ground_energy_mf(p, x) * w, label=classify_phase(p),
+        residual_norm=float(np.max(np.abs(residuals(p, x)))) * w)

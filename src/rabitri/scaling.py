@@ -257,10 +257,7 @@ def _line(points: list[tuple[float, float]]) -> tuple[float, float, float]:
 def _transition_key(theta: float, base: ModelParams) -> tuple[str, str]:
     probe = replace(base, theta=theta,
                     g1=2.0 * critical_coupling_min(replace(base, theta=theta)))
-    label = classify_phase(probe)
-    if label not in _TRANSITION_NAMES:
-        raise DomainError(f"theta={theta} does not map to a transition")
-    return _TRANSITION_NAMES[label]
+    return _TRANSITION_NAMES[classify_phase(probe)]
 
 
 def _rows(side: str) -> list[tuple[str, str, int | None]]:

@@ -9,6 +9,23 @@ def base_params():
     return ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 
 
+def lose_the_root(monkeypatch, deep):
+    """Make the continuation's Newton end above its tolerance in one of its
+    two stages: each single float64 start of the ladder, or (deep) the
+    stacked 50-digit batch. The multi-start's float64 batch runs as is."""
+    from rabitri import meanfield
+    newton = meanfield._newton
+
+    def lost(p, x0, tol, g=None):
+        if deep and x0.dtype == object:
+            return [None] * len(x0)
+        if not deep and x0.ndim == 1:
+            return None
+        return newton(p, x0, tol, g)
+
+    monkeypatch.setattr(meanfield, "_newton", lost)
+
+
 def params(theta=0.0, g1=0.1, omega=1.0, delta=100.0, j_hop=0.05):
     return ModelParams(omega=omega, delta=delta, g1=g1, j_hop=j_hop,
                        theta=theta)

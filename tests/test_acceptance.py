@@ -15,9 +15,9 @@ from rabitri import ModelParams
 from rabitri.bogoliubov import diagonalize_paraunitary, point_observables
 from rabitri.dynamics import FockBasis, chirality_metric, evolve, \
     exact_ground_energy
-from rabitri.meanfield import (Displacement, ground_energy_mf,
-                               residual_jacobian, residuals,
-                               fsp_closed_form, solve_displacements)
+from rabitri.meanfield import (ground_energy_mf, residual_jacobian,
+                               residuals, fsp_closed_form,
+                               solve_displacements)
 from rabitri.model import MOMENTA, critical_coupling_min, critical_flux
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, mode, variance_p_np,
@@ -33,9 +33,9 @@ def params(theta, g1):
     return replace(BASE, theta=theta, g1=g1)
 
 
-def matrix_route(p, disp):
-    """point_observables at the mean-field displacement disp."""
-    return point_observables(p, np.concatenate([disp.a, disp.b]))
+def matrix_route(p, x):
+    """point_observables at the mean-field displacement x."""
+    return point_observables(p, x)
 
 
 def np_grid():
@@ -95,7 +95,7 @@ def test_criterion_1_normal_phase_equivalence():
     count = 0
     for p in np_grid():
         count += 1
-        obs = matrix_route(p, solve_displacements(p).disp)
+        obs = matrix_route(p, solve_displacements(p).x)
         closed = excitation_energies(p)
         for a, b in zip((obs["eps1"], obs["eps2"], obs["eps3"]), closed):
             worst = max(worst, abs(a - b) / abs(b))
@@ -118,7 +118,7 @@ def test_criterion_2_paraunitarity_everywhere():
     # paraunitary T, has S^T Om S = Om
     for p in (*np_grid(), *sr_grid()):
         mf = solve_displacements(p)
-        ps = diagonalize_paraunitary(residual_jacobian(p, mf.disp))
+        ps = diagonalize_paraunitary(residual_jacobian(p, mf.x))
         worst = max(worst, ps.para_residual)
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 2 paraunitarity: PASS "
@@ -254,8 +254,8 @@ def test_criterion_6_mean_field_correctness():
     worst_res = 0.0
     for th in (1.7, math.pi):
         p = params(th, 0.6)
-        disp = fsp_closed_form(p)
-        worst_res = max(worst_res, float(np.max(np.abs(residuals(p, disp)))))
+        x = fsp_closed_form(p)
+        worst_res = max(worst_res, float(np.max(np.abs(residuals(p, x)))))
     assert worst_res <= 1e-12
 
     # three cyclically related degenerate roots with one site opposing
@@ -265,11 +265,11 @@ def test_criterion_6_mean_field_correctness():
     sol = solve_displacements(p)
     energies = []
     for shift in (0, 1, 2):
-        disp = Displacement(a=np.roll(sol.disp.a, shift),
-                            b=np.roll(sol.disp.b, shift))
-        assert np.max(np.abs(residuals(p, disp))) <= 1e-9
-        energies.append(ground_energy_mf(p, disp))
-        signs = np.sign(disp.a)
+        x = np.concatenate([np.roll(sol.x[:3], shift),
+                            np.roll(sol.x[3:], shift)])
+        assert np.max(np.abs(residuals(p, x))) <= 1e-9
+        energies.append(ground_energy_mf(p, x))
+        signs = np.sign(x[:3])
         opposing = [s for s in range(3)
                     if signs[s] == -signs[(s + 1) % 3] == -signs[(s - 1) % 3]]
         assert len(opposing) == 1
@@ -284,13 +284,13 @@ def test_criterion_6_mean_field_correctness():
     worst_fd = 0.0
     for _ in range(100):
         x = rng.uniform(-2.0, 2.0, size=6)
-        r = residuals(pg, Displacement(a=x[:3], b=x[3:]))
+        r = residuals(pg, x)
         for k in range(6):
             xp, xm = x.copy(), x.copy()
             xp[k] += h
             xm[k] -= h
-            ep = ground_energy_mf(pg, Displacement(a=xp[:3], b=xp[3:]))
-            em = ground_energy_mf(pg, Displacement(a=xm[:3], b=xm[3:]))
+            ep = ground_energy_mf(pg, xp)
+            em = ground_energy_mf(pg, xm)
             worst_fd = max(worst_fd, abs(2.0 * r[k] - (ep - em) / (2 * h)))
     assert worst_fd <= 1e-6
     print(f"\nACCEPTANCE 6 mean-field correctness: PASS (FSP residual "
@@ -321,7 +321,7 @@ def test_criterion_8_uncertainty_bound():
             vpq = math.exp(-4 * m.lambda_q)
             worst_mode = max(worst_mode, abs(vxq * vpq - 1.0))
     for p in sr_grid():
-        obs = matrix_route(p, solve_displacements(p).disp)
+        obs = matrix_route(p, solve_displacements(p).x)
         prod = obs["var_x"] * obs["var_p"]
         worst_site = min(worst_site, float(np.min(prod)))
     assert worst_site >= 1.0 - 1e-12

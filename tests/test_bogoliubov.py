@@ -11,9 +11,8 @@ from rabitri import (CriticalPointError, DomainError, InstabilityError,
                      PhaseLabel)
 from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
                                 point_observables)
-from rabitri.meanfield import (Displacement, _newton, continued_roots,
-                               ground_energy_mf, residual_jacobian,
-                               solve_displacements)
+from rabitri.meanfield import (_newton, continued_roots, ground_energy_mf,
+                               residual_jacobian, solve_displacements)
 from rabitri.model import critical_coupling_min
 from rabitri.np_analytics import (excitation_energies, ground_energy_np,
                                   local_photon_np, variance_p_np,
@@ -36,14 +35,9 @@ def np_solution(p):
     return sol
 
 
-def colpa_step(p, disp):
-    """The Colpa step on the residual Jacobian around disp."""
-    return diagonalize_paraunitary(residual_jacobian(p, disp))
-
-
-def observables(p, disp):
-    """point_observables around the displacement disp."""
-    return point_observables(p, np.concatenate([disp.a, disp.b]))
+def colpa_step(p, x):
+    """The Colpa step on the residual Jacobian around the displacement x."""
+    return diagonalize_paraunitary(residual_jacobian(p, x))
 
 
 def complex_t(ps):
@@ -58,7 +52,7 @@ def complex_t(ps):
 
 def test_m_matrix_is_hermitian():
     p = params(theta=0.7, g1=0.3)
-    m = build_m_matrix(p, np_solution(p).disp)
+    m = build_m_matrix(p, np_solution(p).x)
     assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
 
@@ -92,12 +86,12 @@ def test_rejects_a_non_finite_entry(bad):
 def test_matrix_matches_closed_forms_in_normal_phase(theta):
     p = params(theta=theta, g1=0.3)
     mf = np_solution(p)
-    ps = colpa_step(p, mf.disp)
+    ps = colpa_step(p, mf.x)
     closed = excitation_energies(p)
     assert sorted(ps.eps) == pytest.approx(closed, rel=1e-12)
     assert ps.para_residual <= 1e-12
     assert ps.diag_residual <= 1e-10
-    obs = observables(p, mf.disp)
+    obs = point_observables(p, mf.x)
     n, vx, vp = obs["photon_n"], obs["var_x"], obs["var_p"]
     # all sites equivalent below the transition
     assert np.ptp(n) <= 1e-12 and np.ptp(vx) <= 1e-12
@@ -114,7 +108,7 @@ def test_closed_forms_match_matrix_route_below_transition(theta, j_hop,
                                                           delta, ratio):
     g1c = critical_coupling_min(params(theta=theta, delta=delta, j_hop=j_hop))
     p = params(theta=theta, g1=ratio * g1c, delta=delta, j_hop=j_hop)
-    obs = observables(p, Displacement.zero())
+    obs = point_observables(p, np.zeros(6))
     eps = [obs["eps1"], obs["eps2"], obs["eps3"]]
     assert eps == pytest.approx(excitation_energies(p), rel=1e-10)
     # n ~ 5e-10 at g1/g1c = 0.01, hence the absolute floor
@@ -136,11 +130,11 @@ def test_colpa_columns_match_the_triangular_solve(monkeypatch, theta):
     # as its projector z z^dag, which no phase of u moves
     g1c = critical_coupling_min(params(theta=theta))
     p = params(theta=theta, g1=g1c * 1.001)
-    disp = solve_displacements(p).disp
+    x = solve_displacements(p).x
     seen = []
     monkeypatch.setattr(numerics, "colpa",
                         lambda l: seen.append(l) or colpa(l))
-    ps = colpa_step(p, disp)
+    ps = colpa_step(p, x)
     l = seen[0]
     assert l.dtype == float and np.array_equal(l, np.triu(l))
     evals, u = np.linalg.eigh(1j * (l @ OMEGA @ l.T))
@@ -158,7 +152,7 @@ def test_decoupled_ring_energies():
     # The triple is degenerate; the observables sum over it, so they match
     # the closed forms whatever basis the eigensolver picks inside it
     p = params(j_hop=0.0, g1=0.3, theta=0.4)
-    ps = colpa_step(p, np_solution(p).disp)
+    ps = colpa_step(p, np_solution(p).x)
     assert ps.eps == pytest.approx([0.8, 0.8, 0.8], rel=1e-12)
     assert_matches_closed_forms(p)
 
@@ -166,7 +160,7 @@ def test_decoupled_ring_energies():
 def assert_matches_closed_forms(p):
     """point_observables at the zero displacement against the normal-phase
     closed forms, to 1e-10."""
-    obs = observables(p, Displacement.zero())
+    obs = point_observables(p, np.zeros(6))
     closed = point_observables(p)
     for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p",
                 "var_x_modes"):
@@ -180,7 +174,7 @@ def test_degenerate_pair_matches_closed_forms_at_zero_flux():
     for omega in (1.0, 1e-12):
         p = params(theta=0.0, g1=0.3, omega=omega, delta=100.0 * omega,
                    j_hop=0.05 * omega)
-        ps = colpa_step(p, np_solution(p).disp)
+        ps = colpa_step(p, np_solution(p).x)
         assert ps.eps[0] == pytest.approx(ps.eps[1], rel=1e-12)
         assert_matches_closed_forms(p)
 
@@ -192,11 +186,11 @@ def test_mode_parts_of_var_x(theta):
     # mode, and around a superradiant root each site's parts sum to var_x
     g1c = critical_coupling_min(params(theta=theta))
     p = params(theta=theta, g1=0.8 * g1c)
-    parts = observables(p, Displacement.zero())["var_x_modes"]
+    parts = point_observables(p, np.zeros(6))["var_x_modes"]
     assert parts == pytest.approx(point_observables(p)["var_x_modes"],
                                   rel=1e-10)
     p = params(theta=theta, g1=1.2 * g1c)
-    obs = observables(p, solve_displacements(p).disp)
+    obs = point_observables(p, solve_displacements(p).x)
     assert obs["var_x_modes"].shape == (3, 3)
     assert obs["var_x_modes"].sum(axis=1) == pytest.approx(obs["var_x"],
                                                            rel=1e-12)
@@ -212,7 +206,7 @@ def test_split_spectrum_does_not_warn_in_small_units():
                delta=100.0 * omega, j_hop=0.05 * omega)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps = colpa_step(p, solve_displacements(p).disp)
+        ps = colpa_step(p, solve_displacements(p).x)
     assert min(np.diff(ps.eps)) > 0.05 * omega
 
 
@@ -220,10 +214,10 @@ def test_afsp_frozen_observables():
     g1c = 0.48733971724044817
     p = params(theta=0.0, g1=1.1 * g1c)
     sol = solve_displacements(p)
-    ps = colpa_step(p, sol.disp)
+    ps = colpa_step(p, sol.x)
     assert ps.eps == pytest.approx([0.458994137, 0.523745883, 0.695437611],
                                    rel=1e-6)
-    obs = observables(p, sol.disp)
+    obs = point_observables(p, sol.x)
     assert obs["photon_n"] == pytest.approx(
         [12.2346364, 7.8517018, 7.8517018], rel=1e-6)
     assert obs["var_x"] == pytest.approx(
@@ -235,7 +229,7 @@ def test_csp_frozen_gaps():
     p0 = params(theta=0.1)
     p = params(theta=0.1, g1=1.01 * critical_coupling_min(p0))
     sol = solve_displacements(p)
-    ps = colpa_step(p, sol.disp)
+    ps = colpa_step(p, sol.x)
     assert ps.eps[0] == pytest.approx(0.070082449, rel=1e-7)
     assert ps.eps[1] == pytest.approx(0.181570137, rel=1e-7)
 
@@ -244,7 +238,7 @@ def test_uncertainty_products_superradiant():
     for th, ratio in [(0.0, 1.1), (0.1, 1.05), (1.7, 1.2)]:
         p0 = params(theta=th)
         p = params(theta=th, g1=ratio * critical_coupling_min(p0))
-        obs = observables(p, solve_displacements(p).disp)
+        obs = point_observables(p, solve_displacements(p).x)
         assert np.all(obs["var_x"] * obs["var_p"] >= 1.0 - 1e-12)
 
 
@@ -256,12 +250,11 @@ def test_m_matrix_is_the_second_order_energy(theta, ratio):
     # energy alone, not against the residuals or their Jacobian
     g1c = critical_coupling_min(params(theta=theta))
     p = params(theta=theta, g1=ratio * g1c)
-    disp = solve_displacements(p).disp
-    x = np.concatenate([disp.a, disp.b])
-    m = build_m_matrix(p, disp)
+    x = solve_displacements(p).x
+    m = build_m_matrix(p, x)
 
     def energy(y):
-        return ground_energy_mf(p, Displacement(a=y[:3], b=y[3:]))
+        return ground_energy_mf(p, y)
 
     rng = np.random.default_rng(5)
     h = 1e-4
@@ -281,8 +274,8 @@ def test_normal_phase_energy_identity():
     # 3 (omega + J) g^2 / delta^2 = 3 (omega + J) omega g1^2 / delta
     p = params(theta=0.1, g1=0.3)
     mf = np_solution(p)
-    ps = colpa_step(p, mf.disp)
-    fluct = ground_energy_mf(p, mf.disp) + np.sum(ps.eps - p.omega) / 2
+    ps = colpa_step(p, mf.x)
+    fluct = ground_energy_mf(p, mf.x) + np.sum(ps.eps - p.omega) / 2
     shift = 3 * (p.omega + p.j_hop) * p.omega * p.g1 ** 2 / p.delta
     assert ground_energy_np(p) == pytest.approx(fluct + shift, abs=1e-9)
 
@@ -292,13 +285,20 @@ def test_sine_saddle_is_flagged_unstable():
     p = params(theta=0.0, g1=1.01 * g1c)
     x = _newton(p, np.array([0.0, 2.0, -2.0, 0.0, 0.0, 0.0]), tol=1e-12)
     with pytest.raises(InstabilityError):
-        colpa_step(p, Displacement(a=x[:3], b=x[3:]))
+        colpa_step(p, x)
+
+
+def test_zero_form_raises_critical_point():
+    with pytest.raises(CriticalPointError, match="zero quadratic form"):
+        diagonalize_paraunitary(np.zeros((6, 6)))
+    with pytest.raises(CriticalPointError, match="zero quadratic form"):
+        diagonalize_paraunitary(np.stack([np.eye(6), np.zeros((6, 6))]))
 
 
 def test_normal_expansion_above_transition_is_unstable():
     p = params(theta=0.1, g1=0.52)
     with pytest.raises(InstabilityError):
-        colpa_step(p, Displacement.zero())
+        colpa_step(p, np.zeros(6))
 
 
 def test_exact_zero_mode_raises_critical_point():
@@ -306,14 +306,14 @@ def test_exact_zero_mode_raises_critical_point():
     # the quadratic form is positive semidefinite with an exact zero mode
     p = params(j_hop=0.0, g1=0.5, theta=0.0)
     with pytest.raises(CriticalPointError):
-        colpa_step(p, Displacement.zero())
+        colpa_step(p, np.zeros(6))
 
 
 def test_paraunitary_definition_holds():
     p0 = params(theta=0.1)
     p = params(theta=0.1, g1=1.05 * critical_coupling_min(p0))
     sol = solve_displacements(p)
-    ps = colpa_step(p, sol.disp)
+    ps = colpa_step(p, sol.x)
     # the real form: S is symplectic and brings J to diag(e, e)
     s = ps.s
     assert np.max(np.abs(s.T @ OMEGA @ s - OMEGA)) == ps.para_residual
@@ -321,7 +321,7 @@ def test_paraunitary_definition_holds():
     # its complex dress T is paraunitary and diagonalizes Hd = 2M
     t = complex_t(ps)
     assert np.max(np.abs(t.conj().T @ LAMBDA @ t - LAMBDA)) <= 1e-12
-    rec = t.conj().T @ (2 * build_m_matrix(p, sol.disp)) @ t
+    rec = t.conj().T @ (2 * build_m_matrix(p, sol.x)) @ t
     assert (np.max(np.abs(rec - np.diag(np.concatenate([ps.eps, ps.eps]))))
             <= 1e-10)
 
@@ -331,7 +331,7 @@ def test_paraunitary_at_fifty_digits():
     # Decimal numbers: follow the root down to delta = 1e-9
     p, x = continued_roots(params(theta=0.1), [1e-9])[1e-9]
     with working():
-        ps = colpa_step(p, Displacement(a=x[:3], b=x[3:]))
+        ps = colpa_step(p, x)
     # read after leaving the 50-digit context: the residuals are evaluated
     # at the precision the solution was built with
     assert ps.para_residual <= 1e-30

@@ -13,6 +13,8 @@ from rabitri.cli import main
 from rabitri.model import critical_coupling_min
 from rabitri.scaling import observables_near
 
+from conftest import lose_the_root
+
 
 def run(monkeypatch, tmp_path, *argv):
     monkeypatch.chdir(tmp_path)
@@ -339,6 +341,7 @@ def test_out_directory_rejected_before_computing(monkeypatch, tmp_path,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::rabitri.TruncationWarning")
 def test_write_error_exits_2(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise PermissionError("permission denied: 'd.csv'")
@@ -360,6 +363,31 @@ def test_unknown_config_key_exits_2(monkeypatch, tmp_path, capsys):
         rc = run(monkeypatch, tmp_path, cmd, "--config", str(cfg))
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, line", [("fluctuations", "points = many"),
+                                       ("meanfield", "seed = 1.5"),
+                                       ("phase-boundary", "omega = one")])
+def test_config_value_of_the_wrong_type_exits_2(monkeypatch, tmp_path,
+                                                capsys, cmd, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = run(monkeypatch, tmp_path, cmd, "--config", str(cfg))
+    assert rc == 2
+    assert "bad value for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deep, window", [(False, ("1.001", "1.01")),
+                                          (True, ("1.0000001", "1.00001"))])
+def test_lost_continuation_root_exits_3(monkeypatch, tmp_path, capsys, deep,
+                                        window):
+    lose_the_root(monkeypatch, deep)
+    rc = run(monkeypatch, tmp_path, "fluctuations", "--theta", "0.1",
+             "--window-min", window[0], "--window-max", window[1],
+             "--points", "2")
+    assert rc == 3
+    assert "lost the root" in capsys.readouterr().err
+    assert not (tmp_path / "fluctuations.csv").exists()
 
 
 def test_malformed_config_exits_2(monkeypatch, tmp_path, capsys):

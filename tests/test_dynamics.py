@@ -778,6 +778,27 @@ def test_exact_ground_energy_refuses_an_overflowing_hamiltonian():
         exact_ground_energy(p, FockBasis(n_max=1))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1e200, 1e300])
+def test_exact_ground_energy_refuses_a_norm_whose_square_overflows(delta):
+    # ||H|| ~ 1.5 delta has a finite enclosure, but the square of a Lanczos
+    # vector's norm, up to ||H||^2, would overflow float64
+    with pytest.raises(DomainError, match="overflows float64"):
+        exact_ground_energy(params(theta=0.3, delta=delta), FockBasis(1))
+    # below sqrt(float max) the recurrence runs
+    assert exact_ground_energy(params(theta=0.3, delta=1e150), FockBasis(1)
+                               ) == pytest.approx(-1.5e150, rel=1e-12)
+
+
+def test_norm_drift_is_a_convergence_error(monkeypatch):
+    # a propagator that stretches every sampled state by 1e-6
+    block = dynamics._chebyshev_block
+    monkeypatch.setattr(dynamics, "_chebyshev_block",
+                        lambda *args: block(*args) * (1.0 + 1e-6))
+    with pytest.raises(ConvergenceError, match="norm drift"):
+        evolve(dyn_params(), FockBasis(n_max=2), t_final=0.5)
+
+
 @pytest.mark.parametrize("s", [1e-300, 1e-100, 1e100, 1e300])
 def test_exact_ground_energy_scales_with_the_energy_unit(s):
     # solved in units of omega: in raw units the Hamiltonian's entries

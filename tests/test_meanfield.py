@@ -4,40 +4,47 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabitri import DomainError, PhaseLabel
+from rabitri import ConvergenceError, DomainError, PhaseLabel
 from rabitri.bogoliubov import diagonalize_paraunitary, point_observables
 from rabitri.model import critical_coupling_min
 from rabitri import meanfield
-from rabitri.meanfield import (Displacement, _newton, _seed_list,
+from rabitri.meanfield import (_newton, _seed_list, continued_roots,
                                fsp_closed_form, ground_energy_mf,
                                residual_jacobian, residuals,
                                solve_displacements)
 from rabitri.np_analytics import (excitation_energies, local_photon_np,
                                   variance_p_np, variance_x_np)
 
-from conftest import params
+from conftest import lose_the_root, params
 
 THETA_C = 1.6205693443218139
 
 
 def test_residuals_vanish_at_origin():
     p = params(theta=0.3, g1=0.4)
-    r = residuals(p, Displacement.zero())
+    r = residuals(p, np.zeros(6))
     assert np.max(np.abs(r)) == 0.0
 
 
 @pytest.mark.parametrize("theta", [1.7, math.pi])
 def test_fsp_closed_form_is_a_root(theta):
     p = params(theta=theta, g1=0.6)
-    disp = fsp_closed_form(p)
-    assert np.all(disp.a == disp.a[0]) and np.all(disp.b == 0.0)
-    assert np.max(np.abs(residuals(p, disp))) <= 1e-12
+    x = fsp_closed_form(p)
+    assert np.all(x[:3] == x[0]) and np.all(x[3:] == 0.0)
+    assert np.max(np.abs(residuals(p, x))) <= 1e-12
 
 
 def test_fsp_closed_form_below_threshold():
-    from rabitri import DomainError
     with pytest.raises(DomainError):
         fsp_closed_form(params(theta=1.7, g1=0.1))
+
+
+@pytest.mark.parametrize("j_hop", [0.5, 0.6])
+def test_fsp_closed_form_needs_a_positive_uniform_frequency(j_hop):
+    # at theta = pi the uniform mode's omega + 2J cos(theta) = 1 - 2J
+    # reaches zero at J = 1/2 (cos(pi) is -1.0 exactly)
+    with pytest.raises(DomainError, match="must be positive"):
+        fsp_closed_form(params(theta=math.pi, g1=0.6, j_hop=j_hop))
 
 
 def test_jacobian_matches_finite_differences():
@@ -45,15 +52,15 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.uniform(-1.5, 1.5, size=6)
-        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        jac = residual_jacobian(p, x)
         fd = np.zeros((6, 6))
         h = 1e-6
         for k in range(6):
             xp, xm = x.copy(), x.copy()
             xp[k] += h
             xm[k] -= h
-            rp = residuals(p, Displacement(a=xp[:3], b=xp[3:]))
-            rm = residuals(p, Displacement(a=xm[:3], b=xm[3:]))
+            rp = residuals(p, xp)
+            rm = residuals(p, xm)
             fd[:, k] = (rp - rm) / (2 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6
 
@@ -67,14 +74,14 @@ def test_residuals_are_half_energy_gradient(theta, j_hop, delta, g1):
     p = params(theta=theta, g1=g1, delta=delta, j_hop=j_hop)
     rng = np.random.default_rng(11)
     x = rng.uniform(-2.0, 2.0, size=6)
-    r = residuals(p, Displacement(a=x[:3], b=x[3:]))
+    r = residuals(p, x)
     h = 1e-6
     for k in range(6):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        ep = ground_energy_mf(p, Displacement(a=xp[:3], b=xp[3:]))
-        em = ground_energy_mf(p, Displacement(a=xm[:3], b=xm[3:]))
+        ep = ground_energy_mf(p, xp)
+        em = ground_energy_mf(p, xm)
         assert 2 * r[k] == pytest.approx((ep - em) / (2 * h), abs=1e-6)
 
 
@@ -82,17 +89,17 @@ def test_normal_phase_returns_zero_displacement():
     p = params(theta=0.7, g1=0.3)
     sol = solve_displacements(p)
     assert sol.label is PhaseLabel.NP
-    assert np.all(sol.disp.a == 0.0) and np.all(sol.disp.b == 0.0)
+    assert np.all(sol.x == 0.0)
     assert sol.energy == pytest.approx(-1.5 * p.delta, rel=1e-15)
 
 
 def test_afsp_frozen_root():
     sol = solve_displacements(params(theta=0.0, g1=0.55))
     assert sol.label is PhaseLabel.AFSP
-    assert sol.disp.a == pytest.approx(
+    assert sol.x[:3] == pytest.approx(
         [3.9037049211943899, -3.2033182100437005, -3.2033182100437014],
         rel=1e-10)
-    assert np.max(np.abs(sol.disp.b)) <= 1e-10
+    assert np.max(np.abs(sol.x[3:])) <= 1e-10
     assert sol.energy == pytest.approx(-153.95918077817674, rel=1e-12)
     assert sol.residual_norm <= 1e-10
 
@@ -102,12 +109,12 @@ def test_csp_frozen_root():
     g1c = critical_coupling_min(p)
     sol = solve_displacements(params(theta=0.1, g1=1.01 * g1c))
     assert sol.label is PhaseLabel.CSP
-    assert sol.disp.a == pytest.approx([1.182041, -0.663855, -0.663855],
+    assert sol.x[:3] == pytest.approx([1.182041, -0.663855, -0.663855],
                                        rel=1e-5)
-    assert sol.disp.b[0] == pytest.approx(0.0, abs=1e-8)
+    assert sol.x[3:][0] == pytest.approx(0.0, abs=1e-8)
     # chirality: the imaginary parts of the two satellite sites are opposite
-    assert sol.disp.b[1] == pytest.approx(-0.00969651, rel=1e-4)
-    assert sol.disp.b[2] == pytest.approx(+0.00969651, rel=1e-4)
+    assert sol.x[3:][1] == pytest.approx(-0.00969651, rel=1e-4)
+    assert sol.x[3:][2] == pytest.approx(+0.00969651, rel=1e-4)
 
 
 def test_triple_point_uniform_root():
@@ -115,19 +122,19 @@ def test_triple_point_uniform_root():
     g1c = critical_coupling_min(p)
     sol = solve_displacements(params(theta=THETA_C, g1=1.01 * g1c))
     assert sol.label is PhaseLabel.TRIPLE_POINT
-    a = sol.disp.a
+    a = sol.x[:3]
     assert a[0] == pytest.approx(1.00003719, rel=1e-6)
     assert np.max(np.abs(a - a[0])) <= 1e-7
-    assert np.max(np.abs(sol.disp.b)) <= 1e-7
+    assert np.max(np.abs(sol.x[3:])) <= 1e-7
 
 
 def test_fsp_solver_matches_closed_form():
     p = params(theta=1.7, g1=0.6)
     sol = solve_displacements(p)
     assert sol.label is PhaseLabel.FSP
-    disp = fsp_closed_form(p)
-    assert sol.disp.a == pytest.approx(disp.a, rel=1e-9)
-    assert np.max(np.abs(sol.disp.b)) <= 1e-9
+    x = fsp_closed_form(p)
+    assert sol.x[:3] == pytest.approx(x[:3], rel=1e-9)
+    assert np.max(np.abs(sol.x[3:])) <= 1e-9
 
 
 def test_cyclic_orbit_is_degenerate():
@@ -135,29 +142,28 @@ def test_cyclic_orbit_is_degenerate():
     sol = solve_displacements(p)
     e0 = sol.energy
     for shift in (1, 2):
-        disp = Displacement(a=np.roll(sol.disp.a, shift),
-                            b=np.roll(sol.disp.b, shift))
-        assert np.max(np.abs(residuals(p, disp))) <= 1e-9
-        assert ground_energy_mf(p, disp) == pytest.approx(e0, rel=1e-14)
+        x = np.concatenate([np.roll(sol.x[:3], shift),
+                            np.roll(sol.x[3:], shift)])
+        assert np.max(np.abs(residuals(p, x))) <= 1e-9
+        assert ground_energy_mf(p, x) == pytest.approx(e0, rel=1e-14)
     # global sign flip too
-    disp = Displacement(a=-sol.disp.a, b=-sol.disp.b)
-    assert ground_energy_mf(p, disp) == pytest.approx(e0, rel=1e-14)
+    assert ground_energy_mf(p, -sol.x) == pytest.approx(e0, rel=1e-14)
 
 
 def test_canonical_labeling_puts_largest_site_first():
     for th, g1 in [(0.0, 0.55), (0.1, 0.51), (0.3, 0.6)]:
         sol = solve_displacements(params(theta=th, g1=g1))
-        assert sol.disp.a[0] >= sol.disp.a[1]
-        assert sol.disp.a[0] >= sol.disp.a[2]
-        assert sol.disp.a[0] > 0.0
+        assert sol.x[:3][0] >= sol.x[:3][1]
+        assert sol.x[:3][0] >= sol.x[:3][2]
+        assert sol.x[:3][0] > 0.0
 
 
 def test_seed_only_feeds_random_starts():
     p = params(theta=0.1, g1=0.55)
     s0 = solve_displacements(p, seed=0)
     s1 = solve_displacements(p, seed=12345)
-    assert s0.disp.a == pytest.approx(s1.disp.a, abs=1e-8)
-    assert s0.disp.b == pytest.approx(s1.disp.b, abs=1e-8)
+    assert s0.x[:3] == pytest.approx(s1.x[:3], abs=1e-8)
+    assert s0.x[3:] == pytest.approx(s1.x[3:], abs=1e-8)
 
 
 def test_negative_seed_is_a_domain_error():
@@ -171,6 +177,21 @@ def test_negative_seed_is_a_domain_error():
         observables_near(p, [1e-3], seed=-1)
 
 
+def test_multistart_without_a_converged_start_raises(monkeypatch):
+    monkeypatch.setattr(meanfield, "_newton",
+                        lambda p, x0, tol: [None] * len(x0))
+    with pytest.raises(ConvergenceError, match="no mean-field root"):
+        meanfield._multistart(params(theta=0.0, g1=0.6), seed=0)
+
+
+@pytest.mark.parametrize("deep, delta", [(False, 1e-3), (True, 1e-7)])
+def test_continuation_that_loses_its_root_raises(monkeypatch, deep, delta):
+    # the float64 ladder runs to 1e-3, and 1e-7 lies in the 50-digit batch
+    lose_the_root(monkeypatch, deep)
+    with pytest.raises(ConvergenceError, match="lost the root"):
+        continued_roots(params(theta=0.1), [delta])
+
+
 def test_sine_branch_saddle_exists_but_loses():
     # A = (0, c, -c) solves the stationarity equations at zero flux yet sits
     # above the cosine branch in energy, so the solver must not return it
@@ -180,10 +201,10 @@ def test_sine_branch_saddle_exists_but_loses():
     assert x is not None
     assert x[1] == pytest.approx(1.02346098, rel=1e-7)
     assert x[0] == pytest.approx(0.0, abs=1e-10)
-    e_saddle = ground_energy_mf(p, Displacement(a=x[:3], b=x[3:]))
+    e_saddle = ground_energy_mf(p, x)
     sol = solve_displacements(p)
     assert sol.energy < e_saddle
-    assert sol.disp.a[0] > 1.1   # cosine-branch pattern (c, -c/2ish, -c/2ish)
+    assert sol.x[:3][0] > 1.1   # cosine-branch pattern (c, -c/2ish, -c/2ish)
 
 
 def test_energy_decreases_through_transition():
@@ -215,15 +236,15 @@ def test_mirror_and_paraunitarity_across_parameters(theta, j_hop, delta,
     p = params(theta=theta, g1=g1, delta=delta, j_hop=j_hop)
     q = params(theta=-theta, g1=g1, delta=delta, j_hop=j_hop)
     mf = solve_displacements(p)
-    x = np.concatenate([mf.disp.a, mf.disp.b])
-    mirrored = Displacement(a=x[swap][:3], b=x[swap][3:])
-    r_p = residuals(p, mf.disp)
+    x = mf.x
+    mirrored = x[swap]
+    r_p = residuals(p, x)
     r_q = residuals(q, mirrored)
     assert np.max(np.abs(r_q - r_p[swap])) <= 1e-12 * delta
     assert np.max(np.abs(r_q)) <= 5e-10
     assert abs(ground_energy_mf(q, mirrored)
-               - ground_energy_mf(p, mf.disp)) <= 1e-12 * delta
-    ps = diagonalize_paraunitary(residual_jacobian(p, mf.disp))
+               - ground_energy_mf(p, x)) <= 1e-12 * delta
+    ps = diagonalize_paraunitary(residual_jacobian(p, x))
     qs = diagonalize_paraunitary(residual_jacobian(q, mirrored))
     assert ps.para_residual <= 1e-10 and qs.para_residual <= 1e-10
     # the Colpa energies, and per-site observables with sites 2 <-> 3;
@@ -253,7 +274,7 @@ def test_near_critical_root_is_converged_and_symmetric(theta, delta):
     g1c = critical_coupling_min(params(theta=theta))
     p = params(theta=theta, g1=g1c * (1.0 + delta))
     sol = solve_displacements(p)
-    a, b = sol.disp.a, sol.disp.b
+    a, b = sol.x[:3], sol.x[3:]
     scale = np.max(np.abs(a))
     assert abs(a[1] - a[2]) <= 1e-9 * scale
     assert abs(b[1] + b[2]) <= 1e-9 * scale
@@ -267,13 +288,13 @@ def test_root_independent_of_energy_unit(delta):
     # scaling (omega, Delta, J) by s leaves the reduced coupling, g1c and
     # the dimensionless displacement unchanged
     g1 = critical_coupling_min(params(theta=0.1)) * (1.0 + delta)
-    ref = solve_displacements(params(theta=0.1, g1=g1)).disp
+    ref = solve_displacements(params(theta=0.1, g1=g1)).x
     for s in (1e-3, 1e3):
         got = solve_displacements(params(theta=0.1, g1=g1, omega=s,
                                          delta=100.0 * s,
-                                         j_hop=0.05 * s)).disp
-        assert got.a == pytest.approx(ref.a, rel=1e-9)
-        assert got.b == pytest.approx(ref.b, rel=1e-9, abs=1e-9 * ref.a[0])
+                                         j_hop=0.05 * s)).x
+        assert got[:3] == pytest.approx(ref[:3], rel=1e-9)
+        assert got[3:] == pytest.approx(ref[3:], rel=1e-9, abs=1e-9 * ref[0])
 
 
 def sequential_newton(p, x0, tol):
@@ -281,7 +302,7 @@ def sequential_newton(p, x0, tol):
     # halving at a time; it gives up when max|r| has not halved over the
     # last _STALL iterations
     def res(x):
-        return residuals(p, Displacement(a=x[:3], b=x[3:]))
+        return residuals(p, x)
 
     x, mu, past = np.array(x0), 0.0, []
     r = res(x)
@@ -293,7 +314,7 @@ def sequential_newton(p, x0, tol):
                 and not rn <= 0.5 * past[it - meanfield._STALL]):
             return None
         past.append(rn)
-        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        jac = residual_jacobian(p, x)
         try:
             step = np.linalg.solve(jac + np.eye(6) * mu if mu else jac, -r)
         except np.linalg.LinAlgError:
@@ -343,10 +364,9 @@ def test_singular_start_does_not_disturb_its_batch():
     # so this start has an exactly singular Jacobian and a nonzero residual
     p = params(theta=0.0, g1=0.5, j_hop=0.0)
     x0 = np.array([0.0, 0.3, 0.3, 0.0, 0.0, 0.0])
-    disp = Displacement(a=x0[:3], b=x0[3:])
-    assert np.max(np.abs(residuals(p, disp))) > 0.0
+    assert np.max(np.abs(residuals(p, x0))) > 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(residual_jacobian(p, disp), np.ones(6))
+        np.linalg.solve(residual_jacobian(p, x0), np.ones(6))
     seeds = _seed_list(p, seed=1)
     starts = np.array([*seeds[:4], x0, *seeds[10:12]])
     assert_rows_match_alone(p, starts, meanfield._NEWTON_TOL * p.omega)
@@ -389,7 +409,7 @@ def test_slow_start_that_keeps_halving_converges(monkeypatch):
                         lambda *a: iterations.append(1) or jacobian(*a))
     x = _newton(p, x0, tol)
     assert x is not None and len(iterations) > meanfield._STALL
-    assert np.max(np.abs(residuals(p, Displacement(a=x[:3], b=x[3:])))) <= tol
+    assert np.max(np.abs(residuals(p, x))) <= tol
     monkeypatch.setattr(meanfield, "_STALL", meanfield._MAX_ITER)
     assert np.array_equal(_newton(p, x0, tol), x)
 
@@ -403,7 +423,7 @@ def _loop_multistart(p, seed):
         if x is not None and not np.any(np.all(
                 np.abs(x - roots) <= 1e-8 + 1e-5 * np.abs(roots), axis=1)):
             roots = np.vstack([roots, x])
-    scored = sorted(((ground_energy_mf(p, Displacement(a=x[:3], b=x[3:])), x)
+    scored = sorted(((ground_energy_mf(p, x), x)
                      for x in roots), key=lambda t: t[0])
     tied = [x for e, x in scored if e - scored[0][0] <= 1e-10 * p.delta]
     orbit = [sgn * np.concatenate([np.roll(x[:3], shift),
@@ -423,8 +443,5 @@ def test_multistart_equals_its_loop_reference(theta):
                                       _loop_multistart(p, seed))
             # a stack of displacements gets the energy of each alone
             x = np.array(_seed_list(p, 0))
-            stacked = ground_energy_mf(p, Displacement(a=x[:, :3],
-                                                       b=x[:, 3:]))
-            assert stacked.tolist() == [
-                ground_energy_mf(p, Displacement(a=r[:3], b=r[3:]))
-                for r in x]
+            stacked = ground_energy_mf(p, x)
+            assert stacked.tolist() == [ground_energy_mf(p, r) for r in x]

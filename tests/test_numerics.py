@@ -17,9 +17,9 @@ from rabitri import (CriticalPointError, DomainError, ModelParams, bogoliubov,
 from rabitri.bogoliubov import (build_m_matrix, diagonalize_paraunitary,
                                 point_observables)
 from rabitri import meanfield
-from rabitri.meanfield import (Displacement, _newton, _seed_list,
-                               continued_roots, ground_energy_mf,
-                               residual_jacobian, residuals)
+from rabitri.meanfield import (_newton, _seed_list, continued_roots,
+                               ground_energy_mf, residual_jacobian,
+                               residuals)
 from rabitri.model import critical_flux
 from rabitri.numerics import (DEC, F64, MP_DPS, _eigh_plus, _k, colpa, of,
                               working)
@@ -73,7 +73,7 @@ def report_cholesky_factors(monkeypatch, theta):
         patch.setattr(numerics, "colpa", record)
         for p, x in roots.values():
             diagonalize_paraunitary(
-                residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
+                residual_jacobian(p, x))
     return seen
 
 
@@ -241,9 +241,8 @@ def test_cholesky_refuses_the_exact_zero_mode():
     # test_exact_zero_mode_raises_critical_point), here at 50 digits; the
     # Colpa step factors the residual Jacobian there
     with working():
-        zero = DEC.num(np.zeros(3))
-        p, disp = dec_params(j_hop=0.0, g1=0.5), Displacement(a=zero, b=zero)
-        jac = residual_jacobian(p, disp)
+        p = dec_params(j_hop=0.0, g1=0.5)
+        jac = residual_jacobian(p, DEC.num(np.zeros(6)))
         assert of(jac) is DEC
         with pytest.raises(np.linalg.LinAlgError):
             DEC.cholesky(jac)
@@ -257,11 +256,10 @@ def test_mixed_precision_input_is_a_domain_error(fn):
     # Decimal refuses float operands, so parameters and displacement must
     # come at one precision; either mix names both
     with working():
-        zero = DEC.num(np.zeros(3))
-        for p, disp in ((dec_params(), Displacement.zero()),
-                        (params(), Displacement(a=zero, b=zero))):
+        for p, x in ((dec_params(), np.zeros(6)),
+                     (params(), DEC.num(np.zeros(6)))):
             with pytest.raises(DomainError) as err:
-                fn(p, disp)
+                fn(p, x)
             assert "float64" in str(err.value)
             assert "Decimal" in str(err.value)
 
@@ -270,14 +268,14 @@ def test_jacobian_at_fifty_digits_is_symmetric_and_matches_float64():
     # the form the Colpa step takes at a deep point
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     with working():
-        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        jac = residual_jacobian(p, x)
     assert all(isinstance(v, Decimal) for v in jac.flat)
     assert np.all(jac == jac.T)
     # the same point in float64
     pf = ModelParams(omega=float(p.omega), delta=float(p.delta),
                      g1=float(p.g1), j_hop=float(p.j_hop), theta=p.theta)
     xf = x.astype(float)
-    jac64 = residual_jacobian(pf, Displacement(a=xf[:3], b=xf[3:]))
+    jac64 = residual_jacobian(pf, xf)
     assert np.max(np.abs(jac.astype(float) - jac64)) <= 1e-14
 
 
@@ -290,7 +288,7 @@ def test_solve_refuses_the_singular_jacobian():
     with working():
         p = dec_params(j_hop=0.0, g1=0.5)
         a = np.array([Decimal(0), Decimal("0.3"), Decimal("0.3")])
-        jac = residual_jacobian(p, Displacement(a=a, b=np.zeros(3)))
+        jac = residual_jacobian(p, np.concatenate([a, DEC.num(np.zeros(3))]))
         for a in (jac, DEC.num(indefinite)):
             with pytest.raises(np.linalg.LinAlgError):
                 DEC.solve(a, DEC.num(np.ones(6)))
@@ -377,7 +375,7 @@ def test_stacked_kernels_match_each_matrix_alone():
     for theta in (0.0, 0.1, THETA_C, 1.7, math.pi):
         roots = continued_roots(params(theta=theta), [1e-5, 1e-9, 3e-12])
         with working():
-            jacs += [residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+            jacs += [residual_jacobian(p, x)
                      for p, x in roots.values()]
     with working():
         jacs = np.array(jacs)
@@ -422,11 +420,10 @@ def test_solve_matches_mpmath_on_each_call_shape():
     p, x = continued_roots(params(theta=0.1), [1e-7])[1e-7]
     with working():
         # one Newton system with a vector right-hand side
-        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        jac = residual_jacobian(p, x)
         one = DEC.solve(jac, x)
         # a stack of Newton systems
-        jacs = residual_jacobian(p, Displacement(
-            a=np.array([x[:3], x[:3]]), b=np.array([x[3:], x[3:]])))
+        jacs = residual_jacobian(p, np.array([x, x]))
         rhs = np.array([x[:, None], 2 * x[:, None]])
         stack = DEC.solve(jacs, rhs)
     assert one.shape == (6,)
@@ -457,7 +454,7 @@ def test_colpa_columns_match_the_triangular_solve(monkeypatch):
                         lambda l: seen.append(l) or colpa(l))
     with working():
         ps = diagonalize_paraunitary(
-            residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
+            residual_jacobian(p, x))
     _, evals, u = reference_eigh(seen[0])
     s = to_mp(ps.s)
     with mp.workdps(2 * MP_DPS):
@@ -482,7 +479,7 @@ def test_real_form_invariants_at_fifty_digits(theta):
     for d, (p, x) in roots.items():
         with working():
             ps = diagonalize_paraunitary(
-                residual_jacobian(p, Displacement(a=x[:3], b=x[3:])))
+                residual_jacobian(p, x))
         assert ps.para_residual <= 1e-30, d
         assert ps.diag_residual <= 1e-30, d
 
@@ -498,10 +495,10 @@ def test_float64_observables_match_fifty_digits(monkeypatch, theta):
     for d, (p, x) in roots.items():
         assert x.dtype == float
         got = point_observables(p, x)
-        jac = residual_jacobian(p, Displacement(a=x[:3], b=x[3:]))
+        jac = residual_jacobian(p, x)
         with monkeypatch.context() as patch, working():
             patch.setattr(bogoliubov, "residual_jacobian",
-                          lambda q, disp, g=None: DEC.num(jac))
+                          lambda q, y, g=None: DEC.num(jac))
             want = point_observables(p, DEC.num(x))
         for key in keys:
             assert np.asarray(got[key]) == pytest.approx(want[key],
