@@ -16,16 +16,15 @@ so the distinguished site (when the ring order breaks C3) sits at index 0.
 All starts (up to 26) run as one batch (`_newton`): every iteration makes
 one stacked Jacobian and solve, one residual call for the full steps and
 one for all backtracking steps of the rows that need them. Closer to g1c
-the Jacobian goes singular, so `continued_roots` follows that root from
-delta = 1e-2 down a descending float64 delta ladder, each step seeded by
-scaling the previous root with sqrt(delta'/delta) and polished by Newton
-to 1e-12, through the points with delta >= 1e-4 and on down to 1e-4
-itself. Every deeper point is seeded from that root by the same sqrt law,
-and all of them are polished by one stacked Newton that runs the same
-functions on 50-digit Decimal numbers (g1c and g1 included, each row's
-coupling in the column g of `residuals`), because the Cholesky step of the
-fluctuations needs min-eig(J) ~ eps1^2 to stay clear of roundoff (see
-`numerics`).
+the Jacobian goes singular, so `continued_roots` seeds every point from
+that root by the sqrt(delta) law and polishes them all in one stacked
+Newton, each row at its own coupling (the column g of `residuals`), then
+one full Newton step past its stop, so that a row's last digits depend on
+its delta alone. Points with delta >= 1e-4 run in float64; every deeper
+point is seeded from the float64 root at 1e-4 and polished the same way
+on 50-digit Decimal numbers (g1c and g1 included), because the Cholesky
+step of the fluctuations needs min-eig(J) ~ eps1^2 to stay clear of
+roundoff (see `numerics`).
 """
 from __future__ import annotations
 
@@ -46,7 +45,6 @@ _STALL = 20             # Newton gives up a row whose max|r| has not halved
                         # over this many iterations
 _ANCHOR = 1e-2          # the multi-start runs at delta >= this
 _MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
-_LADDER_DECADES = 3     # continuation fill density: points per decade
 # ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
 _NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
 # and as matrices: (_HOP @ x)[n] = x_{n+1} + x_{n-1}, and _TWIST gives
@@ -356,53 +354,53 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     return orbit[max(range(len(key)), key=key.__getitem__)]
 
 
-def _ladder(anchor: float, need: list[float]) -> list[float]:
-    """Descending delta ladder through all needed points, with geometric
-    fillers so no continuation step exceeds 10^(1/3) in ratio."""
-    pts = sorted(set(need) | {anchor}, reverse=True)
-    out = []
-    for i, p in enumerate(pts):
-        out.append(p)
-        if i + 1 < len(pts):
-            ratio = math.log10(p / pts[i + 1])
-            k = int(math.ceil(ratio * _LADDER_DECADES - 1e-9))
-            for m in range(1, k):
-                out.append(10.0 ** (math.log10(p) - ratio * m / k))
-    return out
+def _polish(ps: list[ModelParams], x0: np.ndarray, tol) -> np.ndarray:
+    """The roots of the rings ps, which differ only in g1, from the stack of
+    starts x0, at the precision of both: one stacked Newton to tol, then
+    one full Newton step on every row, so a row's last digits do not
+    depend on where its Newton happened to stop. Raises ConvergenceError
+    where a row ends above tol or its last step is refused."""
+    g = np.array([[bare_coupling(p)] for p in ps])
+    xs = _newton(ps[0], x0, tol, g)
+    ok = np.array([x is not None for x in xs])
+    if ok.all():
+        x = np.array(xs)
+        step, ok = _solve_rows(numerics.of(x), residual_jacobian(ps[0], x, g),
+                               -residuals(ps[0], x, g))
+    if not ok.all():
+        raise ConvergenceError("continuation lost the root at "
+                               f"g1={float(ps[np.argmin(ok)].g1)}")
+    return x + step
 
 
 def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
                     ) -> dict[float, tuple[ModelParams, np.ndarray]]:
     """(params, root) at each reduced coupling delta = g1/g1c - 1 > 0, by
-    continuation from the multi-start root at max(delta, 1e-2) found with
-    the given seed. The params are in units of omega (`in_omega_units`).
+    continuation from the multi-start root x at anchor = max(delta, 1e-2)
+    found with the given seed. The params are in units of omega
+    (`in_omega_units`).
 
-    The ladder runs in float64 alone, through the deltas >= 1e-4 and, when
-    a delta lies below, on down to 1e-4 itself. Every delta below is seeded
-    from that last float64 root x by the sqrt(delta) law,
-    x sqrt(delta / 1e-4), and all of them are polished together by one
-    stacked 50-digit Newton; their params and roots are 50-digit Decimal
-    numbers, to be used inside `numerics.working()`. So a deep root does
-    not depend on which other deep deltas were asked for."""
+    Every delta >= 1e-4, and 1e-4 itself when a delta lies below, is
+    seeded by the sqrt(delta) law, x sqrt(delta / anchor), and all of them
+    are polished together in float64 (`_polish`). Every delta below is
+    seeded the same way from the root at 1e-4 and polished together at
+    50 digits; their params and roots are 50-digit Decimal numbers, to be
+    used inside `numerics.working()`. Each row follows the iterates it
+    would follow alone, so a root does not depend on which other deltas
+    below the anchor were asked for."""
     base = in_omega_units(base)
     need = sorted({float(d) for d in deltas}, reverse=True)
     deep = [d for d in need if d < _MP_SPLIT]
     g1c = critical_coupling_min(base)
     anchor = max(need[0], _ANCHOR)
     x = _multistart(replace(base, g1=g1c * (1.0 + anchor)), seed)
-    out, prev = {}, anchor
-    stops = [d for d in need if d >= _MP_SPLIT]
-    if deep:                # the float64 ladder ends at the split
+    stops = [d for d in need if d > _MP_SPLIT]
+    if deep or _MP_SPLIT in need:   # the 50-digit seeds scale the root there
         stops.append(_MP_SPLIT)
-    for d in _ladder(anchor, stops):
-        p = replace(base, g1=g1c * (1.0 + d))
-        x = _newton(p, x * math.sqrt(d / prev), 1e-12)
-        if x is None:
-            raise ConvergenceError(
-                f"continuation lost the root at g1={float(p.g1)}")
-        if d in need:
-            out[d] = (p, x)
-        prev = d
+    ps = [replace(base, g1=g1c * (1.0 + d)) for d in stops]
+    roots = _polish(ps, np.array([x * math.sqrt(d / anchor) for d in stops]),
+                    1e-12)
+    out = {d: (p, x) for d, p, x in zip(stops, ps, roots) if d in need}
     if not deep:
         return out
     with numerics.working():
@@ -411,16 +409,11 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
                            j_hop=Decimal(base.j_hop))
         g1c_dec = critical_coupling_min(base_dec)
         ps = [replace(base_dec, g1=g1c_dec * (1 + Decimal(d))) for d in deep]
-        x0 = [numerics.DEC.num(x) * (Decimal(d) / Decimal(_MP_SPLIT)).sqrt()
-              for d in deep]
-        roots = _newton(ps[0], np.array(x0),
-                        Decimal(10) ** (12 - numerics.MP_DPS),
-                        np.array([[bare_coupling(p)] for p in ps]))
-    for d, p, x in zip(deep, ps, roots):
-        if x is None:
-            raise ConvergenceError(
-                f"continuation lost the root at g1={float(p.g1)}")
-        out[d] = (p, x)
+        x = numerics.DEC.num(roots[-1])
+        roots = _polish(ps, np.array(
+            [x * (Decimal(d) / Decimal(_MP_SPLIT)).sqrt() for d in deep]),
+            Decimal(10) ** (12 - numerics.MP_DPS))
+    out.update(zip(deep, zip(ps, roots)))
     return out
 
 

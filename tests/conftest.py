@@ -9,19 +9,20 @@ def base_params():
     return ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05, theta=0.0)
 
 
-def lose_the_root(monkeypatch, deep):
+def lose_the_root(monkeypatch, deep, row=None):
     """Make the continuation's Newton end above its tolerance in one of its
-    two stages: each single float64 start of the ladder, or (deep) the
-    stacked 50-digit batch. The multi-start's float64 batch runs as is."""
+    two stages: the stacked float64 polish, or (deep) the stacked 50-digit
+    one; in every row of it, or in the given row alone. Both stages pass
+    each row's coupling as the column g; the multi-start's float64 batch,
+    which passes none, runs as is."""
     from rabitri import meanfield
     newton = meanfield._newton
 
     def lost(p, x0, tol, g=None):
-        if deep and x0.dtype == object:
-            return [None] * len(x0)
-        if not deep and x0.ndim == 1:
-            return None
-        return newton(p, x0, tol, g)
+        roots = newton(p, x0, tol, g)
+        if g is None or (x0.dtype == object) != deep:
+            return roots
+        return [None if row in (None, i) else x for i, x in enumerate(roots)]
 
     monkeypatch.setattr(meanfield, "_newton", lost)
 

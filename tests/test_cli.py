@@ -234,18 +234,18 @@ _FROZEN_OUTPUT = {
         '0.90853843430875625,5.4110572723701473,5.4110572723701473,'
         '5.4110572723701473,0.22309646486487844,0.22309646486487844,'
         '0.22309646486487844,0.099482257850468575,0.18252119698132394',
-        '0.4933304374402544,1.8968305663733629,2.0123080349882989,'
-        '2.012308034988298,3.7284618915242209,8.0581721365924963,'
-        '8.0581721365924928,0.30197842335659192,0.18414632026150157,'
-        '0.18414632026150166,0.067111653050027961,0.20119241979810382',
-        '0.5030993569935267,4.2212344805788913,2.338006069510759,'
-        '2.338006069510759,2.3935169223424397,3.7762853236736733,'
+        '0.4933304374402544,1.8968305663511051,2.0123080350614453,'
+        '2.0123080350614457,3.7284618915743835,8.0581721369364629,'
+        '8.0581721369364647,0.30197842335398328,0.18414632025878783,'
+        '0.18414632025878769,0.067111653046090958,0.2011924197950859',
+        '0.5030993569935267,4.2212344805788913,2.338006069510755,'
+        '2.338006069510755,2.3935169223424397,3.7762853236736733,'
         '3.7762853236736729,0.43056942035035689,0.28309637512941277,'
         '0.28309637512941294,0.1940418291410152,0.31729300260914667',
-        '0.51286827654679912,6.5529942135422399,3.7711675706105581,'
-        '3.7711675706105581,1.9864306174960449,2.7750757140515745,'
-        '2.7750757140515736,0.50987190545086247,0.36863880867455379,'
-        '0.36863880867455401,0.29039650262163791,0.40138489975957653',
+        '0.51286827654679912,6.5529942135422381,3.7711675706105501,'
+        '3.7711675706105505,1.9864306174960475,2.7750757140515812,'
+        '2.775075714051582,0.50987190545086292,0.36863880867455329,'
+        '0.36863880867455345,0.29039650262163741,0.40138489975957614',
     ],
     ('spectrum', '--theta', '2.0', '--points', '6', '--seed', '2'): [
         '# g1c = 0.48948578026978623',
@@ -260,8 +260,8 @@ _FROZEN_OUTPUT = {
         '0.39795717146167564',
         '0.50417035367787988,0.32003892848696008,0.33696513530857497,'
         '0.49446006955394722',
-        '0.51396006928327553,0.40354455144856455,0.40825949029953401,'
-        '0.56575442454490632',
+        '0.51396006928327553,0.40354455144856538,0.40825949029953484,'
+        '0.5657544245449071',
     ],
     ('meanfield', '--theta', '0', '--seed', '3'): [
         '# phase = antiferromagnetic',
@@ -484,7 +484,7 @@ def test_meanfield_at_a_tiny_energy_unit_finds_the_root(monkeypatch,
         assert "# phase = antiferromagnetic" in out
         rows.append([ln for ln in out if ln[:1].isdigit()])
     assert rows[0] == rows[1]
-    assert rows[0][0].split(",")[1] == "1.1806002640270463"
+    assert rows[0][0].split(",")[1] == "1.1806002640270492"
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

@@ -186,10 +186,24 @@ def test_multistart_without_a_converged_start_raises(monkeypatch):
 
 @pytest.mark.parametrize("deep, delta", [(False, 1e-3), (True, 1e-7)])
 def test_continuation_that_loses_its_root_raises(monkeypatch, deep, delta):
-    # the float64 ladder runs to 1e-3, and 1e-7 lies in the 50-digit batch
+    # 1e-3 lies in the float64 stack, and 1e-7 in the 50-digit one
     lose_the_root(monkeypatch, deep)
     with pytest.raises(ConvergenceError, match="lost the root"):
         continued_roots(params(theta=0.1), [delta])
+
+
+@pytest.mark.parametrize("deep, deltas", [(False, [3e-3, 1e-3, 3e-4]),
+                                          (True, [1e-6, 1e-7, 1e-8])])
+def test_continuation_that_loses_one_of_several_roots_raises(monkeypatch,
+                                                             deep, deltas):
+    # the other rows of the stack converge, and the error names the lost one
+    p = params(theta=0.1)
+    lose_the_root(monkeypatch, deep, row=1)
+    with pytest.raises(ConvergenceError, match="lost the root") as err:
+        continued_roots(p, deltas)
+    g1 = float(str(err.value).rsplit("g1=", 1)[1])
+    assert g1 == pytest.approx(critical_coupling_min(p) * (1 + deltas[1]),
+                               rel=1e-15)
 
 
 def test_sine_branch_saddle_exists_but_loses():

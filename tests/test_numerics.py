@@ -394,8 +394,8 @@ def test_stacked_kernels_match_each_matrix_alone():
 def test_report_runs_one_fifty_digit_newton_and_colpa_step(monkeypatch,
                                                            theta):
     # every 50-digit point of a report is polished by one stacked Newton
-    # and evaluated by one stacked Colpa step; the float64 ladder and the
-    # theta = 0.1 crossover band above the split stay in float64
+    # and evaluated by one stacked Colpa step; the root at the split and the
+    # theta = 0.1 crossover band above it stay in float64
     newton, steps = [], []
     real_newton, real_colpa = meanfield._newton, numerics.colpa
 

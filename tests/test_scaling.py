@@ -6,7 +6,6 @@ import pytest
 from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
 from rabitri.bogoliubov import point_observables
 import rabitri.meanfield as meanfield
-from rabitri.meanfield import _ladder
 from rabitri.model import bare_coupling, critical_flux
 from rabitri.cli import main
 import rabitri.scaling as scaling
@@ -76,16 +75,6 @@ def test_fit_power_law_input_validation():
     pts = [(d, d - 2e-5) for d in grid]   # one non-positive value
     with pytest.raises(DomainError):
         fit_power_law(pts)
-
-
-def test_ladder_is_gentle_and_complete():
-    need = [1e-2, 3e-4, 1e-7]
-    pts = _ladder(1e-2, need)
-    assert pts[0] == 1e-2
-    for n in need:
-        assert any(abs(p - n) <= 1e-18 + 1e-12 * n for p in pts)
-    ratios = [pts[i] / pts[i + 1] for i in range(len(pts) - 1)]
-    assert max(ratios) <= 10.0 ** (1.0 / 3.0) * (1 + 1e-9)
 
 
 def test_sweep_below_gap_vanishes_toward_transition():
@@ -333,6 +322,54 @@ def test_report_window_rows_match_single_delta_calls(delta, j_hop, theta):
     window = observables_near(base, grid)
     for d in grid:
         assert_same_floats(window[d], observables_near(base, [d])[d])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.7])
+def test_float64_band_rows_match_single_delta_calls(theta):
+    # every float64 row is seeded from the anchor root alone and polished in
+    # one stack, so the rest of the chiral var_x band changes none of its bits
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05,
+                       theta=theta)
+    band = _log_grid(scaling._CROSSOVER_WINDOWS[
+        ("csp", "above", "var_x", 1)], scaling._REPORT_POINTS)
+    rows = observables_near(base, band)
+    for d in band:
+        assert_same_floats(rows[d], observables_near(base, [d])[d])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.7, 2.0])
+def test_float64_rows_match_fifty_digits(monkeypatch, theta):
+    # the full Newton step past the stop leaves each float64 row with the
+    # rounding of J alone, u/eps1^2 (below 2e-10 here)
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05,
+                       theta=theta)
+    deltas = [1e-4, 1.5e-4, 2.31e-4, 3e-4, 5e-4, 1e-3, 3e-3]
+    f64 = observables_near(base, deltas)
+    monkeypatch.setattr(meanfield, "_MP_SPLIT", 1e-2)
+    mp_ = observables_near(base, deltas)
+    for d in deltas:
+        for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p"):
+            assert np.asarray(f64[d][key]) == pytest.approx(
+                np.asarray(mp_[d][key]), rel=1e-9, abs=0), (d, key)
+
+
+@pytest.mark.parametrize("delta, j_hop", [(100.0, 0.05), (100.0, 0.2),
+                                          (400.0, 0.02)])
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.7, 3.0])
+def test_deep_rows_do_not_depend_on_their_seed(monkeypatch, delta, j_hop,
+                                               theta):
+    # seeded from the float64 root at 1e-4 or at 2e-4, a deep 50-digit root
+    # ends one full Newton step past the stop, where the seed has gone
+    base = ModelParams(omega=1.0, delta=delta, g1=0.1, j_hop=j_hop,
+                       theta=theta)
+    deep = [1e-11, 5e-12, 3e-12]
+    rows = observables_near(base, deep)
+    monkeypatch.setattr(meanfield, "_MP_SPLIT", 2e-4)
+    moved = observables_near(base, deep)
+    for d in deep:
+        for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p"):
+            a, b = np.asarray(rows[d][key]), np.asarray(moved[d][key])
+            assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(a))), (d, key)
 
 
 def test_exponent_report_default_base():
