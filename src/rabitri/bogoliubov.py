@@ -87,7 +87,7 @@ class ParaunitarySolution:
 
 def build_m_matrix(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The float64 complex presentation M of the bilinear form around the
-    displacement x = (A_1..A_3, B_1..B_3), in the ordered basis
+    scaled displacement x = (a_1..a_3, b_1..b_3), in the ordered basis
     {a1, a2, a3, a1^dag, a2^dag, a3^dag}. No code in the package calls it:
     the Colpa step takes the residual Jacobian J itself
     (`diagonalize_paraunitary`).
@@ -165,18 +165,18 @@ def diagonalize_paraunitary(jac: np.ndarray) -> ParaunitarySolution:
 
 
 def point_observables(params: ModelParams, root: np.ndarray | None = None,
-                      g=None) -> dict | list[dict]:
+                      g1=None) -> dict | list[dict]:
     """Gaps eps1..eps3, per-site photon_n, var_x, var_p and var_x_modes
     (mode k's part of var_x_n at [n, k], modes by ascending eps) as floats.
 
     Without a root they come from the normal-phase closed forms (mode q
     adds exp(4 lambda_q) / 3 at each site), which raise DomainError at or
-    above the critical coupling. With a mean-field root (A_1..A_3, B_1..B_3)
-    they are the Bogoliubov observables around it, computed at the
-    precision of params and root (mode k adds S_{n,k}^2 + S_{n,3+k}^2).
-    A stack of roots, shape (k, 6), of rings that differ only in g1 (their
-    bare couplings the column g, see `meanfield.residuals`) runs as one
-    stacked Colpa step and gives one dict per root.
+    above the critical coupling. With a scaled mean-field root
+    (a_1..a_3, b_1..b_3) they are the Bogoliubov observables around it, at
+    the precision of params and root (mode k adds S_{n,k}^2 + S_{n,3+k}^2;
+    photon_n adds A_n^2 + B_n^2 = (Delta/omega)(a_n^2 + b_n^2)). A stack of
+    roots, shape (k, 6), of rings that differ only in g1 (the column g1, see
+    `meanfield.residuals`) runs as one stacked Colpa step, one dict per root.
 
     The modes of a degenerate group, energies within numerics._CLUSTER of
     each other relative to the largest, each get the group's mean part, so
@@ -188,15 +188,19 @@ def point_observables(params: ModelParams, root: np.ndarray | None = None,
         eps, lam = zip(*sorted((m.epsilon, m.lambda_q) for m in modes))
         vx_modes = np.tile(np.exp(4 * np.array(lam)) / 3, (3, 1))
     else:
-        ps = diagonalize_paraunitary(residual_jacobian(params, root, g))
+        ps = diagonalize_paraunitary(residual_jacobian(params, root, g1))
         eps = ps.eps
         sq = ps.s * ps.s
         var = np.sum(sq, axis=-1)
         vx, vp = var[..., :3], var[..., 3:]
-        n = (vx + vp - 2) / 4 + root[..., :3] ** 2 + root[..., 3:] ** 2
+        with np.errstate(over="ignore"):    # refused below as not finite
+            n = ((vx + vp - 2) / 4 + params.delta / params.omega
+                 * (root[..., :3] ** 2 + root[..., 3:] ** 2))
         vx_modes = sq[..., :3, :3] + sq[..., :3, 3:]
     eps, n, vx, vp = (np.asarray(v, dtype=float).reshape(-1, 3)
                       for v in (eps, n, vx, vp))
+    if not np.all(np.isfinite(n)):
+        raise DomainError("the photon number overflows float64")
     near = (np.abs(eps[:, :, None] - eps[:, None])
             <= numerics._CLUSTER * eps[:, -1:, None])
     vx_modes = (np.asarray(vx_modes, dtype=float).reshape(-1, 3, 3) @ near

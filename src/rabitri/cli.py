@@ -34,7 +34,7 @@ from .errors import (ConvergenceError, CriticalPointError, DomainError,
                      FitRejected, InstabilityError, ResourceError)
 from .meanfield import at_critical_point, solve_displacements
 from .model import (ModelParams, critical_coupling_min, critical_flux,
-                    softest_mode)
+                    in_omega_units, softest_mode)
 from .scaling import exponent_report, format_report, observables_near
 
 # every setting a subcommand reads, with its default: the keys are its
@@ -80,7 +80,7 @@ _HELP = {
 
 _FAILURES = (DomainError, ConvergenceError, InstabilityError,
              CriticalPointError, FitRejected, ResourceError,
-             np.linalg.LinAlgError)
+             np.linalg.LinAlgError, OverflowError)
 
 
 def _parse_config(path: str) -> list[tuple[str, str]]:
@@ -271,10 +271,11 @@ def cmd_exponents(cfg: dict) -> int:
 def cmd_meanfield(cfg: dict) -> int:
     p = _params(cfg)
     mf = solve_displacements(p, seed=cfg["seed"])
+    x = mf.x * math.sqrt(in_omega_units(p).delta)   # (A, B)
     _write_csv(cfg, [f"phase = {mf.label.value}",
                      f"energy = {_num(mf.energy)}",
                      f"residual_norm = {_num(mf.residual_norm)}"],
-               "site,A,B", [(i + 1, mf.x[i], mf.x[3 + i]) for i in range(3)])
+               "site,A,B", [(i + 1, x[i], x[3 + i]) for i in range(3)])
     if cfg["out"]:
         print(f"wrote {cfg['out']}")
     return 0

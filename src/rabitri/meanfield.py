@@ -2,41 +2,43 @@
 
 Displacing each cavity by alpha_n = A_n + i B_n and projecting the spins
 onto the rotated ground state turns the stationarity condition into six
-coupled real equations. A displacement, and so a root, is one real array
-x = (A_1..A_3, B_1..B_3), or a stack of them of shape (k, 6), everywhere
-in the package. Residuals, Jacobian, energy and Newton run at the
-precision of their inputs (see `numerics`), the solvers in units of omega.
+coupled real equations, written in the scaled displacement
+(a, b) = (A, B) / sqrt(Delta/omega), where Delta/omega drops out. A root
+is one real array x = (a_1..a_3, b_1..b_3), or a stack of shape (k, 6),
+everywhere in the package; only the CLI prints (A, B).
+Residuals, Jacobian, energy and Newton run at the precision of their
+inputs (see `numerics`), the solvers in units of omega.
 
-Gap renormalization per site: Delta_n = sqrt(Delta^2 + 16 g^2 A_n^2) with
-the spin rotation fixed by sin(2 gamma_n) = 4 g A_n / Delta_n.
+Gap renormalization per site: Delta_n = Delta sqrt(1 + 16 g1^2 a_n^2),
+with the spin rotation fixed by sin(2 gamma_n) = 4 g1 a_n Delta/Delta_n.
 
-Roots: at a reduced coupling delta = g1/g1c - 1 >= 1e-2 a float64
-multi-start damped Newton returns the minimal-energy root, canonicalized
-so the distinguished site (when the ring order breaks C3) sits at index 0.
-All starts (up to 26) run as one batch (`_newton`): every iteration makes
-one stacked Jacobian and solve, one residual call for the full steps and
-one for all backtracking steps of the rows that need them. Closer to g1c
-the Jacobian goes singular, so `continued_roots` seeds every point from
-that root by the sqrt(delta) law and polishes them all in one stacked
-Newton, each row at its own coupling (the column g of `residuals`), then
-one full Newton step past its stop, so that a row's last digits depend on
-its delta alone. Points with delta >= 1e-4 run in float64; every deeper
-point is seeded from the float64 root at 1e-4 and polished the same way
-on 50-digit Decimal numbers (g1c and g1 included), because the Cholesky
-step of the fluctuations needs min-eig(J) ~ eps1^2 to stay clear of
-roundoff (see `numerics`).
+Roots: a float64 multi-start damped Newton finds the minimal-energy root
+at delta = g1/g1c - 1 >= 1e-2, canonicalized so the distinguished site
+(when the ring order breaks C3) sits at index 0. All starts (up to 25)
+run as one batch (`_newton`): every iteration makes one stacked Jacobian
+and solve, one residual call for the full steps and one for all
+backtracking steps of the rows that need them. `continued_roots` seeds
+every point from that root by the sqrt(delta) law (closer to g1c the
+Jacobian goes singular) and polishes them all in one stacked Newton,
+each row at its own coupling (the column g1 of `residuals`), then one
+full Newton step past its stop, so that a row's last digits depend on its
+delta alone. Every root returned comes from it. Points with delta >= 1e-4
+run in float64; every deeper point is seeded from the float64 root at
+1e-4 and polished the same way on 50-digit Decimal numbers (g1c and g1
+included), because the Cholesky step of the fluctuations needs
+min-eig(J) ~ eps1^2 to stay clear of roundoff (see `numerics`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import Decimal, getcontext
 
 import numpy as np
 
 from . import numerics
 from .errors import ConvergenceError, CriticalPointError, DomainError
-from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
+from .model import (ModelParams, PhaseLabel, classify_phase,
                     critical_coupling_min, in_omega_units, softest_mode)
 
 _NEWTON_TOL = 1e-10     # multi-start residual tolerance
@@ -64,7 +66,7 @@ _SIGNS = np.array([1.0, -1.0])[:, None]
 
 @dataclass(frozen=True, eq=False)
 class MeanFieldSolution:
-    x: np.ndarray       # the root (A_1..A_3, B_1..B_3)
+    x: np.ndarray       # the scaled root (a_1..a_3, b_1..b_3)
     energy: float
     label: PhaseLabel
     residual_norm: float
@@ -80,50 +82,52 @@ def _table(params: ModelParams, x: np.ndarray):
     return nb
 
 
-def _gaps(nb, params: ModelParams, a: np.ndarray, g) -> np.ndarray:
-    """Renormalized gaps Delta_n at the bare coupling g of params, in the
-    precision table nb of params and a."""
-    return nb.sqrt(a * (16 * g * g) * a + params.delta ** 2)
+def _gaps(nb, a: np.ndarray, g1) -> np.ndarray:
+    """Scaled renormalized gaps d_n = Delta_n / Delta at the coupling g1,
+    in the precision table nb of a and g1."""
+    return nb.sqrt(a * (16 * g1 * g1) * a + 1)
 
 
-def residuals(params: ModelParams, x: np.ndarray, g=None) -> np.ndarray:
-    """Stationarity residuals (R_1..R_3, S_1..S_3) at the displacement
-    x = (A_1..A_3, B_1..B_3); zero at a mean-field root.
+def residuals(params: ModelParams, x: np.ndarray, g1=None) -> np.ndarray:
+    """Scaled stationarity residuals (R_1..R_3, S_1..S_3) / sqrt(Delta/omega)
+    at the scaled displacement x = (a_1..a_3, b_1..b_3); zero at a
+    mean-field root.
 
     Equal to half the gradient of ground_energy_mf with respect to x, so
     roots are exactly the stationary points. For a stack of displacements,
-    shape (k, 6), whose rings differ only in g1, g holds the bare coupling
-    of each as a column (default: bare_coupling(params)).
+    shape (k, 6), whose rings differ only in g1, g1 holds the coupling of
+    each as a column (default: params.g1).
     """
     w, j, th = params.omega, params.j_hop, params.theta
-    g = bare_coupling(params) if g is None else g
+    g1 = params.g1 if g1 is None else g1
     x = np.asarray(x)
     nb = _table(params, x)
     a, b = x[..., :3], x[..., 3:]
-    dn = _gaps(nb, params, a, g)
-    an, ap = a[..., _NXT], a[..., _PRV]    # A_{n+1}, A_{n-1}
+    dn = _gaps(nb, a, g1)
+    an, ap = a[..., _NXT], a[..., _PRV]    # a_{n+1}, a_{n-1}
     bn, bp = b[..., _NXT], b[..., _PRV]
     ct, st = nb.cos(th), nb.sin(th)
-    r = a * w - a * (4 * g * g) / dn + ((an + ap) * ct + (bn - bp) * st) * j
+    r = (a * w - a * (4 * g1 * g1 * w) / dn
+         + ((an + ap) * ct + (bn - bp) * st) * j)
     s = b * w + ((bn + bp) * ct + (ap - an) * st) * j
     return np.concatenate([r, s], axis=-1)
 
 
 def residual_jacobian(params: ModelParams, x: np.ndarray,
-                      g=None) -> np.ndarray:
-    """Analytic 6x6 Jacobian of `residuals` in the (A, B) ordering; one
-    per displacement when x holds a stack of them, each at its own
-    coupling where g gives them as a column (see `residuals`)."""
+                      g1=None) -> np.ndarray:
+    """Analytic 6x6 Jacobian of `residuals` in the (a, b) ordering, equal to
+    that of the unscaled residuals in (A, B); one per displacement of a
+    stack, each at its own coupling in the column g1 (see `residuals`)."""
     w, j, th = params.omega, params.j_hop, params.theta
-    g = bare_coupling(params) if g is None else g
+    g1 = params.g1 if g1 is None else g1
     x = np.asarray(x)
     nb = _table(params, x)
     a = x[..., :3]
-    dn = _gaps(nb, params, a, g)
+    dn = _gaps(nb, a, g1)
     hop = nb.num(_HOP) * (j * nb.cos(th))
     twist = nb.num(_TWIST) * (j * nb.sin(th))
-    # d(A_n/Delta_n)/dA_n = Delta^2/Delta_n^3
-    curv = 4 * g * g * params.delta ** 2 / dn ** 3
+    # d(a_n/d_n)/da_n = 1/d_n^3
+    curv = 4 * g1 * g1 * w / dn ** 3
     jac = np.zeros(a.shape[:-1] + (6, 6), dtype=nb.rdtype)
     jac[..., :3, :3] = jac[..., 3:, 3:] = hop
     jac[..., :3, 3:], jac[..., 3:, :3] = twist, -twist
@@ -134,8 +138,9 @@ def residual_jacobian(params: ModelParams, x: np.ndarray,
 
 def ground_energy_mf(params: ModelParams,
                      x: np.ndarray) -> float | np.ndarray:
-    """Mean-field energy of the displacement x = (A_1..A_3, B_1..B_3), or
-    an array of them for a stack of displacements, shape (k, 6).
+    """Mean-field energy over Delta/omega at the scaled displacement
+    x = (a_1..a_3, b_1..b_3), or an array of them for a stack of
+    displacements, shape (k, 6).
 
     omega*sum|alpha|^2 + hopping bilinear - sum Delta_n/2. The hopping sum
     is real: each bond contributes 2*Re[e^{i theta} alpha_{n+1}^* alpha_n].
@@ -144,37 +149,35 @@ def ground_energy_mf(params: ModelParams,
     x = np.asarray(x)
     nb = _table(params, x)
     a, b = x[..., :3], x[..., 3:]
-    dn = _gaps(nb, params, a, bare_coupling(params))
+    dn = _gaps(nb, a, params.g1)
     an, bn = a[..., _NXT], b[..., _NXT]
     ct, st = nb.cos(th), nb.sin(th)
     hop = 2 * j * np.sum((a * an + b * bn) * ct + (a * bn - an * b) * st,
                          axis=-1)
-    e = w * np.sum(a * a + b * b, axis=-1) + hop - np.sum(dn, axis=-1) / 2
+    e = w * np.sum(a * a + b * b, axis=-1) + hop - np.sum(dn, axis=-1) * w / 2
     return float(e) if np.ndim(e) == 0 else e
 
 
 def fsp_closed_form(params: ModelParams) -> np.ndarray:
-    """Uniform real displacement x = (A, A, A, 0, 0, 0) of the ferromagnetic
-    phase, positive branch.
+    """Uniform real scaled displacement x = (a, a, a, 0, 0, 0) of the
+    ferromagnetic phase, positive branch (`_single_mode` at c = 2)."""
+    a = _single_mode(params, 2.0)
+    if not a >= 0.0:
+        raise DomainError(f"no uniform root: omega + 2J cos(theta) must be "
+                          f"positive and g1={params.g1} above its threshold")
+    return np.repeat([a, 0.0], 3)
 
-    A = sqrt(16 g^4/(omega + 2J cos theta)^2 - Delta^2) / (4g).
-    Raises DomainError below the threshold where the radicand turns negative.
-    """
-    g = bare_coupling(params)
-    den = params.omega + 2.0 * params.j_hop * math.cos(params.theta)
-    if den <= 0.0:
-        raise DomainError("omega + 2J cos(theta) must be positive")
-    rad = 16.0 * g ** 4 / den ** 2 - params.delta ** 2
-    if rad < 0.0:
-        # tolerate tiny negative values exactly at threshold
-        if rad > -1e-12 * params.delta ** 2:
-            rad = 0.0
-        else:
-            raise DomainError(
-                f"g1={params.g1} below the uniform-displacement threshold")
-    x = np.zeros(6)
-    x[:3] = math.sqrt(rad) / (4.0 * g)
-    return x
+
+def _single_mode(params: ModelParams, c: float) -> float:
+    """Amplitude sqrt(16 g1^4 omega^2/w^2 - 1) / (4 g1) of the single-mode
+    root at w = omega + c J cos(theta), uniform at c = 2, staggered at
+    c = -1. NaN at w <= 0 or radicand < -1e-12; radicand < 0 reads as 0."""
+    w = params.omega + c * params.j_hop * math.cos(params.theta)
+    if not w > 0.0:
+        return math.nan
+    rad = 16.0 * params.g1 ** 4 / (w / params.omega) ** 2 - 1.0
+    return (math.sqrt(max(rad, 0.0)) / (4.0 * params.g1) if rad >= -1e-12
+            else math.nan)
 
 
 def _solve_rows(nb, a: np.ndarray, b: np.ndarray
@@ -196,7 +199,7 @@ def _solve_rows(nb, a: np.ndarray, b: np.ndarray
         return x, regular
 
 
-def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
+def _newton(params: ModelParams, x0: np.ndarray, tol: float, g1=None
             ) -> np.ndarray | None | list[np.ndarray | None]:
     """Damped (Levenberg-regularized) Newton on the residual vector, at the
     precision of params and x0, in units of omega.
@@ -204,36 +207,37 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
     x0 is one start, shape (6,), or a stack of starts, shape (k, 6), that
     run together: each row keeps its own regularization and stops on its
     own, and follows the iterates it would follow alone. Rows of rings
-    that differ only in g1 take their bare couplings as the column g, shape
+    that differ only in g1 take their couplings as the column g1, shape
     (k, 1) (see `residuals`). A row stops
-      - converged, at max|r| <= tol;
+      - converged, at max|r| <= tol max(1, max|x|): above the rounding
+        of the residual, about u max|x| for a large root;
       - given up by the Levenberg rule, when the regularization mu of a
         step that lowers no max|r| would exceed 1e6;
       - stalled, when max|r| has not halved over the last _STALL
         iterations (a stall at a non-root minimum of max|r|; the give-up
         rule of MINPACK's hybrj, Moré, Garbow & Hillstrom, ANL-80-74);
       - at the cap of _MAX_ITER iterations.
-    Returns the root reached, or None where a row ends above tol; for a
+    Returns the root reached, or None where a row ends above its stop; for a
     stack, a list with one entry per row.
     """
     nb = numerics.of(params.omega, x0)
     x = np.array(x0, dtype=nb.rdtype, ndmin=2)
-    g = bare_coupling(params) if g is None else g
-    shared = np.ndim(g) == 0            # one coupling, or a column of them
-    r = residuals(params, x, g)
+    g1 = params.g1 if g1 is None else g1
+    shared = np.ndim(g1) == 0           # one coupling, or a column of them
+    r = residuals(params, x, g1)
     rn = np.max(np.abs(r), axis=-1)     # max|r| of each row, kept with r
     mu = nb.num(np.zeros(len(x)))
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
     past = []                            # max|r| of each row, per iteration
     for it in range(_MAX_ITER):
-        live &= ~(rn <= tol)
+        live &= ~(rn <= tol * np.maximum(np.abs(x).max(axis=-1), 1))
         if it >= _STALL:
             live &= rn <= past[it - _STALL] / 2
         past.append(rn.copy())
         if not live.any():
             break
         rows = np.flatnonzero(live)
-        jac = residual_jacobian(params, x[rows], g if shared else g[rows])
+        jac = residual_jacobian(params, x[rows], g1 if shared else g1[rows])
         reg = mu[rows] != 0
         if reg.any():
             jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
@@ -246,13 +250,14 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
         # of which each row takes the first that lowers max|r|
         xt = x[rows] + step
-        rt = residuals(params, xt, g if shared else g[rows])
+        rt = residuals(params, xt, g1 if shared else g1[rows])
         rnt = np.max(np.abs(rt), axis=-1)
         ok = rnt < rn[rows]
         back = np.flatnonzero(~ok)
         if len(back):
             xh = x[rows[back], None] + nb.num(_HALVINGS) * step[back, None]
-            rh = residuals(params, xh, g if shared else g[rows[back], None])
+            rh = residuals(params, xh,
+                           g1 if shared else g1[rows[back], None])
             rnh = np.max(np.abs(rh), axis=-1)
             lower = rnh < rn[rows[back], None]
             first = range(len(back)), np.argmax(lower, axis=1)
@@ -265,42 +270,30 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g=None
             bad = rows[~ok]
             mu[bad] = np.where(mu[bad] == 0, nb.num(1e-10), mu[bad] * 100)
             live[bad[mu[bad] > 1e6]] = False
-    out = [xi if ci else None for xi, ci in zip(x, rn <= tol)]
+    ok = rn <= tol * np.maximum(np.abs(x).max(axis=-1), 1)
+    out = [xi if ci else None for xi, ci in zip(x, ok)]
     return out if np.ndim(x0) == 2 else out[0]
 
 
 def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
-    g = bare_coupling(params)
-    seeds = [np.zeros(6)]
-    try:
-        fsp = fsp_closed_form(params)
-        amp = float(fsp[0])
-        seeds.append(fsp)
-        seeds.append(np.concatenate([-fsp[:3], fsp[3:]]))
-    except DomainError:
-        amp = 0.0
-    # staggered seed from the single-mode estimate at the soft momentum
-    den = params.omega - params.j_hop * math.cos(params.theta)
-    est = 0.0
-    if den > 0.0:
-        rad = 16.0 * g ** 4 / den ** 2 - params.delta ** 2
-        if rad > 0.0:
-            est = math.sqrt(rad) / (4.0 * g)
-    for amp_s in (est, amp):
-        if amp_s > 0.0:
-            seeds.append(np.array([amp_s, -0.5 * amp_s, -0.5 * amp_s,
-                                   0.0, 0.0, 0.0]))
-    rng = np.random.default_rng(seed)
-    box = 2.0 * g / params.omega
-    for _ in range(20):
-        seeds.append(rng.uniform(-box, box, size=6))
+    """The multi-start's starts: single-mode roots, 20 random ones in the
+    box |x_i| <= 2 g1 and the soft mode's pattern. Not the origin, which is
+    stationary but never the minimum above g1c."""
+    amp, est = _single_mode(params, 2.0), _single_mode(params, -1.0)
+    seeds = [np.repeat([s * amp, 0.0], 3) for s in (1.0, -1.0) if amp >= 0.0]
+    # staggered seeds from the single-mode estimate at the soft momentum,
+    # and from the uniform amplitude
+    seeds += [np.array([s, -0.5 * s, -0.5 * s, 0.0, 0.0, 0.0])
+              for s in (est, amp) if s > 0.0]
+    box = 2.0 * params.g1
+    seeds += list(np.random.default_rng(seed).uniform(-box, box, (20, 6)))
     # the soft mode's pattern cos(q n) at its single-mode amplitude, where
-    # 16 g^4 / omega_eff^2 = Delta^2 (g1/g1c)^4: when hopping nearly
-    # cancels omega, the root lies far outside the random box
+    # 16 g1^4 / omega_eff^2 = (g1/g1c)^4: when hopping nearly cancels
+    # omega, the root lies far outside the random box
     g1c, q = softest_mode(params)
     r = params.g1 / g1c
-    if r > 1.0 and g > 0.0:
-        amp = params.delta * math.sqrt(r * r * r * r - 1.0) / (4.0 * g)
+    if r > 1.0:
+        amp = math.sqrt(r * r * r * r - 1.0) / (4.0 * params.g1)
         if math.isfinite(amp):
             seeds.append(np.concatenate([amp * np.cos(q * np.arange(3)),
                                          np.zeros(3)]))
@@ -314,25 +307,21 @@ def at_critical_point(delta: float, g1c: float) -> bool:
 
 
 def _multistart(params: ModelParams, seed: int) -> np.ndarray:
-    """Minimal-energy root (A_1..A_3, B_1..B_3) by multi-start damped Newton
-    in float64, canonically labeled (see `solve_displacements`).
+    """Minimal-energy scaled root (a_1..a_3, b_1..b_3) by multi-start damped
+    Newton in float64, canonically labeled (see `solve_displacements`).
 
-    Raises DomainError for a negative seed and where 16 g^4 or 4 g^2
-    Delta^2, formed by the starts and the Jacobian, overflow float64."""
+    Raises DomainError for a negative seed and where 16 g1^4, formed by the
+    starts, overflows float64."""
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    g = bare_coupling(params)
-    if not (math.isfinite(16.0 * g * g * g * g)
-            and math.isfinite(4.0 * g * g * params.delta * params.delta)):
-        raise DomainError(
-            f"g/omega={g} and Delta/omega={params.delta} overflow the "
-            "mean-field equations in float64")
+    g1 = params.g1
+    if not math.isfinite(16.0 * g1 * g1 * g1 * g1):
+        raise DomainError(f"16 g1^4 overflows float64 at g1={g1}")
     xs = np.array([x for x in _newton(params, np.array(
         _seed_list(params, seed)), _NEWTON_TOL) if x is not None])
     if not len(xs):
-        raise ConvergenceError(
-            f"no mean-field root converged to {_NEWTON_TOL} at g1={params.g1}, "
-            f"theta={params.theta}")
+        raise ConvergenceError(f"no mean-field root converged at "
+                               f"g1={params.g1}, theta={params.theta}")
     # close[i][j]: np.allclose(xs[i], xs[j], atol=1e-8); each converged row
     # is kept unless it is close to a root kept before it
     close = np.all(np.abs(xs[:, None] - xs) <= 1e-8 + 1e-5 * np.abs(xs),
@@ -345,7 +334,7 @@ def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     energy = ground_energy_mf(params, roots)
     order = np.argsort(energy, kind="stable")
     e = energy[order]
-    tied = roots[order][e - e[0] <= 1e-10 * params.delta]
+    tied = roots[order][e - e[0] <= 1e-10]
     # canonical labeling: the lexicographically largest orbit member of any
     # tied root, keyed at the root-identity scale (1e-8, the dedup
     # tolerance) so Newton noise cannot decide a tie; the first on a tie
@@ -360,13 +349,14 @@ def _polish(ps: list[ModelParams], x0: np.ndarray, tol) -> np.ndarray:
     one full Newton step on every row, so a row's last digits do not
     depend on where its Newton happened to stop. Raises ConvergenceError
     where a row ends above tol or its last step is refused."""
-    g = np.array([[bare_coupling(p)] for p in ps])
-    xs = _newton(ps[0], x0, tol, g)
+    g1 = np.array([[p.g1] for p in ps])
+    xs = _newton(ps[0], x0, tol, g1)
     ok = np.array([x is not None for x in xs])
     if ok.all():
         x = np.array(xs)
-        step, ok = _solve_rows(numerics.of(x), residual_jacobian(ps[0], x, g),
-                               -residuals(ps[0], x, g))
+        step, ok = _solve_rows(numerics.of(x),
+                               residual_jacobian(ps[0], x, g1),
+                               -residuals(ps[0], x, g1))
     if not ok.all():
         raise ConvergenceError("continuation lost the root at "
                                f"g1={float(ps[np.argmin(ok)].g1)}")
@@ -375,8 +365,8 @@ def _polish(ps: list[ModelParams], x0: np.ndarray, tol) -> np.ndarray:
 
 def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
                     ) -> dict[float, tuple[ModelParams, np.ndarray]]:
-    """(params, root) at each reduced coupling delta = g1/g1c - 1 > 0, by
-    continuation from the multi-start root x at anchor = max(delta, 1e-2)
+    """(params, scaled root) at each reduced coupling delta = g1/g1c - 1 > 0,
+    by continuation from the multi-start root x at anchor = max(delta, 1e-2)
     found with the given seed. The params are in units of omega
     (`in_omega_units`).
 
@@ -404,15 +394,16 @@ def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
     if not deep:
         return out
     with numerics.working():
-        # 50-digit parameters; g, g1c, cos theta, ... derived from them follow
+        # 50-digit parameters; g1c, cos theta, ... derived from them follow
         base_dec = replace(base, omega=Decimal(1), delta=Decimal(base.delta),
                            j_hop=Decimal(base.j_hop))
         g1c_dec = critical_coupling_min(base_dec)
         ps = [replace(base_dec, g1=g1c_dec * (1 + Decimal(d))) for d in deep]
         x = numerics.DEC.num(roots[-1])
+        # the stop lies 12 digits above the working epsilon
         roots = _polish(ps, np.array(
             [x * (Decimal(d) / Decimal(_MP_SPLIT)).sqrt() for d in deep]),
-            Decimal(10) ** (12 - numerics.MP_DPS))
+            Decimal(10) ** (12 - getcontext().prec))
     out.update(zip(deep, zip(ps, roots)))
     return out
 
@@ -422,14 +413,16 @@ def solve_displacements(params: ModelParams,
     """Minimal-energy stationary point of the displaced-spin energy.
 
     Below the critical coupling the zero displacement is returned with
-    label NP, and within 1e-12 above it CriticalPointError is raised. At
-    delta >= 1e-2 a damped Newton runs all starts as one batch and
-    collects the distinct roots; ties within 1e-10*Delta in energy are
-    broken by the canonical site labeling (lexicographically largest
-    (A_1, A_2, A_3)). Closer to g1c the root is continued down from the
-    multi-start at delta = 1e-2. The seed feeds only the random extra
-    starts; the structured seeds are fixed. The solve runs in units of
-    omega; energy and residual norm are in the unit of params.
+    label NP, and within 1e-12 above it CriticalPointError is raised.
+    Above it the root is `continued_roots`' at delta = g1/g1c - 1, whose
+    multi-start runs all starts as one batch at max(delta, 1e-2) and
+    collects the distinct roots; ties within 1e-10 in the energy over
+    Delta/omega are broken by the canonical site labeling (lexicographically
+    largest (a_1, a_2, a_3)). The seed feeds only the random extra starts;
+    the structured seeds are fixed. The solve runs in units of omega. x is
+    the scaled root (a, b), which `residuals` and `ground_energy_mf` take;
+    energy and residual norm are those of (A, B) = sqrt(Delta/omega) (a, b)
+    in the unit of params.
     """
     p = in_omega_units(params)
     g1c = critical_coupling_min(p)
@@ -439,11 +432,12 @@ def solve_displacements(params: ModelParams,
     elif at_critical_point(d, g1c):
         raise CriticalPointError(
             f"g1={p.g1} is within 1e-12 of the critical coupling")
-    elif d >= _ANCHOR:
-        x = _multistart(p, seed)
     else:
         x = np.array(continued_roots(p, [d], seed)[d][1], dtype=float)
-    w = params.omega
+    scale, w = math.sqrt(p.delta), params.omega
+    energy = ground_energy_mf(p, x) * p.delta
+    if not math.isfinite(energy):
+        raise DomainError(f"the energy overflows at delta/omega={p.delta!r}")
     return MeanFieldSolution(
-        x=x, energy=ground_energy_mf(p, x) * w, label=classify_phase(p),
-        residual_norm=float(np.max(np.abs(residuals(p, x)))) * w)
+        x=x, energy=energy * w, label=classify_phase(p),
+        residual_norm=float(np.max(np.abs(residuals(p, x)))) * scale * w)

@@ -35,7 +35,7 @@ from . import numerics
 from .bogoliubov import point_observables
 from .errors import CriticalPointError, DomainError, FitRejected
 from .meanfield import at_critical_point, continued_roots
-from .model import (ModelParams, PhaseLabel, bare_coupling, classify_phase,
+from .model import (ModelParams, PhaseLabel, classify_phase,
                     critical_coupling_min, in_omega_units)
 
 _QUANTITIES = ("eps1", "eps2", "photon_n", "var_x", "var_p")
@@ -186,7 +186,7 @@ def observables_near(base: ModelParams, deltas: list[float],
                 with numerics.working():
                     out.update(zip(ds, point_observables(
                         qs[0], np.array([roots[d][1] for d in ds]),
-                        np.array([[bare_coupling(q)] for q in qs]))))
+                        np.array([[q.g1] for q in qs]))))
     for obs in out.values():
         obs.update({k: obs[k] * base.omega for k in ("eps1", "eps2", "eps3")})
     return out

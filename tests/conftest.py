@@ -13,14 +13,14 @@ def lose_the_root(monkeypatch, deep, row=None):
     """Make the continuation's Newton end above its tolerance in one of its
     two stages: the stacked float64 polish, or (deep) the stacked 50-digit
     one; in every row of it, or in the given row alone. Both stages pass
-    each row's coupling as the column g; the multi-start's float64 batch,
+    each row's coupling as the column g1; the multi-start's float64 batch,
     which passes none, runs as is."""
     from rabitri import meanfield
     newton = meanfield._newton
 
-    def lost(p, x0, tol, g=None):
-        roots = newton(p, x0, tol, g)
-        if g is None or (x0.dtype == object) != deep:
+    def lost(p, x0, tol, g1=None):
+        roots = newton(p, x0, tol, g1)
+        if g1 is None or (x0.dtype == object) != deep:
             return roots
         return [None if row in (None, i) else x for i, x in enumerate(roots)]
 

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,18 +235,18 @@ _FROZEN_OUTPUT = {
         '0.90853843430875625,5.4110572723701473,5.4110572723701473,'
         '5.4110572723701473,0.22309646486487844,0.22309646486487844,'
         '0.22309646486487844,0.099482257850468575,0.18252119698132394',
-        '0.4933304374402544,1.8968305663511051,2.0123080350614453,'
-        '2.0123080350614457,3.7284618915743835,8.0581721369364629,'
-        '8.0581721369364647,0.30197842335398328,0.18414632025878783,'
-        '0.18414632025878769,0.067111653046090958,0.2011924197950859',
-        '0.5030993569935267,4.2212344805788913,2.338006069510755,'
-        '2.338006069510755,2.3935169223424397,3.7762853236736733,'
-        '3.7762853236736729,0.43056942035035689,0.28309637512941277,'
-        '0.28309637512941294,0.1940418291410152,0.31729300260914667',
-        '0.51286827654679912,6.5529942135422381,3.7711675706105501,'
-        '3.7711675706105505,1.9864306174960475,2.7750757140515812,'
-        '2.775075714051582,0.50987190545086292,0.36863880867455329,'
-        '0.36863880867455345,0.29039650262163741,0.40138489975957614',
+        '0.4933304374402544,1.8968305663511031,2.0123080350613938,'
+        '2.0123080350613898,3.7284618915743835,8.0581721369362977,'
+        '8.0581721369361983,0.30197842335398356,0.18414632025878822,'
+        '0.18414632025878983,0.067111653046093372,0.20119241979508676',
+        '0.5030993569935267,4.2212344805788833,2.3380060695107416,'
+        '2.3380060695107603,2.3935169223424491,3.7762853236736924,'
+        '3.7762853236736795,0.43056942035035628,0.28309637512941177,'
+        '0.28309637512941288,0.19404182914101467,0.31729300260914611',
+        '0.51286827654679912,6.552994213542255,3.7711675706105634,'
+        '3.7711675706105625,1.9864306174960447,2.7750757140515789,'
+        '2.7750757140515745,0.5098719054508638,0.36863880867455356,'
+        '0.3686388086745544,0.29039650262163796,0.40138489975957664',
     ],
     ('spectrum', '--theta', '2.0', '--points', '6', '--seed', '2'): [
         '# g1c = 0.48948578026978623',
@@ -258,19 +259,19 @@ _FROZEN_OUTPUT = {
         '0.36717347942325251',
         '0.49438063807248411,0.18931362288239506,0.24046223721630336,'
         '0.39795717146167564',
-        '0.50417035367787988,0.32003892848696008,0.33696513530857497,'
-        '0.49446006955394722',
-        '0.51396006928327553,0.40354455144856538,0.40825949029953484,'
-        '0.5657544245449071',
+        '0.50417035367787988,0.32003892848695947,0.3369651353085743,'
+        '0.49446006955394683',
+        '0.51396006928327553,0.4035445514485646,0.40825949029953407,'
+        '0.56575442454490621',
     ],
     ('meanfield', '--theta', '0', '--seed', '3'): [
         '# phase = antiferromagnetic',
         '# energy = -162.28577118906318',
-        '# residual_norm = 2.1302404284995191e-15',
+        '# residual_norm = 7.1991024253037494e-16',
         'site,A,B',
-        '1,5.0760036587939981,0',
-        '2,-4.3834336285020408,-1.4581278365932305e-86',
-        '3,-4.3834336285020372,-2.9531703019609727e-87',
+        '1,5.0760036587939954,0',
+        '2,-4.3834336285020372,0',
+        '3,-4.3834336285020372,0',
     ],
 }
 
@@ -431,10 +432,13 @@ def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):
              "--g1", repr(g1c))
     assert rc == 3
     assert "critical coupling" in capsys.readouterr().err
-    # Delta/omega = 1e103: 16 g^4 and 4 g^2 Delta^2 of the mean-field
-    # equations overflow float64 in units of omega
+    # the mean-field equations do not depend on Delta/omega, so 1e103
+    # answers; 16 g1^4 overflows float64 at g1 = 1e78
     rc = run(monkeypatch, tmp_path, "meanfield", "--delta", "1e103",
              "--g1", "0.6")
+    assert rc == 0
+    assert "\n1,1.6051732973137208e+51,0\n" in capsys.readouterr().out
+    rc = run(monkeypatch, tmp_path, "meanfield", "--g1", "1e78")
     assert rc == 3
     assert "overflow" in capsys.readouterr().err
     assert run(monkeypatch, tmp_path, "meanfield", "--omega", "1e75",
@@ -484,7 +488,89 @@ def test_meanfield_at_a_tiny_energy_unit_finds_the_root(monkeypatch,
         assert "# phase = antiferromagnetic" in out
         rows.append([ln for ln in out if ln[:1].isdigit()])
     assert rows[0] == rows[1]
-    assert rows[0][0].split(",")[1] == "1.1806002640270492"
+    assert rows[0][0].split(",")[1] == "1.1806002640270359"
+
+
+@pytest.mark.parametrize("g1, a1", [("3e4", 330143.54066985648),
+                                     ("1e5", 1100478.4688995215),
+                                     ("3e5", None), ("3e6", None),
+                                     ("1e7", None)])
+def test_meanfield_far_above_g1c_answers(monkeypatch, tmp_path, capsys, g1,
+                                         a1):
+    # the Newton stops are relative to max(1, max|x|), above the rounding
+    # of the residual of a large root; far above g1c the root grows as g1,
+    # so A_1/g1 agrees with its value at g1 = 3e4 (a1 pinned where an
+    # absolute stop answered too; the origin, stationary but never the
+    # minimum, is not returned in its place)
+    rows = []
+    for g in ("3e4", g1):
+        assert run(monkeypatch, tmp_path, "meanfield", "--g1", g) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "# phase = antiferromagnetic" in out
+        rows.append(data_rows(out))
+    got = float(rows[1][0][1])
+    if a1 is not None:
+        assert got == pytest.approx(a1, rel=1e-12)
+    assert got / float(g1) == pytest.approx(float(rows[0][0][1]) / 3e4,
+                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["meanfield"], "energy overflows"),
+    (["fluctuations", "--theta", "0.5", "--points", "6", "--window-max", "3"],
+     "photon number overflows"),
+    (["exponents", "--theta", "0.5"], "out of range"),
+])
+def test_outputs_that_overflow_at_large_delta_exit_3(argv, message):
+    # the equations are free of delta/omega, but the energy, photon_n's
+    # condensate term and its fitted amplitude carry it
+    rc, err, _ = run_quiet([*argv, "--delta", "1.7e308"])
+    assert rc == 3 and err.startswith("error:") and message in err
+
+
+def data_rows(lines):
+    return [ln.split(",") for ln in lines if ln[:1].isdigit()]
+
+
+def test_meanfield_root_scales_with_sqrt_delta(monkeypatch, tmp_path,
+                                               capsys):
+    # (a, b) = (A, B) / sqrt(Delta/omega) solves equations free of
+    # Delta/omega, so each cell at Delta 100 and 1e20 is the rounding of
+    # one scaled root times 10 and 1e10: exactly, the two cells over their
+    # scales lie within half an ulp of each cell over its scale apart
+    cells = []
+    for delta, scale in (("100", 10), ("1e20", 10 ** 10)):
+        assert run(monkeypatch, tmp_path, "meanfield", "--delta", delta,
+                   "--g1", "0.6") == 0
+        out = capsys.readouterr().out.splitlines()
+        cells.append([(Fraction(float(c)) / scale,
+                       Fraction(math.ulp(float(c))) / scale / 2)
+                      for row in data_rows(out) for c in row[1:]])
+    for (a, ha), (b, hb) in zip(*cells):
+        assert abs(a - b) <= ha + hb
+
+
+def test_large_delta_scan_keeps_the_delta_free_columns():
+    # g1, var_x, var_p and the gaps do not depend on Delta/omega; the
+    # photon numbers carry its condensate term
+    argv = ["fluctuations", "--theta", "0.5", "--points", "6", "--seed", "4"]
+    rc, _, ref = run_quiet(argv)
+    rc1, _, big = run_quiet([*argv, "--delta", "1e11"])
+    assert rc == rc1 == 0
+    free = [0, *range(4, 12)]
+    assert ([[row[k] for k in free] for row in data_rows(big)]
+            == [[row[k] for k in free] for row in data_rows(ref)])
+
+
+def test_large_delta_exponents_keep_the_gap_and_variance_rows():
+    rc, _, ref = run_quiet(["exponents", "--theta", "0.1"])
+    rc1, _, big = run_quiet(["exponents", "--theta", "0.1", "--delta",
+                             "1e13"])
+    assert rc == rc1 == 0
+    rows = [[ln for ln in out if ln.startswith("NP-")
+             and ln.split(",")[1] in ("eps1", "eps2", "var_x")]
+            for out in (ref, big)]
+    assert len(rows[0]) == 8 and rows[0] == rows[1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

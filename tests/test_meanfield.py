@@ -94,12 +94,14 @@ def test_normal_phase_returns_zero_displacement():
 
 
 def test_afsp_frozen_root():
-    sol = solve_displacements(params(theta=0.0, g1=0.55))
+    p = params(theta=0.0, g1=0.55)
+    sol = solve_displacements(p)
+    x = sol.x * math.sqrt(p.delta)      # (A, B)
     assert sol.label is PhaseLabel.AFSP
-    assert sol.x[:3] == pytest.approx(
+    assert x[:3] == pytest.approx(
         [3.9037049211943899, -3.2033182100437005, -3.2033182100437014],
         rel=1e-10)
-    assert np.max(np.abs(sol.x[3:])) <= 1e-10
+    assert np.max(np.abs(x[3:])) <= 1e-10
     assert sol.energy == pytest.approx(-153.95918077817674, rel=1e-12)
     assert sol.residual_norm <= 1e-10
 
@@ -108,13 +110,13 @@ def test_csp_frozen_root():
     p = params(theta=0.1)
     g1c = critical_coupling_min(p)
     sol = solve_displacements(params(theta=0.1, g1=1.01 * g1c))
+    x = sol.x * math.sqrt(p.delta)      # (A, B)
     assert sol.label is PhaseLabel.CSP
-    assert sol.x[:3] == pytest.approx([1.182041, -0.663855, -0.663855],
-                                       rel=1e-5)
-    assert sol.x[3:][0] == pytest.approx(0.0, abs=1e-8)
+    assert x[:3] == pytest.approx([1.182041, -0.663855, -0.663855], rel=1e-5)
+    assert x[3:][0] == pytest.approx(0.0, abs=1e-8)
     # chirality: the imaginary parts of the two satellite sites are opposite
-    assert sol.x[3:][1] == pytest.approx(-0.00969651, rel=1e-4)
-    assert sol.x[3:][2] == pytest.approx(+0.00969651, rel=1e-4)
+    assert x[3:][1] == pytest.approx(-0.00969651, rel=1e-4)
+    assert x[3:][2] == pytest.approx(+0.00969651, rel=1e-4)
 
 
 def test_triple_point_uniform_root():
@@ -122,32 +124,36 @@ def test_triple_point_uniform_root():
     g1c = critical_coupling_min(p)
     sol = solve_displacements(params(theta=THETA_C, g1=1.01 * g1c))
     assert sol.label is PhaseLabel.TRIPLE_POINT
-    a = sol.x[:3]
+    x = sol.x * math.sqrt(p.delta)      # (A, B)
+    a = x[:3]
     assert a[0] == pytest.approx(1.00003719, rel=1e-6)
     assert np.max(np.abs(a - a[0])) <= 1e-7
-    assert np.max(np.abs(sol.x[3:])) <= 1e-7
+    assert np.max(np.abs(x[3:])) <= 1e-7
 
 
 def test_fsp_solver_matches_closed_form():
     p = params(theta=1.7, g1=0.6)
-    sol = solve_displacements(p)
-    assert sol.label is PhaseLabel.FSP
-    x = fsp_closed_form(p)
-    assert sol.x[:3] == pytest.approx(x[:3], rel=1e-9)
-    assert np.max(np.abs(sol.x[3:])) <= 1e-9
+    assert solve_displacements(p).label is PhaseLabel.FSP
+    root, x = solve_displacements(p).x, fsp_closed_form(p)
+    assert root[:3] == pytest.approx(x[:3], rel=1e-9)
+    # (a, b) is sqrt(delta/omega) times smaller than (A, B)
+    assert np.max(np.abs(root[3:])) <= 1e-9 / math.sqrt(p.delta)
 
 
 def test_cyclic_orbit_is_degenerate():
     p = params(theta=0.0, g1=0.55)
-    sol = solve_displacements(p)
-    e0 = sol.energy
+    root = solve_displacements(p).x
+    e0 = ground_energy_mf(p, root)
+    assert e0 * p.delta == pytest.approx(solve_displacements(p).energy,
+                                         rel=1e-14)
     for shift in (1, 2):
-        x = np.concatenate([np.roll(sol.x[:3], shift),
-                            np.roll(sol.x[3:], shift)])
-        assert np.max(np.abs(residuals(p, x))) <= 1e-9
+        x = np.concatenate([np.roll(root[:3], shift),
+                            np.roll(root[3:], shift)])
+        # the scaled residuals are sqrt(delta/omega) times smaller
+        assert np.max(np.abs(residuals(p, x))) <= 1e-9 / math.sqrt(p.delta)
         assert ground_energy_mf(p, x) == pytest.approx(e0, rel=1e-14)
     # global sign flip too
-    assert ground_energy_mf(p, -sol.x) == pytest.approx(e0, rel=1e-14)
+    assert ground_energy_mf(p, -root) == pytest.approx(e0, rel=1e-14)
 
 
 def test_canonical_labeling_puts_largest_site_first():
@@ -162,8 +168,9 @@ def test_seed_only_feeds_random_starts():
     p = params(theta=0.1, g1=0.55)
     s0 = solve_displacements(p, seed=0)
     s1 = solve_displacements(p, seed=12345)
-    assert s0.x[:3] == pytest.approx(s1.x[:3], abs=1e-8)
-    assert s0.x[3:] == pytest.approx(s1.x[3:], abs=1e-8)
+    tol = 1e-8 / math.sqrt(p.delta)     # 1e-8 in (A, B)
+    assert s0.x[:3] == pytest.approx(s1.x[:3], abs=tol)
+    assert s0.x[3:] == pytest.approx(s1.x[3:], abs=tol)
 
 
 def test_negative_seed_is_a_domain_error():
@@ -207,18 +214,19 @@ def test_continuation_that_loses_one_of_several_roots_raises(monkeypatch,
 
 
 def test_sine_branch_saddle_exists_but_loses():
-    # A = (0, c, -c) solves the stationarity equations at zero flux yet sits
+    # a = (0, c, -c) solves the stationarity equations at zero flux yet sits
     # above the cosine branch in energy, so the solver must not return it
     g1c = 0.48733971724044817
     p = params(theta=0.0, g1=1.01 * g1c)
-    x = _newton(p, np.array([0.0, 2.0, -2.0, 0.0, 0.0, 0.0]), tol=1e-12)
+    x = _newton(p, np.array([0.0, 0.2, -0.2, 0.0, 0.0, 0.0]), tol=1e-13)
     assert x is not None
-    assert x[1] == pytest.approx(1.02346098, rel=1e-7)
-    assert x[0] == pytest.approx(0.0, abs=1e-10)
-    e_saddle = ground_energy_mf(p, x)
+    assert x[1] == pytest.approx(0.102346098, rel=1e-7)
+    assert x[0] == pytest.approx(0.0, abs=1e-11)
+    e_saddle = ground_energy_mf(p, x) * p.delta
     sol = solve_displacements(p)
     assert sol.energy < e_saddle
-    assert sol.x[:3][0] > 1.1   # cosine-branch pattern (c, -c/2ish, -c/2ish)
+    # cosine-branch pattern (c, -c/2ish, -c/2ish)
+    assert sol.x[:3][0] * math.sqrt(p.delta) > 1.1
 
 
 def test_energy_decreases_through_transition():
@@ -249,15 +257,16 @@ def test_mirror_and_paraunitarity_across_parameters(theta, j_hop, delta,
                                               j_hop=j_hop))
     p = params(theta=theta, g1=g1, delta=delta, j_hop=j_hop)
     q = params(theta=-theta, g1=g1, delta=delta, j_hop=j_hop)
-    mf = solve_displacements(p)
-    x = mf.x
+    x = solve_displacements(p).x
     mirrored = x[swap]
     r_p = residuals(p, x)
     r_q = residuals(q, mirrored)
-    assert np.max(np.abs(r_q - r_p[swap])) <= 1e-12 * delta
-    assert np.max(np.abs(r_q)) <= 5e-10
+    # the residuals are sqrt(delta) times, the energies delta times smaller
+    # than in (A, B)
+    assert np.max(np.abs(r_q - r_p[swap])) <= 1e-12 * math.sqrt(delta)
+    assert np.max(np.abs(r_q)) <= 5e-10 / math.sqrt(delta)
     assert abs(ground_energy_mf(q, mirrored)
-               - ground_energy_mf(p, x)) <= 1e-12 * delta
+               - ground_energy_mf(p, x)) <= 1e-12
     ps = diagonalize_paraunitary(residual_jacobian(p, x))
     qs = diagonalize_paraunitary(residual_jacobian(q, mirrored))
     assert ps.para_residual <= 1e-10 and qs.para_residual <= 1e-10
@@ -389,7 +398,7 @@ def test_singular_start_does_not_disturb_its_batch():
 def test_multistart_work_is_bounded(monkeypatch):
     # each Newton iteration evaluates the residuals of all its starts in at
     # most two calls: the full steps, then every backtracking step at once.
-    # Starts 2 and 12 sit at a non-root minimum of max|r| (about 0.08),
+    # Starts 1 and 11 sit at a non-root minimum of max|r| (about 0.008),
     # give up once it has not halved in _STALL iterations, and so end the
     # batch after 23 iterations rather than _MAX_ITER
     calls = []
@@ -406,16 +415,16 @@ def test_multistart_work_is_bounded(monkeypatch):
     assert len(calls) <= 2 * 23 + 1
     batch = _newton(p, np.array(_seed_list(p, seed=4)),
                     meanfield._NEWTON_TOL * p.omega)
-    assert [i for i, x in enumerate(batch) if x is None] == [2, 12]
+    assert [i for i, x in enumerate(batch) if x is None] == [1, 11]
 
 
 def test_slow_start_that_keeps_halving_converges(monkeypatch):
-    # this random start rests near max|r| = 0.035 for 17 iterations and
+    # this random start rests near max|r| = 1.1e-3 for 17 iterations and
     # reaches a root after 27, halving max|r| within every _STALL of them,
     # so the stall rule leaves its iterates as they were without it
     g1c = critical_coupling_min(params(theta=-1.8, delta=1000.0, j_hop=0.04))
     p = params(theta=-1.8, g1=1.013 * g1c, delta=1000.0, j_hop=0.04)
-    x0 = _seed_list(p, seed=5)[14]
+    x0 = _seed_list(p, seed=5)[13]
     tol = meanfield._NEWTON_TOL * p.omega
     iterations = []
     jacobian = meanfield.residual_jacobian
@@ -439,7 +448,7 @@ def _loop_multistart(p, seed):
             roots = np.vstack([roots, x])
     scored = sorted(((ground_energy_mf(p, x), x)
                      for x in roots), key=lambda t: t[0])
-    tied = [x for e, x in scored if e - scored[0][0] <= 1e-10 * p.delta]
+    tied = [x for e, x in scored if e - scored[0][0] <= 1e-10]
     orbit = [sgn * np.concatenate([np.roll(x[:3], shift),
                                    np.roll(x[3:], shift)])
              for x in tied for shift in range(3) for sgn in (1.0, -1.0)]

@@ -496,10 +496,15 @@ def test_float64_observables_match_fifty_digits(monkeypatch, theta):
         assert x.dtype == float
         got = point_observables(p, x)
         jac = residual_jacobian(p, x)
+        # the parameters at the precision of the root, as the condensate
+        # term (delta/omega)(a^2 + b^2) of photon_n needs
+        pd = ModelParams(omega=Decimal(p.omega), delta=Decimal(p.delta),
+                         g1=Decimal(p.g1), j_hop=Decimal(p.j_hop),
+                         theta=p.theta)
         with monkeypatch.context() as patch, working():
             patch.setattr(bogoliubov, "residual_jacobian",
-                          lambda q, y, g=None: DEC.num(jac))
-            want = point_observables(p, DEC.num(x))
+                          lambda q, y, g1=None: DEC.num(jac))
+            want = point_observables(pd, DEC.num(x))
         for key in keys:
             assert np.asarray(got[key]) == pytest.approx(want[key],
                                                          rel=1e-10), (d, key)

@@ -6,7 +6,7 @@ import pytest
 from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
 from rabitri.bogoliubov import point_observables
 import rabitri.meanfield as meanfield
-from rabitri.model import bare_coupling, critical_flux
+from rabitri.model import critical_flux
 from rabitri.cli import main
 import rabitri.scaling as scaling
 from rabitri.scaling import (SweepSpec, _entry, _log_grid, exponent_report,
@@ -297,7 +297,7 @@ def test_float64_stack_equals_the_point_by_point_calls(theta, deltas):
     roots = meanfield.continued_roots(base, deltas)
     qs = [roots[d][0] for d in deltas]
     stack = point_observables(qs[0], np.array([roots[d][1] for d in deltas]),
-                              np.array([[bare_coupling(q)] for q in qs]))
+                              np.array([[q.g1] for q in qs]))
     near = observables_near(base, deltas)
     for d, row in zip(deltas, stack):
         alone = point_observables(*roots[d])
@@ -370,6 +370,28 @@ def test_deep_rows_do_not_depend_on_their_seed(monkeypatch, delta, j_hop,
         for key in ("eps1", "eps2", "eps3", "photon_n", "var_x", "var_p"):
             a, b = np.asarray(rows[d][key]), np.asarray(moved[d][key])
             assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(a))), (d, key)
+
+
+@pytest.mark.parametrize("delta", [10.0, 100.0, 1e4, 1e100])
+def test_delta_drops_out_of_roots_gaps_and_variances(delta):
+    # in (a, b) = (A, B) / sqrt(Delta/omega) neither the mean field nor the
+    # Colpa step depends on Delta/omega: at both precisions (the two deepest
+    # deltas at 50 digits) the scaled roots, the gaps and the variances are
+    # the floats of Delta/omega = 100. Only photon_n's condensate term
+    # carries Delta/omega
+    deltas = [1e-9, 1e-6, 1e-4, 2e-3, 1e-2, 5e-2]
+    keys = ("eps1", "eps2", "eps3", "var_x", "var_p", "var_x_modes")
+    for theta in (0.0, 0.1, 1.7, math.pi):
+        ref, got = (ModelParams(omega=1.0, delta=d, g1=0.1, j_hop=0.05,
+                                theta=theta) for d in (100.0, delta))
+        roots = [meanfield.continued_roots(p, deltas) for p in (ref, got)]
+        rows = [observables_near(p, deltas) for p in (ref, got)]
+        for d in deltas:
+            assert np.array_equal(np.array(roots[0][d][1], dtype=float),
+                                  np.array(roots[1][d][1], dtype=float))
+            for key in keys:
+                assert np.array_equal(rows[0][d][key], rows[1][d][key]), (
+                    theta, d, key)
 
 
 def test_exponent_report_default_base():
