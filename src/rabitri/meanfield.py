@@ -13,20 +13,22 @@ Gap renormalization per site: Delta_n = Delta sqrt(1 + 16 g1^2 a_n^2),
 with the spin rotation fixed by sin(2 gamma_n) = 4 g1 a_n Delta/Delta_n.
 
 Roots: a float64 multi-start damped Newton finds the minimal-energy root
-at delta = g1/g1c - 1 >= 1e-2, canonicalized so the distinguished site
-(when the ring order breaks C3) sits at index 0. All starts (up to 25)
-run as one batch (`_newton`): every iteration makes one stacked Jacobian
-and solve, one residual call for the full steps and one for all
+at the one anchor delta = g1/g1c - 1 = 1e-2, near g1c, where the root is
+close to the soft mode's pattern times sqrt(delta), canonicalized so the
+distinguished site (when the ring order breaks C3) sits at index 0. All
+22 starts run as one batch (`_newton`): every iteration makes one stacked
+Jacobian and solve, one residual call for the full steps and one for all
 backtracking steps of the rows that need them. `continued_roots` seeds
-every point from that root by the sqrt(delta) law (closer to g1c the
-Jacobian goes singular) and polishes them all in one stacked Newton,
-each row at its own coupling (the column g1 of `residuals`), then one
-full Newton step past its stop, so that a row's last digits depend on its
-delta alone. Every root returned comes from it. Points with delta >= 1e-4
-run in float64; every deeper point is seeded from the float64 root at
-1e-4 and polished the same way on 50-digit Decimal numbers (g1c and g1
-included), because the Cholesky step of the fluctuations needs
-min-eig(J) ~ eps1^2 to stay clear of roundoff (see `numerics`).
+every point, above the anchor and below it, from that root by the
+sqrt(delta) law (closer to g1c the Jacobian goes singular) and polishes
+them all in one stacked Newton, each row at its own coupling (the column
+g1 of `residuals`), then one full Newton step past its stop, so that a
+row's last digits depend on its delta alone. Every root returned comes
+from it. Points with delta >= 1e-4 run in float64; every deeper point is
+seeded from the float64 root at 1e-4 and polished the same way on
+50-digit Decimal numbers (g1c and g1 included), because the Cholesky step
+of the fluctuations needs min-eig(J) ~ eps1^2 to stay clear of roundoff
+(see `numerics`).
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ _NEWTON_TOL = 1e-10     # multi-start residual tolerance
 _MAX_ITER = 200
 _STALL = 20             # Newton gives up a row whose max|r| has not halved
                         # over this many iterations
-_ANCHOR = 1e-2          # the multi-start runs at delta >= this
+_ANCHOR = 1e-2          # the multi-start runs at this delta
 _MP_SPLIT = 1e-4        # continuation points below this delta run at 50 digits
 # ring neighbours: x[_NXT][n] = x_{n+1}, x[_PRV][n] = x_{n-1}
 _NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -126,8 +128,10 @@ def residual_jacobian(params: ModelParams, x: np.ndarray,
     dn = _gaps(nb, a, g1)
     hop = nb.num(_HOP) * (j * nb.cos(th))
     twist = nb.num(_TWIST) * (j * nb.sin(th))
-    # d(a_n/d_n)/da_n = 1/d_n^3
-    curv = 4 * g1 * g1 * w / dn ** 3
+    # d(a_n/d_n)/da_n = 1/d_n^3; a d_n^3 that overflows float64 (from
+    # g1 ~ 1e51) gives the curvature's limit 0
+    with np.errstate(over="ignore"):
+        curv = 4 * g1 * g1 * w / dn ** 3
     jac = np.zeros(a.shape[:-1] + (6, 6), dtype=nb.rdtype)
     jac[..., :3, :3] = jac[..., 3:, 3:] = hop
     jac[..., :3, 3:], jac[..., 3:, :3] = twist, -twist
@@ -160,24 +164,16 @@ def ground_energy_mf(params: ModelParams,
 
 def fsp_closed_form(params: ModelParams) -> np.ndarray:
     """Uniform real scaled displacement x = (a, a, a, 0, 0, 0) of the
-    ferromagnetic phase, positive branch (`_single_mode` at c = 2)."""
-    a = _single_mode(params, 2.0)
-    if not a >= 0.0:
+    ferromagnetic phase, positive branch: a = sqrt(16 g1^4 omega^2/w^2 - 1)
+    / (4 g1) at w = omega + 2J cos(theta), a radicand within 1e-12 below 0
+    read as 0."""
+    w = params.omega + 2.0 * params.j_hop * math.cos(params.theta)
+    rad = (16.0 * params.g1 ** 4 / (w / params.omega) ** 2 - 1.0
+           if w > 0.0 else math.nan)
+    if not rad >= -1e-12:
         raise DomainError(f"no uniform root: omega + 2J cos(theta) must be "
                           f"positive and g1={params.g1} above its threshold")
-    return np.repeat([a, 0.0], 3)
-
-
-def _single_mode(params: ModelParams, c: float) -> float:
-    """Amplitude sqrt(16 g1^4 omega^2/w^2 - 1) / (4 g1) of the single-mode
-    root at w = omega + c J cos(theta), uniform at c = 2, staggered at
-    c = -1. NaN at w <= 0 or radicand < -1e-12; radicand < 0 reads as 0."""
-    w = params.omega + c * params.j_hop * math.cos(params.theta)
-    if not w > 0.0:
-        return math.nan
-    rad = 16.0 * params.g1 ** 4 / (w / params.omega) ** 2 - 1.0
-    return (math.sqrt(max(rad, 0.0)) / (4.0 * params.g1) if rad >= -1e-12
-            else math.nan)
+    return np.repeat([math.sqrt(max(rad, 0.0)) / (4.0 * params.g1), 0.0], 3)
 
 
 def _solve_rows(nb, a: np.ndarray, b: np.ndarray
@@ -276,28 +272,20 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g1=None
 
 
 def _seed_list(params: ModelParams, seed: int = 0) -> list[np.ndarray]:
-    """The multi-start's starts: single-mode roots, 20 random ones in the
-    box |x_i| <= 2 g1 and the soft mode's pattern. Not the origin, which is
+    """The multi-start's starts above g1c: the soft mode's pattern
+    +-cos(q n) at its single-mode amplitude, the root a pitchfork at g1c
+    bifurcates into (uniform at q = 0, staggered at q = +-2pi/3), then 20
+    random ones in the box |x_i| <= 2 g1. Not the origin, which is
     stationary but never the minimum above g1c."""
-    amp, est = _single_mode(params, 2.0), _single_mode(params, -1.0)
-    seeds = [np.repeat([s * amp, 0.0], 3) for s in (1.0, -1.0) if amp >= 0.0]
-    # staggered seeds from the single-mode estimate at the soft momentum,
-    # and from the uniform amplitude
-    seeds += [np.array([s, -0.5 * s, -0.5 * s, 0.0, 0.0, 0.0])
-              for s in (est, amp) if s > 0.0]
-    box = 2.0 * params.g1
-    seeds += list(np.random.default_rng(seed).uniform(-box, box, (20, 6)))
-    # the soft mode's pattern cos(q n) at its single-mode amplitude, where
-    # 16 g1^4 / omega_eff^2 = (g1/g1c)^4: when hopping nearly cancels
-    # omega, the root lies far outside the random box
     g1c, q = softest_mode(params)
+    # 16 g1^4 / omega_eff^2 = (g1/g1c)^4 at the soft momentum
     r = params.g1 / g1c
-    if r > 1.0:
-        amp = math.sqrt(r * r * r * r - 1.0) / (4.0 * params.g1)
-        if math.isfinite(amp):
-            seeds.append(np.concatenate([amp * np.cos(q * np.arange(3)),
-                                         np.zeros(3)]))
-    return seeds
+    amp = math.sqrt(r * r * r * r - 1.0) / (4.0 * params.g1)
+    seeds = [np.concatenate([s * amp * np.cos(q * np.arange(3)), np.zeros(3)])
+             for s in (1.0, -1.0)]
+    box = 2.0 * params.g1
+    rng = np.random.default_rng(seed)
+    return seeds + list(rng.uniform(-box, box, (20, 6)))
 
 
 def at_critical_point(delta: float, g1c: float) -> bool:
@@ -308,15 +296,11 @@ def at_critical_point(delta: float, g1c: float) -> bool:
 
 def _multistart(params: ModelParams, seed: int) -> np.ndarray:
     """Minimal-energy scaled root (a_1..a_3, b_1..b_3) by multi-start damped
-    Newton in float64, canonically labeled (see `solve_displacements`).
-
-    Raises DomainError for a negative seed and where 16 g1^4, formed by the
-    starts, overflows float64."""
+    Newton in float64 from the starts of `_seed_list`, canonically labeled
+    (see `solve_displacements`); `continued_roots` runs it at its anchor
+    alone. Raises DomainError for a negative seed."""
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    g1 = params.g1
-    if not math.isfinite(16.0 * g1 * g1 * g1 * g1):
-        raise DomainError(f"16 g1^4 overflows float64 at g1={g1}")
     xs = np.array([x for x in _newton(params, np.array(
         _seed_list(params, seed)), _NEWTON_TOL) if x is not None])
     if not len(xs):
@@ -366,29 +350,34 @@ def _polish(ps: list[ModelParams], x0: np.ndarray, tol) -> np.ndarray:
 def continued_roots(base: ModelParams, deltas: list[float], seed: int = 0
                     ) -> dict[float, tuple[ModelParams, np.ndarray]]:
     """(params, scaled root) at each reduced coupling delta = g1/g1c - 1 > 0,
-    by continuation from the multi-start root x at anchor = max(delta, 1e-2)
-    found with the given seed. The params are in units of omega
-    (`in_omega_units`).
+    by continuation from the multi-start root x at the anchor
+    delta = _ANCHOR = 1e-2, found with the given seed, whichever deltas are
+    asked for. The params are in units of omega (`in_omega_units`).
 
-    Every delta >= 1e-4, and 1e-4 itself when a delta lies below, is
-    seeded by the sqrt(delta) law, x sqrt(delta / anchor), and all of them
-    are polished together in float64 (`_polish`). Every delta below is
-    seeded the same way from the root at 1e-4 and polished together at
-    50 digits; their params and roots are 50-digit Decimal numbers, to be
-    used inside `numerics.working()`. Each row follows the iterates it
-    would follow alone, so a root does not depend on which other deltas
-    below the anchor were asked for."""
+    Every delta >= 1e-4, above the anchor and below it, and 1e-4 itself
+    when a delta lies below, is seeded by the sqrt(delta) law,
+    x sqrt(delta / 1e-2), and all of them are polished together in float64
+    (`_polish`). Every delta below is seeded the same way from the root at
+    1e-4 and polished together at 50 digits; their params and roots are
+    50-digit Decimal numbers, to be used inside `numerics.working()`. Each
+    row follows the iterates it would follow alone, so a root does not
+    depend on which other deltas were asked for.
+
+    Raises DomainError where 16 g1^4 overflows float64 at the largest
+    delta, whose residuals would overflow with it."""
     base = in_omega_units(base)
     need = sorted({float(d) for d in deltas}, reverse=True)
     deep = [d for d in need if d < _MP_SPLIT]
     g1c = critical_coupling_min(base)
-    anchor = max(need[0], _ANCHOR)
-    x = _multistart(replace(base, g1=g1c * (1.0 + anchor)), seed)
+    top = g1c * (1.0 + need[0])
+    if not math.isfinite(16.0 * top * top * top * top):
+        raise DomainError(f"16 g1^4 overflows float64 at g1={top}")
+    x = _multistart(replace(base, g1=g1c * (1.0 + _ANCHOR)), seed)
     stops = [d for d in need if d > _MP_SPLIT]
     if deep or _MP_SPLIT in need:   # the 50-digit seeds scale the root there
         stops.append(_MP_SPLIT)
     ps = [replace(base, g1=g1c * (1.0 + d)) for d in stops]
-    roots = _polish(ps, np.array([x * math.sqrt(d / anchor) for d in stops]),
+    roots = _polish(ps, np.array([x * math.sqrt(d / _ANCHOR) for d in stops]),
                     1e-12)
     out = {d: (p, x) for d, p, x in zip(stops, ps, roots) if d in need}
     if not deep:
@@ -414,12 +403,13 @@ def solve_displacements(params: ModelParams,
 
     Below the critical coupling the zero displacement is returned with
     label NP, and within 1e-12 above it CriticalPointError is raised.
-    Above it the root is `continued_roots`' at delta = g1/g1c - 1, whose
-    multi-start runs all starts as one batch at max(delta, 1e-2) and
-    collects the distinct roots; ties within 1e-10 in the energy over
-    Delta/omega are broken by the canonical site labeling (lexicographically
-    largest (a_1, a_2, a_3)). The seed feeds only the random extra starts;
-    the structured seeds are fixed. The solve runs in units of omega. x is
+    Above it the root is `continued_roots`' at delta = g1/g1c - 1, the
+    same as in any call that asks for this delta: its multi-start runs all
+    starts as one batch at delta = 1e-2 and collects the distinct roots;
+    ties within 1e-10 in the energy over Delta/omega are broken by the
+    canonical site labeling (lexicographically largest (a_1, a_2, a_3)).
+    The seed feeds only the random extra starts; the two soft-mode starts
+    are fixed. The solve runs in units of omega. x is
     the scaled root (a, b), which `residuals` and `ground_energy_mf` take;
     energy and residual norm are those of (A, B) = sqrt(Delta/omega) (a, b)
     in the unit of params.

@@ -271,14 +271,16 @@ def _rows(side: str) -> list[tuple[str, str, int | None]]:
 
 
 def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
-           series: dict[float, dict], omega: float) -> ReportEntry:
+           series: dict[float, dict], base: ModelParams) -> ReportEntry:
     """The report entry of one row, fitted on 12 log-spaced points of its
     window from `series` (observables in units of omega by signed delta):
     "failed" for r^2 < 0.999 at |slope| >= 0.05, "finite-limit" (a gap's
     limit times omega) below 0.05, else "power-law", window-stable if its
-    central six points refit with r^2 >= 0.999 and |slope| within 0.02."""
+    central six points refit with r^2 >= 0.999 and |slope| within 0.02.
+    Raises DomainError, naming the row and delta/omega, where the fitted
+    amplitude overflows float64 (photon_n carries delta/omega)."""
     side, quantity, site = row
-    unit = omega if quantity.startswith("eps") else 1.0
+    unit = base.omega if quantity.startswith("eps") else 1.0
     pts = [(d, _extract(series[_SIGN[side] * d], quantity, site))
            for d in _log_grid(window, _REPORT_POINTS)]
     head = dict(quantity=quantity, site=site, side=side, window=window,
@@ -287,6 +289,11 @@ def _entry(row: tuple[str, str, int | None], window: tuple[float, float],
         fit = fit_power_law(pts)
     except FitRejected as ex:
         return ReportEntry(**head, status="failed", note=str(ex))
+    except OverflowError:
+        raise DomainError(
+            f"the fitted amplitude of row ({side}, {quantity}, {site}) "
+            f"overflows float64 at delta/omega="
+            f"{in_omega_units(base).delta!r}") from None
     if fit.direction == "finite":
         return ReportEntry(
             **head, status="finite-limit", slope=fit.slope,
@@ -327,7 +334,7 @@ def exponent_report(theta: float,
     series = observables_near(in_omega_units(base), sorted(
         {_SIGN[row[0]] * d for row, win in windows.items()
          for d in _log_grid(win, _REPORT_POINTS)}))
-    entries = [_entry(row, win, series, base.omega)
+    entries = [_entry(row, win, series, base)
                for row, win in windows.items()]
 
     # z pairs keyed (side sign, gap), which sorts below before above

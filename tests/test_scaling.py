@@ -6,7 +6,7 @@ import pytest
 from rabitri import CriticalPointError, DomainError, FitRejected, ModelParams
 from rabitri.bogoliubov import point_observables
 import rabitri.meanfield as meanfield
-from rabitri.model import critical_flux
+from rabitri.model import critical_coupling_min, critical_flux
 from rabitri.cli import main
 import rabitri.scaling as scaling
 from rabitri.scaling import (SweepSpec, _entry, _log_grid, exponent_report,
@@ -258,7 +258,7 @@ def test_window_stability_rule(k, stable):
     for d in _log_grid(window, 12):
         x = math.log10(d)
         series[d] = {"eps1": 10.0 ** (0.5 * x + k * (x + 7.5) ** 3)}
-    e = _entry(("above", "eps1", None), window, series, 1.0)
+    e = _entry(("above", "eps1", None), window, series, BASE)
     assert e.status == "power-law"
     assert e.window_stable is stable
 
@@ -335,6 +335,25 @@ def test_float64_band_rows_match_single_delta_calls(theta):
     rows = observables_near(base, band)
     for d in band:
         assert_same_floats(rows[d], observables_near(base, [d])[d])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.7])
+def test_rows_do_not_depend_on_larger_deltas_asked_beside_them(theta):
+    # the multi-start runs at delta = 1e-2 whatever deltas are asked for,
+    # so rows above it leave every other row's bits as they are, and the
+    # root of `solve_displacements` is that of any call that asks for its
+    # delta
+    base = ModelParams(omega=1.0, delta=100.0, g1=0.1, j_hop=0.05,
+                       theta=theta)
+    assert_same_floats(observables_near(base, [0.01])[0.01],
+                       observables_near(base, [0.01, 0.05, 0.3])[0.01])
+    g1c = critical_coupling_min(base)
+    p = ModelParams(omega=1.0, delta=100.0, g1=1.02 * g1c, j_hop=0.05,
+                    theta=theta)
+    d = p.g1 / g1c - 1.0
+    assert np.array_equal(
+        meanfield.solve_displacements(p).x,
+        meanfield.continued_roots(base, [d, 0.05, 0.3])[d][1])
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.7, 2.0])
