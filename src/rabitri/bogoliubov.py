@@ -188,6 +188,7 @@ def point_observables(params: ModelParams, root: np.ndarray | None = None,
         eps, lam = zip(*sorted((m.epsilon, m.lambda_q) for m in modes))
         vx_modes = np.tile(np.exp(4 * np.array(lam)) / 3, (3, 1))
     else:
+        root = np.asarray(root)
         ps = diagonalize_paraunitary(residual_jacobian(params, root, g1))
         eps = ps.eps
         sq = ps.s * ps.s

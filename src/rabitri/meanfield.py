@@ -182,7 +182,7 @@ def _solve_rows(nb, a: np.ndarray, b: np.ndarray
     regular: nonsingular in float64, positive definite at 50 digits, where
     nb.solve is a Cholesky solve. One refused a[i] makes the stacked solve
     raise for all, so then each system is solved alone and a refused one
-    leaves a zero row."""
+    leaves a zero row, a Newton step that lowers no residual."""
     try:
         return nb.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
@@ -197,18 +197,18 @@ def _solve_rows(nb, a: np.ndarray, b: np.ndarray
 
 def _newton(params: ModelParams, x0: np.ndarray, tol: float, g1=None
             ) -> np.ndarray | None | list[np.ndarray | None]:
-    """Damped (Levenberg-regularized) Newton on the residual vector, at the
-    precision of params and x0, in units of omega.
+    """Newton with backtracking on the residual vector, at the precision of
+    params and x0, in units of omega.
 
     x0 is one start, shape (6,), or a stack of starts, shape (k, 6), that
-    run together: each row keeps its own regularization and stops on its
-    own, and follows the iterates it would follow alone. Rows of rings
-    that differ only in g1 take their couplings as the column g1, shape
-    (k, 1) (see `residuals`). A row stops
+    run together: each row stops on its own and follows the iterates it
+    would follow alone. Rows of rings that differ only in g1 take their
+    couplings as the column g1, shape (k, 1) (see `residuals`). A row stops
       - converged, at max|r| <= tol max(1, max|x|): above the rounding
         of the residual, about u max|x| for a large root;
-      - given up by the Levenberg rule, when the regularization mu of a
-        step that lowers no max|r| would exceed 1e6;
+      - given up, when neither its full step nor any of the halvings
+        2^-1 .. 2^-29 lowers max|r|, as for the zero step of a refused
+        system (`_solve_rows`);
       - stalled, when max|r| has not halved over the last _STALL
         iterations (a stall at a non-root minimum of max|r|; the give-up
         rule of MINPACK's hybrj, Moré, Garbow & Hillstrom, ANL-80-74);
@@ -222,7 +222,6 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g1=None
     shared = np.ndim(g1) == 0           # one coupling, or a column of them
     r = residuals(params, x, g1)
     rn = np.max(np.abs(r), axis=-1)     # max|r| of each row, kept with r
-    mu = nb.num(np.zeros(len(x)))
     live = np.ones(len(x), dtype=bool)   # neither converged nor given up
     past = []                            # max|r| of each row, per iteration
     for it in range(_MAX_ITER):
@@ -233,15 +232,8 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g1=None
         if not live.any():
             break
         rows = np.flatnonzero(live)
-        jac = residual_jacobian(params, x[rows], g1 if shared else g1[rows])
-        reg = mu[rows] != 0
-        if reg.any():
-            jac[reg] += nb.num(np.eye(6)) * mu[rows[reg], None, None]
-        step, regular = _solve_rows(nb, jac, -r[rows])
-        if not regular.all():
-            sing = rows[~regular]
-            mu[sing] = np.maximum(10 * mu[sing], nb.num(1e-12))
-            rows, step = rows[regular], step[regular]
+        step = _solve_rows(nb, residual_jacobian(
+            params, x[rows], g1 if shared else g1[rows]), -r[rows])[0]
         # backtracking on the residual norm: the full step, then for the
         # rows it does not improve the halvings 2^-1 .. 2^-29 all at once,
         # of which each row takes the first that lowers max|r|
@@ -261,11 +253,7 @@ def _newton(params: ModelParams, x0: np.ndarray, tol: float, g1=None
             ok[back] = lower.any(axis=1)
         good = rows[ok]
         x[good], r[good], rn[good] = xt[ok], rt[ok], rnt[ok]
-        mu[good] /= 4
-        if not ok.all():
-            bad = rows[~ok]
-            mu[bad] = np.where(mu[bad] == 0, nb.num(1e-10), mu[bad] * 100)
-            live[bad[mu[bad] > 1e6]] = False
+        live[rows[~ok]] = False
     ok = rn <= tol * np.maximum(np.abs(x).max(axis=-1), 1)
     out = [xi if ci else None for xi, ci in zip(x, ok)]
     return out if np.ndim(x0) == 2 else out[0]

@@ -82,9 +82,9 @@ def in_omega_units(params: ModelParams) -> ModelParams:
 
 
 def bare_coupling(params: ModelParams) -> float:
-    """Dimensionful coupling g = g1 * sqrt(omega) * sqrt(delta)."""
-    nb = numerics.of(params.omega)
-    return params.g1 * nb.sqrt(params.omega) * nb.sqrt(params.delta)
+    """Dimensionful coupling g = g1 * sqrt(omega) * sqrt(delta), in
+    float64."""
+    return params.g1 * math.sqrt(params.omega) * math.sqrt(params.delta)
 
 
 def critical_coupling(params: ModelParams, q: float) -> float:

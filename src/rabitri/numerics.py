@@ -18,7 +18,7 @@ The Cholesky and the linear solve take real arrays: the residual Jacobian
 of the Colpa step and the Newton systems. At 50 digits both run on one
 factorization, `_cholesky_dec`: a Newton system is solved by its Cholesky
 and two triangular substitutions, so a singular or indefinite one raises
-LinAlgError, on which Newton regularizes. Float64 solves by LU
+LinAlgError, on which Newton gives that row up. Float64 solves by LU
 (`np.linalg.solve`), since its multi-start steps past saddles.
 
 Every kernel takes one matrix or a stack of them along a leading axis, and

@@ -222,12 +222,14 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
 
     A near-zero slope (|slope| < 0.05) is returned flagged as a finite
     limit rather than rejected; a sloped but poor fit (r^2 < 0.999)
-    raises FitRejected.
+    raises FitRejected, and a delta or value that is not finite and
+    positive, DomainError.
     """
     if len(points) < 10:
         raise DomainError(f"need at least 10 points, got {len(points)}")
-    if any(v <= 0.0 for _, v in points):
-        raise DomainError("all values must be positive for a log-log fit")
+    if not all(0.0 < d < math.inf and 0.0 < v < math.inf for d, v in points):
+        raise DomainError("every delta and value must be finite and positive "
+                          "for a log-log fit")
     slope, icept, r2 = _line(points)
     if abs(slope) < _FLAT_SLOPE:
         direction = "finite"

@@ -100,6 +100,16 @@ def test_matrix_matches_closed_forms_in_normal_phase(theta):
     assert vp[0] == pytest.approx(variance_p_np(p), rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.7])
+def test_point_observables_takes_a_list_root(theta):
+    # like residuals and ground_energy_mf, it takes the root as a list too
+    p = params(theta=theta, g1=1.1 * critical_coupling_min(params(theta=theta)))
+    x = solve_displacements(p).x
+    want, got = point_observables(p, x), point_observables(p, list(x))
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(theta=st.floats(-math.pi, math.pi, exclude_min=True),
        j_hop=st.floats(0.0, 0.3), delta=st.floats(10.0, 1000.0),

@@ -321,13 +321,14 @@ def test_root_independent_of_energy_unit(delta):
 
 
 def sequential_newton(p, x0, tol):
-    # reference: the damped Newton of one start, its backtracking one
-    # halving at a time; it gives up when max|r| has not halved over the
-    # last _STALL iterations
+    # reference: the Newton of one start, its backtracking one halving at a
+    # time; it gives up on a singular system, on a step none of whose
+    # halvings lowers max|r|, and when max|r| has not halved over the last
+    # _STALL iterations
     def res(x):
         return residuals(p, x)
 
-    x, mu, past = np.array(x0), 0.0, []
+    x, past = np.array(x0), []
     r = res(x)
     for it in range(meanfield._MAX_ITER):
         rn = np.max(np.abs(r))
@@ -337,22 +338,17 @@ def sequential_newton(p, x0, tol):
                 and not rn <= 0.5 * past[it - meanfield._STALL]):
             return None
         past.append(rn)
-        jac = residual_jacobian(p, x)
         try:
-            step = np.linalg.solve(jac + np.eye(6) * mu if mu else jac, -r)
+            step = np.linalg.solve(residual_jacobian(p, x), -r)
         except np.linalg.LinAlgError:
-            mu = max(10.0 * mu, 1e-12 * p.omega)
-            continue
+            return None
         for t in 0.5 ** np.arange(30):
             rt = res(x + t * step)
             if np.max(np.abs(rt)) < rn:
                 x, r = x + t * step, rt
-                mu *= 0.25
                 break
         else:
-            mu = 100.0 * mu if mu else 1e-10 * p.omega
-            if mu > 1e6 * p.omega:
-                return None
+            return None
     return x if np.max(np.abs(r)) <= tol else None
 
 
@@ -382,17 +378,55 @@ def test_batched_newton_matches_each_start_alone(theta, j_hop, delta, ratio,
                             meanfield._NEWTON_TOL * p.omega)
 
 
-def test_singular_start_does_not_disturb_its_batch():
+def count_jacobians(monkeypatch):
+    # the iterates at which Newton forms its Jacobian, one stack per
+    # iteration
+    iterates = []
+    jacobian = meanfield.residual_jacobian
+    monkeypatch.setattr(meanfield, "residual_jacobian",
+                        lambda *a: iterates.append(a[1].copy())
+                        or jacobian(*a))
+    return iterates
+
+
+def test_singular_start_does_not_disturb_its_batch(monkeypatch):
     # at J=0 and g1=g1c=1/2 the curvature of site 1 cancels omega at A_1=0,
-    # so this start has an exactly singular Jacobian and a nonzero residual
+    # so this start has an exactly singular Jacobian and a nonzero residual:
+    # its zero step lowers no max|r|, so it is given up on its first
+    # iteration, and the other rows of its batch are as they are alone
     p = params(theta=0.0, g1=0.5, j_hop=0.0)
     x0 = np.array([0.0, 0.3, 0.3, 0.0, 0.0, 0.0])
+    tol = meanfield._NEWTON_TOL * p.omega
     assert np.max(np.abs(residuals(p, x0))) > 0.0
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(residual_jacobian(p, x0), np.ones(6))
+    iterates = count_jacobians(monkeypatch)
+    assert _newton(p, x0, tol) is None and len(iterates) == 1
+    monkeypatch.undo()
     seeds = _seed_list(p, seed=1)
-    starts = np.array([*seeds[:4], x0, *seeds[10:12]])
-    assert_rows_match_alone(p, starts, meanfield._NEWTON_TOL * p.omega)
+    assert_rows_match_alone(p, np.array([*seeds[:4], x0, *seeds[10:12]]), tol)
+
+
+def test_start_whose_every_step_raises_the_residual_is_given_up(monkeypatch):
+    # random start 5 (after the two soft-mode starts) reaches on its 6th
+    # iteration an iterate whose Jacobian is regular but ill-conditioned
+    # (condition number about 3e6): the full step and each of the halvings
+    # 2^-1 .. 2^-29 raise max|r|, so the row is given up there, and the
+    # other rows of its batch are as they are alone
+    g1c = critical_coupling_min(params(theta=2.0, j_hop=0.2))
+    p = params(theta=2.0, g1=1.05 * g1c, j_hop=0.2)
+    seeds = _seed_list(p, seed=2)
+    tol = meanfield._NEWTON_TOL * p.omega
+    iterates = count_jacobians(monkeypatch)
+    assert _newton(p, seeds[7], tol) is None and len(iterates) == 6
+    monkeypatch.undo()
+    x = iterates[-1][0]
+    r = residuals(p, x)
+    step = np.linalg.solve(residual_jacobian(p, x), -r)
+    assert all(np.max(np.abs(residuals(p, x + t * step))) > np.max(np.abs(r))
+               for t in 0.5 ** np.arange(30))
+    assert_rows_match_alone(p, np.array([*seeds[:4], seeds[7], *seeds[10:12]]),
+                            tol)
 
 
 def test_multistart_work_is_bounded(monkeypatch):
@@ -420,20 +454,18 @@ def test_multistart_work_is_bounded(monkeypatch):
 
 
 def test_slow_start_that_keeps_halving_converges(monkeypatch):
-    # this random start (random start 10, after the two soft-mode starts)
-    # rests near max|r| = 1.1e-3 for 17 iterations and reaches a root after
-    # 27, halving max|r| within every _STALL of them, so the stall rule
-    # leaves its iterates as they were without it
-    g1c = critical_coupling_min(params(theta=-1.8, delta=1000.0, j_hop=0.04))
-    p = params(theta=-1.8, g1=1.013 * g1c, delta=1000.0, j_hop=0.04)
-    x0 = _seed_list(p, seed=5)[12]
+    # this random start (random start 2, after the two soft-mode starts)
+    # rests between max|r| = 2.6e-3 and 2.9e-3 for 17 iterations and
+    # reaches a root, the origin, after 28, halving max|r| within every
+    # _STALL of them, so the stall rule leaves its iterates as they were
+    # without it
+    g1c = critical_coupling_min(params(theta=2.0, j_hop=0.04))
+    p = params(theta=2.0, g1=1.02 * g1c, j_hop=0.04)
+    x0 = _seed_list(p, seed=8)[4]
     tol = meanfield._NEWTON_TOL * p.omega
-    iterations = []
-    jacobian = meanfield.residual_jacobian
-    monkeypatch.setattr(meanfield, "residual_jacobian",
-                        lambda *a: iterations.append(1) or jacobian(*a))
+    iterates = count_jacobians(monkeypatch)
     x = _newton(p, x0, tol)
-    assert x is not None and len(iterations) > meanfield._STALL
+    assert x is not None and len(iterates) > meanfield._STALL
     assert np.max(np.abs(residuals(p, x))) <= tol
     monkeypatch.setattr(meanfield, "_STALL", meanfield._MAX_ITER)
     assert np.array_equal(_newton(p, x0, tol), x)

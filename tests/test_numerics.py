@@ -300,7 +300,8 @@ def test_solve_refuses_the_singular_jacobian():
 
 def test_stack_with_one_indefinite_system_is_refused():
     # one refused system makes the stacked solve raise for all; Newton
-    # then solves each alone and regularizes that one only
+    # then solves each alone and gives that one a zero step, on which it
+    # gives its row up
     with working():
         stack = DEC.num(np.array([np.eye(6), np.diag([1.0, -1.0, 1.0, 1.0,
                                                       1.0, 1.0]), np.eye(6)]))
@@ -314,8 +315,8 @@ def test_singular_start_does_not_disturb_its_fifty_digit_batch(monkeypatch):
     # the 50-digit twin of test_meanfield's
     # test_singular_start_does_not_disturb_its_batch: at J = 0 and
     # g1 = g1c = 1/2 the start x0 has an exactly singular Jacobian, so the
-    # stacked Cholesky solve raises; each row of the batch still follows
-    # the iterates it follows alone, Decimal for Decimal
+    # stacked Cholesky solve raises and x0 is given up; each row of the
+    # batch still follows the iterates it follows alone, Decimal for Decimal
     refused = []
     solve = DEC.solve
 
@@ -338,15 +339,16 @@ def test_singular_start_does_not_disturb_its_fifty_digit_batch(monkeypatch):
             alone = _newton(p, x, tol)
             assert (got is None) == (alone is None)
             assert got is None or np.array_equal(got, alone)
-    assert batch[0] is not None and batch[2] is not None
+    assert batch[0] is not None and batch[1] is None and batch[2] is not None
 
 
 @pytest.mark.parametrize("j_hop", [0.05, 0.2])
 def test_fifty_digit_newton_systems_are_positive_definite(monkeypatch,
                                                           j_hop):
     # the Cholesky solve refuses an indefinite Newton system, on which
-    # Newton would regularize; near a minimum the 50-digit continuation
-    # meets none, at each transition and on either side of theta_c
+    # Newton would give its row up; near a minimum the 50-digit
+    # continuation meets none, at each transition and on either side of
+    # theta_c
     calls, raises = [], []
     solve = DEC.solve
 

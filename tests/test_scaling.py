@@ -77,6 +77,18 @@ def test_fit_power_law_input_validation():
         fit_power_law(pts)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-4])
+@pytest.mark.parametrize("column", [0, 1])
+def test_fit_power_law_refuses_a_point_off_its_domain(capfd, bad, column):
+    # a delta or value that is not finite and positive is refused by name,
+    # before LAPACK, which prints to stderr on a NaN, sees its logarithm
+    pts = [[d, 3.0 * d ** 0.5] for d in np.logspace(-5, -2, 12)]
+    pts[4][column] = bad
+    with pytest.raises(DomainError, match="finite and positive"):
+        fit_power_law([tuple(p) for p in pts])
+    assert capfd.readouterr().err == ""
+
+
 def test_sweep_below_gap_vanishes_toward_transition():
     spec = SweepSpec(theta=1.7, side="below", quantity="eps1",
                      window=(1e-5, 1e-2), n_points=12)
